@@ -16,7 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, mul
 
+from .errors import OutOfScopeError
 from .linalg import Matrix, signature
 
 SYMPLECTIC = "symplectic"
@@ -28,7 +32,7 @@ MAT_IMAG_QUAD = "mat_imag_quad"
 MAT_DEF_QUAT = "mat_def_quat"
 
 
-class ClosureOverflowError(RuntimeError):
+class ClosureOverflowError(OutOfScopeError):
     pass
 
 
@@ -56,6 +60,10 @@ class CatalogFactor:
     def __post_init__(self):
         if self.kind not in (MAT_Q, MAT_IMAG_QUAD, MAT_DEF_QUAT):
             raise ValueError(f"unknown catalog kind {self.kind!r}")
+        for name in ("n", "multiplicity", "d", "a", "b"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1 or self.multiplicity < 1:
             raise ValueError("n and multiplicity must be >= 1")
         if self.kind == MAT_IMAG_QUAD:
@@ -147,43 +155,34 @@ class AlgebraPresentation:
         for f in factors:
             dd = f.coeff_dim
             md = f.module_dim
-            coeff = _coeff_basis(f)
+            coeff = [(lx.numerators, conj.numerators) for lx, conj in _coeff_basis(f)]
             gens = []
 
-            def embed(small: Matrix, offset=offset, f=f, md=md) -> Matrix:
-                rows = [[Fraction(0)] * dim_v for _ in range(dim_v)]
+            def embed(small, offset=offset, f=f, md=md) -> Matrix:
+                rows = [[0] * dim_v for _ in range(dim_v)]
                 for copy in range(f.multiplicity):
                     base = offset + copy * md
-                    for i in range(md):
-                        for j in range(md):
-                            x = small[i, j]
-                            if x:
-                                rows[base + i][base + j] = x
-                return Matrix(rows)
+                    for i, r in enumerate(small):
+                        rows[base + i][base : base + md] = r
+                return Matrix.from_numerators(rows)
 
-            unit_small = Matrix.identity(md)
+            unit_small = Matrix.identity(md).numerators
             center_small = None
             for p in range(f.n):
                 for q in range(f.n):
                     for lx, lx_conj in coeff:
-                        small = [[Fraction(0)] * md for _ in range(md)]
-                        small_star = [[Fraction(0)] * md for _ in range(md)]
+                        small = [[0] * md for _ in range(md)]
+                        small_star = [[0] * md for _ in range(md)]
                         for i in range(dd):
-                            for j in range(dd):
-                                if lx[i, j]:
-                                    small[p * dd + i][q * dd + j] = lx[i, j]
-                                if lx_conj[i, j]:
-                                    small_star[q * dd + i][p * dd + j] = lx_conj[i, j]
-                        gens.append((embed(Matrix(small)), embed(Matrix(small_star))))
+                            small[p * dd + i][q * dd : (q + 1) * dd] = lx[i]
+                            small_star[q * dd + i][p * dd : (p + 1) * dd] = lx_conj[i]
+                        gens.append((embed(small), embed(small_star)))
             if f.kind == MAT_IMAG_QUAD:
-                s = _coeff_basis(f)[1][0]
-                big = [[Fraction(0)] * md for _ in range(md)]
+                s = coeff[1][0]
+                center_small = [[0] * md for _ in range(md)]
                 for p in range(f.n):
                     for i in range(dd):
-                        for j in range(dd):
-                            if s[i, j]:
-                                big[p * dd + i][p * dd + j] = s[i, j]
-                center_small = Matrix(big)
+                        center_small[p * dd + i][p * dd : (p + 1) * dd] = s[i]
             blocks.append(
                 FactorBlock(
                     factor=f,
@@ -220,82 +219,101 @@ class AlgebraPresentation:
 
 
 class _Span:
-    """Incremental echelon span of flattened matrices with coordinates
-    tracked relative to the inserted (non-reduced) basis."""
+    """Incremental echelon span of matrices, kept fraction-free.
 
-    def __init__(self, length: int):
-        self.length = length
-        self.rows = []  # echelon vectors
-        self.exprs = []  # same vectors written in inserted-basis coordinates
+    A matrix enters as its flattened numerators.  Each echelon row is a
+    primitive integer vector stored with its pivot, its nonzero positions
+    and its expression in the inserted matrices (sparse rational
+    coordinates), so coordinates come out relative to the inserted basis.
+    """
+
+    def __init__(self):
+        self.rows = []  # echelon vectors, lists of int
         self.pivots = []
+        self.support = []  # nonzero positions of each echelon vector
+        self.exprs = []  # each echelon vector as ((inserted index, Fraction), ...)
         self.size = 0  # number of inserted basis elements
 
-    def _reduce(self, vec):
-        vec = list(vec)
-        coeff = [Fraction(0)] * self.size
-        for row, expr, piv in zip(self.rows, self.exprs, self.pivots):
+    def _reduce(self, mat: Matrix):
+        """Reduce the numerators of mat.  Returns (residual, s, coeff): the
+        integer residual equals s * (mat - sum of coeff[i] * inserted[i]),
+        flattened, for a nonzero integer s."""
+        vec = [x for r in mat.numerators for x in r]
+        den = mat.denominator
+        s = 1
+        coeff = {}
+        for row, piv, nz, expr in zip(self.rows, self.pivots, self.support, self.exprs):
             c = vec[piv]
-            if c:
-                f = c / row[piv]
-                for i in range(self.length):
-                    if row[i]:
-                        vec[i] -= f * row[i]
-                for i, e in enumerate(expr):
-                    if e:
-                        coeff[i] += f * e
-        return vec, coeff
+            if not c:
+                continue
+            p = row[piv]
+            f = Fraction(c, p * s * den)  # coordinate of row in mat's expansion
+            for i, e in expr:
+                coeff[i] = coeff.get(i, 0) + f * e
+            g = gcd(c, p)
+            q, t = p // g, c // g
+            if q != 1:
+                vec = [q * x for x in vec]
+                s *= q
+            if 4 * len(nz) < len(vec):
+                for i in nz:
+                    vec[i] -= t * row[i]
+            else:
+                vec = [x - t * y for x, y in zip(vec, row)]
+        return vec, s * den, coeff
 
-    def coords(self, vec):
-        """Coordinates in the inserted basis, or None if not in the span."""
-        res, coeff = self._reduce(vec)
+    @staticmethod
+    def _sparse(coeff):
+        return tuple(sorted((i, c) for i, c in coeff.items() if c))
+
+    def coords(self, mat: Matrix):
+        """Coordinates in the inserted basis as ((index, Fraction), ...), or
+        None if mat is not in the span."""
+        res, _, coeff = self._reduce(mat)
         if any(res):
             return None
-        return coeff
+        return self._sparse(coeff)
 
-    def insert(self, vec):
-        """Insert a new basis vector; returns coordinates if dependent."""
-        res, coeff = self._reduce(vec)
+    def insert(self, mat: Matrix):
+        """Insert a new basis matrix; returns its coordinates if dependent."""
+        res, s, coeff = self._reduce(mat)
         if not any(res):
-            return coeff
-        piv = next(i for i, x in enumerate(res) if x)
-        self.rows.append(res)
-        self.pivots.append(piv)
-        expr = [-c for c in coeff] + [Fraction(1)]
-        for e in self.exprs:
-            e.append(Fraction(0))
-        self.exprs.append(expr)
+            return self._sparse(coeff)
+        g = gcd(*res)
+        row = [x // g for x in res]
+        # row = (s / g) * (mat - sum of coeff[i] * inserted[i])
+        f = Fraction(s, g)
+        self.rows.append(row)
+        self.pivots.append(next(i for i, x in enumerate(row) if x))
+        self.support.append([i for i, x in enumerate(row) if x])
+        self.exprs.append(tuple((i, -f * c) for i, c in sorted(coeff.items()) if c) + ((self.size, f),))
         self.size += 1
         return None
 
 
 class _Closure:
-    def __init__(self, basis, star_of, prod_coords, linearity_witness):
+    def __init__(self, basis, star_of, prod_coords, linearity_witness, span):
         self.basis = basis  # list[Matrix]
         self.star_of = star_of  # list[Matrix]
         self.prod_coords = prod_coords  # dict[(i, j)] -> sparse coords
         self.linearity_witness = linearity_witness
-
-
-def _sparse(coords):
-    return tuple((i, c) for i, c in enumerate(coords) if c)
+        self.span = span  # _Span whose inserted basis is exactly ``basis``
 
 
 @lru_cache(maxsize=8)
 def _closure(alg: AlgebraPresentation) -> _Closure:
     dim = alg.dim_v
     bound = dim * dim
-    span = _Span(bound)
+    span = _Span()
     basis: list[Matrix] = []
     star_of: list[Matrix] = []
     linearity_witness = None
 
     def push(mat: Matrix, star: Matrix):
-        nonlocal linearity_witness
-        coords = span.insert(mat.flatten())
+        coords = span.insert(mat)
         if coords is None:
             basis.append(mat)
             star_of.append(star)
-            return None
         return coords
 
     ident = Matrix.identity(dim)
@@ -303,7 +321,7 @@ def _closure(alg: AlgebraPresentation) -> _Closure:
     for act, star in alg.generators:
         coords = push(act, star)
         if coords is not None and linearity_witness is None:
-            combo = _combine(star_of, _sparse(coords), dim)
+            combo = _combine(star_of, coords, dim)
             if combo != star:
                 linearity_witness = (act, star)
     prod_coords = {}
@@ -314,29 +332,29 @@ def _closure(alg: AlgebraPresentation) -> _Closure:
             break
         for i, j in todo:
             prod = basis[i] @ basis[j]
-            coords = span.coords(prod.flatten())
+            coords = span.coords(prod)
             if coords is None:
                 if len(basis) >= bound:
                     raise ClosureOverflowError(
                         f"closure did not stabilise within dimension bound {bound}"
                     )
                 push(prod, star_of[j] @ star_of[i])
-                prod_coords[(i, j)] = _sparse([Fraction(0)] * (len(basis) - 1) + [Fraction(1)])
+                prod_coords[(i, j)] = ((len(basis) - 1, Fraction(1)),)
             else:
-                prod_coords[(i, j)] = _sparse(coords)
-    return _Closure(basis, star_of, prod_coords, linearity_witness)
+                prod_coords[(i, j)] = coords
+    return _Closure(basis, star_of, prod_coords, linearity_witness, span)
 
 
 def _combine(mats, sparse_coords, dim):
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    """The integer linear combination sum of c * mats[idx] over the sparse
+    coordinates, over one common denominator."""
+    den = lcm(*(c.denominator * mats[idx].denominator for idx, c in sparse_coords))
+    rows = [[0] * dim for _ in range(dim)]
     for idx, c in sparse_coords:
         m = mats[idx]
-        for i in range(dim):
-            for j in range(dim):
-                x = m[i, j]
-                if x:
-                    rows[i][j] += c * x
-    return Matrix(rows)
+        f = c.numerator * (den // (c.denominator * m.denominator))
+        rows = [list(map(add, acc, map(mul, r, repeat(f)))) for acc, r in zip(rows, m.numerators)]
+    return Matrix.from_numerators(rows, den)
 
 
 @dataclass(frozen=True)
@@ -356,15 +374,12 @@ def check_anti_involution(alg: AlgebraPresentation) -> InvolutionReport:
     dim = alg.dim_v
     if cl.linearity_witness is not None:
         return InvolutionReport(False, "star is not linear on dependent generators", cl.linearity_witness)
-    span = _Span(dim * dim)
-    for m in cl.basis:
-        span.insert(m.flatten())
     star_coords = []
     for m, s in zip(cl.basis, cl.star_of):
-        coords = span.coords(s.flatten())
+        coords = cl.span.coords(s)
         if coords is None:
             return InvolutionReport(False, "star image leaves the algebra", (m, s))
-        star_coords.append(_sparse(coords))
+        star_coords.append(coords)
     for m, s, sc in zip(cl.basis, cl.star_of, star_coords):
         ss = _combine(cl.star_of, sc, dim)
         if ss != m:

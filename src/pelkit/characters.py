@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import InternalCheckError, OutOfScopeError
+
 MAX_BLOCK_RANK = 8
 MAX_WEIGHT_NORM = 8  # bound on |lambda|_1 over all blocks
 
@@ -46,7 +48,7 @@ class NotACharacterError(ValueError):
     pass
 
 
-class BoundExceededError(ValueError):
+class BoundExceededError(OutOfScopeError):
     pass
 
 
@@ -298,7 +300,8 @@ def _block_weyl_dim(series: str, n: int, lam) -> int:
     out = Fraction(1)
     for a in pos:
         out *= Fraction(_dot(lr, a), _dot(rho, a))
-    assert out.denominator == 1 and out > 0
+    if out.denominator != 1 or out <= 0:
+        raise InternalCheckError(f"Weyl dimension of {lam} for {series}{n} is {out}")
     return int(out)
 
 
@@ -338,13 +341,18 @@ def _block_irr(series: str, n: int, lam):
             if num == 0:
                 continue
             denom = top_norm - _dot(_add(mu, rho), _add(mu, rho))
-            assert denom > 0, "Freudenthal denominator must be positive off the top weight"
+            if denom <= 0:
+                raise InternalCheckError("Freudenthal denominator must be positive off the top weight")
             q, r = divmod(2 * num, denom)
-            assert r == 0 and q > 0
+            if r or q <= 0:
+                raise InternalCheckError(f"Freudenthal multiplicity of {mu} is {2 * num}/{denom}")
             mults[mu] = q
             level.append(mu)
         current = level
-    assert sum(mults.values()) == _block_weyl_dim(series, n, lam)
+    if sum(mults.values()) != _block_weyl_dim(series, n, lam):
+        raise InternalCheckError(
+            f"Freudenthal multiplicities of {lam} for {series}{n} miss the Weyl dimension"
+        )
     return tuple(sorted(mults.items()))
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success / positive verdicts, 1 on negative mathematical
 verdicts (invalid datum, inadmissible morphism, failed law or fixture),
-2 on schema or usage errors.  Output is JSON with sorted keys and is
+2 on schema or usage errors and on input past pelkit's bounds; the latter
+also print a JSON error object.  Output is JSON with sorted keys and is
 byte-identical across runs for fixed inputs and seed.
 """
 
@@ -26,6 +27,7 @@ from .characters import (
     irr_char,
     tensor,
 )
+from .errors import OutOfScopeError
 from .fixtures import conformance_ok, conformance_rows
 from .hodge import auto_cochar, hodge_type
 from .isogeny import run_law_suite
@@ -85,7 +87,9 @@ def _parse_rep(spec: str, cl) -> WeightChar:
     except ValueError as exc:
         raise serialize.SchemaError("--rep", f"expected 'std' or a JSON object: {exc}")
     highest = obj.get("highest") if isinstance(obj, dict) else None
-    if not isinstance(highest, list) or not all(isinstance(x, int) for x in highest):
+    if not isinstance(highest, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in highest
+    ):
         raise serialize.SchemaError("--rep.highest", "expected an integer array")
     return irr_char(cl.root_datum, tuple(highest))
 
@@ -251,6 +255,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except serialize.SchemaError as exc:
         sys.stderr.write(f"schema error: {exc}\n")
+        return 2
+    except OutOfScopeError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        _emit(args, {"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 2
     except (
         NotGenuineError,

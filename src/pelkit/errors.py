@@ -1,0 +1,16 @@
+"""Exception bases shared by several layers."""
+
+from __future__ import annotations
+
+
+class OutOfScopeError(ValueError):
+    """Well-formed input that lies outside what pelkit computes: a weight
+    past the character bounds, a weight that is not one of the group's, an
+    algebra whose closure does not stabilise.  The CLI reports it as a JSON
+    error with exit code 2."""
+
+
+class InternalCheckError(RuntimeError):
+    """An internal cross-check failed: a defect in pelkit, not a verdict on
+    the input.  Raised explicitly rather than by ``assert``, so that
+    ``python -O`` keeps the check."""

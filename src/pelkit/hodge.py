@@ -24,12 +24,13 @@ from .characters import (
     WeightChar,
     irr_char,
 )
+from .errors import InternalCheckError, OutOfScopeError
 from .peldata import Classification
 
 AV_TYPES = frozenset(((-1, 0), (0, -1)))
 
 
-class NonIntegralPairingError(ValueError):
+class NonIntegralPairingError(OutOfScopeError):
     pass
 
 
@@ -107,7 +108,7 @@ def auto_cochar(classification: Classification) -> HodgeCochar:
     entries of mu equal 1/2); unitary blocks take the signature orientation
     (+1/2 on the first a coordinates, -1/2 on the remaining b: "agreement
     first").  The central entry makes the standard character land exactly on
-    {(-1,0), (0,-1)}, which is asserted on construction.
+    {(-1,0), (0,-1)}, which is checked on construction.
     """
     mu2 = []
     for d in classification.details:
@@ -120,7 +121,7 @@ def auto_cochar(classification: Classification) -> HodgeCochar:
     kappa2 = [0] * (len(mu2) - 1) + [2]
     hc = HodgeCochar(tuple(mu2), tuple(k - m for k, m in zip(kappa2, mu2)), tuple(kappa2))
     if not is_av_type(classification.standard_char, hc):
-        raise AssertionError("auto-generated cocharacter fails the standard-character fixture")
+        raise InternalCheckError("auto-generated cocharacter fails the standard-character fixture")
     return hc
 
 

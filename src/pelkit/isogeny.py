@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .linalg import Matrix
@@ -164,9 +165,37 @@ def _random_map(rng: random.Random, rows: int, cols: int) -> Matrix:
     )
 
 
+class _LedgerEntry(dict):
+    """One law's read-only line of a law-suite ledger."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("law ledger entries are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return (_LedgerEntry, (dict(self),))
+
+
+@lru_cache(maxsize=64)
+def _ledger_entry(trials: int, failures: int, first: int | None) -> _LedgerEntry:
+    # Equal lines are one shared object, so a caller that keeps many ledgers
+    # keeps one small dict per ledger rather than one per law.
+    return _LedgerEntry(
+        {
+            "trials": trials,
+            "failures": failures,
+            "pass": failures == 0,
+            **({"first_failure_trial": first} if first is not None else {}),
+        }
+    )
+
+
 def run_law_suite(trials: int = 500, seed: int = 0) -> dict:
     """Seeded random verification of the normalisation laws; returns a
-    pass/fail ledger per law with exact arithmetic throughout."""
+    pass/fail ledger per law with exact arithmetic throughout.  The ledger's
+    per-law entries are read-only dicts."""
     rng = random.Random(seed)
     results = {}
 
@@ -178,12 +207,7 @@ def run_law_suite(trials: int = 500, seed: int = 0) -> dict:
                 failures += 1
                 if first is None:
                     first = t
-        results[name] = {
-            "trials": trials,
-            "failures": failures,
-            "pass": failures == 0,
-            **({"first_failure_trial": first} if first is not None else {}),
-        }
+        results[name] = _ledger_entry(trials, failures, first)
 
     def independence_of_n():
         n = rng.randint(1, 3)

@@ -1,22 +1,27 @@
 """Exact rational linear algebra.
 
-Everything here is computed over Q (``fractions.Fraction``) or over the
-Gaussian rationals Q(i); no floating point is used anywhere.  Matrices are
-dense and immutable, sized for desk-scale inputs (dimension <= 64).
+Everything here is computed over Q or over the Gaussian rationals Q(i); no
+floating point is used anywhere.  A ``Matrix`` is dense and immutable.  It
+stores integer numerator rows over one positive common denominator, kept in
+lowest terms, so equal matrices have equal storage.  Products, sums,
+equality and hashing run on plain ``int``s, and the eliminations run
+fraction-free on the numerators (Bareiss, Math. Comp. 22, 1968).  Entries
+read back through ``m[i, j]``, ``row``, ``column``, ``tolist`` and
+``flatten`` are ``Fraction``s.  Sizes are desk-scale (dimension <= 64).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, mul
+
+from .errors import InternalCheckError
 
 
 class NotSymmetricError(ValueError):
-    pass
-
-
-class NonIntegerError(ValueError):
     pass
 
 
@@ -42,27 +47,120 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to a rational")
 
 
-class Matrix:
-    """Immutable dense matrix with Fraction entries."""
+def _wrap(num: tuple, den: int) -> "Matrix":
+    """Matrix from numerator rows (tuples of int) already in lowest terms
+    over den > 0; skips ``__init__``."""
+    m = object.__new__(Matrix)
+    m.rows = len(num)
+    m.cols = len(num[0])
+    m.numerators = num
+    m.denominator = den
+    return m
 
-    __slots__ = ("rows", "cols", "_data")
+
+def _lowest(num, den: int) -> "Matrix":
+    """Matrix with value num / den for integer rows num and den != 0."""
+    if den < 0:
+        num = [[-x for x in r] for r in num]
+        den = -den
+    g = den
+    if g != 1:
+        for r in num:
+            g = gcd(g, *r)
+            if g == 1:
+                break
+    if g != 1:
+        num = [[x // g for x in r] for r in num]
+        den //= g
+    return _wrap(tuple(map(tuple, num)), den)
+
+
+def _reduce_rows(m: list, ncols: int):
+    """Fraction-free Gauss-Jordan elimination of the integer rows ``m`` in
+    place, over their first ``ncols`` columns (Bareiss's exact division by
+    the previous pivot keeps every entry an integer minor).
+
+    Returns ``(pivots, p, sign)``: the pivot columns in order, the last
+    pivot (positive) and the sign of the row operations, which swap or
+    negate rows.  Pivot row r then holds p at column pivots[r] and every
+    other row holds 0 there, so the first len(pivots) rows divided by p are
+    the reduced row echelon form; the remaining rows are zero on the first
+    ncols columns.  For a square matrix of full rank, sign * p is its
+    determinant.
+    """
+    n = len(m)
+    prev = sign = 1
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        pr = m[r]
+        p = pr[c]
+        if p < 0:
+            # negating one row keeps every entry a minor; with positive
+            # pivots a +-1 matrix never rescales the rows it leaves alone
+            pr = m[r] = [-x for x in pr]
+            p = -p
+            sign = -sign
+        for i in range(n):
+            if i != r:
+                a = m[i][c]
+                if a:
+                    m[i] = [(x * p - a * y) // prev for x, y in zip(m[i], pr)]
+                elif p != prev:
+                    m[i] = [x * p // prev for x in m[i]]
+        prev = p
+        pivots.append(c)
+        if len(pivots) == n:
+            break
+    return pivots, prev, sign
+
+
+class Matrix:
+    """Immutable dense rational matrix.
+
+    ``numerators`` is a tuple of integer row tuples and ``denominator`` a
+    positive integer sharing no factor with all of them; entry (i, j) is
+    ``numerators[i][j] / denominator``.
+    """
+
+    __slots__ = ("rows", "cols", "numerators", "denominator")
 
     def __init__(self, data):
-        rows = tuple(tuple(_frac(x) for x in row) for row in data)
+        rows = [[x if type(x) is int else _frac(x) for x in row] for row in data]
         if not rows:
             raise ValueError("matrix needs at least one row")
         width = len(rows[0])
         if width == 0 or any(len(r) != width for r in rows):
             raise ValueError("ragged or empty matrix rows")
+        # Over the lcm of the entries' reduced denominators the numerators
+        # are already coprime to the common denominator.
+        den = lcm(*{x.denominator for r in rows for x in r})
         self.rows = len(rows)
         self.cols = width
-        self._data = rows
+        self.numerators = tuple(
+            tuple(x.numerator * (den // x.denominator) for x in r) for r in rows
+        )
+        self.denominator = den
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise ValueError("matrix needs at least one row")
+        return _wrap(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
+
+    @staticmethod
+    def from_numerators(rows, den: int = 1) -> "Matrix":
+        """Matrix with entries rows[i][j] / den, for integer rows of equal
+        length and an integer den != 0."""
+        return _lowest(rows, den)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
@@ -75,240 +173,191 @@ class Matrix:
 
     @staticmethod
     def block_diag(*blocks: "Matrix") -> "Matrix":
-        n = sum(b.rows for b in blocks)
-        m = sum(b.cols for b in blocks)
-        out = [[Fraction(0)] * m for _ in range(n)]
-        r = c = 0
+        if not blocks:
+            raise ValueError("matrix needs at least one row")
+        # Each block is in lowest terms, so after scaling every block to the
+        # lcm of their denominators the whole matrix still is.
+        den = lcm(*(b.denominator for b in blocks))
+        width = sum(b.cols for b in blocks)
+        out = []
+        left = 0
         for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    out[r + i][c + j] = b[i, j]
-            r += b.rows
-            c += b.cols
-        return Matrix(out)
+            f = den // b.denominator
+            pad_l, pad_r = (0,) * left, (0,) * (width - left - b.cols)
+            for r in b.numerators:
+                out.append(pad_l + (r if f == 1 else tuple(x * f for x in r)) + pad_r)
+            left += b.cols
+        return _wrap(tuple(out), den)
 
     def kron(self, other: "Matrix") -> "Matrix":
-        out = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                out.append(
-                    [self[i, j] * other[k, l] for j in range(self.cols) for l in range(other.cols)]
-                )
-        return Matrix(out)
+        out = [
+            [x * y for x in ra for y in rb]
+            for ra in self.numerators
+            for rb in other.numerators
+        ]
+        return _lowest(out, self.denominator * other.denominator)
 
     # -- basics --------------------------------------------------------------
 
     def __getitem__(self, ij):
         i, j = ij
-        return self._data[i][j]
+        return Fraction(self.numerators[i][j], self.denominator)
 
     def row(self, i: int):
-        return self._data[i]
+        den = self.denominator
+        return tuple(Fraction(x, den) for x in self.numerators[i])
 
     def column(self, j: int):
-        return tuple(self._data[i][j] for i in range(self.rows))
+        den = self.denominator
+        return tuple(Fraction(r[j], den) for r in self.numerators)
 
     def tolist(self):
-        return [list(r) for r in self._data]
+        den = self.denominator
+        return [[Fraction(x, den) for x in r] for r in self.numerators]
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._data == other._data
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
         )
 
     def __hash__(self):
-        return hash(self._data)
+        return hash((self.numerators, self.denominator))
 
     def __repr__(self):
-        return f"Matrix({[ [str(x) for x in r] for r in self._data ]})"
+        return f"Matrix({[[str(x) for x in r] for r in self.tolist()]})"
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _sum(self, other: "Matrix", sign: int) -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in +")
-        return Matrix(
-            [
-                [self[i, j] + other[i, j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        da, db = self.denominator, other.denominator
+        den = lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        out = [
+            [x * fa + y * fb for x, y in zip(ra, rb)]
+            for ra, rb in zip(self.numerators, other.numerators)
+        ]
+        return _lowest(out, den)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._sum(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in r] for r in self._data])
+        return _wrap(tuple(tuple(-x for x in r) for r in self.numerators), self.denominator)
 
     def scale(self, c) -> "Matrix":
         c = _frac(c)
-        return Matrix([[c * x for x in r] for r in self._data])
+        p = c.numerator
+        return _lowest([[p * x for x in r] for r in self.numerators], self.denominator * c.denominator)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in @")
-        ocols = other.cols
-        odata = other._data
+        b = other.numerators
+        inner = other.rows
+        zero = (0,) * other.cols
+        columns = None
         out = []
-        for i in range(self.rows):
-            ri = self._data[i]
-            row = [Fraction(0)] * ocols
-            for k in range(self.cols):
-                a = ri[k]
+        for ra in self.numerators:
+            if 3 * (inner - ra.count(0)) > inner:
+                # dense row: one dot product per column of other
+                if columns is None:
+                    columns = tuple(zip(*b))
+                out.append([sum(map(mul, ra, col)) for col in columns])
+                continue
+            # sparse row: add up the rows of other it selects
+            acc = zero
+            for k, a in enumerate(ra):
                 if a:
-                    rk = odata[k]
-                    for j in range(ocols):
-                        row[j] += a * rk[j]
-            out.append(row)
-        return Matrix(out)
+                    term = b[k] if a == 1 else tuple(map(mul, b[k], repeat(a)))
+                    acc = term if acc is zero else tuple(map(add, acc, term))
+            out.append(acc)
+        return _lowest(out, self.denominator * other.denominator)
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return _wrap(tuple(zip(*self.numerators)), self.denominator)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
-        return self.is_square() and all(
-            self[i, j] == self[j, i] for i in range(self.rows) for j in range(i)
-        )
+        m = self.numerators
+        return self.is_square() and all(m[i][j] == m[j][i] for i in range(self.rows) for j in range(i))
 
     def is_antisymmetric(self) -> bool:
+        m = self.numerators
         return self.is_square() and all(
-            self[i, j] == -self[j, i] for i in range(self.rows) for j in range(i + 1)
+            m[i][j] == -m[j][i] for i in range(self.rows) for j in range(i + 1)
         )
 
     def is_integer(self) -> bool:
-        return all(x.denominator == 1 for r in self._data for x in r)
+        return self.denominator == 1
 
     def trace(self) -> Fraction:
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
-        return sum((self[i, i] for i in range(self.rows)), Fraction(0))
+        return Fraction(sum(r[i] for i, r in enumerate(self.numerators)), self.denominator)
 
     def denominator_lcm(self) -> int:
-        out = 1
-        for r in self._data:
-            for x in r:
-                out = lcm(out, x.denominator)
-        return out
+        return self.denominator
 
     def flatten(self):
-        return tuple(x for r in self._data for x in r)
+        den = self.denominator
+        return tuple(Fraction(x, den) for r in self.numerators for x in r)
 
     # -- elimination-based operations ----------------------------------------
 
     def det(self) -> Fraction:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        m = [list(r) for r in self._data]
         n = self.rows
-        det = Fraction(1)
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c]), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, n):
-                f = m[r][c] * inv
-                if f:
-                    for j in range(c, n):
-                        m[r][j] -= f * m[c][j]
-        return det
+        pivots, p, sign = _reduce_rows([list(r) for r in self.numerators], n)
+        if len(pivots) < n:
+            return Fraction(0)
+        return Fraction(sign * p, self.denominator**n)
 
     def inv(self) -> "Matrix":
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        m = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(self._data)]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c]), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            m[c], m[piv] = m[piv], m[c]
-            inv = 1 / m[c][c]
-            m[c] = [x * inv for x in m[c]]
-            for r in range(n):
-                if r != c and m[r][c]:
-                    f = m[r][c]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-        return Matrix([r[n:] for r in m])
+        m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.numerators)]
+        pivots, p, _ = _reduce_rows(m, n)
+        if len(pivots) < n:
+            raise ValueError("matrix is singular")
+        # (numerators)^-1 = right half / p, and self^-1 = denominator * that
+        den = self.denominator
+        return _lowest([[den * x for x in r[n:]] for r in m], p)
 
     def rank(self) -> int:
-        m = [list(r) for r in self._data]
-        rank = 0
-        for c in range(self.cols):
-            piv = next((r for r in range(rank, self.rows) if m[r][c]), None)
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            inv = 1 / m[rank][c]
-            for r in range(rank + 1, self.rows):
-                f = m[r][c] * inv
-                if f:
-                    for j in range(c, self.cols):
-                        m[r][j] -= f * m[rank][j]
-            rank += 1
-        return rank
+        return len(_reduce_rows([list(r) for r in self.numerators], self.cols)[0])
 
     def solve(self, rhs: "Matrix") -> "Matrix":
         """Solve self @ X = rhs exactly; raises ValueError if inconsistent."""
         if self.rows != rhs.rows:
             raise ValueError("shape mismatch in solve")
-        n, k, w = self.rows, self.cols, rhs.cols
-        m = [list(self._data[i]) + list(rhs._data[i]) for i in range(n)]
-        pivots = []
-        r = 0
-        for c in range(k):
-            piv = next((i for i in range(r, n) if m[i][c]), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(n):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == n:
-                break
-        for i in range(r, n):
-            if any(m[i][k + j] for j in range(w)):
-                raise ValueError("inconsistent linear system")
-        sol = [[Fraction(0)] * w for _ in range(k)]
-        for ri, c in enumerate(pivots):
-            for j in range(w):
-                sol[c][j] = m[ri][k + j]
-        return Matrix(sol)
+        k, w = self.cols, rhs.cols
+        m = [list(a) + list(b) for a, b in zip(self.numerators, rhs.numerators)]
+        pivots, p, _ = _reduce_rows(m, k)
+        if any(any(r[k:]) for r in m[len(pivots):]):
+            raise ValueError("inconsistent linear system")
+        # numerators @ Y = rhs numerators gives Y[c] = m[row of c][k:] / p,
+        # and X = Y * self.denominator / rhs.denominator
+        da = self.denominator
+        sol = [[0] * w for _ in range(k)]
+        for r, c in enumerate(pivots):
+            sol[c] = [da * x for x in m[r][k:]]
+        return _lowest(sol, p * rhs.denominator)
 
     def column_space_basis(self) -> "Matrix":
         """Matrix whose columns are the pivot columns of self (a basis of the image)."""
-        m = [list(r) for r in self._data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            piv = next((i for i in range(r, self.rows) if m[i][c]), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = 1 / m[r][c]
-            for i in range(r + 1, self.rows):
-                f = m[i][c] * inv
-                if f:
-                    for j in range(c, self.cols):
-                        m[i][j] -= f * m[r][j]
-            pivots.append(c)
-            r += 1
+        pivots, _, _ = _reduce_rows([list(r) for r in self.numerators], self.cols)
         if not pivots:
             raise RankDeficientError("zero matrix has no column-space basis")
-        return Matrix.from_columns([self.column(c) for c in pivots])
+        return _lowest([[r[c] for c in pivots] for r in self.numerators], self.denominator)
 
 
 @dataclass(frozen=True)
@@ -332,14 +381,16 @@ def signature(gram: Matrix) -> Signature:
 
     Congruence diagonalization using the first nonzero diagonal pivot; when
     the remaining diagonal vanishes but an off-diagonal entry survives, the
-    standard rank-2 fix-up (add row+column) restores a diagonal pivot.
+    standard rank-2 fix-up (add row+column) restores a diagonal pivot.  The
+    positive common denominator does not change the signature, so the
+    numerators are diagonalized.
     """
     if not gram.is_square():
         raise NotSymmetricError("gram matrix must be square")
     if not gram.is_symmetric():
         raise NotSymmetricError("gram matrix must equal its transpose")
     n = gram.rows
-    m = [list(r) for r in gram._data]
+    m = [[Fraction(x) for x in r] for r in gram.numerators]
 
     def add_rowcol(dst, src):
         for j in range(n):
@@ -377,48 +428,6 @@ def signature(gram: Matrix) -> Signature:
                 for i in range(n):
                     m[i][r] -= f * m[i][k]
     return Signature(pos, neg, zero)
-
-
-def hnf(m: Matrix, allow_rank_deficient: bool = False) -> Matrix:
-    """Column Hermite normal form of an integer matrix.
-
-    The Z-span of the columns is preserved.  Zero columns are dropped; by
-    default a rank-deficient input (fewer pivots than columns) is rejected.
-    """
-    if not m.is_integer():
-        raise NonIntegerError("hnf requires integer entries")
-    rows = [[int(x) for x in col] for col in zip(*m.tolist())]  # work on the transpose
-    nr, nc = len(rows), m.rows
-    r = 0
-    for c in range(nc):
-        while True:
-            live = [i for i in range(r, nr) if rows[i][c]]
-            if not live:
-                break
-            i0 = min(live, key=lambda i: abs(rows[i][c]))
-            rows[r], rows[i0] = rows[i0], rows[r]
-            done = True
-            for i in range(r + 1, nr):
-                if rows[i][c]:
-                    q = rows[i][c] // rows[r][c]
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-                    if rows[i][c]:
-                        done = False
-            if done:
-                break
-        if r < nr and rows[r][c]:
-            if rows[r][c] < 0:
-                rows[r] = [-a for a in rows[r]]
-            for i in range(r):
-                q = rows[i][c] // rows[r][c]
-                if q:
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-            r += 1
-    if r < m.cols and not allow_rank_deficient:
-        raise RankDeficientError(f"column span has rank {r} < {m.cols}")
-    if r == 0:
-        raise RankDeficientError("zero matrix has no Hermite form")
-    return Matrix(rows[:r]).transpose()
 
 
 @dataclass(frozen=True)
@@ -518,22 +527,23 @@ def simult_eigensplit(a: Matrix, b: Matrix) -> EigenSplit:
     n = a.rows
     if not a.is_square() or not b.is_square() or b.rows != n:
         raise ValueError("need square matrices of equal size")
-    minus_id = Matrix.identity(n).scale(-1)
+    minus_id = -Matrix.identity(n)
     if a @ a != minus_id:
         raise NotComplexStructureError("first matrix does not square to -I")
     if b @ b != minus_id:
         raise NotComplexStructureError("second matrix does not square to -I")
     if a @ b != b @ a:
         raise NotCommutingError("matrices do not commute")
+    a_rows, b_rows = a.tolist(), b.tolist()
 
-    def gauss_rows(mat: Matrix, shift: GaussRat):
+    def gauss_rows(rows, shift: GaussRat):
         return [
-            [GaussRat(mat[i, j], Fraction(0)) - (shift if i == j else GAUSS_ZERO) for j in range(n)]
-            for i in range(n)
+            [GaussRat(x, Fraction(0)) - (shift if i == j else GAUSS_ZERO) for j, x in enumerate(r)]
+            for i, r in enumerate(rows)
         ]
 
     def joint_kernel(sa: GaussRat, sb: GaussRat):
-        stacked = gauss_rows(a, sa) + gauss_rows(b, sb)
+        stacked = gauss_rows(a_rows, sa) + gauss_rows(b_rows, sb)
         return tuple(_kernel_basis(stacked))
 
     mi = -GAUSS_I
@@ -544,15 +554,5 @@ def simult_eigensplit(a: Matrix, b: Matrix) -> EigenSplit:
         mm=joint_kernel(mi, mi),
     )
     if sum(split.dims) != n:
-        raise AssertionError("eigenspace dimensions do not fill the space")
+        raise InternalCheckError("eigenspace dimensions do not fill the space")
     return split
-
-
-def integer_span_contains(basis: Matrix, vectors: Matrix) -> bool:
-    """True if every column of ``vectors`` is an integral combination of the
-    columns of ``basis`` (both integer matrices)."""
-    try:
-        sol = basis.solve(vectors)
-    except ValueError:
-        return False
-    return sol.is_integer()

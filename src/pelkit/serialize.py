@@ -38,11 +38,19 @@ def frac_to_str(x: Fraction) -> str:
 _RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
-def frac_from_json(obj, path: str) -> Fraction:
+def _bad_rational(obj) -> str | None:
+    """Why obj is not a JSON rational, or None when it is one."""
     if isinstance(obj, bool) or not isinstance(obj, (int, str)):
-        raise SchemaError(path, f"expected an integer or 'p/q' string, got {obj!r}")
+        return f"expected an integer or 'p/q' string, got {obj!r}"
     if isinstance(obj, str) and not _RAT_RE.match(obj):
-        raise SchemaError(path, f"bad rational {obj!r}: expected 'p' or 'p/q' with q > 0")
+        return f"bad rational {obj!r}: expected 'p' or 'p/q' with q > 0"
+    return None
+
+
+def frac_from_json(obj, path: str) -> Fraction:
+    problem = _bad_rational(obj)
+    if problem:
+        raise SchemaError(path, problem)
     return Fraction(obj)
 
 
@@ -53,21 +61,32 @@ def matrix_to_json(m: Matrix):
 def matrix_from_json(obj, path: str) -> Matrix:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SchemaError(path, "expected a non-empty array of arrays")
-    rows = [
-        [frac_from_json(x, f"{path}[{i}][{j}]") for j, x in enumerate(r)]
-        for i, r in enumerate(obj)
-    ]
+    rows = []
+    for i, r in enumerate(obj):
+        row = []
+        for j, x in enumerate(r):
+            if type(x) is not int:
+                problem = _bad_rational(x)
+                if problem:
+                    raise SchemaError(f"{path}[{i}][{j}]", problem)
+                x = int(x) if "/" not in x else Fraction(x)
+            row.append(x)
+        rows.append(row)
     try:
         return Matrix(rows)
     except ValueError as exc:
         raise SchemaError(path, str(exc))
 
 
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _require(obj, key, path, kind=None):
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(path, f"missing key {key!r}")
     val = obj[key]
-    if kind is not None and not isinstance(val, kind):
+    if kind is not None and not (_is_int(val) if kind is int else isinstance(val, kind)):
         raise SchemaError(f"{path}.{key}", f"expected {kind.__name__}")
     return val
 
@@ -190,7 +209,7 @@ def char_from_json(obj, path: str = "char") -> WeightChar:
         epath = f"{path}[{i}]"
         w = _require(entry, "weight", epath, list)
         m = _require(entry, "mult", epath, int)
-        if not all(isinstance(c, int) and not isinstance(c, bool) for c in w):
+        if not all(_is_int(c) for c in w):
             raise SchemaError(f"{epath}.weight", "weights are integer arrays")
         acc[tuple(w)] = acc.get(tuple(w), 0) + m
     return WeightChar(acc)
@@ -219,7 +238,7 @@ def _side_from_json(obj, path: str) -> RepSide:
 
 def morphism_from_json(obj, path: str = "morphism") -> MorphismSpec:
     pullback = _require(obj, "weight_pullback", path, list)
-    if not all(isinstance(r, list) and all(isinstance(x, int) for x in r) for r in pullback):
+    if not all(isinstance(r, list) and all(_is_int(x) for x in r) for r in pullback):
         raise SchemaError(f"{path}.weight_pullback", "expected an integer matrix")
     try:
         return MorphismSpec(

@@ -136,3 +136,59 @@ def test_fixture_output_stable_across_hash_seeds():
         assert proc.returncode == 0
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def _json_error(code, out, kind):
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"]["type"] == kind and payload["error"]["message"]
+
+
+def test_bound_exceeded_exits_2_with_json_error():
+    code, out = run_cli(
+        "hodge", "--datum", os.path.join(DOCS, "modular_curve.json"), "--rep", '{"highest": [9, 1]}'
+    )
+    _json_error(code, out, "BoundExceededError")
+    code, out = run_cli("rep", "decompose", "--type", "C2", "--tensor", ",".join(["std"] * 9))
+    _json_error(code, out, "BoundExceededError")
+
+
+def test_non_integral_pairing_exits_2_with_json_error():
+    code, out = run_cli(
+        "hodge", "--datum", os.path.join(DOCS, "modular_curve.json"), "--rep", '{"highest": [1, 0]}'
+    )
+    _json_error(code, out, "NonIntegralPairingError")
+
+
+def test_closure_overflow_exits_2_with_json_error(monkeypatch):
+    # A closure inside End(V) cannot outgrow dim(V)^2, so the error is
+    # raised here by a stand-in for the closure.
+    from pelkit import algebras
+
+    def overflow(alg):
+        raise algebras.ClosureOverflowError("closure did not stabilise")
+
+    monkeypatch.setattr(algebras, "_closure", overflow)
+    code, out = run_cli("validate", os.path.join(DOCS, "modular_curve.json"))
+    _json_error(code, out, "ClosureOverflowError")
+
+
+def test_booleans_are_not_integers(tmp_path):
+    with open(os.path.join(DOCS, "modular_curve.json")) as fh:
+        base = json.load(fh)
+    for mutate in (
+        lambda d: d["algebra"].__setitem__("dim_v", True),
+        lambda d: d["algebra"]["factors"][0].__setitem__("n", True),
+        lambda d: d["algebra"]["factors"][0].__setitem__("multiplicity", True),
+        lambda d: d["pairing"][0].__setitem__(1, True),
+    ):
+        obj = json.loads(json.dumps(base))
+        mutate(obj)
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(obj))
+        code, out = run_cli("validate", str(path))
+        assert code == 2 and out == ""
+    code, out = run_cli(
+        "hodge", "--datum", os.path.join(DOCS, "modular_curve.json"), "--rep", '{"highest": [true, 1]}'
+    )
+    assert code == 2 and out == ""

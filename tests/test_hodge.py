@@ -1,3 +1,8 @@
+import dataclasses
+import os
+import subprocess
+import sys
+
 import pytest
 
 from pelkit.characters import (
@@ -9,6 +14,7 @@ from pelkit.characters import (
     irr_char,
     tensor,
 )
+from pelkit.errors import InternalCheckError
 from pelkit.fixtures import gu11_datum, modular_curve_datum, quaternion_datum
 from pelkit.hodge import (
     AV_TYPES,
@@ -152,3 +158,40 @@ def test_auto_cochar_fixtures():
     quat = classify(quaternion_datum())
     hcq = auto_cochar(quat)
     assert is_av_type(quat.standard_char, hcq)
+
+
+def test_auto_cochar_check_raises_internal_error():
+    cl = classify(modular_curve_datum())
+    broken = dataclasses.replace(cl, standard_char=WeightChar({(2, 1): 1}))
+    with pytest.raises(InternalCheckError):
+        auto_cochar(broken)
+
+
+def test_internal_checks_survive_python_O():
+    # ``python -O`` strips assert statements; the cross-checks must still fire.
+    code = (
+        "import dataclasses\n"
+        "from pelkit import characters\n"
+        "from pelkit.errors import InternalCheckError\n"
+        "from pelkit.fixtures import modular_curve_datum\n"
+        "from pelkit.hodge import auto_cochar\n"
+        "from pelkit.peldata import classify\n"
+        "cl = classify(modular_curve_datum())\n"
+        "broken = dataclasses.replace(cl, standard_char=characters.WeightChar({(2, 1): 1}))\n"
+        "caught = []\n"
+        "try:\n"
+        "    auto_cochar(broken)\n"
+        "except InternalCheckError:\n"
+        "    caught.append('auto_cochar')\n"
+        "characters._block_weyl_dim = lambda series, n, lam: 0\n"
+        "try:\n"
+        "    characters._block_irr.__wrapped__('C', 2, (1, 1))\n"
+        "except InternalCheckError:\n"
+        "    caught.append('freudenthal')\n"
+        "print(','.join(caught))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "auto_cochar,freudenthal"

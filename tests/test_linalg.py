@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,14 +8,11 @@ import pytest
 from pelkit.linalg import (
     GaussRat,
     Matrix,
-    NonIntegerError,
     NotCommutingError,
     NotComplexStructureError,
     NotSymmetricError,
     RankDeficientError,
     Signature,
-    hnf,
-    integer_span_contains,
     signature,
     simult_eigensplit,
 )
@@ -74,53 +72,6 @@ def test_signature_negation_swaps_counts():
         assert (s.positive, s.negative, s.zero) == (t.negative, t.positive, t.zero)
 
 
-def _short_span_vectors(m: Matrix, box: int = 3):
-    """Oracle: all integer combinations of the columns with small coefficients,
-    clipped to a small box, as a canonical set."""
-    cols = [m.column(j) for j in range(m.cols)]
-    out = set()
-    for coeffs in itertools.product(range(-box, box + 1), repeat=len(cols)):
-        v = tuple(sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(m.rows))
-        if all(abs(x) <= box for x in v):
-            out.add(v)
-    return out
-
-
-def test_hnf_identity():
-    assert hnf(Matrix.identity(3)) == Matrix.identity(3)
-
-
-def test_hnf_span_preserved():
-    m = Matrix([[2, 1], [0, 1]])
-    h = hnf(m)
-    assert h == Matrix([[1, 0], [1, 2]])
-    assert _short_span_vectors(m) == _short_span_vectors(h)
-    assert integer_span_contains(h, m) and integer_span_contains(m, h)
-
-
-def test_hnf_idempotent_and_random_span():
-    rng = random.Random(3)
-    for _ in range(30):
-        m = Matrix([[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)])
-        if m.det() == 0:
-            continue
-        h = hnf(m)
-        assert hnf(h) == h
-        assert integer_span_contains(h, m) and integer_span_contains(m, h)
-
-
-def test_hnf_degenerate_input():
-    with pytest.raises(RankDeficientError):
-        hnf(Matrix([[0, 0], [0, 0]]))
-    trimmed = hnf(Matrix([[1, 2], [1, 2]]), allow_rank_deficient=True)
-    assert trimmed == Matrix([[1], [1]])
-
-
-def test_hnf_rejects_fractions():
-    with pytest.raises(NonIntegerError):
-        hnf(Matrix([[Fraction(1, 2)]]))
-
-
 def test_eigensplit_equal_structures():
     assert simult_eigensplit(J2, J2).dims == (1, 0, 0, 1)
 
@@ -176,3 +127,213 @@ def test_matrix_solve_and_inverse():
     assert m @ m.solve(rhs) == rhs
     with pytest.raises(ValueError):
         Matrix([[1, 1], [1, 1]]).solve(Matrix([[1], [0]]))
+
+
+# -- seeded oracle: every Matrix operation against plain lists of Fractions -------
+
+
+def _rand_entry(rng):
+    kind = rng.random()
+    if kind < 0.35:
+        return Fraction(0)
+    if kind < 0.7:
+        return Fraction(rng.randint(-6, 6))
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def _rand_rows(rng, rows, cols):
+    return [[_rand_entry(rng) for _ in range(cols)] for _ in range(rows)]
+
+
+def _rand_low_rank(rng, n, rank):
+    left, right = _rand_rows(rng, n, rank), _rand_rows(rng, rank, n)
+    return _ref_mul(left, right)
+
+
+def _ref_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def _ref_transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def _ref_det(a):
+    """Leibniz expansion over all permutations."""
+    n = len(a)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = Fraction(sign)
+        for i in range(n):
+            term *= a[i][perm[i]]
+        total += term
+    return total
+
+
+def _ref_rref(a):
+    """Reduced row echelon form over Fractions and its pivot columns."""
+    m = [list(r) for r in a]
+    pivots = []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _ref_signature(a):
+    """Descartes' rule of signs on the characteristic polynomial, exact for a
+    symmetric matrix since all its roots are real (Faddeev-LeVerrier)."""
+    n = len(a)
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    coeffs = [Fraction(1)]  # c_n, c_{n-1}, ..., c_0 of det(xI - a)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[x + coeffs[-1] * e for x, e in zip(r, ri)] for r, ri in zip(_ref_mul(a, m), ident)]
+        am = _ref_mul(a, m)
+        coeffs.append(-sum(am[i][i] for i in range(n)) / k)
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    zero = next(i for i, c in enumerate(reversed(coeffs)) if c)
+    flipped = [c * (-1) ** (n - i) for i, c in enumerate(coeffs)]
+    return Signature(changes(coeffs), changes(flipped), zero)
+
+
+def _is_canonical(m: Matrix) -> bool:
+    den = m.denominator
+    flat = [x for r in m.numerators for x in r]
+    return den > 0 and math.gcd(den, *flat) == 1 and all(type(x) is int for x in flat)
+
+
+def test_oracle_elementwise_and_products():
+    rng = random.Random(20240611)
+    for _ in range(60):
+        r, k, c = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, a2, b = _rand_rows(rng, r, k), _rand_rows(rng, r, k), _rand_rows(rng, k, c)
+        s = _rand_entry(rng)
+        ma, ma2, mb = Matrix(a), Matrix(a2), Matrix(b)
+        assert ma.tolist() == a and ma.flatten() == tuple(x for row in a for x in row)
+        assert all(ma[i, j] == a[i][j] for i in range(r) for j in range(k))
+        assert ma.row(r - 1) == tuple(a[r - 1]) and ma.column(k - 1) == tuple(x[k - 1] for x in a)
+        expected = {
+            "matmul": (ma @ mb, _ref_mul(a, b)),
+            "add": (ma + ma2, [[x + y for x, y in zip(p, q)] for p, q in zip(a, a2)]),
+            "sub": (ma - ma2, [[x - y for x, y in zip(p, q)] for p, q in zip(a, a2)]),
+            "neg": (-ma, [[-x for x in p] for p in a]),
+            "scale": (ma.scale(s), [[s * x for x in p] for p in a]),
+            "transpose": (ma.transpose(), _ref_transpose(a)),
+            "kron": (ma.kron(mb), [[x * y for x in p for y in q] for p in a for q in b]),
+            "block_diag": (
+                Matrix.block_diag(ma, mb),
+                [p + [Fraction(0)] * c for p in a] + [[Fraction(0)] * k + q for q in b],
+            ),
+        }
+        for name, (got, ref) in expected.items():
+            assert got.tolist() == ref, name
+            assert got == Matrix(ref) and hash(got) == hash(Matrix(ref)), name
+            assert _is_canonical(got), name
+            assert got.is_integer() == all(x.denominator == 1 for row in ref for x in row), name
+            assert got.denominator_lcm() == math.lcm(*(x.denominator for row in ref for x in row)), name
+        assert (ma == ma2) == (a == a2)
+        sq = _rand_rows(rng, k, k)
+        msq = Matrix(sq)
+        assert msq.trace() == sum((sq[i][i] for i in range(k)), Fraction(0))
+        sym = [[sq[i][j] + sq[j][i] for j in range(k)] for i in range(k)]
+        anti = [[sq[i][j] - sq[j][i] for j in range(k)] for i in range(k)]
+        assert Matrix(sym).is_symmetric() and Matrix(anti).is_antisymmetric()
+        assert msq.is_symmetric() == (sq == _ref_transpose(sq))
+        assert msq.is_antisymmetric() == (sq == [[-x for x in p] for p in _ref_transpose(sq)])
+
+
+def test_oracle_eliminations():
+    rng = random.Random(1968)
+    for trial in range(80):
+        n = rng.randint(1, 5)
+        rank = n if trial % 3 else rng.randint(0, n)
+        a = _rand_rows(rng, n, n) if rank == n else _rand_low_rank(rng, n, max(rank, 1))
+        if rank == 0:
+            a = [[Fraction(0)] * n for _ in range(n)]
+        m = Matrix(a)
+        reduced, pivots = _ref_rref(a)
+        det = _ref_det(a)
+        assert m.det() == det
+        assert m.rank() == len(pivots)
+        if pivots:
+            basis = m.column_space_basis()
+            assert basis.tolist() == [[row[c] for c in pivots] for row in a]
+        if det:
+            inv = m.inv()
+            assert inv.tolist() == [r[n:] for r in _ref_rref([r + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(a)])[0]]
+            assert _ref_mul(a, inv.tolist()) == Matrix.identity(n).tolist()
+        else:
+            with pytest.raises(ValueError):
+                m.inv()
+        w = rng.randint(1, 3)
+        # a right-hand side in the image, and one that usually is not
+        rhs = _ref_mul(a, _rand_rows(rng, n, w))
+        x = m.solve(Matrix(rhs))
+        assert _ref_mul(a, x.tolist()) == rhs
+        aug, aug_pivots = _ref_rref([p + q for p, q in zip(a, rhs)])
+        ref_x = [[Fraction(0)] * w for _ in range(n)]
+        for row, c in zip(aug, aug_pivots):
+            ref_x[c] = row[n:]
+        assert x.tolist() == ref_x
+        other = _rand_rows(rng, n, w)
+        consistent = all(c < n for c in _ref_rref([p + q for p, q in zip(a, other)])[1])
+        if consistent:
+            assert _ref_mul(a, m.solve(Matrix(other)).tolist()) == other
+        else:
+            with pytest.raises(ValueError):
+                m.solve(Matrix(other))
+        sym = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+        assert signature(Matrix(sym)) == _ref_signature(sym)
+
+
+def test_rectangular_solve_and_rank():
+    rng = random.Random(44)
+    for _ in range(30):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        a = _rand_rows(rng, r, c)
+        m = Matrix(a)
+        assert m.rank() == len(_ref_rref(a)[1])
+        rhs = _ref_mul(a, _rand_rows(rng, c, 2))
+        assert _ref_mul(a, m.solve(Matrix(rhs)).tolist()) == rhs
+
+
+def test_canonical_form_compares_and_hashes_equal():
+    half = Matrix([[Fraction(1, 2)]])
+    assert half == Matrix([[1]]).scale(Fraction(1, 2))
+    assert hash(half) == hash(Matrix([[1]]).scale(Fraction(1, 2)))
+    assert (half.numerators, half.denominator) == (((1,),), 2)
+    built = [
+        Matrix([["1/2", 1], [0, "-3/4"]]),
+        Matrix([[2, 4], [0, -3]]).scale(Fraction(1, 4)),
+        Matrix([[Fraction(1, 2), Fraction(3, 3)], [Fraction(0, 5), Fraction(-6, 8)]]),
+        Matrix([[1, 2], [0, -1]]).scale(Fraction(1, 2)) + Matrix([[0, 0], [0, -1]]).scale(Fraction(1, 4)),
+        Matrix([[4, 8], [0, -6]]) @ Matrix.identity(2).scale(Fraction(1, 8)),
+    ]
+    assert len(set(built)) == 1
+    assert all(m == built[0] and _is_canonical(m) for m in built)
+    third = Matrix([[Fraction(1, 3)]])
+    whole = third + Matrix([[Fraction(2, 3)]])
+    assert whole == Matrix.identity(1) and whole.is_integer() and whole.denominator == 1
+    zero = Matrix([[Fraction(1, 6), 0]]).scale(0)
+    assert zero == Matrix.zero(1, 2) and zero.denominator == 1
+    assert Matrix([[0, 0]]) != Matrix([[0], [0]])
+    assert repr(half) == "Matrix([['1/2']])"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pelkit import serialize
+from pelkit.algebras import CatalogFactor
 from pelkit.characters import WeightChar
 from pelkit.fixtures import det_twist_morphism, gu11_datum, modular_curve_datum
 from pelkit.linalg import Matrix
@@ -101,3 +102,30 @@ def test_schema_error_paths():
         serialize.load_json_file("/nonexistent/file.json")
     with pytest.raises(serialize.SchemaError):
         serialize.morphism_from_json({"source": {}, "target": {}, "weight_pullback": [["x"]]})
+
+
+def test_booleans_rejected_where_integers_are_parsed():
+    with pytest.raises(serialize.SchemaError):
+        serialize.algebra_from_json(
+            {"mode": "structured", "dim_v": 4, "factors": [{"kind": "mat_imag_quad", "n": 1, "multiplicity": 1, "d": True}]}
+        )
+    with pytest.raises(serialize.SchemaError):
+        serialize.char_from_json([{"weight": [1, 0], "mult": True}])
+    with pytest.raises(serialize.SchemaError):
+        serialize.root_datum_from_json({"factors": [{"series": "C", "n": True}], "central_rank": 1})
+    with pytest.raises(serialize.SchemaError):
+        serialize.morphism_from_json({"source": {}, "target": {}, "weight_pullback": [[True]]})
+    with pytest.raises(ValueError):
+        CatalogFactor(kind="mat_q", n=1, multiplicity=True)
+
+
+def test_matrix_entry_error_path():
+    with pytest.raises(serialize.SchemaError) as err:
+        serialize.matrix_from_json([["1", "2/3"], ["4", "1/0"]], "datum.pairing")
+    assert err.value.path == "datum.pairing[1][1]"
+    with pytest.raises(serialize.SchemaError) as err:
+        serialize.matrix_from_json([[0, 1.5]], "m")
+    assert err.value.path == "m[0][1]"
+    assert serialize.matrix_from_json([["-1/2", 3], ["0", "7"]], "m") == Matrix(
+        [[Fraction(-1, 2), 3], [0, 7]]
+    )
