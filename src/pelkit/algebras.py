@@ -20,7 +20,6 @@ from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul
 
-from .errors import OutOfScopeError
 from .linalg import Matrix, signature
 
 SYMPLECTIC = "symplectic"
@@ -30,10 +29,6 @@ ORTHOGONAL = "orthogonal"
 MAT_Q = "mat_q"
 MAT_IMAG_QUAD = "mat_imag_quad"
 MAT_DEF_QUAT = "mat_def_quat"
-
-
-class ClosureOverflowError(OutOfScopeError):
-    pass
 
 
 def _is_squarefree(n: int) -> bool:
@@ -303,7 +298,6 @@ class _Closure:
 @lru_cache(maxsize=8)
 def _closure(alg: AlgebraPresentation) -> _Closure:
     dim = alg.dim_v
-    bound = dim * dim
     span = _Span()
     basis: list[Matrix] = []
     star_of: list[Matrix] = []
@@ -334,10 +328,6 @@ def _closure(alg: AlgebraPresentation) -> _Closure:
             prod = basis[i] @ basis[j]
             coords = span.coords(prod)
             if coords is None:
-                if len(basis) >= bound:
-                    raise ClosureOverflowError(
-                        f"closure did not stabilise within dimension bound {bound}"
-                    )
                 push(prod, star_of[j] @ star_of[i])
                 prod_coords[(i, j)] = ((len(basis) - 1, Fraction(1)),)
             else:

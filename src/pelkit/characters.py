@@ -20,6 +20,11 @@ Coordinate conventions, fixed once for the whole package:
 Weight multiplicities of an irreducible are computed with the Freudenthal
 recursion, level by level; the total is cross-checked against the Weyl
 dimension formula on every call.
+
+A character is decomposed after one exact W-invariance check (every Weyl
+generator preserves every multiplicity): a W-invariant character is fixed
+by its dominant weights, so the peeling runs on those alone and subtracts
+only the dominant part of each irreducible.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .errors import InternalCheckError, OutOfScopeError
 
 MAX_BLOCK_RANK = 8
 MAX_WEIGHT_NORM = 8  # bound on |lambda|_1 over all blocks
+CACHE_SIZE = 1024  # entries in each memo table of irreducibles and constituents
 
 
 class NotDominantError(ValueError):
@@ -161,6 +167,24 @@ class WeightChar:
 
 def trivial_char(rank: int) -> WeightChar:
     return WeightChar({(0,) * rank: 1})
+
+
+def standard_char(rd: RootDatum, mults) -> WeightChar:
+    """Character of the standard representation: the weights +-e_i of each
+    block, with that block's multiplicity from ``mults``, all at central
+    coordinate 1 (the centre acts by scalars)."""
+    if rd.central_rank != 1:
+        raise ValueError("the standard character needs exactly one central coordinate")
+    total = rd.total_rank
+    acc = {}
+    for (_, a, b), mult in zip(rd.block_slices(), mults, strict=True):
+        for i in range(a, b):
+            for sign in (1, -1):
+                w = [0] * total
+                w[i] = sign
+                w[-1] = 1
+                acc[tuple(w)] = mult
+    return WeightChar(acc)
 
 
 def add_chars(*chars: WeightChar) -> WeightChar:
@@ -305,7 +329,7 @@ def _block_weyl_dim(series: str, n: int, lam) -> int:
     return int(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _block_irr(series: str, n: int, lam):
     """Weight multiplicities of the block irreducible, as sorted items."""
     pos = _positive_roots(series, n)
@@ -364,9 +388,9 @@ def weyl_dim(rd: RootDatum, highest: Weight) -> int:
     return out
 
 
-def irr_char(rd: RootDatum, highest) -> WeightChar:
-    """Full weight multiset of the irreducible with the given highest weight."""
-    highest = tuple(int(x) for x in highest)
+def _irr_parts(rd: RootDatum, highest: Weight):
+    """Block weight tables and central part of the irreducible with the
+    given highest weight, after the bound and dominance checks."""
     blocks, central = rd.split(highest)
     for f, lam in zip(rd.factors, blocks):
         if f.n > MAX_BLOCK_RANK:
@@ -375,15 +399,48 @@ def irr_char(rd: RootDatum, highest) -> WeightChar:
             raise NotDominantError(f"{lam} is not dominant for {f.series}{f.n}")
     if sum(abs(x) for b in blocks for x in b) > MAX_WEIGHT_NORM:
         raise BoundExceededError(f"|highest|_1 exceeds {MAX_WEIGHT_NORM}")
-    parts = [_block_irr(f.series, f.n, lam) for f, lam in zip(rd.factors, blocks)]
+    return [_block_irr(f.series, f.n, lam) for f, lam in zip(rd.factors, blocks)], central
+
+
+def _product(parts, central):
+    """Weights of a product of block tables; distinct combinations give
+    distinct weights."""
     acc = {}
     for combo in itertools.product(*parts):
         w = tuple(x for piece, _ in combo for x in piece) + central
         m = 1
         for _, c in combo:
             m *= c
-        acc[w] = acc.get(w, 0) + m
-    return WeightChar(acc)
+        acc[w] = m
+    return acc
+
+
+def irr_char(rd: RootDatum, highest) -> WeightChar:
+    """Full weight multiset of the irreducible with the given highest weight."""
+    highest = tuple(int(x) for x in highest)
+    return WeightChar(_product(*_irr_parts(rd, highest)))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _dominant_irr(rd: RootDatum, highest: Weight):
+    """``(highest, items)``: the dominant weights of the irreducible with
+    their multiplicities.  A full weight is dominant exactly when each block
+    part is, so ``items`` is the product of the blocks' dominant entries.
+    ``highest`` is the tuple this cache keeps, so decompositions share
+    their weight tuples."""
+    parts, central = _irr_parts(rd, highest)
+    dom = [
+        [(v, c) for v, c in part if _is_dominant_block(f.series, v)]
+        for f, part in zip(rd.factors, parts)
+    ]
+    return highest, tuple(_product(dom, central).items())
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _constituent(highest: Weight, mult: int):
+    """One ``(highest, mult)`` entry of a decomposition, shared between the
+    results that contain it: callers may keep many results alive."""
+    return highest, mult
 
 
 # -- character operations -------------------------------------------------------
@@ -406,42 +463,52 @@ def dual(x: WeightChar) -> WeightChar:
 
 
 def _check_weyl_symmetric(rd: RootDatum, x: WeightChar):
+    gens = weyl_generator_maps(rd)
+    mult = x._m.get
     for w, m in x.items():
-        if x.mult(dominantize(rd, w)) != m:
-            raise NotACharacterError(
-                f"support is not Weyl-symmetric at {w}"
-            )
+        for s in gens:
+            if mult(s(w), 0) != m:
+                raise NotACharacterError(f"support is not Weyl-symmetric at {w}")
 
 
 def decompose(rd: RootDatum, x: WeightChar, genuine: bool = True):
     """Peel a Weyl-symmetric character into irreducible constituents.
 
-    Repeatedly removes the lexicographically largest dominant weight of the
-    remaining support.  With ``genuine=True`` a negative peeled multiplicity
-    raises; with ``genuine=False`` signed constituent lists are returned.
+    The character is first checked to be invariant under every Weyl
+    generator; an asymmetric one raises ``NotACharacterError``.  The peeling
+    then runs on the dominant weights alone: it repeatedly removes the
+    lexicographically largest remaining dominant weight together with the
+    dominant part of its irreducible.  With ``genuine=True`` a negative
+    peeled multiplicity raises; with ``genuine=False`` signed constituent
+    lists are returned.
     """
-    if not x.is_zero() and x.rank() != rd.total_rank:
+    rank = rd.total_rank
+    if any(len(w) != rank for w in x.support()):
         raise RankMismatchError("character rank does not match the root datum")
     _check_weyl_symmetric(rd, x)
-    work = dict(x.items())
+    # is_dominant on each weight would rebuild the block slices every time
+    slices = [(f.series, a, b) for f, a, b in rd.block_slices()]
+    work = {
+        w: m
+        for w, m in x.items()
+        if all(_is_dominant_block(series, w[a:b]) for series, a, b in slices)
+    }
     out = []
     while work:
-        doms = [w for w in work if is_dominant(rd, w)]
-        if not doms:
-            raise NotACharacterError("nonzero remainder with no dominant weight")
-        best = max(doms)
+        best = max(work)
         m = work[best]
         if genuine and m < 0:
             raise NotACharacterError(
                 f"multiplicity {m} at {best} went negative during peeling"
             )
-        out.append((best, m))
-        for w, c in irr_char(rd, best).items():
+        highest, dom = _dominant_irr(rd, best)
+        out.append(_constituent(highest, m))
+        for w, c in dom:
             nv = work.get(w, 0) - m * c
             if nv:
                 work[w] = nv
             else:
-                work.pop(w, None)
+                del work[w]
     return tuple(out)
 
 

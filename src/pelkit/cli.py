@@ -25,6 +25,7 @@ from .characters import (
     decompose,
     dual,
     irr_char,
+    standard_char,
     tensor,
 )
 from .errors import OutOfScopeError
@@ -125,24 +126,9 @@ def _parse_type(text: str) -> RootDatum:
     return RootDatum(tuple(factors), central_rank=1)
 
 
-def _std_char_for_type(rd: RootDatum) -> WeightChar:
-    total = rd.total_rank
-    acc = {}
-    offset = 0
-    for f in rd.factors:
-        for i in range(f.n):
-            for sign in (1, -1):
-                w = [0] * total
-                w[offset + i] = sign
-                w[-1] = 1
-                acc[tuple(w)] = acc.get(tuple(w), 0) + 1
-        offset += f.n
-    return WeightChar(acc)
-
-
 def _cmd_rep_decompose(args) -> int:
     rd = _parse_type(args.type)
-    std = _std_char_for_type(rd)
+    std = standard_char(rd, [1] * len(rd.factors))
     chars = []
     for token in args.tensor.split(","):
         token = token.strip()

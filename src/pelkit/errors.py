@@ -5,9 +5,8 @@ from __future__ import annotations
 
 class OutOfScopeError(ValueError):
     """Well-formed input that lies outside what pelkit computes: a weight
-    past the character bounds, a weight that is not one of the group's, an
-    algebra whose closure does not stabilise.  The CLI reports it as a JSON
-    error with exit code 2."""
+    past the character bounds or a weight that is not one of the group's.
+    The CLI reports it as a JSON error with exit code 2."""
 
 
 class InternalCheckError(RuntimeError):

@@ -21,7 +21,7 @@ from .algebras import (
     check_anti_involution,
     check_positive,
 )
-from .characters import Factor, RootDatum, WeightChar
+from .characters import Factor, RootDatum, WeightChar, standard_char
 from .linalg import Matrix, NotSymmetricError, signature, simult_eigensplit
 
 
@@ -328,20 +328,10 @@ def standard_char_for(details) -> WeightChar:
     central coordinate 1 (the centre acts on V by scalars); block weights
     are +-e_i with multiplicity n for symplectic and unitary factors and
     2n for quaternionic-orthogonal ones."""
-    rd = root_datum_for(details)
-    total = rd.total_rank
-    acc = {}
-    offset = 0
-    for d, f in zip(details, rd.factors):
-        mult = d.catalog_n if d.kind in ("symplectic", "unitary") else 2 * d.catalog_n
-        for i in range(f.n):
-            for sign in (1, -1):
-                w = [0] * total
-                w[offset + i] = sign
-                w[-1] = 1
-                acc[tuple(w)] = acc.get(tuple(w), 0) + mult
-        offset += f.n
-    return WeightChar(acc)
+    return standard_char(
+        root_datum_for(details),
+        [d.catalog_n if d.kind in ("symplectic", "unitary") else 2 * d.catalog_n for d in details],
+    )
 
 
 def classify(datum: PelDatum) -> Classification:

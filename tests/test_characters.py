@@ -3,8 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pelkit.characters import (
+    CACHE_SIZE,
+    MAX_WEIGHT_NORM,
     BoundExceededError,
     Factor,
     NotACharacterError,
@@ -20,6 +24,7 @@ from pelkit.characters import (
     irr_char,
     is_dominant,
     restrict,
+    standard_char,
     tensor,
     trivial_char,
     weyl_dim,
@@ -219,9 +224,211 @@ def test_decompose_virtual_signed():
     assert signed == {(1, 0, 1): 1, (0, 0, 0): -2}
 
 
+def oracle_pointwise_symmetric(rd, x):
+    """The old symmetry test: each multiplicity equals the one at the
+    dominant weight of its orbit.  It misses orbits that are incomplete."""
+    return all(x.mult(dominantize(rd, w)) == m for w, m in x.items())
+
+
+def oracle_decompose(rd, x, genuine=True):
+    """Reference peel on the full weight support: the pointwise symmetry
+    test, then the lexicographically largest dominant weight of the whole
+    remainder is removed with its full irreducible character."""
+    if not x.is_zero() and x.rank() != rd.total_rank:
+        raise RankMismatchError("character rank does not match the root datum")
+    if not oracle_pointwise_symmetric(rd, x):
+        raise NotACharacterError("support is not Weyl-symmetric")
+    work = dict(x.items())
+    out = []
+    while work:
+        doms = [w for w in work if is_dominant(rd, w)]
+        if not doms:
+            raise NotACharacterError("nonzero remainder with no dominant weight")
+        best = max(doms)
+        m = work[best]
+        if genuine and m < 0:
+            raise NotACharacterError(f"multiplicity {m} at {best} went negative")
+        out.append((best, m))
+        for w, c in irr_char(rd, best).items():
+            nv = work.get(w, 0) - m * c
+            if nv:
+                work[w] = nv
+            else:
+                work.pop(w, None)
+    return tuple(out)
+
+
 def test_decompose_rejects_asymmetric_support():
+    a3 = RootDatum((Factor("A", 3),), 1)
+    cases = [
+        (C2, WeightChar({(1, 0, 1): 1})),
+        (RootDatum((Factor("A", 2),), 1), WeightChar({(1, 0, 1): 1})),
+        (a3, add_chars(irr_char(a3, (1, 0, 0, 0)), WeightChar({(1, 1, 0, 0): 1}))),
+        (RootDatum((Factor("D", 2),), 1), WeightChar({(1, 1, 0): 1})),
+        (RootDatum((Factor("D", 3),), 1), WeightChar({(1, 0, 0, 1): 2})),
+    ]
+    for rd, x in cases:
+        # each orbit is incomplete at a dominant weight, which the pointwise
+        # test cannot see
+        assert oracle_pointwise_symmetric(rd, x)
+        with pytest.raises(NotACharacterError, match="not Weyl-symmetric"):
+            decompose(rd, x)
+        with pytest.raises(NotACharacterError):
+            oracle_decompose(rd, x)
+
+
+def test_decompose_rejects_weights_of_another_rank():
+    with pytest.raises(RankMismatchError):
+        decompose(C2, WeightChar({(0, 0, 1): 1, (0, 1): 1}))
+
+
+def test_decompositions_share_their_entries():
+    std = std_char(C2)
+    first = decompose(C2, tensor(std, std))
+    again = decompose(C2, tensor(std, tensor(std, trivial_char(3))))
+    assert first == again
+    assert all(a is b for a, b in zip(first, again))
+
+
+def test_standard_char_per_block_multiplicities():
+    rd = RootDatum((Factor("C", 1), Factor("A", 2)), 1)
+    got = standard_char(rd, [2, 1])
+    assert got.mult((1, 0, 0, 1)) == got.mult((-1, 0, 0, 1)) == 2
+    assert got.mult((0, 1, 0, 1)) == got.mult((0, 0, -1, 1)) == 1
+    assert got.dim() == 8
+    assert standard_char(C2, [3]) == std_char(C2, mult=3)
+    with pytest.raises(ValueError):
+        standard_char(RootDatum((Factor("C", 1),), 0), [1])
+
+
+# -- dominant-weight peeling against the full-support oracle --------------------
+
+# Every first block has a nontrivial Weyl group, which the perturbation
+# test relies on.
+PROPERTY_DATA = [
+    C1,
+    C2,
+    RootDatum((Factor("C", 3),), 1),
+    RootDatum((Factor("A", 2),), 1),
+    RootDatum((Factor("A", 3),), 1),
+    RootDatum((Factor("D", 2),), 1),
+    RootDatum((Factor("D", 3),), 1),
+    RootDatum((Factor("D", 4),), 1),
+    RootDatum((Factor("C", 2), Factor("C", 2)), 1),
+    RootDatum((Factor("C", 1), Factor("A", 2)), 1),
+    RootDatum((Factor("A", 2), Factor("D", 3)), 1),
+]
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def _cap_norm(v, budget):
+    """Shrink the largest coordinates towards 0 until |v|_1 <= budget."""
+    v = list(v)
+    while sum(abs(c) for c in v) > budget:
+        i = max(range(len(v)), key=lambda k: abs(v[k]))
+        v[i] -= 1 if v[i] > 0 else -1
+    return v
+
+
+@st.composite
+def weights(draw, rd, budget, dominant):
+    """A weight of ``rd`` whose block part has |.|_1 <= budget."""
+    rank = rd.total_rank - rd.central_rank
+    block = _cap_norm(draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)), budget)
+    central = draw(st.lists(st.integers(-2, 2), min_size=rd.central_rank, max_size=rd.central_rank))
+    w = tuple(block + central)
+    return dominantize(rd, w) if dominant else w
+
+
+@st.composite
+def irreducible_sums(draw, mults):
+    """(root datum, {highest: multiplicity}, sum of the irreducibles)."""
+    rd = draw(st.sampled_from(PROPERTY_DATA))
+    parts = {}
+    for _ in range(draw(st.integers(1, 3))):
+        lam = draw(weights(rd, 4, dominant=True))
+        parts[lam] = parts.get(lam, 0) + draw(mults)
+    parts = {lam: m for lam, m in parts.items() if m}
+    x = add_chars(*(irr_char(rd, lam).scale(m) for lam, m in parts.items()))
+    return rd, parts, x
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (NotACharacterError, BoundExceededError) as exc:
+        return type(exc)
+
+
+@PROPERTY_SETTINGS
+@given(irreducible_sums(st.integers(1, 3)))
+def test_property_genuine_sums_match_oracle(case):
+    rd, parts, x = case
+    got = decompose(rd, x)
+    assert got == oracle_decompose(rd, x)
+    assert dict(got) == parts
+
+
+@PROPERTY_SETTINGS
+@given(irreducible_sums(st.integers(-3, 3).filter(bool)))
+def test_property_virtual_sums_match_oracle(case):
+    rd, parts, x = case
+    got = decompose(rd, x, genuine=False)
+    assert got == oracle_decompose(rd, x, genuine=False)
+    assert dict(got) == parts
+    assert _outcome(decompose, rd, x) == _outcome(oracle_decompose, rd, x)
+
+
+@PROPERTY_SETTINGS
+@given(irreducible_sums(st.integers(-2, 2)), st.data())
+def test_property_asymmetric_perturbations_rejected(case, data):
+    rd, _, x = case
+    w = data.draw(weights(rd, 4, dominant=data.draw(st.booleans())))
+    if all(s(w) == w for s in weyl_generator_maps(rd)):
+        w = (w[0] + 1,) + w[1:]  # now moved by some generator, still within the bound
+    bumped = add_chars(x, WeightChar({w: data.draw(st.sampled_from((-2, -1, 1, 2)))}))
+    genuine = data.draw(st.booleans())
+    with pytest.raises(NotACharacterError, match="not Weyl-symmetric"):
+        decompose(rd, bumped, genuine=genuine)
     with pytest.raises(NotACharacterError):
-        decompose(C2, WeightChar({(1, 0, 1): 1}))
+        oracle_decompose(rd, bumped, genuine=genuine)
+
+
+def weyl_orbit(rd, lam):
+    gens = weyl_generator_maps(rd)
+    seen, todo = {lam}, [lam]
+    while todo:
+        w = todo.pop()
+        for s in gens:
+            v = s(w)
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
+@PROPERTY_SETTINGS
+@given(irreducible_sums(st.integers(0, 2)), st.data())
+def test_property_highest_weights_past_the_bound(case, data):
+    rd, _, x = case
+    lam = list(data.draw(weights(rd, 12, dominant=False)))
+    lam[0] = MAX_WEIGHT_NORM + 1 + abs(lam[0])
+    lam = dominantize(rd, tuple(lam))
+    m = data.draw(st.integers(1, 2))
+    y = add_chars(x, WeightChar({w: m for w in weyl_orbit(rd, lam)}))
+    genuine = data.draw(st.booleans())
+    with pytest.raises(BoundExceededError):
+        decompose(rd, y, genuine=genuine)
+    with pytest.raises(BoundExceededError):
+        oracle_decompose(rd, y, genuine=genuine)
+
+
+def test_character_caches_are_bounded():
+    from pelkit import characters
+
+    assert characters._block_irr.cache_info().maxsize == CACHE_SIZE
+    assert characters._dominant_irr.cache_info().maxsize == CACHE_SIZE
+    assert characters._constituent.cache_info().maxsize == CACHE_SIZE
 
 
 def test_weyl_invariance_of_irr_supports():

@@ -160,19 +160,6 @@ def test_non_integral_pairing_exits_2_with_json_error():
     _json_error(code, out, "NonIntegralPairingError")
 
 
-def test_closure_overflow_exits_2_with_json_error(monkeypatch):
-    # A closure inside End(V) cannot outgrow dim(V)^2, so the error is
-    # raised here by a stand-in for the closure.
-    from pelkit import algebras
-
-    def overflow(alg):
-        raise algebras.ClosureOverflowError("closure did not stabilise")
-
-    monkeypatch.setattr(algebras, "_closure", overflow)
-    code, out = run_cli("validate", os.path.join(DOCS, "modular_curve.json"))
-    _json_error(code, out, "ClosureOverflowError")
-
-
 def test_booleans_are_not_integers(tmp_path):
     with open(os.path.join(DOCS, "modular_curve.json")) as fh:
         base = json.load(fh)
