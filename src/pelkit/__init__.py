@@ -7,7 +7,7 @@ types, admissibility decisions for torus-presented morphisms, and a
 machine-checked law suite for the lattice-normalised isogeny category.
 """
 
-from .linalg import GaussRat, Matrix, Signature, signature, simult_eigensplit
+from .linalg import Matrix, Signature, signature
 from .algebras import (
     AlgebraPresentation,
     CatalogFactor,

@@ -384,15 +384,22 @@ def check_anti_involution(alg: AlgebraPresentation) -> InvolutionReport:
     return InvolutionReport(True)
 
 
+def _trace_gram(cl: _Closure) -> Matrix:
+    """A positive multiple of the symmetrised trace form
+    (x, y) -> (tr(x y*) + tr(y x*)) / 2 on the closure basis.
+
+    tr(x y*) is the dot product of the entries of x with those of the
+    transpose of y*.  Over one common denominator D of every basis and star
+    matrix these are integer dot products of flattened numerators, and the
+    gram below is 2 D^2 times the form."""
+    den = lcm(*(m.denominator for m in cl.basis), *(s.denominator for s in cl.star_of))
+    xs = [[x * (den // m.denominator) for r in m.numerators for x in r] for m in cl.basis]
+    ys = [[x * (den // s.denominator) for c in zip(*s.numerators) for x in c] for s in cl.star_of]
+    p = Matrix.from_numerators(xs) @ Matrix.from_numerators(ys).transpose()
+    return p + p.transpose()
+
+
 def check_positive(alg: AlgebraPresentation) -> bool:
     """Positivity of the involution: the symmetrised trace form
     (x, y) -> tr(x y* ) on the closure must be positive definite."""
-    cl = _closure(alg)
-    k = len(cl.basis)
-    gram = [[Fraction(0)] * k for _ in range(k)]
-    for s in range(k):
-        for t in range(s, k):
-            v = ((cl.basis[s] @ cl.star_of[t]).trace() + (cl.basis[t] @ cl.star_of[s]).trace()) / 2
-            gram[s][t] = v
-            gram[t][s] = v
-    return signature(Matrix(gram)).is_positive_definite()
+    return signature(_trace_gram(_closure(alg))).is_positive_definite()

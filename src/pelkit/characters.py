@@ -257,32 +257,6 @@ def _is_dominant_block(series: str, v) -> bool:
     return n < 2 or v[-2] >= abs(v[-1])
 
 
-def _dominantize_block(series: str, v):
-    if series == "A":
-        return tuple(sorted(v, reverse=True))
-    mags = sorted((abs(x) for x in v), reverse=True)
-    if series == "C":
-        return tuple(mags)
-    flips = sum(1 for x in v if x < 0)
-    if flips % 2:
-        mags[-1] = -mags[-1]
-    return tuple(mags)
-
-
-def is_dominant(rd: RootDatum, w: Weight) -> bool:
-    blocks, _ = rd.split(w)
-    return all(_is_dominant_block(f.series, b) for f, b in zip(rd.factors, blocks))
-
-
-def dominantize(rd: RootDatum, w: Weight) -> Weight:
-    blocks, central = rd.split(w)
-    out = []
-    for f, b in zip(rd.factors, blocks):
-        out.extend(_dominantize_block(f.series, b))
-    out.extend(central)
-    return tuple(out)
-
-
 def weyl_generator_maps(rd: RootDatum):
     """Weyl-group generators as callables on full weights (for symmetry checks)."""
     maps = []
@@ -486,7 +460,7 @@ def decompose(rd: RootDatum, x: WeightChar, genuine: bool = True):
     if any(len(w) != rank for w in x.support()):
         raise RankMismatchError("character rank does not match the root datum")
     _check_weyl_symmetric(rd, x)
-    # is_dominant on each weight would rebuild the block slices every time
+    # block slices are computed once, not once per weight
     slices = [(f.series, a, b) for f, a, b in rd.block_slices()]
     work = {
         w: m

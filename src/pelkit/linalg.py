@@ -1,13 +1,13 @@
 """Exact rational linear algebra.
 
-Everything here is computed over Q or over the Gaussian rationals Q(i); no
-floating point is used anywhere.  A ``Matrix`` is dense and immutable.  It
-stores integer numerator rows over one positive common denominator, kept in
-lowest terms, so equal matrices have equal storage.  Products, sums,
-equality and hashing run on plain ``int``s, and the eliminations run
-fraction-free on the numerators (Bareiss, Math. Comp. 22, 1968).  Entries
-read back through ``m[i, j]``, ``row``, ``column``, ``tolist`` and
-``flatten`` are ``Fraction``s.  Sizes are desk-scale (dimension <= 64).
+Everything here is computed over Q; no floating point is used anywhere.
+A ``Matrix`` is dense and immutable.  It stores integer numerator rows over
+one positive common denominator, kept in lowest terms, so equal matrices
+have equal storage.  Products, sums, equality and hashing run on plain
+``int``s, and the eliminations and ``signature`` run fraction-free on the
+numerators (Bareiss, Math. Comp. 22, 1968).  Entries read back through
+``m[i, j]``, ``row``, ``column``, ``tolist`` and ``flatten`` are
+``Fraction``s.  Sizes are desk-scale (dimension <= 64).
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul
-
-from .errors import InternalCheckError
 
 
 class NotSymmetricError(ValueError):
@@ -383,176 +381,50 @@ def signature(gram: Matrix) -> Signature:
     the remaining diagonal vanishes but an off-diagonal entry survives, the
     standard rank-2 fix-up (add row+column) restores a diagonal pivot.  The
     positive common denominator does not change the signature, so the
-    numerators are diagonalized.
+    numerators are diagonalized, fraction-free: symmetric Bareiss
+    elimination keeps the trailing block equal to the previous pivot times
+    the true Schur complement, so each true pivot has the sign of the
+    stored pivot times the sign of the previous one.
     """
     if not gram.is_square():
         raise NotSymmetricError("gram matrix must be square")
     if not gram.is_symmetric():
         raise NotSymmetricError("gram matrix must equal its transpose")
     n = gram.rows
-    m = [[Fraction(x) for x in r] for r in gram.numerators]
-
-    def add_rowcol(dst, src):
-        for j in range(n):
-            m[dst][j] += m[src][j]
-        for i in range(n):
-            m[i][dst] += m[i][src]
-
-    def swap_rowcol(a, b):
-        m[a], m[b] = m[b], m[a]
-        for i in range(n):
-            m[i][a], m[i][b] = m[i][b], m[i][a]
-
+    b = [list(r) for r in gram.numerators]
+    # Only the trailing block b[k:][k:] is read after step k; swaps and the
+    # fix-up are congruences of that block, so every entry stays an integer
+    # minor of a congruent integer form and the Bareiss division is exact.
+    prev = 1
     pos = neg = zero = 0
     for k in range(n):
-        if m[k][k] == 0:
-            j = next((t for t in range(k + 1, n) if m[t][t]), None)
+        if b[k][k] == 0:
+            j = next((t for t in range(k + 1, n) if b[t][t]), None)
             if j is not None:
-                swap_rowcol(k, j)
+                b[k], b[j] = b[j], b[k]
+                for r in b[k:]:
+                    r[k], r[j] = r[j], r[k]
             else:
-                j = next((t for t in range(k + 1, n) if m[k][t]), None)
+                j = next((t for t in range(k + 1, n) if b[k][t]), None)
                 if j is None:
                     zero += 1
                     continue
-                add_rowcol(k, j)  # makes m[k][k] = 2*m[k][j] != 0
-        piv = m[k][k]
-        if piv > 0:
+                # makes b[k][k] = 2*b[k][j] != 0
+                b[k] = [x + y for x, y in zip(b[k], b[j])]
+                for r in b[k:]:
+                    r[k] += r[j]
+        bk = b[k]
+        p = bk[k]
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        for r in range(k + 1, n):
-            f = m[r][k] / piv
-            if f:
-                for j in range(n):
-                    m[r][j] -= f * m[k][j]
-                for i in range(n):
-                    m[i][r] -= f * m[i][k]
+        tail = bk[k + 1 :]
+        for br in b[k + 1 :]:
+            a = br[k]
+            if a:
+                br[k + 1 :] = [(p * x - a * y) // prev for x, y in zip(br[k + 1 :], tail)]
+            elif p != prev:
+                br[k + 1 :] = [p * x // prev for x in br[k + 1 :]]
+        prev = p
     return Signature(pos, neg, zero)
-
-
-@dataclass(frozen=True)
-class GaussRat:
-    """Element a + b*i of Q(i) with Fraction components."""
-
-    re: Fraction
-    im: Fraction
-
-    @staticmethod
-    def of(re, im=0) -> "GaussRat":
-        return GaussRat(_frac(re), _frac(im))
-
-    def __add__(self, o):
-        return GaussRat(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o):
-        return GaussRat(self.re - o.re, self.im - o.im)
-
-    def __neg__(self):
-        return GaussRat(-self.re, -self.im)
-
-    def __mul__(self, o):
-        return GaussRat(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    def __truediv__(self, o):
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussRat((self.re * o.re + self.im * o.im) / n, (self.im * o.re - self.re * o.im) / n)
-
-    def conj(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __str__(self):
-        return f"{self.re}+{self.im}i"
-
-
-GAUSS_ZERO = GaussRat(Fraction(0), Fraction(0))
-GAUSS_ONE = GaussRat(Fraction(1), Fraction(0))
-GAUSS_I = GaussRat(Fraction(0), Fraction(1))
-
-
-def _kernel_basis(rows):
-    """Null-space basis for a matrix given as a list of GaussRat rows."""
-    if not rows:
-        return []
-    nc = len(rows[0])
-    m = [list(r) for r in rows]
-    nr = len(m)
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = GAUSS_ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [GAUSS_ZERO] * nc
-        v[f] = GAUSS_ONE
-        for ri, c in enumerate(pivots):
-            v[c] = -m[ri][f]
-        basis.append(tuple(v))
-    return basis
-
-
-@dataclass(frozen=True)
-class EigenSplit:
-    """Simultaneous eigenspace bases over Q(i), ordered (++, +-, -+, --)."""
-
-    pp: tuple
-    pm: tuple
-    mp: tuple
-    mm: tuple
-
-    @property
-    def dims(self) -> tuple[int, int, int, int]:
-        return (len(self.pp), len(self.pm), len(self.mp), len(self.mm))
-
-
-def simult_eigensplit(a: Matrix, b: Matrix) -> EigenSplit:
-    """Split Q(i)^n into the four joint eigenspaces of two commuting
-    complex structures (eigenvalues +-i for each of a and b)."""
-    n = a.rows
-    if not a.is_square() or not b.is_square() or b.rows != n:
-        raise ValueError("need square matrices of equal size")
-    minus_id = -Matrix.identity(n)
-    if a @ a != minus_id:
-        raise NotComplexStructureError("first matrix does not square to -I")
-    if b @ b != minus_id:
-        raise NotComplexStructureError("second matrix does not square to -I")
-    if a @ b != b @ a:
-        raise NotCommutingError("matrices do not commute")
-    a_rows, b_rows = a.tolist(), b.tolist()
-
-    def gauss_rows(rows, shift: GaussRat):
-        return [
-            [GaussRat(x, Fraction(0)) - (shift if i == j else GAUSS_ZERO) for j, x in enumerate(r)]
-            for i, r in enumerate(rows)
-        ]
-
-    def joint_kernel(sa: GaussRat, sb: GaussRat):
-        stacked = gauss_rows(a_rows, sa) + gauss_rows(b_rows, sb)
-        return tuple(_kernel_basis(stacked))
-
-    mi = -GAUSS_I
-    split = EigenSplit(
-        pp=joint_kernel(GAUSS_I, GAUSS_I),
-        pm=joint_kernel(GAUSS_I, mi),
-        mp=joint_kernel(mi, GAUSS_I),
-        mm=joint_kernel(mi, mi),
-    )
-    if sum(split.dims) != n:
-        raise InternalCheckError("eigenspace dimensions do not fill the space")
-    return split

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from .admissibility import MorphismSpec, RepSide
 from .algebras import (
@@ -92,7 +93,17 @@ def _require(obj, key, path, kind=None):
 
 
 def algebra_to_json(alg: AlgebraPresentation):
+    """JSON form of a presentation.  A structured one is written as its
+    catalog factors alone, so it must carry the catalog's own generators:
+    a base-changed structured presentation raises ``ValueError`` rather
+    than reload as a different algebra."""
     if alg.mode == "structured":
+        catalog = tuple(blk.factor for blk in alg.factors)
+        if alg.generators != AlgebraPresentation.from_catalog(catalog).generators:
+            raise ValueError(
+                "structured algebra is not in its catalog basis (base-changed?); "
+                "only its catalog factors would be written"
+            )
         factors = []
         for blk in alg.factors:
             f = blk.factor
@@ -261,4 +272,11 @@ def load_json_file(path: str):
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _shared_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+@lru_cache(maxsize=64)
+def _shared_text(text: str) -> str:
+    # Equal outputs are one shared string, so a caller that keeps many
+    # results keeps one copy of each recent text rather than one per call.
+    return text

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,9 +12,20 @@ from pelkit.algebras import (
     SYMPLECTIC,
     AlgebraPresentation,
     CatalogFactor,
+    _closure,
+    _trace_gram,
     check_anti_involution,
     check_positive,
     classify_factor,
+)
+from pelkit.fixtures import (
+    balanced_imag_quad_datum,
+    gsp8_tensor_datum,
+    gu11_datum,
+    modular_curve_datum,
+    modular_curve_m2_datum,
+    quaternion_datum,
+    u20_datum,
 )
 from pelkit.linalg import Matrix, Signature, signature
 
@@ -145,3 +157,45 @@ def test_closure_from_small_generating_set():
     alg = AlgebraPresentation.raw(2, gens)
     assert check_anti_involution(alg).ok
     assert check_positive(alg)
+
+
+def _matmul_gram(alg):
+    """The symmetrised trace form by one product per pair, over Fractions."""
+    cl = _closure(alg)
+    k = len(cl.basis)
+    gram = [[Fraction(0)] * k for _ in range(k)]
+    for s in range(k):
+        for t in range(s, k):
+            v = ((cl.basis[s] @ cl.star_of[t]).trace() + (cl.basis[t] @ cl.star_of[s]).trace()) / 2
+            gram[s][t] = gram[t][s] = v
+    return gram
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        modular_curve_datum,
+        modular_curve_m2_datum,
+        gu11_datum,
+        gsp8_tensor_datum,
+        quaternion_datum,
+        balanced_imag_quad_datum,
+        u20_datum,
+    ],
+)
+def test_integer_gram_is_positive_multiple_of_matmul_gram(build):
+    rng = random.Random(31)
+    alg = build().algebra
+    n = alg.dim_v
+    for _ in range(3):
+        old = _matmul_gram(alg)
+        new = _trace_gram(_closure(alg)).tolist()
+        ratio = new[0][0] / old[0][0]  # the identity comes first: tr(1) = dim > 0
+        assert ratio > 0
+        assert new == [[ratio * x for x in r] for r in old]
+        assert signature(Matrix(old)) == signature(Matrix(new))
+        while True:
+            p = Matrix([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]).scale(Fraction(1, 2))
+            if p.det():
+                break
+        alg = alg.conjugate(p)

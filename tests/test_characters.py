@@ -17,12 +17,11 @@ from pelkit.characters import (
     RootDatum,
     TorusMap,
     WeightChar,
+    _is_dominant_block,
     add_chars,
     decompose,
-    dominantize,
     dual,
     irr_char,
-    is_dominant,
     restrict,
     standard_char,
     tensor,
@@ -30,6 +29,35 @@ from pelkit.characters import (
     weyl_dim,
     weyl_generator_maps,
 )
+
+# Whole-weight dominance helpers: pelkit itself filters block slices inline.
+
+
+def is_dominant(rd: RootDatum, w) -> bool:
+    blocks, _ = rd.split(w)
+    return all(_is_dominant_block(f.series, b) for f, b in zip(rd.factors, blocks))
+
+
+def _dominantize_block(series: str, v):
+    if series == "A":
+        return tuple(sorted(v, reverse=True))
+    mags = sorted((abs(x) for x in v), reverse=True)
+    if series == "C":
+        return tuple(mags)
+    flips = sum(1 for x in v if x < 0)
+    if flips % 2:
+        mags[-1] = -mags[-1]
+    return tuple(mags)
+
+
+def dominantize(rd: RootDatum, w):
+    blocks, central = rd.split(w)
+    out = []
+    for f, b in zip(rd.factors, blocks):
+        out.extend(_dominantize_block(f.series, b))
+    out.extend(central)
+    return tuple(out)
+
 
 C1 = RootDatum((Factor("C", 1),), 1)
 C2 = RootDatum((Factor("C", 2),), 1)

@@ -4,9 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from gauss_oracle import GaussRat, simult_eigensplit
 
 from pelkit.linalg import (
-    GaussRat,
     Matrix,
     NotCommutingError,
     NotComplexStructureError,
@@ -14,7 +14,6 @@ from pelkit.linalg import (
     RankDeficientError,
     Signature,
     signature,
-    simult_eigensplit,
 )
 
 J2 = Matrix([[0, -1], [1, 0]])
@@ -337,3 +336,91 @@ def test_canonical_form_compares_and_hashes_equal():
     assert zero == Matrix.zero(1, 2) and zero.denominator == 1
     assert Matrix([[0, 0]]) != Matrix([[0], [0]])
     assert repr(half) == "Matrix([['1/2']])"
+
+
+# -- fraction-free signature against the characteristic-polynomial oracle -------
+
+
+def _block_form(rng, n):
+    """A symmetric n x n block-diagonal form of known signature: nonzero
+    1 x 1 blocks of either sign, zero 1 x 1 blocks (the radical) and
+    hyperbolic planes [[0, c], [c, 0]], in random order."""
+    form = [[Fraction(0)] * n for _ in range(n)]
+    sig = [0, 0, 0]
+    at = 0
+    while at < n:
+        kind = rng.choice(("pos", "neg", "zero", "hyp") if at + 1 < n else ("pos", "neg", "zero"))
+        c = Fraction(rng.randint(1, 7), rng.choice((1, 1, 2, 3)))
+        if kind == "hyp":
+            form[at][at + 1] = form[at + 1][at] = c if rng.random() < 0.5 else -c
+            sig[0] += 1
+            sig[1] += 1
+            at += 2
+        else:
+            form[at][at] = {"pos": c, "neg": -c, "zero": Fraction(0)}[kind]
+            sig[{"pos": 0, "neg": 1, "zero": 2}[kind]] += 1
+            at += 1
+    return form, Signature(*sig)
+
+
+def _zero_diagonal_tail(rng, form, expected, m):
+    """Append to form (direct sum) a random symmetric m x m block with zero
+    diagonal, some of its rows zero; its signature comes from the oracle."""
+    n = len(form)
+    tail = [[Fraction(0)] * m for _ in range(m)]
+    dead = {i for i in range(m) if rng.random() < 0.25}
+    for i in range(m):
+        for j in range(i + 1, m):
+            if i not in dead and j not in dead:
+                tail[i][j] = tail[j][i] = Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2)))
+    t = _ref_signature(tail)
+    out = [r + [Fraction(0)] * m for r in form] + [[Fraction(0)] * n + r for r in tail]
+    return out, Signature(expected.positive + t.positive, expected.negative + t.negative, expected.zero + t.zero)
+
+
+def _congruence(rng, form, upper, keep=0):
+    """p^T form p for an invertible p: unit upper triangular with rational
+    entries, the identity on the last ``keep`` coordinates (for a
+    block-diagonal form the Schur complement of the leading block is then
+    the trailing block, although p^T form p couples the two), or a dense
+    integer matrix."""
+    n = len(form)
+    if upper:
+        p = [[Fraction(int(i == j)) if j <= i or i >= n - keep
+              else Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+              for j in range(n)] for i in range(n)]
+    else:
+        while True:
+            p = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+            if Matrix(p).det():
+                break
+    return _ref_mul(_ref_transpose(p), _ref_mul(form, p))
+
+
+def test_signature_bareiss_against_oracle():
+    rng = random.Random(1968)
+    for trial in range(60):
+        n = rng.randint(1, 12)
+        keep = rng.randint(2, min(n, 6)) if trial % 3 == 1 and n > 1 else 0
+        form, expected = _block_form(rng, n - keep)
+        if keep:
+            # p is the identity on the tail, so the Schur complement of the
+            # leading block is the zero-diagonal tail: the rank-2 fix-up and
+            # the zero rows meet a previous pivot other than 1
+            form, expected = _zero_diagonal_tail(rng, form, expected, keep)
+        a = _congruence(rng, form, upper=trial % 3 != 2, keep=keep)
+        assert signature(Matrix(a)) == expected
+        if n <= 8 or trial % 4 == 0:
+            assert _ref_signature(a) == expected
+
+
+def test_signature_fixup_in_the_middle():
+    # after the pivot 2 the Schur complement is the hyperbolic plane, so the
+    # fix-up runs with a previous pivot of 2; then a negative true pivot
+    assert signature(Matrix([[2, 2, 2], [2, 2, 3], [2, 3, 2]])) == Signature(2, 1, 0)
+    # a zero row between pivots leaves the previous pivot in place
+    assert signature(Matrix([[3, 0, 1], [0, 0, 0], [1, 0, -1]])) == Signature(1, 1, 1)
+    # non-integer entries, zero diagonal from the start
+    half = Fraction(1, 2)
+    m = Matrix([[0, half, 0, 0], [half, 0, 1, 0], [0, 1, 0, half], [0, 0, half, 0]])
+    assert signature(m) == _ref_signature(m.tolist()) == Signature(2, 2, 0)

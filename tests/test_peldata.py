@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from gauss_oracle import simult_eigensplit
 
 from pelkit.algebras import MAT_IMAG_QUAD, MAT_Q, AlgebraPresentation, CatalogFactor
 from pelkit.characters import Factor, RootDatum
@@ -14,12 +15,19 @@ from pelkit.fixtures import (
     quaternion_datum,
     u20_datum,
 )
-from pelkit.linalg import Matrix, Signature, signature
+from pelkit.linalg import (
+    Matrix,
+    NotCommutingError,
+    NotComplexStructureError,
+    Signature,
+    signature,
+)
 from pelkit.peldata import (
     DimensionMismatchError,
     GroupFactorization,
     PelDatum,
     StructuredModeRequiredError,
+    _unitary_signature,
     classify,
     factorize,
     factorize_details,
@@ -195,3 +203,127 @@ def test_dimension_mismatch_detected():
                 Matrix([[0, -1], [1, 0]]),
             )
         )
+
+
+# -- the unitary signature by one trace against the Q(i) eigenspace oracle ------
+
+J2 = Matrix([[0, -1], [1, 0]])  # multiplication by i on the basis (1, i)
+P2 = Matrix([[0, 2], [-2, 0]])
+
+
+def unitary_datum(a: int, b: int, n: int) -> PelDatum:
+    """M_n(Q(i)) on a + b copies of Q(i)^n: the first a copies carry the
+    pairing P and complex structure i on each coordinate, the other b carry
+    -P and -i, so the group is U(a, b)."""
+    signs = [1] * a + [-1] * b
+    alg = AlgebraPresentation.from_catalog([CatalogFactor(MAT_IMAG_QUAD, n, a + b, d=-1)])
+    return PelDatum(
+        alg,
+        Matrix.block_diag(*[P2.scale(s) for s in signs for _ in range(n)]),
+        Matrix.block_diag(*[J2.scale(s) for s in signs for _ in range(n)]),
+    )
+
+
+def balanced_datum(d: int, k: int) -> PelDatum:
+    """Q(sqrt d) on 2k copies of itself, j swapping paired copies: U(k, k)."""
+    t = -2 * d  # the trace form of Q(sqrt d) is diag(2, t)
+    pairing = Matrix([[0, 0, 2, 0], [0, 0, 0, t], [-2, 0, 0, 0], [0, -t, 0, 0]])
+    j = Matrix([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    alg = AlgebraPresentation.from_catalog([CatalogFactor(MAT_IMAG_QUAD, 1, 2 * k, d=d)])
+    return PelDatum(alg, Matrix.block_diag(*[pairing] * k), Matrix.block_diag(*[j] * k))
+
+
+def random_unimodular(rng, n: int) -> Matrix:
+    """Integer matrix of determinant +-1: a signed permutation after random
+    elementary row operations."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            c = rng.choice((-2, -1, 1, 2))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    return Matrix([[rng.choice((-1, 1)) * x for x in r] for r in rows])
+
+
+def _unitary_blocks(datum: PelDatum):
+    """(c, j, d, n) on each imaginary quadratic block, as factorize_details
+    restricts them."""
+    out = []
+    for blk in datum.algebra.factors:
+        if blk.factor.kind != MAT_IMAG_QUAD:
+            continue
+        q = blk.unit_action.column_space_basis()
+        out.append(
+            (q.solve(blk.center_action @ q), q.solve(datum.j @ q), blk.factor.d, blk.factor.n)
+        )
+    return out
+
+
+def oracle_unitary_signature(c: Matrix, j: Matrix, d: int, n: int):
+    """(a, b) from the joint eigenspaces over Q(i) when d = -1; for d < -1
+    the balanced rule dim / 4n, which needs an even multiplicity."""
+    if d == -1:
+        d1, d2, d3, d4 = simult_eigensplit(c, j).dims
+        assert (d1, d2) == (d4, d3)
+        assert d1 % n == 0 and d2 % n == 0
+        return d1 // n, d2 // n
+    m2, r = divmod(c.rows, 2 * n)
+    assert r == 0 and m2 % 2 == 0
+    return m2 // 2, m2 // 2
+
+
+UNITARY_GRID = [
+    (a, b, n) for n in (1, 2) for a in range(5) for b in range(5) if 1 <= a + b <= 4
+]
+
+
+@pytest.mark.parametrize("a,b,n", UNITARY_GRID, ids=[f"U{a}{b}-n{n}" for a, b, n in UNITARY_GRID])
+def test_trace_split_matches_eigenspace_oracle(a, b, n):
+    rng = random.Random(1000 * a + 100 * b + n)
+    base = unitary_datum(a, b, n)
+    assert validate(base).valid
+    assert factorize(base) == GroupFactorization((), ((a, b),), ())
+    for p in (Matrix.identity(base.dim_v), random_unimodular(rng, base.dim_v)):
+        moved = base.conjugate(p)
+        for c, j, d, k in _unitary_blocks(moved):
+            assert _unitary_signature(c, j, d, k) == oracle_unitary_signature(c, j, d, k) == (a, b)
+        assert factorize(moved) == GroupFactorization((), ((a, b),), ())
+
+
+@pytest.mark.parametrize(
+    "build,expected",
+    [
+        (u20_datum, (2, 0)),
+        (gu11_datum, (1, 1)),
+        (balanced_imag_quad_datum, (1, 1)),
+        (lambda: balanced_datum(-3, 1), (1, 1)),
+        (lambda: balanced_datum(-5, 2), (2, 2)),
+        (lambda: balanced_datum(-7, 1), (1, 1)),
+    ],
+    ids=["u20", "gu11", "balanced-2", "balanced-3", "balanced-5x2", "balanced-7"],
+)
+def test_trace_split_on_fixtures_and_base_changes(build, expected):
+    rng = random.Random(29)
+    base = build()
+    assert validate(base).valid
+    for p in [Matrix.identity(base.dim_v)] + [random_unimodular(rng, base.dim_v) for _ in range(3)]:
+        moved = base.conjugate(p)
+        assert validate(moved).valid
+        ((c, j, d, n),) = _unitary_blocks(moved)
+        assert _unitary_signature(c, j, d, n) == oracle_unitary_signature(c, j, d, n) == expected
+        assert (c @ j).trace() == (0 if d != -1 else 2 * n * (expected[1] - expected[0]))
+
+
+def test_trace_split_rejects_bad_blocks():
+    c, j = J2, Matrix.block_diag(J2, -J2)
+    c2 = Matrix.block_diag(J2, J2)
+    with pytest.raises(NotComplexStructureError):
+        _unitary_signature(c2, j, -2, 1)  # c squares to -1, not -2
+    with pytest.raises(NotComplexStructureError):
+        _unitary_signature(c2, Matrix.identity(4), -1, 1)
+    shear = Matrix([[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(NotCommutingError):
+        _unitary_signature(shear.inv() @ c2 @ shear, j, -1, 1)
+    with pytest.raises(DimensionMismatchError):
+        _unitary_signature(c, J2, -1, 2)  # U(1, 0) is not a multiple of n = 2

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from pelkit import serialize
-from pelkit.algebras import CatalogFactor
+from pelkit.algebras import AlgebraPresentation, CatalogFactor
 from pelkit.characters import WeightChar
 from pelkit.fixtures import det_twist_morphism, gu11_datum, modular_curve_datum
 from pelkit.linalg import Matrix
-from pelkit.peldata import classify, validate
+from pelkit.peldata import PelDatum, classify, validate
 
 DOCS = os.path.join(os.path.dirname(__file__), "..", "docs", "examples")
 
@@ -43,6 +43,29 @@ def test_datum_round_trip():
         assert again.j == datum.j
         assert again.algebra.generators == datum.algebra.generators
         assert validate(again).valid
+
+
+def test_base_changed_structured_datum_is_refused():
+    datum = gu11_datum()
+    shear = Matrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    moved = datum.conjugate(shear)
+    assert validate(moved).valid
+    with pytest.raises(ValueError, match="catalog basis"):
+        serialize.datum_to_json(moved)
+    # a base change by a scalar fixes every generator, so nothing is lost
+    scaled = datum.conjugate(Matrix.identity(4).scale(2))
+    again = serialize.datum_from_json(json.loads(serialize.dumps(serialize.datum_to_json(scaled))))
+    assert again == scaled and validate(again).valid
+    # raw presentations write their generators and survive any base change
+    raw = PelDatum(AlgebraPresentation.raw(4, moved.algebra.generators), moved.pairing, moved.j)
+    again = serialize.datum_from_json(json.loads(serialize.dumps(serialize.datum_to_json(raw))))
+    assert again == raw and validate(again).valid
+
+
+def test_dumps_shares_equal_texts():
+    first = serialize.dumps({"b": [1, 2], "a": "x"})
+    assert serialize.dumps({"a": "x", "b": [1, 2]}) is first
+    assert first == '{\n  "a": "x",\n  "b": [\n    1,\n    2\n  ]\n}\n'
 
 
 def test_raw_algebra_round_trip():
