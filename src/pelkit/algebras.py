@@ -89,9 +89,10 @@ def classify_factor(f: CatalogFactor) -> str:
     return {MAT_Q: SYMPLECTIC, MAT_IMAG_QUAD: LINEAR, MAT_DEF_QUAT: ORTHOGONAL}[f.kind]
 
 
-def _coeff_basis(factor: CatalogFactor):
-    """Left-regular matrices and conjugates of a basis of the coefficient
-    algebra D: returns a list of (left_mult_matrix, conj_left_mult_matrix)."""
+def _coeff_generators(factor: CatalogFactor):
+    """Left-regular matrices and conjugates of 1 and the generators of the
+    coefficient algebra D (sqrt d, or i and j; k = ij is generated):
+    returns a list of (left_mult_matrix, conj_left_mult_matrix)."""
     if factor.kind == MAT_Q:
         one = Matrix.identity(1)
         return [(one, one)]
@@ -104,8 +105,7 @@ def _coeff_basis(factor: CatalogFactor):
     one = Matrix.identity(4)
     li = Matrix([[0, a, 0, 0], [1, 0, 0, 0], [0, 0, 0, a], [0, 0, 1, 0]])
     lj = Matrix([[0, 0, b, 0], [0, 0, 0, -b], [1, 0, 0, 0], [0, -1, 0, 0]])
-    lk = li @ lj
-    return [(one, one), (li, -li), (lj, -lj), (lk, -lk)]
+    return [(one, one), (li, -li), (lj, -lj)]
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ class AlgebraPresentation:
         for f in factors:
             dd = f.coeff_dim
             md = f.module_dim
-            coeff = [(lx.numerators, conj.numerators) for lx, conj in _coeff_basis(f)]
+            coeff = [(lx.numerators, conj.numerators) for lx, conj in _coeff_generators(f)]
             gens = []
 
             def embed(small, offset=offset, f=f, md=md) -> Matrix:
@@ -163,15 +163,19 @@ class AlgebraPresentation:
 
             unit_small = Matrix.identity(md).numerators
             center_small = None
-            for p in range(f.n):
-                for q in range(f.n):
-                    for lx, lx_conj in coeff:
-                        small = [[0] * md for _ in range(md)]
-                        small_star = [[0] * md for _ in range(md)]
-                        for i in range(dd):
-                            small[p * dd + i][q * dd : (q + 1) * dd] = lx[i]
-                            small_star[q * dd + i][p * dd : (p + 1) * dd] = lx_conj[i]
-                        gens.append((embed(small), embed(small_star)))
+            # E_11 (x) x for x = 1 and the generators of D, then
+            # E_{p,p+1} (x) 1 and E_{p+1,p} (x) 1.  They generate M_n(D):
+            # E_p1 (E_11 (x) x) E_1q = E_pq (x) x.
+            units = [(0, 0, c) for c in coeff]
+            for p in range(f.n - 1):
+                units += [(p, p + 1, coeff[0]), (p + 1, p, coeff[0])]
+            for p, q, (lx, lx_conj) in units:
+                small = [[0] * md for _ in range(md)]
+                small_star = [[0] * md for _ in range(md)]
+                for i in range(dd):
+                    small[p * dd + i][q * dd : (q + 1) * dd] = lx[i]
+                    small_star[q * dd + i][p * dd : (p + 1) * dd] = lx_conj[i]
+                gens.append((embed(small), embed(small_star)))
             if f.kind == MAT_IMAG_QUAD:
                 s = coeff[1][0]
                 center_small = [[0] * md for _ in range(md)]
@@ -290,48 +294,46 @@ class _Closure:
     def __init__(self, basis, star_of, prod_coords, linearity_witness, span):
         self.basis = basis  # list[Matrix]
         self.star_of = star_of  # list[Matrix]
-        self.prod_coords = prod_coords  # dict[(i, j)] -> sparse coords
+        self.prod_coords = prod_coords  # dict[(i, g)] -> sparse coords of basis[i] @ basis[g]
         self.linearity_witness = linearity_witness
         self.span = span  # _Span whose inserted basis is exactly ``basis``
 
 
 @lru_cache(maxsize=8)
 def _closure(alg: AlgebraPresentation) -> _Closure:
+    """The algebra generated by alg: the smallest subspace of End(V) that
+    holds 1 and the generators and is closed under right multiplication by
+    the independent generators.  Each basis element past the generators is
+    a product b_i g, with star image g* b_i*; ``prod_coords`` holds the
+    coordinates of every product b_i g, keyed by (i, index of g)."""
     dim = alg.dim_v
-    span = _Span()
-    basis: list[Matrix] = []
-    star_of: list[Matrix] = []
-    linearity_witness = None
-
-    def push(mat: Matrix, star: Matrix):
-        coords = span.insert(mat)
-        if coords is None:
-            basis.append(mat)
-            star_of.append(star)
-        return coords
-
     ident = Matrix.identity(dim)
-    push(ident, ident)
+    span = _Span()
+    span.insert(ident)
+    basis: list[Matrix] = [ident]
+    star_of: list[Matrix] = [ident]
+    gens = []  # basis indices of the independent generators
+    linearity_witness = None
     for act, star in alg.generators:
-        coords = push(act, star)
-        if coords is not None and linearity_witness is None:
-            combo = _combine(star_of, coords, dim)
-            if combo != star:
-                linearity_witness = (act, star)
+        coords = span.insert(act)
+        if coords is None:
+            gens.append(len(basis))
+            basis.append(act)
+            star_of.append(star)
+        elif linearity_witness is None and _combine(star_of, coords, dim) != star:
+            linearity_witness = (act, star)
     prod_coords = {}
-    while True:
-        k = len(basis)
-        todo = [(i, j) for i in range(k) for j in range(k) if (i, j) not in prod_coords]
-        if not todo:
-            break
-        for i, j in todo:
-            prod = basis[i] @ basis[j]
-            coords = span.coords(prod)
+    i = 0
+    while i < len(basis):
+        for g in gens:
+            prod = basis[i] @ basis[g]
+            coords = span.insert(prod)
             if coords is None:
-                push(prod, star_of[j] @ star_of[i])
-                prod_coords[(i, j)] = ((len(basis) - 1, Fraction(1)),)
-            else:
-                prod_coords[(i, j)] = coords
+                coords = ((len(basis), Fraction(1)),)
+                basis.append(prod)
+                star_of.append(star_of[g] @ star_of[i])
+            prod_coords[(i, g)] = coords
+        i += 1
     return _Closure(basis, star_of, prod_coords, linearity_witness, span)
 
 
@@ -359,7 +361,11 @@ class InvolutionReport:
 
 def check_anti_involution(alg: AlgebraPresentation) -> InvolutionReport:
     """Check that the declared star extends to a linear anti-involution of
-    the multiplicative closure of the generators inside End(V)."""
+    the multiplicative closure of the generators inside End(V).
+
+    Star reversal is checked on the products b g of basis elements and
+    generators alone: (x g)* = g* x* for every x and generator g gives
+    (x w)* = w* x* for every word w by induction on its length."""
     cl = _closure(alg)
     dim = alg.dim_v
     if cl.linearity_witness is not None:

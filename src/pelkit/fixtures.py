@@ -113,17 +113,6 @@ def _break_star(datum: PelDatum) -> PelDatum:
     )
 
 
-def _negate_star_of_unit(datum: PelDatum) -> PelDatum:
-    gens = list(datum.algebra.generators)
-    act, _ = gens[0]
-    gens[0] = (act, -act)
-    return PelDatum(
-        algebra=AlgebraPresentation.raw(datum.dim_v, tuple(gens)),
-        pairing=datum.pairing,
-        j=datum.j,
-    )
-
-
 def mutations():
     """Six single-axiom mutations of the bundled data, each with the
     diagnostic code validate() must fail with."""

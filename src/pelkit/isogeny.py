@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .linalg import Matrix
@@ -40,6 +40,11 @@ class LatticeObject:
         if self.basis.det() == 0:
             raise ValueError("basis must be invertible")
 
+    @cached_property
+    def basis_inv(self) -> Matrix:
+        """The inverse of the basis, computed once per object."""
+        return self.basis.inv()
+
     @staticmethod
     def standard(dim: int) -> "LatticeObject":
         return LatticeObject(dim, Matrix.identity(dim))
@@ -59,7 +64,7 @@ def minimal_n(f: Matrix, src: LatticeObject, dst: LatticeObject) -> int:
         return 1
     if f.rows != dst.dim or f.cols != src.dim:
         raise ShapeMismatchError("map shape does not match the lattices")
-    return (dst.basis.inv() @ f @ src.basis).denominator_lcm()
+    return (dst.basis_inv @ f @ src.basis).denominator_lcm()
 
 
 @dataclass(frozen=True)

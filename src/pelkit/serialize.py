@@ -62,15 +62,19 @@ def matrix_to_json(m: Matrix):
 def matrix_from_json(obj, path: str) -> Matrix:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SchemaError(path, "expected a non-empty array of arrays")
+    values = {}  # each distinct entry string, checked and converted once
     rows = []
     for i, r in enumerate(obj):
         row = []
         for j, x in enumerate(r):
             if type(x) is not int:
-                problem = _bad_rational(x)
-                if problem:
-                    raise SchemaError(f"{path}[{i}][{j}]", problem)
-                x = int(x) if "/" not in x else Fraction(x)
+                v = values.get(x) if type(x) is str else None
+                if v is None:
+                    problem = _bad_rational(x)
+                    if problem:
+                        raise SchemaError(f"{path}[{i}][{j}]", problem)
+                    v = values[x] = int(x) if "/" not in x else Fraction(x)
+                x = v
             row.append(x)
         rows.append(row)
     try:

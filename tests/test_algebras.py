@@ -29,6 +29,8 @@ from pelkit.fixtures import (
 )
 from pelkit.linalg import Matrix, Signature, signature
 
+from closure_oracle import oracle_check_anti_involution, oracle_check_positive, oracle_closure
+
 
 def unit(n, p, q):
     return Matrix([[1 if (i, j) == (p, q) else 0 for j in range(n)] for i in range(n)])
@@ -199,3 +201,159 @@ def test_integer_gram_is_positive_multiple_of_matmul_gram(build):
             if p.det():
                 break
         alg = alg.conjugate(p)
+
+
+# -- the generator closure against the all-pairs oracle ---------------------------
+
+COEFF_GENERATORS = {MAT_Q: 1, MAT_IMAG_QUAD: 2, MAT_DEF_QUAT: 3}  # 1, sqrt d or i, j
+
+
+def _random_factor(rng, kind, n):
+    if kind == MAT_Q:
+        return CatalogFactor(MAT_Q, n, rng.randint(1, 2))
+    if kind == MAT_IMAG_QUAD:
+        return CatalogFactor(MAT_IMAG_QUAD, n, rng.randint(1, 2), d=rng.choice(SQUAREFREE_NEG))
+    return CatalogFactor(MAT_DEF_QUAT, n, 1, a=rng.choice((-1, -2, -3)), b=rng.choice((-1, -2, -3)))
+
+
+def _unimodular(rng, n):
+    """Determinant +-1: the identity after n row operations row_i += +-row_j."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    rows[0] = [-x for x in rows[0]] if rng.random() < 0.5 else rows[0]
+    return Matrix(rows)
+
+
+def _break_star(rng, gens):
+    """One fault in the declared star of a generator list."""
+    gens = list(gens)
+    k = rng.randrange(len(gens))
+    act, star = gens[k]
+    fault = rng.randrange(6)
+    if fault == 0:
+        gens = [(a, a) for a, _ in gens]
+    elif fault == 1:
+        gens[k] = (act, -star)
+    elif fault == 2:
+        gens[k] = (act, star.transpose())
+    elif fault == 3:
+        gens[k] = (act, star.scale(2))
+    elif fault == 4:
+        gens[k] = (act, gens[rng.randrange(len(gens))][1])
+    else:
+        # the star images of the generators permuted among their actions
+        acts = [a for a, _ in gens]
+        gens = [(a, rng.choice(acts)) for a in acts]
+    return gens
+
+
+def _random_raw_presentation(seed):
+    """A raw presentation on at most two small catalog factors: their
+    generators, some of the words of length two in them, a dependent
+    generator (star linear on it or not), a broken star and a base change,
+    each present or not by the seed."""
+    rng = random.Random(seed)
+    factors = [_random_factor(rng, rng.choice(list(COEFF_GENERATORS)), rng.randint(1, 2))]
+    if rng.random() < 0.4:
+        factors.append(_random_factor(rng, MAT_Q if rng.random() < 0.5 else MAT_IMAG_QUAD, 1))
+    cat = AlgebraPresentation.from_catalog(factors)
+    dim = cat.dim_v
+    gens = list(cat.generators)
+    for _ in range(rng.randint(0, 3)):
+        (a, s), (b, t) = rng.choice(gens), rng.choice(gens)
+        gens.append((a @ b, t @ s))
+    if rng.random() < 0.5:
+        gens = rng.sample(gens, rng.randint(1, len(gens)))
+    if rng.random() < 0.4:
+        (a, s), (b, t) = rng.choice(gens), rng.choice(gens)
+        c = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+        star = s + t.scale(c)
+        if rng.random() < 0.5:
+            star = star + Matrix.identity(dim)
+        gens.insert(rng.randrange(len(gens) + 1), (a + b.scale(c), star))
+    if rng.random() < 0.6:
+        gens = _break_star(rng, gens)
+    alg = AlgebraPresentation.raw(dim, gens)
+    return alg.conjugate(_unimodular(rng, dim)) if rng.random() < 0.5 else alg
+
+
+def _assert_matches_oracle(alg):
+    new, old = check_anti_involution(alg), oracle_check_anti_involution(alg)
+    assert (new.ok, new.reason) == (old.ok, old.reason)
+    assert check_positive(alg) == oracle_check_positive(alg)
+    assert len(_closure(alg).basis) == len(oracle_closure(alg).basis)
+    return new.reason or "ok"
+
+
+RAW_SEEDS = range(60)
+
+
+@pytest.mark.parametrize("seed", RAW_SEEDS)
+def test_closure_matches_oracle_on_random_raw_presentations(seed):
+    _assert_matches_oracle(_random_raw_presentation(seed))
+
+
+def test_random_raw_presentations_reach_every_verdict():
+    seen = {
+        check_anti_involution(alg).reason or ("ok" if check_positive(alg) else "not positive")
+        for alg in map(_random_raw_presentation, RAW_SEEDS)
+    }
+    assert seen == {
+        "ok",
+        "not positive",
+        "star is not linear on dependent generators",
+        "star image leaves the algebra",
+        "star is not an involution",
+        "star does not reverse products",
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", [MAT_Q, MAT_IMAG_QUAD, MAT_DEF_QUAT])
+def test_closure_matches_oracle_on_base_changed_catalog(kind, n):
+    rng = random.Random(7 * n + len(kind))
+    alg = AlgebraPresentation.from_catalog([_random_factor(rng, kind, n)])
+    moved = alg.conjugate(_unimodular(rng, alg.dim_v))
+    assert _assert_matches_oracle(moved) == "ok"
+    broken = AlgebraPresentation.raw(moved.dim_v, _break_star(rng, moved.generators))
+    _assert_matches_oracle(broken)
+
+
+MIXED_CATALOGS = [
+    [CatalogFactor(MAT_Q, 1, 2)],
+    [CatalogFactor(MAT_Q, 3, 2)],
+    [CatalogFactor(MAT_IMAG_QUAD, 1, 2, d=-1)],
+    [CatalogFactor(MAT_IMAG_QUAD, 3, 1, d=-5)],
+    [CatalogFactor(MAT_DEF_QUAT, 1, 2, a=-1, b=-3)],
+    [CatalogFactor(MAT_DEF_QUAT, 2, 1, a=-2, b=-1)],
+    [CatalogFactor(MAT_Q, 1, 2), CatalogFactor(MAT_IMAG_QUAD, 1, 2, d=-1)],
+    [CatalogFactor(MAT_Q, 2, 1), CatalogFactor(MAT_DEF_QUAT, 1, 1, a=-1, b=-1)],
+    [CatalogFactor(MAT_IMAG_QUAD, 2, 1, d=-3), CatalogFactor(MAT_Q, 1, 2), CatalogFactor(MAT_Q, 2, 2)],
+]
+
+
+@pytest.mark.parametrize("factors", MIXED_CATALOGS)
+def test_catalog_generating_set_sizes(factors):
+    alg = AlgebraPresentation.from_catalog(factors)
+    cl = _closure(alg)
+    assert len(alg.generators) == sum(COEFF_GENERATORS[f.kind] + 2 * (f.n - 1) for f in factors)
+    assert len(cl.basis) == sum(f.n**2 * f.coeff_dim for f in factors)
+    # when every factor has n = 1 their units E_11 (x) 1 sum to the identity
+    # of V, so one generator is dependent
+    independent = Matrix([m.flatten() for m in [Matrix.identity(alg.dim_v)] + [a for a, _ in alg.generators]]).rank() - 1
+    assert independent == len(alg.generators) - all(f.n == 1 for f in factors)
+    assert len(cl.prod_coords) == len(cl.basis) * independent
+    assert check_anti_involution(alg).ok and check_positive(alg)
+
+
+@pytest.mark.parametrize("kind", [MAT_Q, MAT_IMAG_QUAD, MAT_DEF_QUAT])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_catalog_has_a_generator_that_is_not_self_adjoint(kind, n):
+    # the identity-star mutations must break star_adjoint on every catalog
+    # datum but M_1(Q), whose one generator is its unit
+    factor = _random_factor(random.Random(n), kind, n)
+    gens = AlgebraPresentation.from_catalog([factor]).generators
+    assert any(a != s for a, s in gens) == (kind != MAT_Q or n > 1)

@@ -122,3 +122,13 @@ def test_lattice_object_validation():
         LatticeObject(2, Matrix([[1, 1], [1, 1]]))
     with pytest.raises(ValueError):
         LatticeObject(2, Matrix.identity(3))
+
+
+def test_lattice_basis_inverse_is_computed_once():
+    basis = Matrix([[2, 1], [0, Fraction(1, 3)]])
+    lat = LatticeObject(2, basis)
+    assert lat.basis_inv == basis.inv()
+    assert lat.basis_inv is lat.basis_inv
+    # the cached inverse is not a field: equality and hashing ignore it
+    assert lat == LatticeObject(2, basis) and hash(lat) == hash(LatticeObject(2, basis))
+    assert minimal_n(Matrix.identity(2), Z2, lat) == 2  # basis^-1 = [[1/2, -3/2], [0, 3]]

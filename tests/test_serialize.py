@@ -152,3 +152,19 @@ def test_matrix_entry_error_path():
     assert serialize.matrix_from_json([["-1/2", 3], ["0", "7"]], "m") == Matrix(
         [[Fraction(-1, 2), 3], [0, 7]]
     )
+
+
+def test_matrix_entry_error_path_with_repeated_entries():
+    # entry strings are checked once per matrix: a repeated bad entry is
+    # still reported at its first place, and a good string seen earlier
+    # does not let a boolean or an unhashable entry through
+    with pytest.raises(serialize.SchemaError) as err:
+        serialize.matrix_from_json([["1", "x/2", "1"], ["x/2", "1", "x/2"]], "m")
+    assert err.value.path == "m[0][1]"
+    assert str(err.value) == "m[0][1]: bad rational 'x/2': expected 'p' or 'p/q' with q > 0"
+    for bad in (True, ["1"], {"1": 1}, None):
+        with pytest.raises(serialize.SchemaError) as err:
+            serialize.matrix_from_json([["1", "1/2"], ["1/2", bad]], "m")
+        assert err.value.path == "m[1][1]"
+    again = serialize.matrix_from_json([["1/2", "1", "1/2"], ["1", "1/2", "-3"]], "m")
+    assert again == Matrix([[Fraction(1, 2), 1, Fraction(1, 2)], [1, Fraction(1, 2), -3]])
