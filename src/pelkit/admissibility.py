@@ -102,28 +102,6 @@ def decide(m: MorphismSpec) -> AdmissibilityVerdict:
     return AdmissibilityVerdict(True, max(witness, 1), ())
 
 
-def summand_search(rd: RootDatum, pulled: WeightChar, source_std: WeightChar, max_n: int):
-    """Smallest n <= max_n such that n copies of the source standard
-    character minus the pullback is still a genuine character, or None.
-
-    This is the brute-force route: it never compares constituent lists,
-    only subtracts weight multisets and re-peels.
-    """
-    for n in range(1, max_n + 1):
-        diff = WeightChar(
-            {
-                w: n * source_std.mult(w) - pulled.mult(w)
-                for w in set(source_std.support()) | set(pulled.support())
-            }
-        )
-        try:
-            decompose(rd, diff, genuine=True)
-        except NotACharacterError:
-            continue
-        return n
-    return None
-
-
 def check_symplectic_source_admissible(m: MorphismSpec, cochar: HodgeCochar | None = None) -> bool:
     """For a source of pure symplectic type every genuine morphism of data
     is admissible; this wrapper decides and escalates a negative verdict.

@@ -24,12 +24,18 @@ dimension formula on every call.
 A character is decomposed after one exact W-invariance check (every Weyl
 generator preserves every multiplicity): a W-invariant character is fixed
 by its dominant weights, so the peeling runs on those alone and subtracts
-only the dominant part of each irreducible.
+only the dominant part of each irreducible.  The check skips the weights
+a generator fixes: a swap of two equal coordinates, a C sign flip of a zero
+last coordinate, a D double flip of two zero last coordinates.
+
+``tensor`` forms the full product in one loop, first factor outer, and
+wraps the sums without re-normalising them.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,7 +130,15 @@ class WeightChar:
             if c:
                 m[tuple(int(x) for x in w)] = int(c)
         object.__setattr__(self, "_m", m)
-        object.__setattr__(self, "_hash", hash(frozenset(m.items())))
+        object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _of(cls, m):
+        """Wrap ``m`` as is: a dict of int tuples to nonzero ints."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "_m", m)
+        object.__setattr__(obj, "_hash", None)
+        return obj
 
     def __setattr__(self, *a):
         raise AttributeError("WeightChar is immutable")
@@ -159,14 +173,12 @@ class WeightChar:
         return isinstance(other, WeightChar) and self._m == other._m
 
     def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(frozenset(self._m.items())))
         return self._hash
 
     def __repr__(self):
         return f"WeightChar({self.sorted_items()})"
-
-
-def trivial_char(rank: int) -> WeightChar:
-    return WeightChar({(0,) * rank: 1})
 
 
 def standard_char(rd: RootDatum, mults) -> WeightChar:
@@ -234,15 +246,15 @@ def _rho(series: str, n: int):
 
 
 def _add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(operator.add, u, v))
 
 
 def _sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(operator.sub, u, v))
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def _is_dominant_block(series: str, v) -> bool:
@@ -255,37 +267,6 @@ def _is_dominant_block(series: str, v) -> bool:
         return (n < 2 or v[-2] >= v[-1]) and v[-1] >= 0
     # D
     return n < 2 or v[-2] >= abs(v[-1])
-
-
-def weyl_generator_maps(rd: RootDatum):
-    """Weyl-group generators as callables on full weights (for symmetry checks)."""
-    maps = []
-    for f, a, b in rd.block_slices():
-        for i in range(a, b - 1):
-
-            def swap(w, i=i):
-                v = list(w)
-                v[i], v[i + 1] = v[i + 1], v[i]
-                return tuple(v)
-
-            maps.append(swap)
-        if f.series == "C":
-
-            def flip(w, i=b - 1):
-                v = list(w)
-                v[i] = -v[i]
-                return tuple(v)
-
-            maps.append(flip)
-        elif f.series == "D" and f.n >= 2:
-
-            def flip2(w, i=b - 2, j=b - 1):
-                v = list(w)
-                v[i], v[j] = -v[i], -v[j]
-                return tuple(v)
-
-            maps.append(flip2)
-    return maps
 
 
 # -- irreducible characters ----------------------------------------------------
@@ -425,11 +406,15 @@ def tensor(x: WeightChar, y: WeightChar) -> WeightChar:
         return WeightChar({})
     if x.rank() != y.rank():
         raise RankMismatchError("tensor factors live on different tori")
-    acc = defaultdict(int)
+    acc = {}
+    get = acc.get
+    add = operator.add
+    ys = tuple(y.items())
     for w1, c1 in x.items():
-        for w2, c2 in y.items():
-            acc[_add(w1, w2)] += c1 * c2
-    return WeightChar(acc)
+        for w2, c2 in ys:
+            w = tuple(map(add, w1, w2))
+            acc[w] = get(w, 0) + c1 * c2
+    return WeightChar._of({w: c for w, c in acc.items() if c})
 
 
 def dual(x: WeightChar) -> WeightChar:
@@ -437,12 +422,41 @@ def dual(x: WeightChar) -> WeightChar:
 
 
 def _check_weyl_symmetric(rd: RootDatum, x: WeightChar):
-    gens = weyl_generator_maps(rd)
+    """Raise unless every Weyl generator preserves every multiplicity of x.
+    The generators act in place on one list copy of each weight."""
+    swaps, flips, double_flips = [], [], []
+    for f, a, b in rd.block_slices():
+        swaps.extend(range(a, b - 1))
+        if f.series == "C":
+            flips.append(b - 1)
+        elif f.series == "D" and f.n >= 2:
+            double_flips.append(b - 2)
     mult = x._m.get
     for w, m in x.items():
-        for s in gens:
-            if mult(s(w), 0) != m:
-                raise NotACharacterError(f"support is not Weyl-symmetric at {w}")
+        v = list(w)
+        for i in swaps:
+            a, b = v[i], v[i + 1]
+            if a != b:
+                v[i], v[i + 1] = b, a
+                if mult(tuple(v)) != m:
+                    raise _asymmetric(w)
+                v[i], v[i + 1] = a, b
+        for i in flips:
+            if v[i]:
+                v[i] = -v[i]
+                if mult(tuple(v)) != m:
+                    raise _asymmetric(w)
+                v[i] = -v[i]
+        for i in double_flips:
+            if v[i] or v[i + 1]:
+                v[i], v[i + 1] = -v[i], -v[i + 1]
+                if mult(tuple(v)) != m:
+                    raise _asymmetric(w)
+                v[i], v[i + 1] = -v[i], -v[i + 1]
+
+
+def _asymmetric(w):
+    return NotACharacterError(f"support is not Weyl-symmetric at {w}")
 
 
 def decompose(rd: RootDatum, x: WeightChar, genuine: bool = True):

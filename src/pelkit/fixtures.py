@@ -162,14 +162,6 @@ def det_twist_morphism() -> MorphismSpec:
     return MorphismSpec(side_of(src), side_of(dst), pullback)
 
 
-def det_twist_char():
-    """The two-dimensional determinant-twist character of the unitary group
-    (weights of det(V+)/det(V-) and its inverse)."""
-    from .characters import WeightChar
-
-    return WeightChar({(2, 2, 0): 1, (-2, -2, 0): 1})
-
-
 # -- conformance table -------------------------------------------------------------
 
 

@@ -12,22 +12,31 @@ on the parity sublattice where genuine characters live), so covectors are
 stored doubled.  The auto-generated cocharacter is pinned by the fixture
 "standard character of a symplectic similitude datum has Hodge type
 {(-1,0), (0,-1)}".
+
+The enumeration of abelian-type irreducibles reads each candidate's Hodge
+type off its highest weight, for the minuscule cocharacters that Deligne's
+axiom SV1 allows; any other cocharacter raises ``UnsupportedTypeError``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .characters import (
+    MAX_BLOCK_RANK,
+    MAX_WEIGHT_NORM,
+    BoundExceededError,
     RootDatum,
     UnsupportedTypeError,
     WeightChar,
-    irr_char,
+    irr_char,  # noqa: F401 -- not called here; the benchmark tracer patches this binding
 )
 from .errors import InternalCheckError, OutOfScopeError
 from .peldata import Classification
 
 AV_TYPES = frozenset(((-1, 0), (0, -1)))
+_AV_DOUBLED = frozenset(((2, 0), (0, 2)))  # (-2p, -2q) over AV_TYPES
 
 
 class NonIntegralPairingError(OutOfScopeError):
@@ -132,6 +141,14 @@ def enumerate_av_irreducibles(rd: RootDatum, hc: HodgeCochar, bound: int):
     Only pure symplectic-type root data (C blocks plus one central
     coordinate) are supported; the central coordinate of any such
     irreducible is forced to 1 by the type condition.
+
+    Each candidate's Hodge type is read off its highest weight.  By Deligne's
+    axiom SV1 the cocharacter is minuscule: on each C block the doubled mu is
+    all +-1 or all 0, and kappa vanishes there.  The doubled pairings <w, mu2>
+    over the weights of V(lambda) then fill -M..M in steps of 2, plus the
+    central term, with M = sum lambda_i |mu2_i| their maximum over W.lambda
+    (V(lambda) is U(n^-) applied to its top mu-eigenspace, and n^- has
+    mu-degree -1 alone).  Other cocharacters raise ``UnsupportedTypeError``.
     """
     if any(f.series != "C" for f in rd.factors):
         raise UnsupportedTypeError("enumeration requires a pure C-type root datum")
@@ -139,34 +156,29 @@ def enumerate_av_irreducibles(rd: RootDatum, hc: HodgeCochar, bound: int):
         raise UnsupportedTypeError("enumeration requires exactly one central coordinate")
     if hc.rank != rd.total_rank:
         raise ValueError("cocharacter rank does not match the root datum")
+    for f in rd.factors:
+        if f.n > MAX_BLOCK_RANK:
+            raise BoundExceededError(f"block rank {f.n} exceeds {MAX_BLOCK_RANK}")
+    if bound > MAX_WEIGHT_NORM:
+        raise BoundExceededError(f"|highest|_1 exceeds {MAX_WEIGHT_NORM}")
+    for f, a, b in rd.block_slices():
+        if any(hc.kappa2[a:b]) or set(hc.mu2[a:b]) not in ({0}, {1}, {-1}, {1, -1}):
+            raise UnsupportedTypeError(f"the cocharacter is not minuscule on the block {f.series}{f.n}")
+    mu_abs = tuple(map(abs, hc.mu2[:-1]))
+    central, kappa = hc.mu2[-1], hc.kappa2[-1]
+    starts = {a for _, a, _ in rd.block_slices()}
 
-    def partitions(maxlen, total):
-        # weakly decreasing nonneg tuples of length maxlen with sum <= total
-        def rec(length, head, budget):
-            if length == 0:
-                yield ()
-                return
-            for first in range(min(head, budget), -1, -1):
-                for rest in rec(length - 1, first, budget - first):
-                    yield (first,) + rest
-
-        yield from rec(maxlen, total, total)
-
-    found = []
-    blocks = [f.n for f in rd.factors]
-
-    def candidates(idx, budget):
-        if idx == len(blocks):
+    def candidates(i, head, budget):
+        # coordinates weakly decreasing within each block, sum <= budget
+        if i == len(mu_abs):
             yield ()
             return
-        for lam in partitions(blocks[idx], budget):
-            used = sum(lam)
-            for rest in candidates(idx + 1, budget - used):
-                yield lam + rest
+        for first in range(budget if i in starts else min(head, budget), -1, -1):
+            for rest in candidates(i + 1, first, budget - first):
+                yield (first,) + rest
 
-    for lam in sorted(set(candidates(0, bound))):
-        highest = lam + (1,)
-        char = irr_char(rd, highest)
-        if is_av_type(char, hc):
-            found.append(highest)
-    return tuple(found)
+    def av_type(lam):
+        top = sum(map(operator.mul, lam, mu_abs))  # max of the block pairings over W.lambda
+        return {(s, kappa - s) for s in range(central - top, central + top + 1, 2)} <= _AV_DOUBLED
+
+    return tuple(lam + (1,) for lam in sorted(candidates(0, 0, bound)) if av_type(lam))

@@ -8,7 +8,8 @@ import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 
-from pelkit.admissibility import MorphismSpec, RepSide, decide, summand_search
+from admissibility_oracle import summand_search
+from pelkit.admissibility import MorphismSpec, RepSide, decide
 from pelkit.characters import (
     Factor,
     RootDatum,

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from admissibility_oracle import summand_search
 from pelkit.admissibility import (
     AdmissibilityVerdict,
     HodgeCompatibilityError,
@@ -11,7 +12,6 @@ from pelkit.admissibility import (
     RepSide,
     check_symplectic_source_admissible,
     decide,
-    summand_search,
 )
 from pelkit.characters import (
     Factor,
@@ -25,7 +25,6 @@ from pelkit.characters import (
     tensor,
 )
 from pelkit.fixtures import (
-    det_twist_char,
     det_twist_morphism,
     gu11_datum,
     identity_morphisms,
@@ -37,6 +36,12 @@ C1 = RootDatum((Factor("C", 1),), 1)
 C2 = RootDatum((Factor("C", 2),), 1)
 STD1 = WeightChar({(1, 1): 1, (-1, 1): 1})
 STD2 = WeightChar({(1, 0, 1): 1, (-1, 0, 1): 1, (0, 1, 1): 1, (0, -1, 1): 1})
+
+
+def det_twist_char():
+    """The two-dimensional determinant-twist character of the unitary group
+    (weights of det(V+)/det(V-) and its inverse)."""
+    return WeightChar({(2, 2, 0): 1, (-2, -2, 0): 1})
 
 
 def test_identity_same_datum_witness_one():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -24,11 +25,47 @@ from pelkit.characters import (
     irr_char,
     restrict,
     standard_char,
+    _check_weyl_symmetric,
     tensor,
-    trivial_char,
     weyl_dim,
-    weyl_generator_maps,
 )
+
+
+def trivial_char(rank: int) -> WeightChar:
+    return WeightChar({(0,) * rank: 1})
+
+
+def weyl_generator_maps(rd: RootDatum):
+    """Weyl-group generators as callables on full weights: the simple
+    transpositions of every block, the last sign flip of a C block and the
+    last double sign flip of a D block."""
+    maps = []
+    for f, a, b in rd.block_slices():
+        for i in range(a, b - 1):
+
+            def swap(w, i=i):
+                v = list(w)
+                v[i], v[i + 1] = v[i + 1], v[i]
+                return tuple(v)
+
+            maps.append(swap)
+        if f.series == "C":
+
+            def flip(w, i=b - 1):
+                v = list(w)
+                v[i] = -v[i]
+                return tuple(v)
+
+            maps.append(flip)
+        elif f.series == "D" and f.n >= 2:
+
+            def flip2(w, i=b - 2, j=b - 1):
+                v = list(w)
+                v[i], v[j] = -v[i], -v[j]
+                return tuple(v)
+
+            maps.append(flip2)
+    return maps
 
 # Whole-weight dominance helpers: pelkit itself filters block slices inline.
 
@@ -534,3 +571,113 @@ def test_torus_map_composition():
     composed = g.compose(f)
     w = (3, 5)
     assert composed.pull(w) == f.pull(g.pull(w))
+
+
+# -- the fast tensor and W-invariance check against their slow forms ------------
+
+
+def oracle_tensor(x, y):
+    """The full product summed into a ``defaultdict`` with generator
+    expressions and normalised entry by entry in ``WeightChar.__init__``."""
+    if x.is_zero() or y.is_zero():
+        return WeightChar({})
+    acc = defaultdict(int)
+    for w1, c1 in x.items():
+        for w2, c2 in y.items():
+            acc[tuple(a + b for a, b in zip(w1, w2))] += c1 * c2
+    return WeightChar(acc)
+
+
+def oracle_check_weyl_symmetric(rd, x):
+    for w, m in x.items():
+        for s in weyl_generator_maps(rd):
+            if x.mult(s(w)) != m:
+                raise NotACharacterError(f"support is not Weyl-symmetric at {w}")
+
+
+def _shift(x, e):
+    return WeightChar({tuple(a + b for a, b in zip(w, e)): c for w, c in x.items()})
+
+
+@st.composite
+def virtual_chars(draw, rank, max_size=8):
+    entries = draw(
+        st.lists(
+            st.tuples(st.tuples(*[st.integers(-2, 2)] * rank), st.integers(-3, 3)),
+            max_size=max_size,
+        )
+    )
+    return WeightChar(dict(entries))
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 4).flatmap(lambda r: st.tuples(virtual_chars(r), virtual_chars(r), st.tuples(*[st.integers(-2, 2)] * r))))
+def test_property_tensor_matches_full_product(case):
+    z, y, e = case
+    # (z + z.t^e)(y - y.t^e) = zy - zy.t^2e: the middle terms cancel to zero
+    x = add_chars(z, _shift(z, e))
+    y2 = add_chars(y, _shift(y, e).scale(-1))
+    for a, b in ((z, y), (x, y2), (y2, x), (x, WeightChar({}))):
+        got, want = tensor(a, b), oracle_tensor(a, b)
+        assert got == want and hash(got) == hash(want)
+        assert list(got.items()) == list(want.items())  # insertion order too
+        assert all(c for _, c in got.items())
+
+
+def test_tensor_cancelling_product_keeps_order_and_drops_zeros():
+    x = WeightChar({(0, 1): 1, (1, 1): 1})
+    y = WeightChar({(0, 0): 1, (1, 0): -1})
+    got = tensor(x, y)
+    assert list(got.items()) == [((0, 1), 1), ((2, 1), -1)]
+    assert list(got.items()) == list(oracle_tensor(x, y).items())
+
+
+def test_of_built_and_init_built_characters_agree():
+    m = {(1, 0, 1): 2, (0, 1, 1): -1}
+    fast, slow = WeightChar._of(dict(m)), WeightChar(m)
+    assert fast == slow and hash(fast) == hash(slow)
+    assert {fast: "x"}[slow] == "x"
+    assert hash(WeightChar._of({})) == hash(WeightChar({}))
+
+
+@st.composite
+def perturbed_chars(draw):
+    """(root datum, a sum of irreducibles plus up to three weight bumps): a
+    bump may zero one of the last two coordinates of a block, and may be a
+    whole W-orbit, which keeps the character symmetric."""
+    rd, _, x = draw(irreducible_sums(st.integers(-2, 2)))
+    for _ in range(draw(st.integers(0, 3))):
+        w = list(draw(weights(rd, 4, dominant=draw(st.booleans()))))
+        for _, _, b in rd.block_slices():
+            k = draw(st.sampled_from((None, b - 1, b - 2)))
+            if k is not None and k >= 0:
+                w[k] = 0
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        orbit = weyl_orbit(rd, tuple(w)) if draw(st.booleans()) else (tuple(w),)
+        x = add_chars(x, WeightChar({v: c for v in orbit}))
+    return rd, x
+
+
+def _check_outcome(check, rd, x):
+    try:
+        check(rd, x)
+    except NotACharacterError as exc:
+        return str(exc)
+    return None
+
+
+@PROPERTY_SETTINGS
+@given(perturbed_chars())
+def test_property_weyl_check_matches_generator_maps(case):
+    rd, x = case
+    assert _check_outcome(_check_weyl_symmetric, rd, x) == _check_outcome(oracle_check_weyl_symmetric, rd, x)
+
+
+def test_weyl_check_on_d_weights_with_one_zero():
+    d3 = RootDatum((Factor("D", 3),), 1)
+    for w in ((1, 1, 0, 0), (1, 0, 1, 0), (2, 0, -1, 1)):
+        x = WeightChar({v: 1 for v in weyl_orbit(d3, w)})
+        assert _check_outcome(_check_weyl_symmetric, d3, x) is None
+        half = WeightChar({v: 1 for v in weyl_orbit(d3, w) if v[1] >= 0 and v[2] >= 0})
+        got = _check_outcome(_check_weyl_symmetric, d3, half)
+        assert got is not None and got == _check_outcome(oracle_check_weyl_symmetric, d3, half)

@@ -1,12 +1,18 @@
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pelkit.characters import (
+    BoundExceededError,
     Factor,
+    NotDominantError,
     RootDatum,
     UnsupportedTypeError,
     WeightChar,
@@ -195,3 +201,89 @@ def test_internal_checks_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "auto_cochar,freudenthal"
+
+
+# -- Hodge types from the highest weight against full characters ----------------
+
+
+@lru_cache(maxsize=None)
+def _oracle_candidates(rd, bound):
+    """Every dominant highest weight with |lambda|_1 <= bound and central
+    coordinate 1, with its full character."""
+    out = []
+    ranges = [range(bound + 1)] * (rd.total_rank - 1)
+    for lam in itertools.product(*ranges):
+        if sum(lam) > bound:
+            continue
+        highest = lam + (1,)
+        try:
+            out.append((highest, irr_char(rd, highest)))
+        except NotDominantError:
+            continue
+    return tuple(sorted(out))
+
+
+def oracle_enumerate(rd, hc, bound):
+    """The per-candidate route: build each irreducible character and test
+    its Hodge type weight by weight."""
+    return tuple(highest for highest, char in _oracle_candidates(rd, bound) if is_av_type(char, hc))
+
+
+def _cochar(mu2, kappa_central):
+    kappa2 = (0,) * (len(mu2) - 1) + (kappa_central,)
+    return HodgeCochar(mu2, tuple(k - m for k, m in zip(kappa2, mu2)), kappa2)
+
+
+@st.composite
+def minuscule_cases(draw):
+    """(root datum, minuscule cocharacter, bound): each C block's doubled mu
+    is all 0 or random +-1, kappa vanishes on the blocks."""
+    shape, top = draw(st.sampled_from((((1,), 8), ((2,), 8), ((3,), 8), ((4,), 5), ((2, 1), 8))))
+    rd = RootDatum(tuple(Factor("C", n) for n in shape), 1)
+    mu2 = []
+    for n in shape:
+        if draw(st.booleans()):
+            mu2.extend(draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)))
+        else:
+            mu2.extend([0] * n)
+    mu2.append(draw(st.integers(-1, 3)))
+    hc = _cochar(tuple(mu2), draw(st.sampled_from((2, 2, 2, 0, 1, 3))))
+    return rd, hc, draw(st.integers(0, top))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(minuscule_cases())
+def test_property_enumerate_matches_character_oracle(case):
+    rd, hc, bound = case
+    assert enumerate_av_irreducibles(rd, hc, bound) == oracle_enumerate(rd, hc, bound)
+
+
+@pytest.mark.parametrize("g,bound", [(1, 8), (2, 8), (3, 8), (4, 5)])
+def test_enumerate_auto_cochar_matches_oracle_at_the_largest_bound(g, bound):
+    rd = RootDatum((Factor("C", g),), 1)
+    assert enumerate_av_irreducibles(rd, gsp_cochar(g), bound) == oracle_enumerate(rd, gsp_cochar(g), bound)
+
+
+def test_enumerate_bounds_raise():
+    rd = RootDatum((Factor("C", 2),), 1)
+    with pytest.raises(BoundExceededError):
+        enumerate_av_irreducibles(rd, gsp_cochar(2), bound=9)
+    with pytest.raises(BoundExceededError):
+        enumerate_av_irreducibles(RootDatum((Factor("C", 9),), 1), gsp_cochar(9), bound=1)
+
+
+@pytest.mark.parametrize(
+    "mu2,kappa_central",
+    [((2, 0, 1), 2), ((1, 0, 1), 2), ((3, 3, 1), 2), ((0, -2, 1), 2)],
+)
+def test_enumerate_rejects_non_minuscule_cochar(mu2, kappa_central):
+    rd = RootDatum((Factor("C", 2),), 1)
+    with pytest.raises(UnsupportedTypeError, match="not minuscule"):
+        enumerate_av_irreducibles(rd, _cochar(mu2, kappa_central), bound=2)
+
+
+def test_enumerate_rejects_kappa_on_the_block():
+    rd = RootDatum((Factor("C", 1),), 1)
+    hc = HodgeCochar((1, 1), (1, 1), (2, 2))
+    with pytest.raises(UnsupportedTypeError, match="not minuscule"):
+        enumerate_av_irreducibles(rd, hc, bound=2)
