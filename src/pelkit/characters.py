@@ -373,7 +373,8 @@ def _product(parts, central):
 def irr_char(rd: RootDatum, highest) -> WeightChar:
     """Full weight multiset of the irreducible with the given highest weight."""
     highest = tuple(int(x) for x in highest)
-    return WeightChar(_product(*_irr_parts(rd, highest)))
+    # _product keys are int tuples and its multiplicities positive ints
+    return WeightChar._of(_product(*_irr_parts(rd, highest)))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -6,14 +6,18 @@ an arrow f is its rational matrix together with the minimal n >= 1 such
 that f(n L) lies in L', and the scale 1/n.  Two arrows are equal when they
 share endpoints and rational matrix; the normalisation is canonical and
 recomputed, which is what makes the well-definedness laws decidable.
+
+A lattice inverts its basis once, at construction, which also rejects a
+singular basis.  The law suite draws its random lattices and maps on
+integer numerators over one common denominator, never through ``Fraction``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import lcm
 
 from .linalg import Matrix
@@ -27,6 +31,7 @@ class ShapeMismatchError(ValueError):
 class LatticeObject:
     dim: int
     basis: Matrix | None  # None only for the zero-dimensional object
+    basis_inv: Matrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 0:
@@ -37,13 +42,10 @@ class LatticeObject:
             return
         if self.basis is None or self.basis.rows != self.dim or self.basis.cols != self.dim:
             raise ValueError("basis must be square of size dim")
-        if self.basis.det() == 0:
-            raise ValueError("basis must be invertible")
-
-    @cached_property
-    def basis_inv(self) -> Matrix:
-        """The inverse of the basis, computed once per object."""
-        return self.basis.inv()
+        try:  # the one elimination: validates the basis and stores its inverse
+            object.__setattr__(self, "basis_inv", self.basis.inv())
+        except ValueError:  # a square inv fails only on a singular matrix
+            raise ValueError("basis must be invertible") from None
 
     @staticmethod
     def standard(dim: int) -> "LatticeObject":
@@ -73,7 +75,10 @@ class IsoMorphism:
     dst: LatticeObject
     raw: Matrix
     n_used: int
-    scale: Fraction
+
+    @property
+    def scale(self) -> Fraction:
+        return Fraction(1, self.n_used)
 
     def __eq__(self, other):
         return (
@@ -98,7 +103,7 @@ def arrow(raw: Matrix, src: LatticeObject, dst: LatticeObject, n: int | None = N
     if n is not None:
         if n < 1 or n % n0:
             raise ValueError(f"n = {n} does not satisfy raw(n L) <= L' (minimal n is {n0})")
-    return IsoMorphism(src=src, dst=dst, raw=raw, n_used=n0, scale=Fraction(1, n0))
+    return IsoMorphism(src=src, dst=dst, raw=raw, n_used=n0)
 
 
 def identity_arrow(obj: LatticeObject) -> IsoMorphism:
@@ -139,35 +144,30 @@ def direct_sum_arrows(f: IsoMorphism, g: IsoMorphism) -> IsoMorphism:
 # -- randomized law suite ------------------------------------------------------
 
 
-def _random_unimodular(rng: random.Random, n: int) -> Matrix:
-    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def _random_unimodular(rng: random.Random, n: int) -> list:
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(2 * n):
         i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.randint(-2, 2)
-        for k in range(n):
-            m[i][k] += c * m[j][k]
-    return Matrix(m)
+        if i != j:
+            c = rng.randint(-2, 2)
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    return m
 
 
 def _random_lattice(rng: random.Random, n: int) -> LatticeObject:
-    diag = Matrix(
-        [
-            [Fraction(rng.randint(1, 4), rng.randint(1, 4)) if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)
-        ]
-    )
-    return LatticeObject(n, _random_unimodular(rng, n) @ diag)
+    """Lattice with basis unimodular @ diag(p_j / q_j), as numerators over
+    L = lcm(q_j).  Draws the diagonal first, each p before its q."""
+    diag = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(n)]
+    u = _random_unimodular(rng, n)
+    den = lcm(*(q for _, q in diag))
+    col = [p * (den // q) for p, q in diag]  # column j scaled by p_j / q_j
+    return LatticeObject(n, Matrix.from_numerators([[x * c for x, c in zip(r, col)] for r in u], den))
 
 
 def _random_map(rng: random.Random, rows: int, cols: int) -> Matrix:
-    return Matrix(
-        [
-            [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(cols)]
-            for _ in range(rows)
-        ]
-    )
+    pq = [[(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(cols)] for _ in range(rows)]
+    den = lcm(*(q for r in pq for _, q in r))
+    return Matrix.from_numerators([[p * (den // q) for p, q in r] for r in pq], den)
 
 
 class _LedgerEntry(dict):

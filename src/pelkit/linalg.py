@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, mul
 
@@ -130,20 +130,23 @@ class Matrix:
     __slots__ = ("rows", "cols", "numerators", "denominator")
 
     def __init__(self, data):
-        rows = [[x if type(x) is int else _frac(x) for x in row] for row in data]
+        rows = tuple(map(tuple, data))
+        if set(map(type, chain.from_iterable(rows))) <= {int}:
+            den = 1  # plain ints are their own numerators
+        else:
+            rows = [[x if type(x) is int else _frac(x) for x in r] for r in rows]
+            # Over the lcm of the entries' reduced denominators the numerators
+            # are already coprime to the common denominator.
+            den = lcm(*{x.denominator for r in rows for x in r})
+            rows = tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in rows)
         if not rows:
             raise ValueError("matrix needs at least one row")
         width = len(rows[0])
         if width == 0 or any(len(r) != width for r in rows):
             raise ValueError("ragged or empty matrix rows")
-        # Over the lcm of the entries' reduced denominators the numerators
-        # are already coprime to the common denominator.
-        den = lcm(*{x.denominator for r in rows for x in r})
         self.rows = len(rows)
         self.cols = width
-        self.numerators = tuple(
-            tuple(x.numerator * (den // x.denominator) for x in r) for r in rows
-        )
+        self.numerators = rows
         self.denominator = den
 
     # -- construction helpers ------------------------------------------------
@@ -163,11 +166,6 @@ class Matrix:
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
         return Matrix([[0] * cols for _ in range(rows)])
-
-    @staticmethod
-    def from_columns(columns) -> "Matrix":
-        cols = [list(c) for c in columns]
-        return Matrix([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
 
     @staticmethod
     def block_diag(*blocks: "Matrix") -> "Matrix":

@@ -18,7 +18,9 @@ from pelkit.characters import (
     RootDatum,
     TorusMap,
     WeightChar,
+    _irr_parts,
     _is_dominant_block,
+    _product,
     add_chars,
     decompose,
     dual,
@@ -638,6 +640,25 @@ def test_of_built_and_init_built_characters_agree():
     assert fast == slow and hash(fast) == hash(slow)
     assert {fast: "x"}[slow] == "x"
     assert hash(WeightChar._of({})) == hash(WeightChar({}))
+
+
+def _assert_irr_char_matches_init_built(rd, lam):
+    got = irr_char(rd, lam)
+    want = WeightChar(_product(*_irr_parts(rd, tuple(int(x) for x in lam))))
+    assert got == want and hash(got) == hash(want)
+    assert list(got.items()) == list(want.items())
+    assert all(type(c) is int and c > 0 and all(type(x) is int for x in w) for w, c in got.items())
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(PROPERTY_DATA).flatmap(lambda rd: st.tuples(st.just(rd), weights(rd, 4, dominant=True))))
+def test_property_irr_char_of_built_matches_init_built(case):
+    _assert_irr_char_matches_init_built(*case)
+
+
+def test_irr_char_of_built_on_c4_and_non_int_highest():
+    _assert_irr_char_matches_init_built(RootDatum((Factor("C", 4),), 0), (4, 2, 1, 1))
+    _assert_irr_char_matches_init_built(C2, (Fraction(2), True, -1))
 
 
 @st.composite

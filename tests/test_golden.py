@@ -42,6 +42,8 @@ def _commands():
         out.append((f"hodge-std-{name}", ["hodge", "--datum", path, "--rep", "std"]))
     for name in MORPHISMS:
         out.append((f"admissible-{name}", ["admissible", "--morphism", f"{EXAMPLES}/{name}.json"]))
+    for seed in (0, 5):
+        out.append((f"isofun-check-seed{seed}", ["isofun", "check", "--trials", "50", "--seed", str(seed)]))
     return out
 
 

@@ -1,7 +1,10 @@
+import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
+from pelkit import isogeny
 from pelkit.isogeny import (
     ZERO_LATTICE,
     LatticeObject,
@@ -118,8 +121,10 @@ def test_law_suite_deterministic():
 
 
 def test_lattice_object_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="basis must be invertible"):
         LatticeObject(2, Matrix([[1, 1], [1, 1]]))
+    with pytest.raises(ValueError, match="basis must be invertible"):
+        LatticeObject(1, Matrix([[0]]))
     with pytest.raises(ValueError):
         LatticeObject(2, Matrix.identity(3))
 
@@ -132,3 +137,73 @@ def test_lattice_basis_inverse_is_computed_once():
     # the cached inverse is not a field: equality and hashing ignore it
     assert lat == LatticeObject(2, basis) and hash(lat) == hash(LatticeObject(2, basis))
     assert minimal_n(Matrix.identity(2), Z2, lat) == 2  # basis^-1 = [[1/2, -3/2], [0, 3]]
+
+
+def test_zero_lattice_has_no_inverse():
+    assert ZERO_LATTICE.basis_inv is None and direct_sum(ZERO_LATTICE, Z1).basis_inv == Matrix.identity(1)
+
+
+def test_scale_is_one_over_n_used():
+    f = arrow(Matrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]), Z2, LatticeObject.scaled(2, 5))
+    assert f.n_used == 30 and f.scale == Fraction(1, 30)
+    assert "scale" not in {fld.name for fld in fields(isogeny.IsoMorphism)}
+
+
+# -- oracle: the Fraction-built random inputs the law suite used to draw -------
+
+
+def fraction_unimodular(rng: random.Random, n: int) -> Matrix:
+    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        c = rng.randint(-2, 2)
+        for k in range(n):
+            m[i][k] += c * m[j][k]
+    return Matrix(m)
+
+
+def fraction_lattice(rng: random.Random, n: int) -> LatticeObject:
+    diag = Matrix(
+        [
+            [Fraction(rng.randint(1, 4), rng.randint(1, 4)) if i == j else Fraction(0) for j in range(n)]
+            for i in range(n)
+        ]
+    )
+    return LatticeObject(n, fraction_unimodular(rng, n) @ diag)
+
+
+def fraction_map(rng: random.Random, rows: int, cols: int) -> Matrix:
+    return Matrix(
+        [
+            [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+    )
+
+
+def _same(a: Matrix, b: Matrix) -> bool:
+    return (a.numerators, a.denominator) == (b.numerators, b.denominator)
+
+
+def test_integer_generators_match_fraction_generators():
+    for seed in range(1200):
+        for n in (1, 2, 3):
+            old, new = random.Random(seed), random.Random(seed)
+            lat_old, lat_new = fraction_lattice(old, n), isogeny._random_lattice(new, n)
+            assert _same(lat_old.basis, lat_new.basis), (seed, n)
+            assert _same(lat_old.basis_inv, lat_new.basis_inv), (seed, n)
+            assert old.getstate() == new.getstate(), (seed, n)
+            cols = 1 + (seed + n) % 3
+            assert _same(fraction_map(old, n, cols), isogeny._random_map(new, n, cols)), (seed, n)
+            assert _same(fraction_unimodular(old, n), Matrix(isogeny._random_unimodular(new, n))), (seed, n)
+            assert old.getstate() == new.getstate(), (seed, n)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 7, 2024, 31337])
+def test_law_suite_ledger_unchanged_on_fraction_inputs(seed, monkeypatch):
+    new = run_law_suite(trials=40, seed=seed)
+    monkeypatch.setattr(isogeny, "_random_lattice", fraction_lattice)
+    monkeypatch.setattr(isogeny, "_random_map", fraction_map)
+    assert run_law_suite(trials=40, seed=seed) == new

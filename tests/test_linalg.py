@@ -315,6 +315,44 @@ def test_rectangular_solve_and_rank():
         assert _ref_mul(a, m.solve(Matrix(rhs)).tolist()) == rhs
 
 
+def _ref_storage(rows):
+    """(numerators, denominator) of rows read as Fractions, in lowest terms."""
+    fr = [[Fraction(x) for x in r] for r in rows]
+    den = math.lcm(*(x.denominator for r in fr for x in r))
+    return tuple(tuple(int(x * den) for x in r) for r in fr), den
+
+
+def test_oracle_integer_fast_path_matches_fraction_path():
+    rng = random.Random(20261018)
+    kinds = {
+        "int": lambda: rng.randint(-9, 9),
+        "bool": lambda: rng.random() < 0.5,
+        "fraction": lambda: _rand_entry(rng),
+        "string": lambda: f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}",
+    }
+    for _ in range(200):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        mix = rng.sample(sorted(kinds), rng.randint(1, len(kinds)))
+        rows = [[kinds[rng.choice(mix)]() for _ in range(c)] for _ in range(r)]
+        m = Matrix(rows)
+        assert (m.numerators, m.denominator) == _ref_storage(rows), mix
+        slow = Matrix([[Fraction(x) for x in q] for q in rows])  # every entry a Fraction
+        assert (m.numerators, m.denominator) == (slow.numerators, slow.denominator)
+        assert _is_canonical(m) and type(m.numerators) is tuple
+        assert all(type(q) is tuple for q in m.numerators)
+        assert (m.rows, m.cols) == (r, c)
+    rows = [[1, 2], [3, 4]]
+    m = Matrix(rows)
+    rows[0][0] = 7  # the matrix keeps its own copy of list rows
+    assert m.numerators == ((1, 2), (3, 4)) and m == Matrix(((1, 2), (3, 4)))
+    assert Matrix(iter([iter([1, 2])])).numerators == ((1, 2),)
+    for bad in ([], [[]], [[1], [1, 2]], [[Fraction(1, 2)], []]):
+        with pytest.raises(ValueError):
+            Matrix(bad)
+    with pytest.raises(TypeError):
+        Matrix([[1, 2.5]])
+
+
 def test_canonical_form_compares_and_hashes_equal():
     half = Matrix([[Fraction(1, 2)]])
     assert half == Matrix([[1]]).scale(Fraction(1, 2))
