@@ -26,7 +26,7 @@ from .characters import (
     decompose,
     restrict,
 )
-from .hodge import HodgeCochar, is_av_type
+from .hodge import HodgeCochar, cochar_from_mu2, is_av_type
 
 
 class NotGenuineError(ValueError):
@@ -117,9 +117,7 @@ def check_symplectic_source_admissible(m: MorphismSpec, cochar: HodgeCochar | No
     if cochar is None:
         if rd.central_rank != 1:
             raise UnsupportedTypeError("auto cocharacter needs exactly one central coordinate")
-        mu2 = tuple([1] * (rd.total_rank - 1) + [1])
-        kappa2 = tuple([0] * (rd.total_rank - 1) + [2])
-        cochar = HodgeCochar(mu2, tuple(k - a for k, a in zip(kappa2, mu2)), kappa2)
+        cochar = cochar_from_mu2((1,) * rd.total_rank)
     pulled = restrict(m.target.standard_char, m.torus_map)
     if not is_av_type(pulled, cochar):
         raise HodgeCompatibilityError(

@@ -14,13 +14,10 @@ quaternion algebras to definite ones (a, b < 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-from math import gcd, lcm
-from operator import add, mul
+from math import lcm
 
-from .linalg import Matrix, signature
+from .linalg import Echelon, Matrix, signature
 
 SYMPLECTIC = "symplectic"
 LINEAR = "linear"
@@ -217,86 +214,21 @@ class AlgebraPresentation:
 # -- multiplicative closure ------------------------------------------------------
 
 
-class _Span:
-    """Incremental echelon span of matrices, kept fraction-free.
-
-    A matrix enters as its flattened numerators.  Each echelon row is a
-    primitive integer vector stored with its pivot, its nonzero positions
-    and its expression in the inserted matrices (sparse rational
-    coordinates), so coordinates come out relative to the inserted basis.
-    """
-
-    def __init__(self):
-        self.rows = []  # echelon vectors, lists of int
-        self.pivots = []
-        self.support = []  # nonzero positions of each echelon vector
-        self.exprs = []  # each echelon vector as ((inserted index, Fraction), ...)
-        self.size = 0  # number of inserted basis elements
-
-    def _reduce(self, mat: Matrix):
-        """Reduce the numerators of mat.  Returns (residual, s, coeff): the
-        integer residual equals s * (mat - sum of coeff[i] * inserted[i]),
-        flattened, for a nonzero integer s."""
-        vec = [x for r in mat.numerators for x in r]
-        den = mat.denominator
-        s = 1
-        coeff = {}
-        for row, piv, nz, expr in zip(self.rows, self.pivots, self.support, self.exprs):
-            c = vec[piv]
-            if not c:
-                continue
-            p = row[piv]
-            f = Fraction(c, p * s * den)  # coordinate of row in mat's expansion
-            for i, e in expr:
-                coeff[i] = coeff.get(i, 0) + f * e
-            g = gcd(c, p)
-            q, t = p // g, c // g
-            if q != 1:
-                vec = [q * x for x in vec]
-                s *= q
-            if 4 * len(nz) < len(vec):
-                for i in nz:
-                    vec[i] -= t * row[i]
-            else:
-                vec = [x - t * y for x, y in zip(vec, row)]
-        return vec, s * den, coeff
-
-    @staticmethod
-    def _sparse(coeff):
-        return tuple(sorted((i, c) for i, c in coeff.items() if c))
-
-    def coords(self, mat: Matrix):
-        """Coordinates in the inserted basis as ((index, Fraction), ...), or
-        None if mat is not in the span."""
-        res, _, coeff = self._reduce(mat)
-        if any(res):
-            return None
-        return self._sparse(coeff)
-
-    def insert(self, mat: Matrix):
-        """Insert a new basis matrix; returns its coordinates if dependent."""
-        res, s, coeff = self._reduce(mat)
-        if not any(res):
-            return self._sparse(coeff)
-        g = gcd(*res)
-        row = [x // g for x in res]
-        # row = (s / g) * (mat - sum of coeff[i] * inserted[i])
-        f = Fraction(s, g)
-        self.rows.append(row)
-        self.pivots.append(next(i for i, x in enumerate(row) if x))
-        self.support.append([i for i, x in enumerate(row) if x])
-        self.exprs.append(tuple((i, -f * c) for i, c in sorted(coeff.items()) if c) + ((self.size, f),))
-        self.size += 1
-        return None
+def _with_star(x: Matrix, s: Matrix) -> list:
+    """The flattened numerators of x followed by those of s, over their
+    common denominator: one echelon row [x | s]."""
+    den = lcm(x.denominator, s.denominator)
+    fx, fs = den // x.denominator, den // s.denominator
+    return [a * fx for r in x.numerators for a in r] + [a * fs for r in s.numerators for a in r]
 
 
+@dataclass(frozen=True)
 class _Closure:
-    def __init__(self, basis, star_of, prod_coords, linearity_witness, span):
-        self.basis = basis  # list[Matrix]
-        self.star_of = star_of  # list[Matrix]
-        self.prod_coords = prod_coords  # dict[(i, g)] -> sparse coords of basis[i] @ basis[g]
-        self.linearity_witness = linearity_witness
-        self.span = span  # _Span whose inserted basis is exactly ``basis``
+    basis: list  # list[Matrix]
+    star_of: list  # list[Matrix], the declared or derived star of each basis element
+    echelon: Echelon  # one kept row [b | b*] per basis element b
+    linearity_witness: tuple | None  # first dependent generator with an inconsistent star
+    reversal_witness: tuple | None  # first (b_i, g) with (b_i g)* != g* b_i*
 
 
 @lru_cache(maxsize=8)
@@ -304,49 +236,41 @@ def _closure(alg: AlgebraPresentation) -> _Closure:
     """The algebra generated by alg: the smallest subspace of End(V) that
     holds 1 and the generators and is closed under right multiplication by
     the independent generators.  Each basis element past the generators is
-    a product b_i g, with star image g* b_i*; ``prod_coords`` holds the
-    coordinates of every product b_i g, keyed by (i, index of g)."""
+    a product b_i g, with star image g* b_i*.
+
+    Every element enters one echelon as the row [x | x*], pivoting on x
+    alone, so the kept rows carry the linear extension of the star.  A
+    dependent element whose residual does not vanish on its star half has a
+    star that the extension contradicts: for a dependent generator that is
+    the linearity witness, for a dependent product b_i g (taken in (i, g)
+    order) the reversal witness."""
     dim = alg.dim_v
     ident = Matrix.identity(dim)
-    span = _Span()
-    span.insert(ident)
-    basis: list[Matrix] = [ident]
-    star_of: list[Matrix] = [ident]
+    ech = Echelon(dim * dim)
+    ech.insert(_with_star(ident, ident))
+    basis, star_of = [ident], [ident]
     gens = []  # basis indices of the independent generators
-    linearity_witness = None
+    linearity_witness = reversal_witness = None
     for act, star in alg.generators:
-        coords = span.insert(act)
-        if coords is None:
+        res = ech.insert(_with_star(act, star))
+        if res is None:
             gens.append(len(basis))
             basis.append(act)
             star_of.append(star)
-        elif linearity_witness is None and _combine(star_of, coords, dim) != star:
+        elif linearity_witness is None and any(res):
             linearity_witness = (act, star)
-    prod_coords = {}
     i = 0
     while i < len(basis):
         for g in gens:
-            prod = basis[i] @ basis[g]
-            coords = span.insert(prod)
-            if coords is None:
-                coords = ((len(basis), Fraction(1)),)
+            prod, prod_star = basis[i] @ basis[g], star_of[g] @ star_of[i]
+            res = ech.insert(_with_star(prod, prod_star))
+            if res is None:
                 basis.append(prod)
-                star_of.append(star_of[g] @ star_of[i])
-            prod_coords[(i, g)] = coords
+                star_of.append(prod_star)
+            elif reversal_witness is None and any(res):
+                reversal_witness = (basis[i], basis[g])
         i += 1
-    return _Closure(basis, star_of, prod_coords, linearity_witness, span)
-
-
-def _combine(mats, sparse_coords, dim):
-    """The integer linear combination sum of c * mats[idx] over the sparse
-    coordinates, over one common denominator."""
-    den = lcm(*(c.denominator * mats[idx].denominator for idx, c in sparse_coords))
-    rows = [[0] * dim for _ in range(dim)]
-    for idx, c in sparse_coords:
-        m = mats[idx]
-        f = c.numerator * (den // (c.denominator * m.denominator))
-        rows = [list(map(add, acc, map(mul, r, repeat(f)))) for acc, r in zip(rows, m.numerators)]
-    return Matrix.from_numerators(rows, den)
+    return _Closure(basis, star_of, ech, linearity_witness, reversal_witness)
 
 
 @dataclass(frozen=True)
@@ -363,30 +287,27 @@ def check_anti_involution(alg: AlgebraPresentation) -> InvolutionReport:
     """Check that the declared star extends to a linear anti-involution of
     the multiplicative closure of the generators inside End(V).
 
-    Star reversal is checked on the products b g of basis elements and
-    generators alone: (x g)* = g* x* for every x and generator g gives
-    (x w)* = w* x* for every word w by induction on its length."""
+    The closure's echelon holds [b | b*] for its basis, so reducing [s | m]
+    for a basis element m with star s leaves p (s - proj s) on the first
+    half, nonzero exactly when s leaves the algebra, and then p (m - s*) on
+    the second.  Star reversal is checked on the products b g of basis
+    elements and generators alone: (x g)* = g* x* for every x and generator
+    g gives (x w)* = w* x* for every word w by induction on its length."""
     cl = _closure(alg)
-    dim = alg.dim_v
     if cl.linearity_witness is not None:
         return InvolutionReport(False, "star is not linear on dependent generators", cl.linearity_witness)
-    star_coords = []
+    n = alg.dim_v**2
+    not_involution = None
     for m, s in zip(cl.basis, cl.star_of):
-        coords = cl.span.coords(s)
-        if coords is None:
+        res = cl.echelon.reduce(_with_star(s, m))
+        if any(res[:n]):
             return InvolutionReport(False, "star image leaves the algebra", (m, s))
-        star_coords.append(coords)
-    for m, s, sc in zip(cl.basis, cl.star_of, star_coords):
-        ss = _combine(cl.star_of, sc, dim)
-        if ss != m:
-            return InvolutionReport(False, "star is not an involution", (m, s))
-    for (i, j), coords in sorted(cl.prod_coords.items()):
-        lhs = _combine(cl.star_of, coords, dim)
-        rhs = cl.star_of[j] @ cl.star_of[i]
-        if lhs != rhs:
-            return InvolutionReport(
-                False, "star does not reverse products", (cl.basis[i], cl.basis[j])
-            )
+        if not_involution is None and any(res):
+            not_involution = (m, s)
+    if not_involution is not None:
+        return InvolutionReport(False, "star is not an involution", not_involution)
+    if cl.reversal_witness is not None:
+        return InvolutionReport(False, "star does not reverse products", cl.reversal_witness)
     return InvolutionReport(True)
 
 

@@ -122,7 +122,10 @@ def _parse_type(text: str) -> RootDatum:
         piece = piece.strip()
         if len(piece) < 2 or piece[0] not in "CAD" or not piece[1:].isdigit():
             raise serialize.SchemaError("--type", f"bad factor {piece!r}; expected e.g. C2 or C2xA3")
-        factors.append(Factor(piece[0], int(piece[1:])))
+        try:
+            factors.append(Factor(piece[0], int(piece[1:])))
+        except ValueError as exc:
+            raise serialize.SchemaError("--type", f"bad factor {piece!r}: {exc}")
     return RootDatum(tuple(factors), central_rank=1)
 
 
@@ -174,6 +177,16 @@ def _cmd_fixtures(args) -> int:
     return 0 if ok else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pel",
@@ -219,11 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "isofun":
             isosub = p.add_subparsers(dest="isofun_command", required=True)
             pc = isosub.add_parser("check")
-            pc.add_argument("--trials", type=int, default=500)
+            pc.add_argument("--trials", type=_positive_int, default=500)
             common(pc)
             pc.set_defaults(fn=_cmd_isofun_check)
         else:
-            p.add_argument("--trials", type=int, default=500)
+            p.add_argument("--trials", type=_positive_int, default=500)
             common(p)
             p.set_defaults(fn=_cmd_isofun_check)
 

@@ -110,6 +110,13 @@ def is_av_type(x: WeightChar, hc: HodgeCochar) -> bool:
         return False
 
 
+def cochar_from_mu2(mu2) -> HodgeCochar:
+    """The cocharacter with doubled mu = mu2 whose doubled central weight
+    covector is (0, ..., 0, 2): weight 1 on the last, central coordinate."""
+    kappa2 = (0,) * (len(mu2) - 1) + (2,)
+    return HodgeCochar(tuple(mu2), tuple(k - m for k, m in zip(kappa2, mu2)), kappa2)
+
+
 def auto_cochar(classification: Classification) -> HodgeCochar:
     """Cocharacter pair for a classified datum, one block at a time.
 
@@ -127,8 +134,7 @@ def auto_cochar(classification: Classification) -> HodgeCochar:
         else:
             mu2.extend([1] * d.params[0])
     mu2.append(1)  # central coordinate
-    kappa2 = [0] * (len(mu2) - 1) + [2]
-    hc = HodgeCochar(tuple(mu2), tuple(k - m for k, m in zip(kappa2, mu2)), tuple(kappa2))
+    hc = cochar_from_mu2(mu2)
     if not is_av_type(classification.standard_char, hc):
         raise InternalCheckError("auto-generated cocharacter fails the standard-character fixture")
     return hc

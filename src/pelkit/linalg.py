@@ -4,17 +4,21 @@ Everything here is computed over Q; no floating point is used anywhere.
 A ``Matrix`` is dense and immutable.  It stores integer numerator rows over
 one positive common denominator, kept in lowest terms, so equal matrices
 have equal storage.  Products, sums, equality and hashing run on plain
-``int``s, and the eliminations and ``signature`` run fraction-free on the
-numerators (Bareiss, Math. Comp. 22, 1968).  Entries read back through
-``m[i, j]``, ``row``, ``column``, ``tolist`` and ``flatten`` are
-``Fraction``s.  Sizes are desk-scale (dimension <= 64).
+``int``s.  ``det``, ``inv``, ``rank``, ``solve`` and ``column_space_basis``
+run on the numerators in one incremental fraction-free echelon,
+``Echelon``, which the algebra closure shares; ``signature`` keeps its own
+symmetric elimination.  Both divide exactly by the previous pivot, so
+every entry stays an integer minor (Bareiss, Math. Comp. 22, 1968).
+Entries read back through ``m[i, j]``, ``row``, ``column``, ``tolist`` and
+``flatten`` are ``Fraction``s.  Sizes are desk-scale (dimension <= 64).
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import add, mul
 
@@ -73,50 +77,80 @@ def _lowest(num, den: int) -> "Matrix":
     return _wrap(tuple(map(tuple, num)), den)
 
 
-def _reduce_rows(m: list, ncols: int):
-    """Fraction-free Gauss-Jordan elimination of the integer rows ``m`` in
-    place, over their first ``ncols`` columns (Bareiss's exact division by
-    the previous pivot keeps every entry an integer minor).
+def _support(row):
+    """The nonzero positions of row when under a quarter of it is nonzero,
+    so that reducing by row walks them alone; None for a denser row."""
+    return list(compress(range(len(row)), row)) if 4 * (len(row) - row.count(0)) < len(row) else None
 
-    Returns ``(pivots, p, sign)``: the pivot columns in order, the last
-    pivot (positive) and the sign of the row operations, which swap or
-    negate rows.  Pivot row r then holds p at column pivots[r] and every
-    other row holds 0 there, so the first len(pivots) rows divided by p are
-    the reduced row echelon form; the remaining rows are zero on the first
-    ncols columns.  For a square matrix of full rank, sign * p is its
-    determinant.
+
+class Echelon:
+    """Incremental fraction-free Gauss-Jordan echelon of integer rows.
+
+    Pivots are searched on the first ``ncols`` columns only; further columns
+    ride along (the right-hand sides of ``inv`` and ``solve``, the star half
+    of the algebra closure).  Each kept row ``rows[k]`` is p times its
+    reduced row: p at ``pivots[k]`` and 0 at every other pivot.  The last
+    pivot p stays positive, as a new row with a negative pivot is negated.
+    Kept rows are stored in pivot order; ``sign`` is the sign of those
+    negations and of the row permutation that sorts them, so sign * p is the
+    minor of the kept rows, in insertion order, on the pivot columns.
     """
-    n = len(m)
-    prev = sign = 1
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, n) if m[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            sign = -sign
-        pr = m[r]
-        p = pr[c]
-        if p < 0:
-            # negating one row keeps every entry a minor; with positive
-            # pivots a +-1 matrix never rescales the rows it leaves alone
-            pr = m[r] = [-x for x in pr]
-            p = -p
-            sign = -sign
-        for i in range(n):
-            if i != r:
-                a = m[i][c]
-                if a:
-                    m[i] = [(x * p - a * y) // prev for x, y in zip(m[i], pr)]
-                elif p != prev:
-                    m[i] = [x * p // prev for x in m[i]]
-        prev = p
-        pivots.append(c)
-        if len(pivots) == n:
-            break
-    return pivots, prev, sign
+
+    __slots__ = ("ncols", "rows", "pivots", "p", "sign", "_supports")
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.rows, self.pivots, self._supports = [], [], []
+        self.p = self.sign = 1
+
+    def reduce(self, v) -> list:
+        """p * v minus its components along the kept rows.  Its first ncols
+        entries vanish exactly when v lies in their span on those columns."""
+        p = self.p
+        w = list(v) if p == 1 else [p * x for x in v]
+        coeffs = [v[c] for c in self.pivots]
+        rows, supports = self.rows, self._supports
+        for k in compress(range(len(coeffs)), coeffs):
+            a, row, nz = coeffs[k], rows[k], supports[k]
+            if nz is False:  # found on first use: rows that never reduce skip it
+                nz = supports[k] = _support(row)
+            if nz is None:
+                w = [x - a * y for x, y in zip(w, row)]
+            else:
+                for i in nz:
+                    w[i] -= a * row[i]
+        return w
+
+    def insert(self, v):
+        """Keep v and return None if it is independent of the kept rows on
+        the first ncols columns; otherwise return its residual ``reduce(v)``."""
+        w = self.reduce(v)
+        q = next(filter(None, w[: self.ncols]), 0)
+        if not q:
+            return w
+        c = w.index(q)  # the first nonzero entry
+        if q < 0:
+            # with positive pivots a +-1 matrix never rescales the kept rows
+            w, q = [-x for x in w], -q
+            self.sign = -self.sign
+        p = self.p
+        rows, supports = self.rows, self._supports
+        col = [row[c] for row in rows]
+        # with p unchanged, a row that is zero at c stays as it is
+        for k in compress(range(len(rows)), col) if q == p else range(len(rows)):
+            a = col[k]
+            rows[k] = [(q * x - a * y) // p for x, y in zip(rows[k], w)]
+            supports[k] = False
+        # rows stay in pivot order: moving the new row up past the kept rows
+        # with a later pivot is that many row swaps
+        k = bisect(self.pivots, c)
+        if (len(rows) - k) % 2:
+            self.sign = -self.sign
+        rows.insert(k, w)
+        supports.insert(k, False)
+        self.pivots.insert(k, c)
+        self.p = q
+        return None
 
 
 class Matrix:
@@ -311,49 +345,52 @@ class Matrix:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
-        pivots, p, sign = _reduce_rows([list(r) for r in self.numerators], n)
-        if len(pivots) < n:
+        ech = Echelon(n)
+        if any(ech.insert(r) is not None for r in self.numerators):
             return Fraction(0)
-        return Fraction(sign * p, self.denominator**n)
+        return Fraction(ech.sign * ech.p, self.denominator**n)
 
     def inv(self) -> "Matrix":
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.numerators)]
-        pivots, p, _ = _reduce_rows(m, n)
-        if len(pivots) < n:
-            raise ValueError("matrix is singular")
-        # (numerators)^-1 = right half / p, and self^-1 = denominator * that
+        ech = Echelon(n)
+        for i, r in enumerate(self.numerators):
+            if ech.insert(r + (0,) * i + (1,) + (0,) * (n - i - 1)) is not None:
+                raise ValueError("matrix is singular")
+        # the right half over p is (numerators)^-1; self^-1 is denominator * that
         den = self.denominator
-        return _lowest([[den * x for x in r[n:]] for r in m], p)
+        return _lowest([[den * x for x in r[n:]] for r in ech.rows], ech.p)
 
     def rank(self) -> int:
-        return len(_reduce_rows([list(r) for r in self.numerators], self.cols)[0])
+        ech = Echelon(self.cols)
+        return sum(ech.insert(r) is None for r in self.numerators)
 
     def solve(self, rhs: "Matrix") -> "Matrix":
         """Solve self @ X = rhs exactly; raises ValueError if inconsistent."""
         if self.rows != rhs.rows:
             raise ValueError("shape mismatch in solve")
         k, w = self.cols, rhs.cols
-        m = [list(a) + list(b) for a, b in zip(self.numerators, rhs.numerators)]
-        pivots, p, _ = _reduce_rows(m, k)
-        if any(any(r[k:]) for r in m[len(pivots):]):
-            raise ValueError("inconsistent linear system")
-        # numerators @ Y = rhs numerators gives Y[c] = m[row of c][k:] / p,
-        # and X = Y * self.denominator / rhs.denominator
+        ech = Echelon(k)
+        for a, b in zip(self.numerators, rhs.numerators):
+            res = ech.insert(a + b)
+            if res is not None and any(res[k:]):
+                raise ValueError("inconsistent linear system")
+        # Y[c] = (row with pivot c)[k:] / p, and X = Y * self.denominator / rhs.denominator
         da = self.denominator
         sol = [[0] * w for _ in range(k)]
-        for r, c in enumerate(pivots):
-            sol[c] = [da * x for x in m[r][k:]]
-        return _lowest(sol, p * rhs.denominator)
+        for c, r in zip(ech.pivots, ech.rows):
+            sol[c] = [da * x for x in r[k:]]
+        return _lowest(sol, ech.p * rhs.denominator)
 
     def column_space_basis(self) -> "Matrix":
-        """Matrix whose columns are the pivot columns of self (a basis of the image)."""
-        pivots, _, _ = _reduce_rows([list(r) for r in self.numerators], self.cols)
-        if not pivots:
+        """Matrix whose columns are the pivot columns of self (a basis of the
+        image): each column not in the span of the columns before it."""
+        ech = Echelon(self.rows)
+        keep = [j for j, col in enumerate(zip(*self.numerators)) if ech.insert(col) is None]
+        if not keep:
             raise RankDeficientError("zero matrix has no column-space basis")
-        return _lowest([[r[c] for c in pivots] for r in self.numerators], self.denominator)
+        return _lowest([[r[c] for c in keep] for r in self.numerators], self.denominator)
 
 
 @dataclass(frozen=True)

@@ -6,21 +6,117 @@ is new, and the involution check compares the star of every such product
 with the reversed product of the stars.  ``pelkit.algebras`` closes under
 right multiplication by the generators alone and checks star reversal on
 basis x generator pairs; tests cross-check the two.
+
+The span below is a primitive-row echelon that carries each row's expression
+in the inserted matrices as sparse ``Fraction`` coordinates, and ``_combine``
+multiplies those back out to compare star images.  It shares no elimination
+code with ``pelkit``, whose closure checks the star in the Bareiss echelon
+of ``pelkit.linalg``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, mul
 
-from pelkit.algebras import (
-    AlgebraPresentation,
-    InvolutionReport,
-    _Closure,
-    _combine,
-    _Span,
-    _trace_gram,
-)
+from pelkit.algebras import AlgebraPresentation, InvolutionReport, _trace_gram
 from pelkit.linalg import Matrix, signature
+
+
+class _Span:
+    """Incremental echelon span of matrices, kept fraction-free.
+
+    A matrix enters as its flattened numerators.  Each echelon row is a
+    primitive integer vector stored with its pivot, its nonzero positions
+    and its expression in the inserted matrices (sparse rational
+    coordinates), so coordinates come out relative to the inserted basis.
+    """
+
+    def __init__(self):
+        self.rows = []  # echelon vectors, lists of int
+        self.pivots = []
+        self.support = []  # nonzero positions of each echelon vector
+        self.exprs = []  # each echelon vector as ((inserted index, Fraction), ...)
+        self.size = 0  # number of inserted basis elements
+
+    def _reduce(self, mat: Matrix):
+        """Reduce the numerators of mat.  Returns (residual, s, coeff): the
+        integer residual equals s * (mat - sum of coeff[i] * inserted[i]),
+        flattened, for a nonzero integer s."""
+        vec = [x for r in mat.numerators for x in r]
+        den = mat.denominator
+        s = 1
+        coeff = {}
+        for row, piv, nz, expr in zip(self.rows, self.pivots, self.support, self.exprs):
+            c = vec[piv]
+            if not c:
+                continue
+            p = row[piv]
+            f = Fraction(c, p * s * den)  # coordinate of row in mat's expansion
+            for i, e in expr:
+                coeff[i] = coeff.get(i, 0) + f * e
+            g = gcd(c, p)
+            q, t = p // g, c // g
+            if q != 1:
+                vec = [q * x for x in vec]
+                s *= q
+            if 4 * len(nz) < len(vec):
+                for i in nz:
+                    vec[i] -= t * row[i]
+            else:
+                vec = [x - t * y for x, y in zip(vec, row)]
+        return vec, s * den, coeff
+
+    @staticmethod
+    def _sparse(coeff):
+        return tuple(sorted((i, c) for i, c in coeff.items() if c))
+
+    def coords(self, mat: Matrix):
+        """Coordinates in the inserted basis as ((index, Fraction), ...), or
+        None if mat is not in the span."""
+        res, _, coeff = self._reduce(mat)
+        if any(res):
+            return None
+        return self._sparse(coeff)
+
+    def insert(self, mat: Matrix):
+        """Insert a new basis matrix; returns its coordinates if dependent."""
+        res, s, coeff = self._reduce(mat)
+        if not any(res):
+            return self._sparse(coeff)
+        g = gcd(*res)
+        row = [x // g for x in res]
+        # row = (s / g) * (mat - sum of coeff[i] * inserted[i])
+        f = Fraction(s, g)
+        self.rows.append(row)
+        self.pivots.append(next(i for i, x in enumerate(row) if x))
+        self.support.append([i for i, x in enumerate(row) if x])
+        self.exprs.append(tuple((i, -f * c) for i, c in sorted(coeff.items()) if c) + ((self.size, f),))
+        self.size += 1
+        return None
+
+
+class _Closure:
+    def __init__(self, basis, star_of, prod_coords, linearity_witness, span):
+        self.basis = basis  # list[Matrix]
+        self.star_of = star_of  # list[Matrix]
+        self.prod_coords = prod_coords  # dict[(i, g)] -> sparse coords of basis[i] @ basis[g]
+        self.linearity_witness = linearity_witness
+        self.span = span  # _Span whose inserted basis is exactly ``basis``
+
+
+def _combine(mats, sparse_coords, dim):
+    """The integer linear combination sum of c * mats[idx] over the sparse
+    coordinates, over one common denominator."""
+    den = lcm(*(c.denominator * mats[idx].denominator for idx, c in sparse_coords))
+    rows = [[0] * dim for _ in range(dim)]
+    for idx, c in sparse_coords:
+        m = mats[idx]
+        f = c.numerator * (den // (c.denominator * m.denominator))
+        rows = [list(map(add, acc, map(mul, r, repeat(f)))) for acc, r in zip(rows, m.numerators)]
+    return Matrix.from_numerators(rows, den)
 
 
 def oracle_closure(alg: AlgebraPresentation) -> _Closure:

@@ -14,6 +14,7 @@ from pelkit.algebras import (
     CatalogFactor,
     _closure,
     _trace_gram,
+    _with_star,
     check_anti_involution,
     check_positive,
     classify_factor,
@@ -282,7 +283,7 @@ def _random_raw_presentation(seed):
 
 def _assert_matches_oracle(alg):
     new, old = check_anti_involution(alg), oracle_check_anti_involution(alg)
-    assert (new.ok, new.reason) == (old.ok, old.reason)
+    assert (new.ok, new.reason, new.witness) == (old.ok, old.reason, old.witness)
     assert check_positive(alg) == oracle_check_positive(alg)
     assert len(_closure(alg).basis) == len(oracle_closure(alg).basis)
     return new.reason or "ok"
@@ -345,7 +346,17 @@ def test_catalog_generating_set_sizes(factors):
     # of V, so one generator is dependent
     independent = Matrix([m.flatten() for m in [Matrix.identity(alg.dim_v)] + [a for a, _ in alg.generators]]).rank() - 1
     assert independent == len(alg.generators) - all(f.n == 1 for f in factors)
-    assert len(cl.prod_coords) == len(cl.basis) * independent
+    # one kept row [b | b*] per basis element, and every product of a basis
+    # element with an independent generator reduces to zero with its
+    # reversed star: the closure is closed and the star reverses products
+    assert len(cl.echelon.rows) == len(cl.basis)
+    gens = range(1, 1 + independent)  # basis[0] is the identity, then come these generators
+    residuals = [
+        cl.echelon.reduce(_with_star(b @ cl.basis[g], cl.star_of[g] @ s))
+        for b, s in zip(cl.basis, cl.star_of)
+        for g in gens
+    ]
+    assert len(residuals) == len(cl.basis) * independent and not any(map(any, residuals))
     assert check_anti_involution(alg).ok and check_positive(alg)
 
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 
+import pytest
+
 from pelkit.cli import main
 
 DOCS = os.path.join(os.path.dirname(__file__), "..", "docs", "examples")
@@ -93,6 +95,29 @@ def test_isofun_check_both_spellings():
         code, out = run_cli(*argv, "--trials", "25", "--seed", "3")
         payload = json.loads(out)
         assert code == 0 and payload["pass"]
+
+
+def test_isofun_check_rejects_non_positive_trials(capsys):
+    for argv in (("isofun", "check"), ("isofun-check",)):
+        for trials in ("-3", "0", "x"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*argv, "--trials", trials)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage:") and "--trials: expected a positive integer" in err
+
+
+def test_zero_rank_type_is_a_schema_error():
+    for spec in ("C0", "A1xC0"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pelkit", "rep", "decompose", "--type", spec, "--tensor", "std"],
+            capture_output=True,
+            text=True,
+            cwd=os.path.join(os.path.dirname(__file__), ".."),
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("schema error: --type: bad factor 'C0'")
 
 
 def test_fixtures_pass():

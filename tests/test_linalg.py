@@ -7,6 +7,7 @@ import pytest
 from gauss_oracle import GaussRat, simult_eigensplit
 
 from pelkit.linalg import (
+    Echelon,
     Matrix,
     NotCommutingError,
     NotComplexStructureError,
@@ -302,6 +303,80 @@ def test_oracle_eliminations():
                 m.solve(Matrix(other))
         sym = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
         assert signature(Matrix(sym)) == _ref_signature(sym)
+
+
+# -- the incremental Bareiss echelon against the Fraction RREF and Leibniz -------
+
+
+def _echelon_rows(rng, r, k, extra):
+    """r integer rows of width k + extra: random rows (negative and zero
+    entries, so negative and zero pivots), zero rows, repeated rows and
+    integer combinations of earlier rows on the first k columns whose
+    trailing columns are fresh."""
+    rows = []
+    for _ in range(r):
+        kind = rng.random()
+        if kind < 0.15:
+            row = [0] * (k + extra)
+        elif kind < 0.3 and rows:
+            row = list(rng.choice(rows))
+        elif kind < 0.5 and rows:
+            cs = [rng.randint(-2, 2) for _ in rows]
+            row = [sum(c * q[j] for c, q in zip(cs, rows)) for j in range(k)]
+            row += [rng.randint(-3, 3) for _ in range(extra)]
+        else:
+            row = [rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(k + extra)]
+        rows.append(row)
+    return rows
+
+
+def _rank(rows, k):
+    return len(_ref_rref([[Fraction(x) for x in q[:k]] for q in rows])[1])
+
+
+def test_echelon_against_rref_and_leibniz():
+    rng = random.Random(19680)
+    for _ in range(300):
+        r, k, extra = rng.randint(1, 6), rng.randint(1, 5), rng.choice((0, 0, 1, 3))
+        rows = _echelon_rows(rng, r, k, extra)
+        ech = Echelon(k)
+        kept = []
+        for i, v in enumerate(rows):
+            res = ech.insert(v)
+            assert (res is None) == (_rank(rows[: i + 1], k) > len(kept))
+            if res is None:
+                kept.append(v)
+            else:
+                assert not any(res[:k])
+        assert len(ech.rows) == len(ech.pivots) == len(kept)
+        assert ech.pivots == _ref_rref([[Fraction(x) for x in q[:k]] for q in rows])[1]
+        assert ech.p > 0 and ech.sign in (1, -1)
+        if not kept:
+            assert ech.p == 1
+            continue
+        # sign * p is the minor of the kept rows on the pivot columns, also
+        # as det, and the kept rows are p times the reduced rows
+        minor = [[q[c] for c in ech.pivots] for q in kept]
+        assert ech.sign * ech.p == _ref_det([[Fraction(x) for x in q] for q in minor]) != 0
+        assert Matrix(minor).det() == ech.sign * ech.p
+        reduced, pivots = _ref_rref([[Fraction(x) for x in q] for q in kept])
+        assert pivots == ech.pivots
+        assert ech.rows == [[ech.p * x for x in q] for q in reduced]
+        by_pivot = dict(zip(pivots, reduced))
+        # the residual of u is p times u minus its projection on the span,
+        # zero on the first k columns exactly for members of the span
+        for _ in range(4):
+            if rng.random() < 0.5:
+                cs = [rng.randint(-3, 3) for _ in kept]
+                u = [sum(c * q[j] for c, q in zip(cs, kept)) for j in range(k + extra)]
+            else:
+                u = [rng.randint(-4, 4) for _ in range(k + extra)]
+            res = ech.reduce(u)
+            proj = [sum((u[c] * by_pivot[c][j] for c in pivots), Fraction(0)) for j in range(k + extra)]
+            assert res == [ech.p * (x - y) for x, y in zip(u, proj)]
+            assert (not any(res[:k])) == (_rank(kept + [u], k) == len(kept))
+        if extra == 0 and r == k:
+            assert Matrix(rows).det() == _ref_det([[Fraction(x) for x in q] for q in rows])
 
 
 def test_rectangular_solve_and_rank():
