@@ -18,8 +18,10 @@ Coordinate conventions, fixed once for the whole package:
 * Central coordinates are untouched by all Weyl groups.
 
 Weight multiplicities of an irreducible are computed with the Freudenthal
-recursion, level by level; the total is cross-checked against the Weyl
-dimension formula on every call.
+recursion on its dominant weights alone, each ``mu + k*alpha`` read at its
+dominant representative; the multiplicities weighted by Weyl orbit sizes
+are cross-checked against the Weyl dimension formula on every call.  Only
+``irr_char`` expands the orbits into full weight tables.
 
 A character is decomposed after one exact W-invariance check (every Weyl
 generator preserves every multiplicity): a W-invariant character is fixed
@@ -35,10 +37,10 @@ wraps the sums without re-normalising them.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalCheckError, OutOfScopeError
@@ -229,16 +231,6 @@ def _positive_roots(series: str, n: int):
     return tuple(roots)
 
 
-@lru_cache(maxsize=None)
-def _simple_roots(series: str, n: int):
-    roots = [tuple(_sub(_e(n, i), _e(n, i + 1))) for i in range(n - 1)]
-    if series == "C":
-        roots.append(_e(n, n - 1, 2))
-    elif series == "D" and n >= 2:
-        roots.append(tuple(_add(_e(n, n - 2), _e(n, n - 1))))
-    return tuple(roots)
-
-
 def _rho(series: str, n: int):
     if series == "C":
         return tuple(range(n, 0, -1))
@@ -276,85 +268,147 @@ def _block_weyl_dim(series: str, n: int, lam) -> int:
     pos = _positive_roots(series, n)
     rho = _rho(series, n)
     lr = _add(lam, rho)
-    out = Fraction(1)
+    num = den = 1
     for a in pos:
-        out *= Fraction(_dot(lr, a), _dot(rho, a))
-    if out.denominator != 1 or out <= 0:
-        raise InternalCheckError(f"Weyl dimension of {lam} for {series}{n} is {out}")
-    return int(out)
+        num *= _dot(lr, a)
+        den *= _dot(rho, a)
+    q, r = divmod(num, den)
+    if r or q <= 0:
+        raise InternalCheckError(f"Weyl dimension of {lam} for {series}{n} is {num}/{den}")
+    return q
+
+
+def _dominant_rep(series: str, v):
+    """The dominant weight in the block Weyl orbit of v."""
+    if series == "A":
+        return tuple(sorted(v, reverse=True))
+    d = sorted(map(abs, v), reverse=True)
+    if series == "D" and d[-1] and sum(x < 0 for x in v) % 2:
+        d[-1] = -d[-1]
+    return tuple(d)
+
+
+def _orbit_size(series: str, mu) -> int:
+    """|W mu|: orderings of the coordinates (of their absolute values for C
+    and D) times the sign patterns on the nonzero ones, half of them for D
+    when none is zero."""
+    out = math.factorial(len(mu))
+    for c in Counter(mu if series == "A" else map(abs, mu)).values():
+        out //= math.factorial(c)
+    if series == "A":
+        return out
+    nonzero = sum(1 for x in mu if x)
+    return out << (nonzero - (series == "D" and nonzero == len(mu)))
+
+
+def _orderings(vals):
+    """The distinct orderings of the sorted tuple vals."""
+    if len(vals) <= 1:
+        return [vals]
+    return [
+        (x,) + rest
+        for i, x in enumerate(vals)
+        if not i or vals[i - 1] != x
+        for rest in _orderings(vals[:i] + vals[i + 1 :])
+    ]
+
+
+def _orbit(series: str, mu):
+    """The block Weyl orbit of the dominant weight mu, each weight once."""
+    if series == "A":
+        return _orderings(mu)
+    out = [
+        w
+        for p in _orderings(tuple(map(abs, mu)))
+        for w in itertools.product(*((x, -x) if x else (0,) for x in p))
+    ]
+    if series == "D" and all(mu):
+        odd = mu[-1] < 0
+        out = [w for w in out if (sum(x < 0 for x in w) % 2) == odd]
+    return out
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _block_irr(series: str, n: int, lam):
-    """Weight multiplicities of the block irreducible, as sorted items."""
+    """Dominant weights of the block irreducible with their multiplicities,
+    as sorted items.
+
+    The dominant weights are the closure of ``lam`` under subtracting a
+    positive root while staying dominant (Stembridge).  Freudenthal's
+    recursion visits them by decreasing pairing with rho, which is positive
+    on every positive root, so each ``mu + k*alpha`` it reads, taken at its
+    dominant representative, is known before ``mu``."""
     pos = _positive_roots(series, n)
     if not pos:
         return ((lam, 1),)
-    simples = _simple_roots(series, n)
+    doms, todo = {lam}, [lam]
+    while todo:
+        w = todo.pop()
+        for a in pos:
+            v = _sub(w, a)
+            if v not in doms and _is_dominant_block(series, v):
+                doms.add(v)
+                todo.append(v)
     rho = _rho(series, n)
     lam_rho = _add(lam, rho)
     top_norm = _dot(lam_rho, lam_rho)
     lam_norm = _dot(lam, lam)
+    order = sorted(doms, key=lambda v: (_dot(v, rho), v), reverse=True)
     mults = {lam: 1}
-    current = [lam]
-    while current:
-        candidates = set()
-        for w in current:
-            for a in simples:
-                candidates.add(_sub(w, a))
-        level = []
-        for mu in sorted(candidates):
-            if mu in mults:
-                continue
-            num = 0
-            for a in pos:
-                k = 1
-                while True:
-                    hi = _add(mu, tuple(k * c for c in a))
-                    if _dot(hi, hi) > lam_norm:
-                        break
-                    m = mults.get(hi, 0)
-                    if m:
-                        num += _dot(hi, a) * m
-                    k += 1
-            if num == 0:
-                continue
-            denom = top_norm - _dot(_add(mu, rho), _add(mu, rho))
-            if denom <= 0:
-                raise InternalCheckError("Freudenthal denominator must be positive off the top weight")
-            q, r = divmod(2 * num, denom)
-            if r or q <= 0:
-                raise InternalCheckError(f"Freudenthal multiplicity of {mu} is {2 * num}/{denom}")
-            mults[mu] = q
-            level.append(mu)
-        current = level
-    if sum(mults.values()) != _block_weyl_dim(series, n, lam):
+    for mu in order[1:]:
+        num = 0
+        for a in pos:
+            hi = _add(mu, a)
+            while _dot(hi, hi) <= lam_norm:
+                num += _dot(hi, a) * mults.get(_dominant_rep(series, hi), 0)
+                hi = _add(hi, a)
+        denom = top_norm - _dot(_add(mu, rho), _add(mu, rho))
+        if denom <= 0:
+            raise InternalCheckError("Freudenthal denominator must be positive off the top weight")
+        q, r = divmod(2 * num, denom)
+        if r or q <= 0:
+            raise InternalCheckError(f"Freudenthal multiplicity of {mu} is {2 * num}/{denom}")
+        mults[mu] = q
+    if sum(m * _orbit_size(series, mu) for mu, m in mults.items()) != _block_weyl_dim(series, n, lam):
         raise InternalCheckError(
             f"Freudenthal multiplicities of {lam} for {series}{n} miss the Weyl dimension"
         )
     return tuple(sorted(mults.items()))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _block_weights(series: str, n: int, lam):
+    """Every weight of the block irreducible with its multiplicity, as
+    sorted items: the W-orbits of its dominant weights."""
+    return tuple(sorted((w, m) for mu, m in _block_irr(series, n, lam) for w in _orbit(series, mu)))
+
+
+def _require_dominant(f: Factor, lam):
+    if not _is_dominant_block(f.series, lam):
+        raise NotDominantError(f"{lam} is not dominant for {f.series}{f.n}")
+
+
 def weyl_dim(rd: RootDatum, highest: Weight) -> int:
     blocks, _ = rd.split(highest)
     out = 1
     for f, lam in zip(rd.factors, blocks):
+        _require_dominant(f, lam)
         out *= _block_weyl_dim(f.series, f.n, lam)
     return out
 
 
 def _irr_parts(rd: RootDatum, highest: Weight):
-    """Block weight tables and central part of the irreducible with the
-    given highest weight, after the bound and dominance checks."""
+    """``(series, n, lam)`` of each block and the central part of the
+    irreducible with the given highest weight, after the bound and
+    dominance checks."""
     blocks, central = rd.split(highest)
     for f, lam in zip(rd.factors, blocks):
         if f.n > MAX_BLOCK_RANK:
             raise BoundExceededError(f"block rank {f.n} exceeds {MAX_BLOCK_RANK}")
-        if not _is_dominant_block(f.series, lam):
-            raise NotDominantError(f"{lam} is not dominant for {f.series}{f.n}")
+        _require_dominant(f, lam)
     if sum(abs(x) for b in blocks for x in b) > MAX_WEIGHT_NORM:
         raise BoundExceededError(f"|highest|_1 exceeds {MAX_WEIGHT_NORM}")
-    return [_block_irr(f.series, f.n, lam) for f, lam in zip(rd.factors, blocks)], central
+    return [(f.series, f.n, lam) for f, lam in zip(rd.factors, blocks)], central
 
 
 def _product(parts, central):
@@ -372,24 +426,20 @@ def _product(parts, central):
 
 def irr_char(rd: RootDatum, highest) -> WeightChar:
     """Full weight multiset of the irreducible with the given highest weight."""
-    highest = tuple(int(x) for x in highest)
+    blocks, central = _irr_parts(rd, tuple(int(x) for x in highest))
     # _product keys are int tuples and its multiplicities positive ints
-    return WeightChar._of(_product(*_irr_parts(rd, highest)))
+    return WeightChar._of(_product([_block_weights(*b) for b in blocks], central))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _dominant_irr(rd: RootDatum, highest: Weight):
     """``(highest, items)``: the dominant weights of the irreducible with
     their multiplicities.  A full weight is dominant exactly when each block
-    part is, so ``items`` is the product of the blocks' dominant entries.
+    part is, so ``items`` is the product of the blocks' dominant tables.
     ``highest`` is the tuple this cache keeps, so decompositions share
     their weight tuples."""
-    parts, central = _irr_parts(rd, highest)
-    dom = [
-        [(v, c) for v, c in part if _is_dominant_block(f.series, v)]
-        for f, part in zip(rd.factors, parts)
-    ]
-    return highest, tuple(_product(dom, central).items())
+    blocks, central = _irr_parts(rd, highest)
+    return highest, tuple(_product([_block_irr(*b) for b in blocks], central).items())
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -4,7 +4,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pelkit.characters import (
@@ -18,9 +18,12 @@ from pelkit.characters import (
     RootDatum,
     TorusMap,
     WeightChar,
-    _irr_parts,
+    _block_irr,
+    _block_weights,
+    _block_weyl_dim,
     _is_dominant_block,
-    _product,
+    _orbit,
+    _orbit_size,
     add_chars,
     decompose,
     dual,
@@ -31,6 +34,10 @@ from pelkit.characters import (
     tensor,
     weyl_dim,
 )
+from pelkit.errors import InternalCheckError
+
+from freudenthal_oracle import block_irr as oracle_block_irr
+from freudenthal_oracle import irr_char_items as oracle_irr_char_items
 
 
 def trivial_char(rank: int) -> WeightChar:
@@ -177,6 +184,7 @@ def test_freudenthal_matches_dimension_formula(series, n):
     for lam in dominant_block_weights(series, n, 4):
         char = irr_char(rd, lam)
         assert char.dim() == oracle_dim(series, lam)
+        assert type(weyl_dim(rd, lam)) is int and weyl_dim(rd, lam) == char.dim()
 
 
 def test_c2_standard_character():
@@ -494,6 +502,7 @@ def test_character_caches_are_bounded():
     from pelkit import characters
 
     assert characters._block_irr.cache_info().maxsize == CACHE_SIZE
+    assert characters._block_weights.cache_info().maxsize == CACHE_SIZE
     assert characters._dominant_irr.cache_info().maxsize == CACHE_SIZE
     assert characters._constituent.cache_info().maxsize == CACHE_SIZE
 
@@ -644,7 +653,7 @@ def test_of_built_and_init_built_characters_agree():
 
 def _assert_irr_char_matches_init_built(rd, lam):
     got = irr_char(rd, lam)
-    want = WeightChar(_product(*_irr_parts(rd, tuple(int(x) for x in lam))))
+    want = WeightChar(oracle_irr_char_items(rd, lam))
     assert got == want and hash(got) == hash(want)
     assert list(got.items()) == list(want.items())
     assert all(type(c) is int and c > 0 and all(type(x) is int for x in w) for w, c in got.items())
@@ -659,6 +668,47 @@ def test_property_irr_char_of_built_matches_init_built(case):
 def test_irr_char_of_built_on_c4_and_non_int_highest():
     _assert_irr_char_matches_init_built(RootDatum((Factor("C", 4),), 0), (4, 2, 1, 1))
     _assert_irr_char_matches_init_built(C2, (Fraction(2), True, -1))
+
+
+# -- dominant-weight Freudenthal against the full-weight oracle -----------------
+
+
+@st.composite
+def dominant_blocks(draw):
+    """(series, n, lam): a block of rank n <= 4 and a dominant lam with
+    |lam|_1 <= 6; A weights may be negative, D weights may end negative."""
+    series = draw(st.sampled_from("ACD"))
+    n = draw(st.integers(1, 4))
+    v = _cap_norm(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)), 6)
+    return series, n, _dominantize_block(series, v)
+
+
+@PROPERTY_SETTINGS
+@given(dominant_blocks())
+@example(("A", 3, (2, 0, -3)))
+@example(("A", 4, (0, -1, -2, -3)))
+@example(("D", 3, (2, 1, -1)))
+@example(("D", 4, (2, 1, 1, -1)))
+@example(("C", 4, (3, 1, 1, 1)))
+def test_property_block_irr_matches_oracle(case):
+    want = oracle_block_irr(*case)
+    series = case[0]
+    assert _block_irr(*case) == tuple((w, m) for w, m in want if _is_dominant_block(series, w))
+    assert _block_weights(*case) == want  # items and order
+    for mu, _ in _block_irr(*case):
+        orbit = _orbit(series, mu)
+        assert len(set(orbit)) == len(orbit) == _orbit_size(series, mu)
+
+
+def test_weyl_dim_rejects_non_dominant():
+    a2 = RootDatum((Factor("A", 2),), 0)
+    for rd, w in ((C2, (-4, -2, 0)), (C2, (0, 1, 0)), (a2, (-2, 2))):
+        with pytest.raises(NotDominantError):
+            weyl_dim(rd, w)
+    # the integer Weyl product is 0 or negative off the dominant chamber
+    for series, lam in (("C", (0, 1)), ("A", (-2, 2))):
+        with pytest.raises(InternalCheckError):
+            _block_weyl_dim(series, 2, lam)
 
 
 @st.composite

@@ -44,6 +44,18 @@ def _commands():
         out.append((f"admissible-{name}", ["admissible", "--morphism", f"{EXAMPLES}/{name}.json"]))
     for seed in (0, 5):
         out.append((f"isofun-check-seed{seed}", ["isofun", "check", "--trials", "50", "--seed", str(seed)]))
+    for name, series, tensor in (
+        ("C3-std4", "C3", "std,std,std,std"),
+        ("D4-std3", "D4", "std,std,std"),
+        ("A4-std-dual", "A4", "std,dual(std)"),
+    ):
+        out.append((f"rep-decompose-{name}", ["rep", "decompose", "--type", series, "--tensor", tensor]))
+    out.append(
+        (
+            "hodge-irr-gsp8_tensor",
+            ["hodge", "--datum", f"{EXAMPLES}/gsp8_tensor.json", "--rep", '{"highest": [2,1,0,0,1]}'],
+        )
+    )
     return out
 
 

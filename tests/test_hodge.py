@@ -189,18 +189,25 @@ def test_internal_checks_survive_python_O():
         "    auto_cochar(broken)\n"
         "except InternalCheckError:\n"
         "    caught.append('auto_cochar')\n"
+        "weyl_dim = characters._block_weyl_dim\n"
         "characters._block_weyl_dim = lambda series, n, lam: 0\n"
         "try:\n"
         "    characters._block_irr.__wrapped__('C', 2, (1, 1))\n"
         "except InternalCheckError:\n"
         "    caught.append('freudenthal')\n"
+        "characters._block_weyl_dim = weyl_dim\n"
+        "characters._orbit_size = lambda series, mu: 0\n"
+        "try:\n"
+        "    characters._block_irr.__wrapped__('C', 2, (1, 1))\n"
+        "except InternalCheckError:\n"
+        "    caught.append('orbit_size')\n"
         "print(','.join(caught))\n"
     )
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "auto_cochar,freudenthal"
+    assert proc.stdout.strip() == "auto_cochar,freudenthal,orbit_size"
 
 
 # -- Hodge types from the highest weight against full characters ----------------
