@@ -23,12 +23,12 @@ dominant representative; the multiplicities weighted by Weyl orbit sizes
 are cross-checked against the Weyl dimension formula on every call.  Only
 ``irr_char`` expands the orbits into full weight tables.
 
-A character is decomposed after one exact W-invariance check (every Weyl
-generator preserves every multiplicity): a W-invariant character is fixed
-by its dominant weights, so the peeling runs on those alone and subtracts
-only the dominant part of each irreducible.  The check skips the weights
-a generator fixes: a swap of two equal coordinates, a C sign flip of a zero
-last coordinate, a D double flip of two zero last coordinates.
+The Weyl group is described once: every weight is W-conjugate to exactly
+one dominant weight, ``_dominant_rep``, and ``_orbit_size`` counts its
+orbit.  ``decompose`` groups a character's weights by that representative:
+it is W-invariant exactly when each group has one multiplicity and fills
+its orbit, and is then fixed by its dominant weights, so the peeling
+subtracts only the dominant part of each irreducible.
 
 ``tensor`` forms the full product in one loop, first factor outer, and
 wraps the sums without re-normalising them.
@@ -68,6 +68,17 @@ class BoundExceededError(OutOfScopeError):
 
 class UnsupportedTypeError(ValueError):
     pass
+
+
+def _as_int(x, error):
+    """x, not of type int, as an int; ``error`` unless it equals one."""
+    if x != int(x):
+        raise error(f"{x!r} is not an integer")
+    return int(x)
+
+
+def _int_tuple(w, error):
+    return tuple([x if type(x) is int else _as_int(x, error) for x in w])
 
 
 Weight = tuple  # tuple[int, ...]
@@ -130,7 +141,8 @@ class WeightChar:
         m = {}
         for w, c in dict(mapping).items():
             if c:
-                m[tuple(int(x) for x in w)] = int(c)
+                c = c if type(c) is int else _as_int(c, NotACharacterError)
+                m[_int_tuple(w, NotACharacterError)] = c
         object.__setattr__(self, "_m", m)
         object.__setattr__(self, "_hash", None)
 
@@ -194,10 +206,7 @@ def standard_char(rd: RootDatum, mults) -> WeightChar:
     for (_, a, b), mult in zip(rd.block_slices(), mults, strict=True):
         for i in range(a, b):
             for sign in (1, -1):
-                w = [0] * total
-                w[i] = sign
-                w[-1] = 1
-                acc[tuple(w)] = mult
+                acc[_e(total - 1, i, sign) + (1,)] = mult
     return WeightChar(acc)
 
 
@@ -249,18 +258,6 @@ def _dot(u, v):
     return sum(map(operator.mul, u, v))
 
 
-def _is_dominant_block(series: str, v) -> bool:
-    n = len(v)
-    if any(v[i] < v[i + 1] for i in range(n - 2)):
-        return False
-    if series == "A":
-        return n < 2 or v[-2] >= v[-1]
-    if series == "C":
-        return (n < 2 or v[-2] >= v[-1]) and v[-1] >= 0
-    # D
-    return n < 2 or v[-2] >= abs(v[-1])
-
-
 # -- irreducible characters ----------------------------------------------------
 
 
@@ -286,6 +283,10 @@ def _dominant_rep(series: str, v):
     if series == "D" and d[-1] and sum(x < 0 for x in v) % 2:
         d[-1] = -d[-1]
     return tuple(d)
+
+
+def _is_dominant_block(series: str, v) -> bool:
+    return _dominant_rep(series, v) == tuple(v)
 
 
 def _orbit_size(series: str, mu) -> int:
@@ -389,7 +390,7 @@ def _require_dominant(f: Factor, lam):
 
 
 def weyl_dim(rd: RootDatum, highest: Weight) -> int:
-    blocks, _ = rd.split(highest)
+    blocks, _ = rd.split(_int_tuple(highest, NotDominantError))
     out = 1
     for f, lam in zip(rd.factors, blocks):
         _require_dominant(f, lam)
@@ -417,16 +418,13 @@ def _product(parts, central):
     acc = {}
     for combo in itertools.product(*parts):
         w = tuple(x for piece, _ in combo for x in piece) + central
-        m = 1
-        for _, c in combo:
-            m *= c
-        acc[w] = m
+        acc[w] = math.prod(c for _, c in combo)
     return acc
 
 
 def irr_char(rd: RootDatum, highest) -> WeightChar:
     """Full weight multiset of the irreducible with the given highest weight."""
-    blocks, central = _irr_parts(rd, tuple(int(x) for x in highest))
+    blocks, central = _irr_parts(rd, _int_tuple(highest, NotDominantError))
     # _product keys are int tuples and its multiplicities positive ints
     return WeightChar._of(_product([_block_weights(*b) for b in blocks], central))
 
@@ -472,66 +470,36 @@ def dual(x: WeightChar) -> WeightChar:
     return WeightChar({tuple(-c for c in w): m for w, m in x.items()})
 
 
-def _check_weyl_symmetric(rd: RootDatum, x: WeightChar):
-    """Raise unless every Weyl generator preserves every multiplicity of x.
-    The generators act in place on one list copy of each weight."""
-    swaps, flips, double_flips = [], [], []
-    for f, a, b in rd.block_slices():
-        swaps.extend(range(a, b - 1))
-        if f.series == "C":
-            flips.append(b - 1)
-        elif f.series == "D" and f.n >= 2:
-            double_flips.append(b - 2)
-    mult = x._m.get
-    for w, m in x.items():
-        v = list(w)
-        for i in swaps:
-            a, b = v[i], v[i + 1]
-            if a != b:
-                v[i], v[i + 1] = b, a
-                if mult(tuple(v)) != m:
-                    raise _asymmetric(w)
-                v[i], v[i + 1] = a, b
-        for i in flips:
-            if v[i]:
-                v[i] = -v[i]
-                if mult(tuple(v)) != m:
-                    raise _asymmetric(w)
-                v[i] = -v[i]
-        for i in double_flips:
-            if v[i] or v[i + 1]:
-                v[i], v[i + 1] = -v[i], -v[i + 1]
-                if mult(tuple(v)) != m:
-                    raise _asymmetric(w)
-                v[i], v[i + 1] = -v[i], -v[i + 1]
-
-
-def _asymmetric(w):
-    return NotACharacterError(f"support is not Weyl-symmetric at {w}")
-
-
 def decompose(rd: RootDatum, x: WeightChar, genuine: bool = True):
     """Peel a Weyl-symmetric character into irreducible constituents.
 
-    The character is first checked to be invariant under every Weyl
-    generator; an asymmetric one raises ``NotACharacterError``.  The peeling
-    then runs on the dominant weights alone: it repeatedly removes the
-    lexicographically largest remaining dominant weight together with the
-    dominant part of its irreducible.  With ``genuine=True`` a negative
-    peeled multiplicity raises; with ``genuine=False`` signed constituent
-    lists are returned.
+    One pass keys each weight by the dominant representatives of its block
+    parts, then its central part.  Zero multiplicities are never stored, so
+    x is W-invariant exactly when each key is seen with one multiplicity
+    and as often as its orbit is large, else ``NotACharacterError``.  The
+    peeling runs on the keys, the dominant weights: it repeatedly removes
+    the lexicographically largest remaining one with the dominant part of
+    its irreducible.  With ``genuine=True`` a negative peeled multiplicity
+    raises; with ``genuine=False`` signed constituent lists are returned.
     """
     rank = rd.total_rank
     if any(len(w) != rank for w in x.support()):
         raise RankMismatchError("character rank does not match the root datum")
-    _check_weyl_symmetric(rd, x)
     # block slices are computed once, not once per weight
     slices = [(f.series, a, b) for f, a, b in rd.block_slices()]
-    work = {
-        w: m
-        for w, m in x.items()
-        if all(_is_dominant_block(series, w[a:b]) for series, a, b in slices)
-    }
+    centre = rank - rd.central_rank
+    work, seen = {}, {}
+    for w, m in x.items():
+        key = ()
+        for series, a, b in slices:
+            key += _dominant_rep(series, w[a:b])
+        key += w[centre:]
+        if work.setdefault(key, m) != m:
+            raise NotACharacterError(f"support is not Weyl-symmetric at {w}")
+        seen[key] = seen.get(key, 0) + 1
+    for key, k in seen.items():
+        if k != math.prod(_orbit_size(series, key[a:b]) for series, a, b in slices):
+            raise NotACharacterError(f"support is not Weyl-symmetric at {key}")
     out = []
     while work:
         best = max(work)
@@ -589,14 +557,8 @@ class TorusMap:
         """Pullback along (self after inner) on groups: inner pulls what self produced."""
         if inner.target_rank != self.source_rank:
             raise RankMismatchError("torus maps are not composable")
-        rows = tuple(
-            tuple(
-                sum(inner.weight_pullback[i][k] * self.weight_pullback[k][j] for k in range(self.source_rank))
-                for j in range(self.target_rank)
-            )
-            for i in range(inner.source_rank)
-        )
-        return TorusMap(rows)
+        cols = tuple(zip(*self.weight_pullback))
+        return TorusMap(tuple(tuple(_dot(row, col) for col in cols) for row in inner.weight_pullback))
 
 
 def restrict(x: WeightChar, f: TorusMap) -> WeightChar:

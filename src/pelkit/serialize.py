@@ -139,12 +139,14 @@ def algebra_from_json(obj, path: str = "algebra") -> AlgebraPresentation:
             kind = _require(f, "kind", fpath, str)
             if kind not in (MAT_Q, MAT_IMAG_QUAD, MAT_DEF_QUAT):
                 raise SchemaError(fpath, f"unknown kind {kind!r}")
+            n = _require(f, "n", fpath, int)
+            multiplicity = _require(f, "multiplicity", fpath, int)
             try:
                 catalog.append(
                     CatalogFactor(
                         kind=kind,
-                        n=_require(f, "n", fpath, int),
-                        multiplicity=_require(f, "multiplicity", fpath, int),
+                        n=n,
+                        multiplicity=multiplicity,
                         d=f.get("d", 0),
                         a=f.get("a", 0),
                         b=f.get("b", 0),
@@ -205,11 +207,16 @@ def root_datum_from_json(obj, path: str = "root_datum") -> RootDatum:
     out = []
     for i, f in enumerate(factors):
         fpath = f"{path}.factors[{i}]"
+        series, n = _require(f, "series", fpath, str), _require(f, "n", fpath, int)
         try:
-            out.append(Factor(_require(f, "series", fpath, str), _require(f, "n", fpath, int)))
+            out.append(Factor(series, n))
         except ValueError as exc:
             raise SchemaError(fpath, str(exc))
-    return RootDatum(tuple(out), central_rank=_require(obj, "central_rank", path, int))
+    central_rank = _require(obj, "central_rank", path, int)
+    try:
+        return RootDatum(tuple(out), central_rank=central_rank)
+    except ValueError as exc:
+        raise SchemaError(path, str(exc))
 
 
 def char_to_json(x: WeightChar):
@@ -255,12 +262,10 @@ def morphism_from_json(obj, path: str = "morphism") -> MorphismSpec:
     pullback = _require(obj, "weight_pullback", path, list)
     if not all(isinstance(r, list) and all(_is_int(x) for x in r) for r in pullback):
         raise SchemaError(f"{path}.weight_pullback", "expected an integer matrix")
+    source = _side_from_json(_require(obj, "source", path), f"{path}.source")
+    target = _side_from_json(_require(obj, "target", path), f"{path}.target")
     try:
-        return MorphismSpec(
-            source=_side_from_json(_require(obj, "source", path), f"{path}.source"),
-            target=_side_from_json(_require(obj, "target", path), f"{path}.target"),
-            torus_map=TorusMap(tuple(tuple(r) for r in pullback)),
-        )
+        return MorphismSpec(source=source, target=target, torus_map=TorusMap(tuple(tuple(r) for r in pullback)))
     except ValueError as exc:
         raise SchemaError(path, str(exc))
 

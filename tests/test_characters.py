@@ -1,3 +1,4 @@
+import ast
 import itertools
 import random
 from collections import defaultdict
@@ -30,7 +31,6 @@ from pelkit.characters import (
     irr_char,
     restrict,
     standard_char,
-    _check_weyl_symmetric,
     tensor,
     weyl_dim,
 )
@@ -76,12 +76,25 @@ def weyl_generator_maps(rd: RootDatum):
             maps.append(flip2)
     return maps
 
-# Whole-weight dominance helpers: pelkit itself filters block slices inline.
+# Whole-weight dominance helpers, built on the chamber inequalities rather
+# than on pelkit's dominant representatives.
+
+
+def oracle_is_dominant_block(series: str, v) -> bool:
+    n = len(v)
+    if any(v[i] < v[i + 1] for i in range(n - 2)):
+        return False
+    if series == "A":
+        return n < 2 or v[-2] >= v[-1]
+    if series == "C":
+        return (n < 2 or v[-2] >= v[-1]) and v[-1] >= 0
+    # D
+    return n < 2 or v[-2] >= abs(v[-1])
 
 
 def is_dominant(rd: RootDatum, w) -> bool:
     blocks, _ = rd.split(w)
-    return all(_is_dominant_block(f.series, b) for f, b in zip(rd.factors, blocks))
+    return all(oracle_is_dominant_block(f.series, b) for f, b in zip(rd.factors, blocks))
 
 
 def _dominantize_block(series: str, v):
@@ -693,7 +706,7 @@ def dominant_blocks(draw):
 def test_property_block_irr_matches_oracle(case):
     want = oracle_block_irr(*case)
     series = case[0]
-    assert _block_irr(*case) == tuple((w, m) for w, m in want if _is_dominant_block(series, w))
+    assert _block_irr(*case) == tuple((w, m) for w, m in want if oracle_is_dominant_block(series, w))
     assert _block_weights(*case) == want  # items and order
     for mu, _ in _block_irr(*case):
         orbit = _orbit(series, mu)
@@ -737,18 +750,71 @@ def _check_outcome(check, rd, x):
     return None
 
 
+def _signed_decompose(rd, x):
+    decompose(rd, x, genuine=False)
+
+
+def _assert_asymmetric_witness(rd, x, message):
+    """The weight named by ``message`` has a W-orbit on which x is not
+    constant: partly supported, or with unequal multiplicities."""
+    prefix = "support is not Weyl-symmetric at "
+    assert message.startswith(prefix)
+    w = ast.literal_eval(message[len(prefix) :])
+    assert len({x.mult(v) for v in weyl_orbit(rd, w)}) > 1
+
+
 @PROPERTY_SETTINGS
 @given(perturbed_chars())
 def test_property_weyl_check_matches_generator_maps(case):
     rd, x = case
-    assert _check_outcome(_check_weyl_symmetric, rd, x) == _check_outcome(oracle_check_weyl_symmetric, rd, x)
+    got = _check_outcome(_signed_decompose, rd, x)
+    want = _check_outcome(oracle_check_weyl_symmetric, rd, x)
+    assert (got is None) == (want is None)
+    if got is not None:
+        _assert_asymmetric_witness(rd, x, got)
 
 
 def test_weyl_check_on_d_weights_with_one_zero():
     d3 = RootDatum((Factor("D", 3),), 1)
     for w in ((1, 1, 0, 0), (1, 0, 1, 0), (2, 0, -1, 1)):
         x = WeightChar({v: 1 for v in weyl_orbit(d3, w)})
-        assert _check_outcome(_check_weyl_symmetric, d3, x) is None
+        assert _check_outcome(_signed_decompose, d3, x) is None
         half = WeightChar({v: 1 for v in weyl_orbit(d3, w) if v[1] >= 0 and v[2] >= 0})
-        got = _check_outcome(_check_weyl_symmetric, d3, half)
-        assert got is not None and got == _check_outcome(oracle_check_weyl_symmetric, d3, half)
+        got = _check_outcome(_signed_decompose, d3, half)
+        assert got is not None and _check_outcome(oracle_check_weyl_symmetric, d3, half) is not None
+        _assert_asymmetric_witness(d3, half, got)
+
+
+def test_is_dominant_block_matches_chamber_inequalities():
+    for series in "ACD":
+        for n in range(1, 5):
+            for v in itertools.product(range(-2, 3), repeat=n):
+                assert _is_dominant_block(series, v) == oracle_is_dominant_block(series, v), (series, v)
+    h = Fraction(1, 2)
+    for v in (
+        (Fraction(5, 2), h),
+        (h, -h),
+        (-h, h),
+        (Fraction(2), True, False),
+        (True, True, -1),
+        (False, True),
+        (Fraction(3, 2), Fraction(3, 2), Fraction(-3, 2)),
+        (Fraction(-1, 3),),
+    ):
+        for series in "ACD":
+            assert _is_dominant_block(series, v) == oracle_is_dominant_block(series, v), (series, v)
+
+
+def test_non_integral_entries_are_rejected():
+    h = Fraction(1, 2)
+    with pytest.raises(NotDominantError):
+        irr_char(C2, (Fraction(5, 2), 0, 1))
+    with pytest.raises(NotDominantError):
+        weyl_dim(C2, (Fraction(5, 2), 0, 1))
+    for bad in ({(h, 0): Fraction(3, 2)}, {(h, 0): 1}, {(1, 0): Fraction(3, 2)}, {(0, 0.5): 1}):
+        with pytest.raises(NotACharacterError):
+            WeightChar(bad)
+    # entries that equal an int keep working
+    assert WeightChar({(Fraction(2), True): Fraction(4, 2)}) == WeightChar({(2, 1): 2})
+    assert irr_char(C2, (Fraction(2), True, 1)) == irr_char(C2, (2, 1, 1))
+    assert weyl_dim(C2, (Fraction(2), True, 1.0)) == weyl_dim(C2, (2, 1, 1))

@@ -48,6 +48,7 @@ def _commands():
         ("C3-std4", "C3", "std,std,std,std"),
         ("D4-std3", "D4", "std,std,std"),
         ("A4-std-dual", "A4", "std,dual(std)"),
+        ("C2xA2-std-dual-std", "C2xA2", "std,dual(std),std"),
     ):
         out.append((f"rep-decompose-{name}", ["rep", "decompose", "--type", series, "--tensor", tensor]))
     out.append(

@@ -168,3 +168,59 @@ def test_matrix_entry_error_path_with_repeated_entries():
         assert err.value.path == "m[1][1]"
     again = serialize.matrix_from_json([["1/2", "1", "1/2"], ["1", "1/2", "-3"]], "m")
     assert again == Matrix([[Fraction(1, 2), 1, Fraction(1, 2)], [1, Fraction(1, 2), -3]])
+
+
+def _doc(name):
+    with open(os.path.join(DOCS, f"{name}.json"), "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _nested_schema_cases():
+    """(command, file name, broken JSON, expected path, expected message):
+    each error is raised below the top-level parser and reported once, at
+    the innermost path that names it."""
+    no_n = _doc("gu11")
+    del no_n["algebra"]["factors"][0]["n"]
+    series_b = _doc("det_twist_morphism")
+    series_b["source"]["root_datum"]["factors"][0]["series"] = "B"
+    negative_centre = _doc("det_twist_morphism")
+    negative_centre["source"]["root_datum"]["central_rank"] = -1
+    return [
+        ("validate", "datum.json", no_n, "datum.algebra.factors[0]", "missing key 'n'"),
+        (
+            "admissible",
+            "morphism.json",
+            series_b,
+            "morphism.source.root_datum.factors[0]",
+            "unknown series 'B'",
+        ),
+        (
+            "admissible",
+            "morphism.json",
+            negative_centre,
+            "morphism.source.root_datum",
+            "central_rank must be >= 0",
+        ),
+    ]
+
+
+def test_nested_schema_errors_are_wrapped_once():
+    for command, _, obj, path, message in _nested_schema_cases():
+        load = serialize.datum_from_json if command == "validate" else serialize.morphism_from_json
+        with pytest.raises(serialize.SchemaError) as err:
+            load(obj)
+        assert err.value.path == path
+        assert str(err.value) == f"{path}: {message}"
+
+
+def test_nested_schema_errors_on_the_command_line(tmp_path, capsys):
+    from pelkit.cli import main
+
+    for command, name, obj, path, message in _nested_schema_cases():
+        file = tmp_path / name
+        file.write_text(json.dumps(obj), encoding="utf-8")
+        flag = [str(file)] if command == "validate" else ["--morphism", str(file)]
+        assert main([command, *flag]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"schema error: {path}: {message}\n"
