@@ -6,6 +6,9 @@ lists (action matrix, star-image matrix) and support only axiom checking.
 Structured presentations are built from a catalog of simple factors --
 matrix algebras over Q, over an imaginary quadratic field, or over a
 definite quaternion algebra -- and additionally support classification.
+A structured presentation stores its catalog factors and the basis of V
+in catalog coordinates that a base change moved them by; classification
+reads each factor's isotypic block back in catalog coordinates.
 The catalog covers exactly the simple real types that admit a positive
 involution; centres are restricted to Q and imaginary quadratic fields,
 quaternion algebras to definite ones (a, b < 0).
@@ -13,7 +16,7 @@ quaternion algebras to definite ones (a, b < 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
 
@@ -106,21 +109,21 @@ def _coeff_generators(factor: CatalogFactor):
 
 
 @dataclass(frozen=True)
-class FactorBlock:
-    """A catalog factor embedded into End(V): generator pairs plus the
-    distinguished elements used downstream for classification."""
-
-    factor: CatalogFactor
-    generators: tuple  # tuple[(Matrix, Matrix), ...] acting on all of V
-    unit_action: Matrix  # image of the factor's identity element
-    center_action: Matrix | None  # image of central sqrt(d), imaginary quadratic only
-
-
-@dataclass(frozen=True)
 class AlgebraPresentation:
+    """Generators of an algebra acting on V, each with its star image.
+
+    A structured presentation is its catalog factors plus ``basis``, the
+    basis of V in catalog coordinates (``None`` while canonical): the
+    generators are those of ``from_catalog`` moved by that basis.  ``==``
+    and hashing compare the generators only.  Two bases that give equal
+    generators differ by an element of the commutant, which preserves each
+    isotypic block and commutes with the centre, so they classify alike.
+    """
+
     dim_v: int
     generators: tuple  # tuple[(Matrix, Matrix), ...]
-    factors: tuple = ()  # tuple[FactorBlock, ...]; empty means raw mode
+    factors: tuple = ()  # tuple[CatalogFactor, ...]; empty means raw mode
+    basis: Matrix | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for act, star in self.generators:
@@ -141,14 +144,12 @@ class AlgebraPresentation:
     def from_catalog(factors) -> "AlgebraPresentation":
         factors = tuple(factors)
         dim_v = sum(f.isotypic_dim for f in factors)
-        blocks = []
         all_gens = []
         offset = 0
         for f in factors:
             dd = f.coeff_dim
             md = f.module_dim
             coeff = [(lx.numerators, conj.numerators) for lx, conj in _coeff_generators(f)]
-            gens = []
 
             def embed(small, offset=offset, f=f, md=md) -> Matrix:
                 rows = [[0] * dim_v for _ in range(dim_v)]
@@ -158,8 +159,6 @@ class AlgebraPresentation:
                         rows[base + i][base : base + md] = r
                 return Matrix.from_numerators(rows)
 
-            unit_small = Matrix.identity(md).numerators
-            center_small = None
             # E_11 (x) x for x = 1 and the generators of D, then
             # E_{p,p+1} (x) 1 and E_{p+1,p} (x) 1.  They generate M_n(D):
             # E_p1 (E_11 (x) x) E_1q = E_pq (x) x.
@@ -172,43 +171,17 @@ class AlgebraPresentation:
                 for i in range(dd):
                     small[p * dd + i][q * dd : (q + 1) * dd] = lx[i]
                     small_star[q * dd + i][p * dd : (p + 1) * dd] = lx_conj[i]
-                gens.append((embed(small), embed(small_star)))
-            if f.kind == MAT_IMAG_QUAD:
-                s = coeff[1][0]
-                center_small = [[0] * md for _ in range(md)]
-                for p in range(f.n):
-                    for i in range(dd):
-                        center_small[p * dd + i][p * dd : (p + 1) * dd] = s[i]
-            blocks.append(
-                FactorBlock(
-                    factor=f,
-                    generators=tuple(gens),
-                    unit_action=embed(unit_small),
-                    center_action=embed(center_small) if center_small is not None else None,
-                )
-            )
-            all_gens.extend(gens)
+                all_gens.append((embed(small), embed(small_star)))
             offset += f.isotypic_dim
-        return AlgebraPresentation(dim_v, tuple(all_gens), tuple(blocks))
+        return AlgebraPresentation(dim_v, tuple(all_gens), factors)
 
     def conjugate(self, p: Matrix) -> "AlgebraPresentation":
-        """Change of basis on V: every stored matrix A becomes p^-1 A p."""
+        """Change of basis on V: every generator A becomes p^-1 A p, and a
+        structured basis composes with p."""
         pinv = p.inv()
-
-        def c(m: Matrix) -> Matrix:
-            return pinv @ m @ p
-
-        gens = tuple((c(a), c(s)) for a, s in self.generators)
-        blocks = tuple(
-            FactorBlock(
-                factor=blk.factor,
-                generators=tuple((c(a), c(s)) for a, s in blk.generators),
-                unit_action=c(blk.unit_action),
-                center_action=c(blk.center_action) if blk.center_action is not None else None,
-            )
-            for blk in self.factors
-        )
-        return AlgebraPresentation(self.dim_v, gens, blocks)
+        gens = tuple((pinv @ a @ p, pinv @ s @ p) for a, s in self.generators)
+        basis = None if not self.factors else p if self.basis is None else self.basis @ p
+        return AlgebraPresentation(self.dim_v, gens, self.factors, basis)
 
 
 # -- multiplicative closure ------------------------------------------------------

@@ -531,7 +531,7 @@ class TorusMap:
     weight_pullback: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.weight_pullback)
+        rows = tuple(_int_tuple(r, ValueError) for r in self.weight_pullback)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged pullback matrix")
         object.__setattr__(self, "weight_pullback", rows)

@@ -30,6 +30,7 @@ from .characters import (
     RootDatum,
     UnsupportedTypeError,
     WeightChar,
+    _int_tuple,
     irr_char,  # noqa: F401 -- not called here; the benchmark tracer patches this binding
 )
 from .errors import InternalCheckError, OutOfScopeError
@@ -53,9 +54,8 @@ class HodgeCochar:
     kappa2: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "mu2", tuple(int(x) for x in self.mu2))
-        object.__setattr__(self, "mu_bar2", tuple(int(x) for x in self.mu_bar2))
-        object.__setattr__(self, "kappa2", tuple(int(x) for x in self.kappa2))
+        for name in ("mu2", "mu_bar2", "kappa2"):
+            object.__setattr__(self, name, _int_tuple(getattr(self, name), ValueError))
         if len(self.mu2) != len(self.mu_bar2) or len(self.mu2) != len(self.kappa2):
             raise ValueError("covector lengths differ")
         if tuple(a + b for a, b in zip(self.mu2, self.mu_bar2)) != self.kappa2:

@@ -66,7 +66,7 @@ def minimal_n(f: Matrix, src: LatticeObject, dst: LatticeObject) -> int:
         return 1
     if f.rows != dst.dim or f.cols != src.dim:
         raise ShapeMismatchError("map shape does not match the lattices")
-    return (dst.basis_inv @ f @ src.basis).denominator_lcm()
+    return (dst.basis_inv @ f @ src.basis).denominator
 
 
 @dataclass(frozen=True)

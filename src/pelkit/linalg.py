@@ -332,9 +332,6 @@ class Matrix:
             raise ValueError("trace of a non-square matrix")
         return Fraction(sum(r[i] for i, r in enumerate(self.numerators)), self.denominator)
 
-    def denominator_lcm(self) -> int:
-        return self.denominator
-
     def flatten(self):
         den = self.denominator
         return tuple(Fraction(x, den) for r in self.numerators for x in r)

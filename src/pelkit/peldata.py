@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import (
-    MAT_DEF_QUAT,
     MAT_IMAG_QUAD,
     MAT_Q,
     AlgebraPresentation,
+    _coeff_generators,
     check_anti_involution,
     check_positive,
 )
@@ -232,44 +232,45 @@ def _unitary_signature(c: Matrix, j: Matrix, d: int, n: int) -> tuple:
     return a, b
 
 
+def _isotypic_blocks(datum: PelDatum):
+    """Each catalog factor with j on its isotypic block.  In catalog
+    coordinates, basis j basis^-1, factor k acts on a fixed range, and j
+    preserves its block when no entry links that range to the rest of V."""
+    alg = datum.algebra
+    if alg.mode != "structured":
+        raise StructuredModeRequiredError("classification requires a structured presentation")
+    j = datum.j
+    if j.rows != alg.dim_v or j.cols != alg.dim_v:
+        raise DimensionMismatchError("j does not preserve an isotypic block")
+    if alg.basis is not None:
+        j = alg.basis @ j @ alg.basis.inv()
+    rows = j.numerators
+    lo = 0
+    for f in alg.factors:
+        hi = lo + f.isotypic_dim
+        if any(rows[i][c] for i in range(alg.dim_v) if not lo <= i < hi for c in range(lo, hi)):
+            raise DimensionMismatchError("j does not preserve an isotypic block")
+        yield f, Matrix.from_numerators([r[lo:hi] for r in rows[lo:hi]], j.denominator)
+        lo = hi
+
+
 def factorize_details(datum: PelDatum):
     """Per-factor real groups, in catalog order."""
-    if datum.algebra.mode != "structured":
-        raise StructuredModeRequiredError("classification requires a structured presentation")
     out = []
-    total = 0
-    for blk in datum.algebra.factors:
-        f = blk.factor
-        q = blk.unit_action.column_space_basis()
-        dim_f = q.cols
-        total += dim_f
-        try:
-            jf = q.solve(datum.j @ q)
-        except ValueError:
-            raise DimensionMismatchError("j does not preserve an isotypic block")
+    for f, jf in _isotypic_blocks(datum):
         if f.kind == MAT_Q:
-            g, r = divmod(dim_f, 2 * f.n)
+            g, r = divmod(f.isotypic_dim, 2 * f.n)
             if r:
                 raise DimensionMismatchError(
-                    f"isotypic dimension {dim_f} is not divisible by 2n = {2 * f.n}"
+                    f"isotypic dimension {f.isotypic_dim} is not divisible by 2n = {2 * f.n}"
                 )
             out.append(FactorGroup("symplectic", (g,), f.n))
         elif f.kind == MAT_IMAG_QUAD:
-            cf = q.solve(blk.center_action @ q)
+            sqrt_d = _coeff_generators(f)[1][0]
+            cf = Matrix.block_diag(*[sqrt_d] * (f.n * f.multiplicity))
             out.append(FactorGroup("unitary", _unitary_signature(cf, jf, f.d, f.n), f.n))
-        elif f.kind == MAT_DEF_QUAT:
-            r, rem = divmod(dim_f, 4 * f.n)
-            if rem:
-                raise DimensionMismatchError(
-                    f"isotypic dimension {dim_f} is not divisible by 4n = {4 * f.n}"
-                )
-            out.append(FactorGroup("orthogonal", (r,), f.n))
-        else:
-            raise ValueError(f"unknown catalog kind {f.kind!r}")
-    if total != datum.dim_v:
-        raise DimensionMismatchError(
-            f"isotypic dimensions sum to {total}, expected {datum.dim_v}"
-        )
+        else:  # MAT_DEF_QUAT: the block is (H^n)^multiplicity
+            out.append(FactorGroup("orthogonal", (f.multiplicity,), f.n))
     return tuple(out)
 
 

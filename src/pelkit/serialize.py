@@ -102,15 +102,13 @@ def algebra_to_json(alg: AlgebraPresentation):
     a base-changed structured presentation raises ``ValueError`` rather
     than reload as a different algebra."""
     if alg.mode == "structured":
-        catalog = tuple(blk.factor for blk in alg.factors)
-        if alg.generators != AlgebraPresentation.from_catalog(catalog).generators:
+        if alg.generators != AlgebraPresentation.from_catalog(alg.factors).generators:
             raise ValueError(
                 "structured algebra is not in its catalog basis (base-changed?); "
                 "only its catalog factors would be written"
             )
         factors = []
-        for blk in alg.factors:
-            f = blk.factor
+        for f in alg.factors:
             entry = {"kind": f.kind, "n": f.n, "multiplicity": f.multiplicity}
             if f.kind == MAT_IMAG_QUAD:
                 entry["d"] = f.d

@@ -597,6 +597,15 @@ def test_torus_map_composition():
     assert composed.pull(w) == f.pull(g.pull(w))
 
 
+def test_torus_map_rejects_non_integral_entries():
+    with pytest.raises(ValueError, match="not an integer"):
+        TorusMap(((Fraction(1, 2), 1),))
+    with pytest.raises(ValueError, match="not an integer"):
+        TorusMap(((1, 0), (0, 1.5)))
+    exact = TorusMap(((Fraction(2), 1),)).weight_pullback
+    assert exact == ((2, 1),) and type(exact[0][0]) is int
+
+
 # -- the fast tensor and W-invariance check against their slow forms ------------
 
 

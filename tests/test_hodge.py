@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -87,6 +88,15 @@ def test_tensor_bidegrees_recomputed():
 def test_cochar_invariant_checked():
     with pytest.raises(ValueError):
         HodgeCochar((1, 1), (0, 0), (0, 2))
+
+
+def test_cochar_rejects_non_integral_entries():
+    with pytest.raises(ValueError, match="not an integer"):
+        HodgeCochar((Fraction(3, 2),), (Fraction(-1, 2),), (1,))
+    with pytest.raises(ValueError, match="not an integer"):
+        HodgeCochar((1,), (1,), (2.5,))
+    hc = HodgeCochar((Fraction(2),), (0,), (Fraction(2),))
+    assert (hc.mu2, hc.kappa2) == ((2,), (2,)) and type(hc.mu2[0]) is int
 
 
 def test_half_integral_pairing_rejected():

@@ -1,9 +1,18 @@
 import random
+from fractions import Fraction
 
 import pytest
+from classify_oracle import oracle_factorize_details
 from gauss_oracle import simult_eigensplit
 
-from pelkit.algebras import MAT_IMAG_QUAD, MAT_Q, AlgebraPresentation, CatalogFactor
+from pelkit.algebras import (
+    MAT_DEF_QUAT,
+    MAT_IMAG_QUAD,
+    MAT_Q,
+    AlgebraPresentation,
+    CatalogFactor,
+    _coeff_generators,
+)
 from pelkit.characters import Factor, RootDatum
 from pelkit.fixtures import (
     balanced_imag_quad_datum,
@@ -27,6 +36,7 @@ from pelkit.peldata import (
     GroupFactorization,
     PelDatum,
     StructuredModeRequiredError,
+    _isotypic_blocks,
     _unitary_signature,
     classify,
     factorize,
@@ -129,24 +139,26 @@ def test_negating_j_swaps_unitary_signature():
     assert factorize(flipped) == GroupFactorization((), ((0, 2),), ())
 
 
-def test_isotypic_dimensions_fill_v():
-    # two factors at once: Q-factor on Q^2 plus Q(i)-factor on Q(i)^2
+def mixed_datum() -> PelDatum:
+    """Two factors at once: Q-factor on Q^2 plus Q(i)-factor on Q(i)^2."""
     alg = AlgebraPresentation.from_catalog(
         [CatalogFactor(MAT_Q, 1, 2), CatalogFactor(MAT_IMAG_QUAD, 1, 2, d=-1)]
     )
     m1, gu = modular_curve_datum(), gu11_datum()
-    datum = PelDatum(
+    return PelDatum(
         alg,
         Matrix.block_diag(m1.pairing, gu.pairing),
         Matrix.block_diag(m1.j, gu.j),
     )
+
+
+def test_isotypic_dimensions_fill_v():
+    datum = mixed_datum()
     assert validate(datum).valid
     fact = factorize(datum)
     assert fact == GroupFactorization((1,), ((1, 1),), ())
     details = factorize_details(datum)
-    assert sum(
-        blk.factor.isotypic_dim for blk in datum.algebra.factors
-    ) == datum.dim_v
+    assert sum(f.isotypic_dim for f in datum.algebra.factors) == datum.dim_v
     # unitary signature sums to the Morita-reduced multiplicity
     assert details[1].params[0] + details[1].params[1] == 2
 
@@ -250,13 +262,10 @@ def _unitary_blocks(datum: PelDatum):
     """(c, j, d, n) on each imaginary quadratic block, as factorize_details
     restricts them."""
     out = []
-    for blk in datum.algebra.factors:
-        if blk.factor.kind != MAT_IMAG_QUAD:
-            continue
-        q = blk.unit_action.column_space_basis()
-        out.append(
-            (q.solve(blk.center_action @ q), q.solve(datum.j @ q), blk.factor.d, blk.factor.n)
-        )
+    for f, jf in _isotypic_blocks(datum):
+        if f.kind == MAT_IMAG_QUAD:
+            sqrt_d = _coeff_generators(f)[1][0]
+            out.append((Matrix.block_diag(*[sqrt_d] * (f.n * f.multiplicity)), jf, f.d, f.n))
     return out
 
 
@@ -327,3 +336,104 @@ def test_trace_split_rejects_bad_blocks():
         _unitary_signature(shear.inv() @ c2 @ shear, j, -1, 1)
     with pytest.raises(DimensionMismatchError):
         _unitary_signature(c, J2, -1, 2)  # U(1, 0) is not a multiple of n = 2
+
+
+# -- classification by slicing against the unit-action oracle --------------------
+
+
+def random_rational(rng, n: int) -> Matrix:
+    """Invertible matrix with small rational entries."""
+    while True:
+        p = Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)])
+        if p.det() != 0:
+            return p
+
+
+def symplectic_datum(n: int, m: int) -> PelDatum:
+    """M_n(Q) on 2m copies of Q^n with the standard form on the copy index."""
+    alg = AlgebraPresentation.from_catalog([CatalogFactor(MAT_Q, n, 2 * m)])
+    pairing, j = Matrix([[0, 1], [-1, 0]]), Matrix([[0, -1], [1, 0]])
+    ident = Matrix.identity(n)
+    return PelDatum(alg, Matrix.block_diag(*[pairing.kron(ident)] * m), Matrix.block_diag(*[j.kron(ident)] * m))
+
+
+def quaternion_m2_datum() -> PelDatum:
+    """M_2(H) on H^2, the Morita double of the quaternion fixture."""
+    small = quaternion_datum()
+    return PelDatum(
+        AlgebraPresentation.from_catalog([CatalogFactor(MAT_DEF_QUAT, 2, 1, a=-1, b=-1)]),
+        Matrix.block_diag(small.pairing, small.pairing),
+        Matrix.block_diag(small.j, small.j),
+    )
+
+
+ORACLE_DATA = {b.__name__: b for b in ALL_DATA} | {
+    "mixed": mixed_datum,
+    "mat_q-n1": lambda: symplectic_datum(1, 2),
+    "mat_q-n2": lambda: symplectic_datum(2, 1),
+    "imag_quad-n1": lambda: unitary_datum(2, 1, 1),
+    "imag_quad-n2": lambda: unitary_datum(1, 1, 2),
+    "imag_quad-d-5": lambda: balanced_datum(-5, 1),
+    "def_quat-n1": quaternion_datum,
+    "def_quat-n2": quaternion_m2_datum,
+}
+BASE_CHANGES = [(), ("u",), ("r",), ("u", "r"), ("r", "u"), ("r", "r")]
+
+
+@pytest.mark.parametrize("name", ORACLE_DATA)
+def test_factorize_details_matches_column_space_oracle(name):
+    rng = random.Random(name)
+    base = ORACLE_DATA[name]()
+    assert validate(base).valid
+    expected = oracle_factorize_details(base)
+    for changes in BASE_CHANGES:
+        datum = base
+        for kind in changes:
+            draw = random_unimodular if kind == "u" else random_rational
+            datum = datum.conjugate(draw(rng, datum.dim_v))
+        assert validate(datum).valid
+        assert factorize_details(datum) == oracle_factorize_details(datum) == expected, changes
+
+
+@pytest.mark.parametrize("name", ["gu11_datum", "mixed", "def_quat-n2"])
+def test_composed_base_changes_match_one_base_change(name):
+    rng = random.Random(name)
+    base = ORACLE_DATA[name]()
+    p, q = random_rational(rng, base.dim_v), random_unimodular(rng, base.dim_v)
+    twice, once = base.conjugate(p).conjugate(q), base.conjugate(p @ q)
+    assert twice.algebra.generators == once.algebra.generators
+    assert twice.algebra.basis == once.algebra.basis == p @ q
+    assert twice == once
+    assert factorize_details(twice) == factorize_details(once) == factorize_details(base)
+
+
+def test_raw_presentation_keeps_no_basis():
+    d = modular_curve_datum()
+    raw = AlgebraPresentation.raw(2, d.algebra.generators)
+    assert raw.conjugate(Matrix([[1, 1], [0, 1]])).basis is None
+
+
+BLOCK_ERROR = "j does not preserve an isotypic block"
+
+
+def test_j_of_wrong_shape_is_a_dimension_mismatch():
+    gu = gu11_datum()
+    for j in (J2, Matrix([[0] * 5 for _ in range(4)])):
+        with pytest.raises(DimensionMismatchError, match=BLOCK_ERROR):
+            factorize(PelDatum(gu.algebra, gu.pairing, j))
+        with pytest.raises(DimensionMismatchError, match=BLOCK_ERROR):
+            oracle_factorize_details(PelDatum(gu.algebra, gu.pairing, j))
+
+
+@pytest.mark.parametrize("entry", [(0, 2), (2, 0), (5, 1), (1, 5)])
+def test_j_linking_two_isotypic_blocks_is_a_dimension_mismatch(entry):
+    base = mixed_datum()
+    rows = base.j.tolist()
+    rows[entry[0]][entry[1]] = 1
+    linked = PelDatum(base.algebra, base.pairing, Matrix(rows))
+    rng = random.Random(entry[0] * 10 + entry[1])
+    for datum in (linked, linked.conjugate(random_rational(rng, linked.dim_v))):
+        with pytest.raises(DimensionMismatchError, match=BLOCK_ERROR):
+            factorize(datum)
+        with pytest.raises(DimensionMismatchError, match=BLOCK_ERROR):
+            oracle_factorize_details(datum)
