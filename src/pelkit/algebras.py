@@ -6,9 +6,11 @@ lists (action matrix, star-image matrix) and support only axiom checking.
 Structured presentations are built from a catalog of simple factors --
 matrix algebras over Q, over an imaginary quadratic field, or over a
 definite quaternion algebra -- and additionally support classification.
-A structured presentation stores its catalog factors and the basis of V
-in catalog coordinates that a base change moved them by; classification
-reads each factor's isotypic block back in catalog coordinates.
+A structured presentation is its catalog factors and the basis of V in
+catalog coordinates that moved them.  It derives its generators from these
+and carries no others, so its involution axioms hold by construction
+(Mumford, Abelian Varieties, section 21; Kottwitz, JAMS 5, 1992, section 1)
+and validation runs the closure for raw ones only.
 The catalog covers exactly the simple real types that admit a positive
 involution; centres are restricted to Q and imaginary quadratic fields,
 quaternion algebras to definite ones (a, b < 0).
@@ -108,24 +110,69 @@ def _coeff_generators(factor: CatalogFactor):
     return [(one, one), (li, -li), (lj, -lj)]
 
 
+def _catalog_generators(factors) -> tuple:
+    """The catalog factors' generators on V, in catalog coordinates."""
+    dim_v = sum(f.isotypic_dim for f in factors)
+    all_gens = []
+    offset = 0
+    for f in factors:
+        dd = f.coeff_dim
+        md = f.module_dim
+        coeff = [(lx.numerators, conj.numerators) for lx, conj in _coeff_generators(f)]
+
+        def embed(small, offset=offset, f=f, md=md) -> Matrix:
+            rows = [[0] * dim_v for _ in range(dim_v)]
+            for copy in range(f.multiplicity):
+                base = offset + copy * md
+                for i, r in enumerate(small):
+                    rows[base + i][base : base + md] = r
+            return Matrix.from_numerators(rows)
+
+        # E_11 (x) x for x = 1 and the generators of D, then
+        # E_{p,p+1} (x) 1 and E_{p+1,p} (x) 1.  They generate M_n(D):
+        # E_p1 (E_11 (x) x) E_1q = E_pq (x) x.
+        units = [(0, 0, c) for c in coeff]
+        for p in range(f.n - 1):
+            units += [(p, p + 1, coeff[0]), (p + 1, p, coeff[0])]
+        for p, q, (lx, lx_conj) in units:
+            small = [[0] * md for _ in range(md)]
+            small_star = [[0] * md for _ in range(md)]
+            for i in range(dd):
+                small[p * dd + i][q * dd : (q + 1) * dd] = lx[i]
+                small_star[q * dd + i][p * dd : (p + 1) * dd] = lx_conj[i]
+            all_gens.append((embed(small), embed(small_star)))
+        offset += f.isotypic_dim
+    return tuple(all_gens)
+
+
 @dataclass(frozen=True)
 class AlgebraPresentation:
     """Generators of an algebra acting on V, each with its star image.
 
     A structured presentation is its catalog factors plus ``basis``, the
-    basis of V in catalog coordinates (``None`` while canonical): the
-    generators are those of ``from_catalog`` moved by that basis.  ``==``
-    and hashing compare the generators only.  Two bases that give equal
-    generators differ by an element of the commutant, which preserves each
-    isotypic block and commutes with the centre, so they classify alike.
+    basis of V in catalog coordinates (``None`` while canonical); the
+    constructor derives its generators (pass ``None``) and refuses others.
+    ``==`` and hashing compare the generators only.  Two bases that give
+    equal generators differ by an element of the commutant, which preserves
+    each isotypic block and commutes with the centre, so they classify alike.
     """
 
     dim_v: int
-    generators: tuple  # tuple[(Matrix, Matrix), ...]
+    generators: tuple | None  # tuple[(Matrix, Matrix), ...]; None: derive from factors
     factors: tuple = ()  # tuple[CatalogFactor, ...]; empty means raw mode
     basis: Matrix | None = field(default=None, compare=False, repr=False)
+    basis_inv: Matrix | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.factors or self.generators is None:
+            gens = _catalog_generators(self.factors)
+            if self.basis is not None:
+                b, b_inv = self.basis, self.basis.inv()
+                object.__setattr__(self, "basis_inv", b_inv)
+                gens = tuple((b_inv @ a @ b, b_inv @ s @ b) for a, s in gens)
+            if self.generators not in (None, gens):
+                raise ValueError("structured generators must be the catalog's, moved by the basis")
+            object.__setattr__(self, "generators", gens)
         for act, star in self.generators:
             if act.rows != self.dim_v or act.cols != self.dim_v:
                 raise ValueError("generator action has wrong shape")
@@ -143,45 +190,16 @@ class AlgebraPresentation:
     @staticmethod
     def from_catalog(factors) -> "AlgebraPresentation":
         factors = tuple(factors)
-        dim_v = sum(f.isotypic_dim for f in factors)
-        all_gens = []
-        offset = 0
-        for f in factors:
-            dd = f.coeff_dim
-            md = f.module_dim
-            coeff = [(lx.numerators, conj.numerators) for lx, conj in _coeff_generators(f)]
-
-            def embed(small, offset=offset, f=f, md=md) -> Matrix:
-                rows = [[0] * dim_v for _ in range(dim_v)]
-                for copy in range(f.multiplicity):
-                    base = offset + copy * md
-                    for i, r in enumerate(small):
-                        rows[base + i][base : base + md] = r
-                return Matrix.from_numerators(rows)
-
-            # E_11 (x) x for x = 1 and the generators of D, then
-            # E_{p,p+1} (x) 1 and E_{p+1,p} (x) 1.  They generate M_n(D):
-            # E_p1 (E_11 (x) x) E_1q = E_pq (x) x.
-            units = [(0, 0, c) for c in coeff]
-            for p in range(f.n - 1):
-                units += [(p, p + 1, coeff[0]), (p + 1, p, coeff[0])]
-            for p, q, (lx, lx_conj) in units:
-                small = [[0] * md for _ in range(md)]
-                small_star = [[0] * md for _ in range(md)]
-                for i in range(dd):
-                    small[p * dd + i][q * dd : (q + 1) * dd] = lx[i]
-                    small_star[q * dd + i][p * dd : (p + 1) * dd] = lx_conj[i]
-                all_gens.append((embed(small), embed(small_star)))
-            offset += f.isotypic_dim
-        return AlgebraPresentation(dim_v, tuple(all_gens), factors)
+        return AlgebraPresentation(sum(f.isotypic_dim for f in factors), None, factors)
 
     def conjugate(self, p: Matrix) -> "AlgebraPresentation":
-        """Change of basis on V: every generator A becomes p^-1 A p, and a
-        structured basis composes with p."""
-        pinv = p.inv()
-        gens = tuple((pinv @ a @ p, pinv @ s @ p) for a, s in self.generators)
-        basis = None if not self.factors else p if self.basis is None else self.basis @ p
-        return AlgebraPresentation(self.dim_v, gens, self.factors, basis)
+        """Change of basis on V: every generator A becomes p^-1 A p; a
+        structured presentation gets there by composing its basis with p."""
+        if self.factors:
+            basis = p if self.basis is None else self.basis @ p
+            return AlgebraPresentation(self.dim_v, None, self.factors, basis)
+        q = p.inv()
+        return AlgebraPresentation(self.dim_v, tuple((q @ a @ p, q @ s @ p) for a, s in self.generators))
 
 
 # -- multiplicative closure ------------------------------------------------------

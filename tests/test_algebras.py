@@ -228,6 +228,20 @@ def _unimodular(rng, n):
     return Matrix(rows)
 
 
+def _rational_shear(rng, n):
+    """Invertible with rational entries: the identity after n row operations
+    row_i += c row_j with c in {+-1/2, 2}, then each column scaled by 1/2,
+    -1 or 3.  Sparse, unlike a random rational matrix, so that the closure
+    of a base-changed M_3(D) stays cheap."""
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((Fraction(1, 2), Fraction(-1, 2), Fraction(2)))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    scale = [rng.choice((Fraction(1, 2), -1, 3)) for _ in range(n)]
+    return Matrix([[x * s for x, s in zip(r, scale)] for r in rows])
+
+
 def _break_star(rng, gens):
     """One fault in the declared star of a generator list."""
     gens = list(gens)
@@ -368,3 +382,89 @@ def test_catalog_has_a_generator_that_is_not_self_adjoint(kind, n):
     factor = _random_factor(random.Random(n), kind, n)
     gens = AlgebraPresentation.from_catalog([factor]).generators
     assert any(a != s for a, s in gens) == (kind != MAT_Q or n > 1)
+
+
+# -- structured presentations: catalog factors moved by a basis, nothing else ----
+
+
+def _shear(n):
+    return Matrix([[int(i == j or (i, j) == (0, 1)) for j in range(n)] for i in range(n)])
+
+
+def test_structured_presentation_rejects_foreign_generators():
+    gu = gu11_datum().algebra
+    with pytest.raises(ValueError, match="catalog's"):
+        AlgebraPresentation(4, (), gu.factors)
+    gens = list(gu.generators)
+    gens[1] = (gens[1][0], gens[1][0])  # sqrt(-1) made self-adjoint
+    with pytest.raises(ValueError, match="catalog's"):
+        AlgebraPresentation(4, tuple(gens), gu.factors)
+    with pytest.raises(ValueError, match="catalog's"):
+        AlgebraPresentation(4, gu.generators, gu.factors, _shear(4))
+    # the catalog's own generators, given or derived, are accepted
+    moved = gu.conjugate(_shear(4))
+    assert AlgebraPresentation(4, gu.generators, gu.factors) == gu
+    assert AlgebraPresentation(4, moved.generators, gu.factors, _shear(4)) == moved
+
+
+def test_structured_presentation_rejects_singular_basis():
+    gu = gu11_datum().algebra
+    singular = Matrix([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(ValueError, match="singular"):
+        AlgebraPresentation(4, None, gu.factors, singular)
+    with pytest.raises(ValueError, match="singular"):
+        gu.conjugate(singular)
+    with pytest.raises(ValueError, match="singular"):
+        gu.conjugate(_shear(4)).conjugate(singular)
+
+
+def test_raw_presentation_accepts_any_generators():
+    gu = gu11_datum().algebra
+    gens = tuple((a, a) for a, _ in gu.generators)
+    for alg in (AlgebraPresentation(4, gens), AlgebraPresentation.raw(4, gens), AlgebraPresentation(4, ())):
+        assert alg.mode == "raw" and alg.basis is None and alg.basis_inv is None
+    assert AlgebraPresentation(4, gens).generators == gens
+
+
+def test_structured_presentation_keeps_its_basis_inverse():
+    rng = random.Random(5)
+    gu = gu11_datum().algebra
+    p, q = _unimodular(rng, 4), _rational_shear(rng, 4)
+    assert gu.basis_inv is None
+    moved = gu.conjugate(p).conjugate(q)
+    assert moved.basis == p @ q and moved.basis_inv == (p @ q).inv()
+
+
+def _catalog_factor(rng, kind, n, multiplicity):
+    if kind == MAT_Q:
+        return CatalogFactor(MAT_Q, n, multiplicity)
+    if kind == MAT_IMAG_QUAD:
+        return CatalogFactor(MAT_IMAG_QUAD, n, multiplicity, d=rng.choice(SQUAREFREE_NEG))
+    return CatalogFactor(MAT_DEF_QUAT, n, multiplicity, a=rng.choice((-1, -2, -3)), b=rng.choice((-1, -2, -3)))
+
+
+STRUCTURED_CASES = [
+    (kind, n, m) for kind in (MAT_Q, MAT_IMAG_QUAD, MAT_DEF_QUAT) for n in (1, 2, 3) for m in (1, 2)
+] + [tuple(factors) for factors in MIXED_CATALOGS if len(factors) > 1]
+
+
+def _case_id(case):
+    if isinstance(case[0], str):
+        return "{}-n{}-m{}".format(*case)
+    return "+".join(f"{f.kind}-n{f.n}-m{f.multiplicity}" for f in case)
+
+
+@pytest.mark.parametrize("case", STRUCTURED_CASES, ids=_case_id)
+def test_involution_axioms_hold_on_structured_presentations(case):
+    # the oracle for validate's structured fast path: the closure checks
+    # pass on catalog data under 0, 1 and 2 composed base changes, one
+    # unimodular and one rational, in a seeded order
+    rng = random.Random(str(case))
+    factors = [_catalog_factor(rng, *case)] if isinstance(case[0], str) else list(case)
+    alg = AlgebraPresentation.from_catalog(factors)
+    draws = rng.sample((_unimodular, _rational_shear), 2)
+    for depth in range(3):
+        assert alg.mode == "structured"
+        assert check_anti_involution(alg).ok and check_positive(alg), depth
+        if depth < 2:
+            alg = alg.conjugate(draws[depth](rng, alg.dim_v))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from classify_oracle import oracle_factorize_details
 from gauss_oracle import simult_eigensplit
+from validate_oracle import oracle_validate
 
 from pelkit.algebras import (
     MAT_DEF_QUAT,
@@ -11,10 +12,12 @@ from pelkit.algebras import (
     MAT_Q,
     AlgebraPresentation,
     CatalogFactor,
+    _closure,
     _coeff_generators,
 )
 from pelkit.characters import Factor, RootDatum
 from pelkit.fixtures import (
+    _break_star,
     balanced_imag_quad_datum,
     gsp8_tensor_datum,
     gu11_datum,
@@ -437,3 +440,81 @@ def test_j_linking_two_isotypic_blocks_is_a_dimension_mismatch(entry):
             factorize(datum)
         with pytest.raises(DimensionMismatchError, match=BLOCK_ERROR):
             oracle_factorize_details(datum)
+
+
+# -- validate's structured fast path against the full axiom sequence ---------------
+
+
+def leaky_star_datum() -> PelDatum:
+    """Raw: E_12 on two copies of the modular-curve datum, with its adjoint
+    E_21 as star.  Every axiom up to the polarization holds, but E_21 lies
+    outside the algebra span{1, E_12}."""
+    m1 = modular_curve_datum()
+    e12 = Matrix([[0, 1], [0, 0]]).kron(Matrix.identity(2))
+    return PelDatum(
+        AlgebraPresentation.raw(4, [(e12, e12.transpose())]),
+        Matrix.block_diag(m1.pairing, m1.pairing),
+        Matrix.block_diag(m1.j, m1.j),
+    )
+
+
+def validation_data():
+    """Every fixture and the mixed datum, each canonical and under a
+    unimodular, a rational and both base changes; for each of these the
+    datum and its raw copy, each also with j negated, and its identity-star
+    mutation (``fixtures._break_star``); then the bundled mutations and the
+    leaky raw datum."""
+    rng = random.Random(12)
+    out = [(name, datum) for name, datum, _ in mutations()] + [("leaky_star", leaky_star_datum())]
+    for build in ALL_DATA + [mixed_datum]:
+        base = build()
+        p, q = random_unimodular(rng, base.dim_v), random_rational(rng, base.dim_v)
+        for tag, datum in (("", base), ("/u", base.conjugate(p)), ("/r", base.conjugate(q)), ("/ur", base.conjugate(p).conjugate(q))):
+            name = build.__name__ + tag
+            raw = AlgebraPresentation.raw(datum.dim_v, datum.algebra.generators)
+            for alg_name, alg in ((name, datum.algebra), (name + "/raw", raw)):
+                out.append((alg_name, PelDatum(alg, datum.pairing, datum.j)))
+                out.append((alg_name + "/negated_j", PelDatum(alg, datum.pairing, -datum.j)))
+            out.append((name + "/broken_star", _break_star(datum)))
+    return out
+
+
+VALIDATION_DATA = validation_data()
+
+
+@pytest.mark.parametrize("name,datum", VALIDATION_DATA, ids=[name for name, _ in VALIDATION_DATA])
+def test_validate_matches_full_axiom_oracle(name, datum):
+    assert validate(datum) == oracle_validate(datum)
+
+
+def test_validation_data_reach_every_branch():
+    reports = [(d.algebra.mode, validate(d)) for _, d in VALIDATION_DATA]
+    assert {(mode, r.failure_code) for mode, r in reports} == {
+        ("structured", None),
+        ("structured", "polarization_positive"),
+        ("raw", None),
+        ("raw", "star_adjoint"),
+        ("raw", "polarization_positive"),
+        ("raw", "involution_anti"),
+    }
+
+
+def test_structured_validate_runs_no_closure():
+    # a base change of its own, so no other test has met these generators
+    datum = quaternion_m2_datum().conjugate(random_unimodular(random.Random("no closure"), 8))
+    before = _closure.cache_info()
+    assert validate(datum).valid
+    assert _closure.cache_info() == before
+    raw = PelDatum(AlgebraPresentation.raw(8, datum.algebra.generators), datum.pairing, datum.j)
+    assert validate(raw).valid
+    after = _closure.cache_info()
+    assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
+
+
+def test_classify_reads_the_kept_basis_inverse(monkeypatch):
+    datum = gu11_datum().conjugate(random_rational(random.Random(4), 4))
+    inverted = []
+    inv = Matrix.inv
+    monkeypatch.setattr(Matrix, "inv", lambda self: inverted.append(self) or inv(self))
+    assert classify(datum).factorization == GroupFactorization((), ((1, 1),), ())
+    assert inverted == []
