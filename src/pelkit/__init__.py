@@ -13,7 +13,6 @@ from .algebras import (
     CatalogFactor,
     check_anti_involution,
     check_positive,
-    classify_factor,
 )
 from .peldata import (
     Classification,

@@ -26,14 +26,15 @@ from .characters import (
     decompose,
     restrict,
 )
+from .errors import InputError
 from .hodge import HodgeCochar, cochar_from_mu2, is_av_type
 
 
-class NotGenuineError(ValueError):
+class NotGenuineError(InputError):
     pass
 
 
-class HodgeCompatibilityError(ValueError):
+class HodgeCompatibilityError(InputError):
     pass
 
 

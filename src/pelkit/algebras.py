@@ -24,10 +24,6 @@ from math import lcm
 
 from .linalg import Echelon, Matrix, signature
 
-SYMPLECTIC = "symplectic"
-LINEAR = "linear"
-ORTHOGONAL = "orthogonal"
-
 MAT_Q = "mat_q"
 MAT_IMAG_QUAD = "mat_imag_quad"
 MAT_DEF_QUAT = "mat_def_quat"
@@ -50,8 +46,8 @@ class CatalogFactor:
     kind: str
     n: int
     multiplicity: int
-    d: int = 0  # imaginary quadratic: squarefree d < 0
-    a: int = 0  # quaternion parameters, both < 0
+    d: int = 0  # imaginary quadratic only: squarefree d < 0
+    a: int = 0  # definite quaternion only: both < 0
     b: int = 0
 
     def __post_init__(self):
@@ -63,6 +59,9 @@ class CatalogFactor:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1 or self.multiplicity < 1:
             raise ValueError("n and multiplicity must be >= 1")
+        for name in {MAT_Q: ("d", "a", "b"), MAT_IMAG_QUAD: ("a", "b"), MAT_DEF_QUAT: ("d",)}[self.kind]:
+            if getattr(self, name):
+                raise ValueError(f"{self.kind} takes no parameter {name}, got {getattr(self, name)}")
         if self.kind == MAT_IMAG_QUAD:
             if self.d >= 0 or not _is_squarefree(self.d):
                 raise ValueError("imaginary quadratic centre needs squarefree d < 0")
@@ -83,12 +82,6 @@ class CatalogFactor:
     @property
     def isotypic_dim(self) -> int:
         return self.module_dim * self.multiplicity
-
-
-def classify_factor(f: CatalogFactor) -> str:
-    """Real type of the factor: Mat_Q -> symplectic, imaginary quadratic ->
-    linear, definite quaternion -> orthogonal."""
-    return {MAT_Q: SYMPLECTIC, MAT_IMAG_QUAD: LINEAR, MAT_DEF_QUAT: ORTHOGONAL}[f.kind]
 
 
 def _coeff_generators(factor: CatalogFactor):

@@ -43,22 +43,22 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InternalCheckError, OutOfScopeError
+from .errors import InputError, InternalCheckError, OutOfScopeError
 
 MAX_BLOCK_RANK = 8
 MAX_WEIGHT_NORM = 8  # bound on |lambda|_1 over all blocks
 CACHE_SIZE = 1024  # entries in each memo table of irreducibles and constituents
 
 
-class NotDominantError(ValueError):
+class NotDominantError(InputError):
     pass
 
 
-class RankMismatchError(ValueError):
+class RankMismatchError(InputError):
     pass
 
 
-class NotACharacterError(ValueError):
+class NotACharacterError(InputError):
     pass
 
 
@@ -66,7 +66,7 @@ class BoundExceededError(OutOfScopeError):
     pass
 
 
-class UnsupportedTypeError(ValueError):
+class UnsupportedTypeError(InputError):
     pass
 
 
@@ -427,6 +427,12 @@ def irr_char(rd: RootDatum, highest) -> WeightChar:
     blocks, central = _irr_parts(rd, _int_tuple(highest, NotDominantError))
     # _product keys are int tuples and its multiplicities positive ints
     return WeightChar._of(_product([_block_weights(*b) for b in blocks], central))
+
+
+def check_bounds(rd: RootDatum, highest) -> None:
+    """Raise what ``irr_char(rd, highest)`` raises on the bounds and on
+    dominance, without building any weights."""
+    _irr_parts(rd, _int_tuple(highest, NotDominantError))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -2,9 +2,12 @@
 
 Exit codes: 0 on success / positive verdicts, 1 on negative mathematical
 verdicts (invalid datum, inadmissible morphism, failed law or fixture),
-2 on schema or usage errors and on input past pelkit's bounds; the latter
-also print a JSON error object.  Output is JSON with sorted keys and is
-byte-identical across runs for fixed inputs and seed.
+2 on schema or usage errors, on any other rejected input (an
+``errors.InputError``) and on a report that cannot be written to
+``--output``; input past pelkit's bounds also prints a JSON error object.
+Only ``isofun check`` (also ``isofun-check``) and ``fixtures`` take
+``--seed``; ``fixtures`` only echoes it.  Output is JSON with sorted keys
+and is byte-identical across runs for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -13,41 +16,35 @@ import argparse
 import sys
 
 from . import serialize
-from .admissibility import NotGenuineError, decide
+from .admissibility import decide
 from .characters import (
     Factor,
-    NotACharacterError,
-    NotDominantError,
-    RankMismatchError,
     RootDatum,
-    UnsupportedTypeError,
     WeightChar,
+    check_bounds,
     decompose,
     dual,
     irr_char,
     standard_char,
     tensor,
 )
-from .errors import OutOfScopeError
+from .errors import InputError, OutOfScopeError
 from .fixtures import conformance_ok, conformance_rows
 from .hodge import auto_cochar, hodge_type
 from .isogeny import run_law_suite
-from .peldata import (
-    DimensionMismatchError,
-    StructuredModeRequiredError,
-    classify,
-    shimura_report,
-    validate,
-)
+from .peldata import classify, shimura_report, validate
 
 
 def _emit(args, payload) -> None:
     text = serialize.dumps(payload)
-    if getattr(args, "output", None):
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.output}: {exc.strerror}") from None
 
 
 def _load_datum(path: str):
@@ -61,13 +58,21 @@ def _cmd_validate(args) -> int:
     return 0 if report.valid else 1
 
 
-def _cmd_classify(args) -> int:
+def _classified(args):
+    """The classification of the datum file, or None once the validation
+    report of an invalid datum is emitted."""
     datum = _load_datum(args.datum)
     report = validate(datum)
     if not report.valid:
         _emit(args, {"valid": False, "validation": report.to_dict()})
+        return None
+    return classify(datum)
+
+
+def _cmd_classify(args) -> int:
+    cl = _classified(args)
+    if cl is None:
         return 1
-    cl = classify(datum)
     payload = {
         "factors": cl.factorization.to_dict(),
         "shimura": shimura_report(cl.factorization).to_dict(),
@@ -96,12 +101,9 @@ def _parse_rep(spec: str, cl) -> WeightChar:
 
 
 def _cmd_hodge(args) -> int:
-    datum = _load_datum(args.datum)
-    report = validate(datum)
-    if not report.valid:
-        _emit(args, {"valid": False, "validation": report.to_dict()})
+    cl = _classified(args)
+    if cl is None:
         return 1
-    cl = classify(datum)
     hc = auto_cochar(cl)
     char = _parse_rep(args.rep, cl)
     ht = hodge_type(char, hc)
@@ -131,19 +133,20 @@ def _parse_type(text: str) -> RootDatum:
 
 def _cmd_rep_decompose(args) -> int:
     rd = _parse_type(args.type)
-    std = standard_char(rd, [1] * len(rd.factors))
-    chars = []
-    for token in args.tensor.split(","):
-        token = token.strip()
-        if token == "std":
-            chars.append(std)
-        elif token == "dual(std)":
-            chars.append(dual(std))
-        else:
+    tokens = [token.strip() for token in args.tensor.split(",")]
+    for token in tokens:
+        if token not in ("std", "dual(std)"):
             raise serialize.SchemaError("--tensor", f"unknown token {token!r}; use std or dual(std)")
-    acc = chars[0]
-    for c in chars[1:]:
-        acc = tensor(acc, c)
+    # Every weight of std is +-e_i off the centre, so decompose peels a
+    # highest weight with block part k*e_1 first, k the number of tokens:
+    # its bound errors come here, before the product is built.  The bounds
+    # do not read the central part.
+    check_bounds(rd, (len(tokens),) + (0,) * (rd.total_rank - 1))
+    std = standard_char(rd, [1] * len(rd.factors))
+    chars = {"std": std, "dual(std)": dual(std)}
+    acc = chars[tokens[0]]
+    for token in tokens[1:]:
+        acc = tensor(acc, chars[token])
     parts = decompose(rd, acc, genuine=True)
     _emit(
         args,
@@ -194,80 +197,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def finish(p, fn, seed_help=None):
+        """--output on every command, --seed only where it is read."""
         p.add_argument("--output", help="write the JSON report to this path instead of stdout")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+        if seed_help:
+            p.add_argument("--seed", type=int, default=0, help=seed_help)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("validate", help="check the axioms of a datum file")
     p.add_argument("datum")
-    common(p)
-    p.set_defaults(fn=_cmd_validate)
+    finish(p, _cmd_validate)
 
     p = sub.add_parser("classify", help="real group factorization of a datum file")
     p.add_argument("datum")
-    common(p)
-    p.set_defaults(fn=_cmd_classify)
+    finish(p, _cmd_classify)
 
     p = sub.add_parser("hodge", help="Hodge type of a representation of a classified datum")
     p.add_argument("--datum", required=True)
     p.add_argument("--rep", required=True, help="'std' or '{\"highest\": [...]}'")
-    common(p)
-    p.set_defaults(fn=_cmd_hodge)
+    finish(p, _cmd_hodge)
 
     p = sub.add_parser("rep", help="character calculus")
     repsub = p.add_subparsers(dest="rep_command", required=True)
-    pd = repsub.add_parser("decompose", help="decompose a tensor product of standard characters")
-    pd.add_argument("--type", required=True, help="factors like C2 or C2xC1 (one central coordinate)")
-    pd.add_argument("--tensor", required=True, help="comma list of std / dual(std)")
-    common(pd)
-    pd.set_defaults(fn=_cmd_rep_decompose)
+    p = repsub.add_parser("decompose", help="decompose a tensor product of standard characters")
+    p.add_argument("--type", required=True, help="factors like C2 or C2xC1 (one central coordinate)")
+    p.add_argument("--tensor", required=True, help="comma list of std / dual(std)")
+    finish(p, _cmd_rep_decompose)
 
     p = sub.add_parser("admissible", help="decide admissibility of a morphism file")
     p.add_argument("--morphism", required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_admissible)
+    finish(p, _cmd_admissible)
 
-    for name in ("isofun", "isofun-check"):
-        p = sub.add_parser(name, help="run the isogeny-category law suite")
-        if name == "isofun":
-            isosub = p.add_subparsers(dest="isofun_command", required=True)
-            pc = isosub.add_parser("check")
-            pc.add_argument("--trials", type=_positive_int, default=500)
-            common(pc)
-            pc.set_defaults(fn=_cmd_isofun_check)
-        else:
-            p.add_argument("--trials", type=_positive_int, default=500)
-            common(p)
-            p.set_defaults(fn=_cmd_isofun_check)
+    def check(p):
+        p.add_argument("--trials", type=_positive_int, default=500)
+        finish(p, _cmd_isofun_check, "seed of the randomized law suite")
+
+    p = sub.add_parser("isofun", help="run the isogeny-category law suite")
+    check(p.add_subparsers(dest="isofun_command", required=True).add_parser("check"))
+    check(sub.add_parser("isofun-check", help="run the isogeny-category law suite"))
 
     p = sub.add_parser("fixtures", help="run the bundled example conformance table")
-    common(p)
-    p.set_defaults(fn=_cmd_fixtures)
+    finish(p, _cmd_fixtures, "echoed in the report; the table is not randomized")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
+    args = build_parser().parse_args(argv)
+    try:  # the outer handlers also see a failed write of the error object
+        try:
+            return args.fn(args)
+        except OutOfScopeError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            _emit(args, {"error": {"type": type(exc).__name__, "message": str(exc)}})
+            return 2
     except serialize.SchemaError as exc:
         sys.stderr.write(f"schema error: {exc}\n")
         return 2
-    except OutOfScopeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        _emit(args, {"error": {"type": type(exc).__name__, "message": str(exc)}})
-        return 2
-    except (
-        NotGenuineError,
-        NotACharacterError,
-        NotDominantError,
-        RankMismatchError,
-        UnsupportedTypeError,
-        DimensionMismatchError,
-        StructuredModeRequiredError,
-    ) as exc:
+    except InputError as exc:  # any other rejected input, or a failed write
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

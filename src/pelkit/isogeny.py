@@ -20,10 +20,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+from .errors import InputError
 from .linalg import Matrix
 
 
-class ShapeMismatchError(ValueError):
+class ShapeMismatchError(InputError):
     pass
 
 
@@ -74,22 +75,11 @@ class IsoMorphism:
     src: LatticeObject
     dst: LatticeObject
     raw: Matrix
-    n_used: int
+    n_used: int = field(compare=False)  # minimal_n(raw, src, dst), so not compared
 
     @property
     def scale(self) -> Fraction:
         return Fraction(1, self.n_used)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IsoMorphism)
-            and self.src == other.src
-            and self.dst == other.dst
-            and self.raw == other.raw
-        )
-
-    def __hash__(self):
-        return hash((self.src, self.dst, self.raw))
 
 
 def arrow(raw: Matrix, src: LatticeObject, dst: LatticeObject, n: int | None = None) -> IsoMorphism:

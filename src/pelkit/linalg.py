@@ -22,20 +22,22 @@ from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import add, mul
 
+from .errors import InputError
 
-class NotSymmetricError(ValueError):
+
+class NotSymmetricError(InputError):
     pass
 
 
-class RankDeficientError(ValueError):
+class RankDeficientError(InputError):
     pass
 
 
-class NotComplexStructureError(ValueError):
+class NotComplexStructureError(InputError):
     pass
 
 
-class NotCommutingError(ValueError):
+class NotCommutingError(InputError):
     pass
 
 

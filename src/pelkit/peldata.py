@@ -22,6 +22,7 @@ from .algebras import (
     check_positive,
 )
 from .characters import Factor, RootDatum, WeightChar, standard_char
+from .errors import InputError
 from .linalg import (
     Matrix,
     NotCommutingError,
@@ -37,11 +38,11 @@ from .linalg import (
 simult_eigensplit = None
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(InputError):
     pass
 
 
-class StructuredModeRequiredError(ValueError):
+class StructuredModeRequiredError(InputError):
     pass
 
 

@@ -22,11 +22,12 @@ from .algebras import (
     CatalogFactor,
 )
 from .characters import Factor, RootDatum, TorusMap, WeightChar
+from .errors import InputError
 from .linalg import Matrix
 from .peldata import PelDatum
 
 
-class SchemaError(ValueError):
+class SchemaError(InputError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")

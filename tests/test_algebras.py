@@ -4,12 +4,9 @@ from fractions import Fraction
 import pytest
 
 from pelkit.algebras import (
-    LINEAR,
     MAT_DEF_QUAT,
     MAT_IMAG_QUAD,
     MAT_Q,
-    ORTHOGONAL,
-    SYMPLECTIC,
     AlgebraPresentation,
     CatalogFactor,
     _closure,
@@ -17,7 +14,6 @@ from pelkit.algebras import (
     _with_star,
     check_anti_involution,
     check_positive,
-    classify_factor,
 )
 from pelkit.fixtures import (
     balanced_imag_quad_datum,
@@ -97,12 +93,6 @@ def test_star_linearity_on_dependent_generators():
     assert report.reason == "star is not linear on dependent generators"
 
 
-def test_classify_factor():
-    assert classify_factor(CatalogFactor(MAT_Q, 1, 1)) == SYMPLECTIC
-    assert classify_factor(CatalogFactor(MAT_IMAG_QUAD, 1, 1, d=-1)) == LINEAR
-    assert classify_factor(CatalogFactor(MAT_DEF_QUAT, 1, 1, a=-1, b=-1)) == ORTHOGONAL
-
-
 def test_catalog_rejects_bad_parameters():
     with pytest.raises(ValueError):
         CatalogFactor(MAT_IMAG_QUAD, 1, 1, d=-4)  # not squarefree
@@ -112,6 +102,24 @@ def test_catalog_rejects_bad_parameters():
         CatalogFactor(MAT_DEF_QUAT, 1, 1, a=1, b=-1)
     with pytest.raises(ValueError):
         CatalogFactor("mat_r", 1, 1)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        (MAT_Q, {"d": 7}),
+        (MAT_Q, {"a": 3}),
+        (MAT_Q, {"b": -1}),
+        (MAT_IMAG_QUAD, {"d": -1, "a": -1}),
+        (MAT_IMAG_QUAD, {"d": -1, "b": -2}),
+        (MAT_DEF_QUAT, {"a": -1, "b": -1, "d": -1}),
+    ],
+)
+def test_catalog_rejects_foreign_parameters(kind, params):
+    # d belongs to mat_imag_quad and a, b to mat_def_quat alone; a foreign
+    # one would be dropped by the JSON writer and break the round trip
+    with pytest.raises(ValueError, match="takes no parameter"):
+        CatalogFactor(kind, 1, 1, **params)
 
 
 SQUAREFREE_NEG = [-1, -2, -3, -5, -6, -7]

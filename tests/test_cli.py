@@ -94,7 +94,7 @@ def test_isofun_check_both_spellings():
     for argv in (("isofun", "check"), ("isofun-check",)):
         code, out = run_cli(*argv, "--trials", "25", "--seed", "3")
         payload = json.loads(out)
-        assert code == 0 and payload["pass"]
+        assert code == 0 and payload["pass"] and payload["seed"] == 3
 
 
 def test_isofun_check_rejects_non_positive_trials(capsys):
@@ -204,3 +204,163 @@ def test_booleans_are_not_integers(tmp_path):
         "hodge", "--datum", os.path.join(DOCS, "modular_curve.json"), "--rep", '{"highest": [true, 1]}'
     )
     assert code == 2 and out == ""
+
+
+def test_every_value_error_in_pelkit_is_an_input_error():
+    import importlib
+    import inspect
+    import pkgutil
+
+    import pelkit
+    from pelkit.errors import InputError
+
+    found = {}
+    for info in pkgutil.iter_modules(pelkit.__path__):
+        module = importlib.import_module(f"pelkit.{info.name}")
+        for name, obj in inspect.getmembers(module, inspect.isclass):
+            if obj.__module__ == module.__name__ and issubclass(obj, ValueError):
+                found[name] = obj
+    assert {
+        "SchemaError",
+        "OutOfScopeError",
+        "BoundExceededError",
+        "NonIntegralPairingError",
+        "NotDominantError",
+        "RankMismatchError",
+        "NotACharacterError",
+        "UnsupportedTypeError",
+        "NotGenuineError",
+        "HodgeCompatibilityError",
+        "DimensionMismatchError",
+        "StructuredModeRequiredError",
+        "ShapeMismatchError",
+        "NotSymmetricError",
+        "RankDeficientError",
+        "NotComplexStructureError",
+        "NotCommutingError",
+    } <= set(found)
+    assert [name for name, cls in found.items() if not issubclass(cls, InputError)] == []
+
+
+def test_defect_errors_stay_outside_the_input_base():
+    from pelkit.admissibility import RefutationError
+    from pelkit.errors import InputError, InternalCheckError
+
+    assert not issubclass(InternalCheckError, InputError)
+    assert not issubclass(RefutationError, InputError)
+
+
+def test_any_input_error_exits_2_without_the_cli_naming_it(monkeypatch, capsys):
+    import pelkit.cli
+    from pelkit.errors import InputError
+
+    class FreshInputError(InputError):
+        pass
+
+    def reject(datum):
+        raise FreshInputError("rejected by a layer the CLI does not know")
+
+    monkeypatch.setattr(pelkit.cli, "validate", reject)
+    assert main(["validate", os.path.join(DOCS, "gu11.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: rejected by a layer the CLI does not know\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", os.path.join(DOCS, "gu11.json")],
+        ["classify", os.path.join(DOCS, "gu11.json")],
+        ["hodge", "--datum", os.path.join(DOCS, "gu11.json"), "--rep", "std"],
+        ["rep", "decompose", "--type", "C2", "--tensor", "std"],
+        ["admissible", "--morphism", os.path.join(DOCS, "det_twist_morphism.json")],
+    ],
+)
+def test_seed_is_a_usage_error_where_it_is_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "0"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage:") and "unrecognized arguments: --seed 0" in err
+
+
+def _write_failure(capsys, argv, target):
+    assert main([*argv, "--output", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    lines = err.splitlines()
+    assert [line for line in lines if line.startswith("error: cannot write")] == [
+        f"error: cannot write {target}: No such file or directory"
+    ]
+    assert not target.parent.exists()
+    return lines
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    lines = _write_failure(capsys, ["validate", os.path.join(DOCS, "gu11.json")], target)
+    assert len(lines) == 1
+
+
+def test_unwritable_output_of_an_out_of_scope_error_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    argv = ["hodge", "--datum", os.path.join(DOCS, "modular_curve.json"), "--rep", '{"highest": [9, 1]}']
+    lines = _write_failure(capsys, argv, target)
+    assert lines == ["error: |highest|_1 exceeds 8", f"error: cannot write {target}: No such file or directory"]
+
+
+@pytest.mark.parametrize(
+    "series, tokens, message",
+    [
+        ("C9", ["std", "std"], "block rank 9 exceeds 8"),
+        ("C2xA9", ["std", "dual(std)"], "block rank 9 exceeds 8"),
+        ("C2", ["std"] * 9, "|highest|_1 exceeds 8"),
+        ("A2xD2", ["dual(std)", "std"] * 5, "|highest|_1 exceeds 8"),
+        ("C9", ["std"] * 9, "block rank 9 exceeds 8"),  # the rank is checked first
+    ],
+)
+def test_rep_decompose_bounds_come_before_the_product(monkeypatch, capsys, series, tokens, message):
+    import pelkit.cli
+
+    def refuse(*args):
+        raise AssertionError("the product was built before the bound check")
+
+    monkeypatch.setattr(pelkit.cli, "tensor", refuse)
+    code, out = run_cli("rep", "decompose", "--type", series, "--tensor", ",".join(tokens))
+    assert code == 2
+    assert json.loads(out) == {"error": {"message": message, "type": "BoundExceededError"}}
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "series, tokens",
+    [
+        ("C9", ["std", "std"]),
+        ("C2xA9", ["std", "dual(std)"]),
+        ("C2", ["std"] * 9),
+        ("A2xD2", ["dual(std)", "std"] * 5),
+        ("A1", ["std", "dual(std)"] * 5),
+    ],
+)
+def test_early_bound_errors_match_the_full_product(series, tokens):
+    # oracle: the error decompose meets on the first constituent of the
+    # product itself
+    from pelkit.characters import BoundExceededError, decompose, dual, standard_char, tensor
+    from pelkit.cli import _parse_type
+
+    rd = _parse_type(series)
+    std = standard_char(rd, [1] * len(rd.factors))
+    chars = {"std": std, "dual(std)": dual(std)}
+    acc = chars[tokens[0]]
+    for token in tokens[1:]:
+        acc = tensor(acc, chars[token])
+    with pytest.raises(BoundExceededError) as full:
+        decompose(rd, acc)
+    code, out = run_cli("rep", "decompose", "--type", series, "--tensor", ",".join(tokens))
+    assert code == 2 and json.loads(out)["error"]["message"] == str(full.value)
+
+
+def test_rep_decompose_unknown_token_comes_before_the_bounds(capsys):
+    code, out = run_cli("rep", "decompose", "--type", "C9", "--tensor", "std,sym2")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "schema error: --tensor: unknown token 'sym2'; use std or dual(std)\n"

@@ -7,6 +7,7 @@ import pytest
 from pelkit import isogeny
 from pelkit.isogeny import (
     ZERO_LATTICE,
+    IsoMorphism,
     LatticeObject,
     ShapeMismatchError,
     arrow,
@@ -207,3 +208,12 @@ def test_law_suite_ledger_unchanged_on_fraction_inputs(seed, monkeypatch):
     monkeypatch.setattr(isogeny, "_random_lattice", fraction_lattice)
     monkeypatch.setattr(isogeny, "_random_map", fraction_map)
     assert run_law_suite(trials=40, seed=seed) == new
+
+
+def test_arrow_equality_and_hash_ignore_the_stored_n():
+    f = IsoMorphism(Z2, Z2, Matrix([[1, 0], [0, 2]]), 1)
+    g = IsoMorphism(Z2, Z2, Matrix([[1, 0], [0, 2]]), 4)
+    assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+    assert f != IsoMorphism(Z2, LatticeObject.scaled(2, 2), f.raw, 1)
+    assert f != IsoMorphism(Z2, Z2, Matrix.identity(2), 1)
+    assert f != (Z2, Z2, f.raw)

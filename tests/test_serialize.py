@@ -224,3 +224,24 @@ def test_nested_schema_errors_on_the_command_line(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"schema error: {path}: {message}\n"
+
+
+def test_foreign_factor_parameters_are_schema_errors(tmp_path, capsys):
+    # a mat_q factor carrying d and a would load, validate and then write
+    # without them, so datum_from_json(datum_to_json(d)) != d
+    from pelkit.cli import main
+
+    with open(os.path.join(DOCS, "modular_curve.json")) as fh:
+        obj = json.load(fh)
+    obj["algebra"]["factors"][0].update(d=7, a=3)
+    with pytest.raises(serialize.SchemaError) as err:
+        serialize.datum_from_json(obj, "datum")
+    assert err.value.path == "datum.algebra.factors[0]"
+    path = tmp_path / "foreign.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "schema error: datum.algebra.factors[0]: mat_q takes no parameter d, got 7\n"
+    obj["algebra"]["factors"][0].update(d=0, a=0)  # zeros are the defaults, not parameters
+    datum = serialize.datum_from_json(obj, "datum")
+    assert serialize.datum_from_json(serialize.datum_to_json(datum), "datum") == datum
