@@ -68,7 +68,7 @@ class HodgeCochar:
     def pair(self, w, doubled) -> int:
         if len(w) != self.rank:
             raise ValueError("weight length does not match the cocharacter")
-        s = sum(a * b for a, b in zip(w, doubled))
+        s = sum(map(operator.mul, w, doubled))
         if s % 2:
             raise NonIntegralPairingError(
                 f"weight {w} pairs half-integrally; it is not a weight of this group"

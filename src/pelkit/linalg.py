@@ -9,6 +9,9 @@ run on the numerators in one incremental fraction-free echelon,
 ``Echelon``, which the algebra closure shares; ``signature`` keeps its own
 symmetric elimination.  Both divide exactly by the previous pivot, so
 every entry stays an integer minor (Bareiss, Math. Comp. 22, 1968).
+Catalog data are monomial (at most one nonzero per row), so the kernels
+pay for nonzeros: a sparse product row adds only the rows its nonzeros
+select, and a pivot change rescales a kept row on its nonzeros alone.
 Entries read back through ``m[i, j]``, ``row``, ``column``, ``tolist`` and
 ``flatten`` are ``Fraction``s.  Sizes are desk-scale (dimension <= 64).
 """
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, mul, neg
 
 from .errors import InputError
 
@@ -81,7 +84,8 @@ def _lowest(num, den: int) -> "Matrix":
 
 def _support(row):
     """The nonzero positions of row when under a quarter of it is nonzero,
-    so that reducing by row walks them alone; None for a denser row."""
+    so that reducing by row or rescaling it walks them alone; None for a
+    denser row."""
     return list(compress(range(len(row)), row)) if 4 * (len(row) - row.count(0)) < len(row) else None
 
 
@@ -93,6 +97,9 @@ class Echelon:
     of the algebra closure).  Each kept row ``rows[k]`` is p times its
     reduced row: p at ``pivots[k]`` and 0 at every other pivot.  The last
     pivot p stays positive, as a new row with a negative pivot is negated.
+    When a new pivot q differs from p, a kept row that is zero at its column
+    only rescales by q / p, on its nonzero positions; the rest of the row
+    stays zero.  So a monomial matrix costs O(n) per row, not O(n^2).
     Kept rows are stored in pivot order; ``sign`` is the sign of those
     negations and of the row permutation that sorts them, so sign * p is the
     minor of the kept rows, in insertion order, on the pivot columns.
@@ -114,7 +121,7 @@ class Echelon:
         rows, supports = self.rows, self._supports
         for k in compress(range(len(coeffs)), coeffs):
             a, row, nz = coeffs[k], rows[k], supports[k]
-            if nz is False:  # found on first use: rows that never reduce skip it
+            if nz is False:  # found on first use: rows never used skip it
                 nz = supports[k] = _support(row)
             if nz is None:
                 w = [x - a * y for x, y in zip(w, row)]
@@ -140,9 +147,20 @@ class Echelon:
         col = [row[c] for row in rows]
         # with p unchanged, a row that is zero at c stays as it is
         for k in compress(range(len(rows)), col) if q == p else range(len(rows)):
-            a = col[k]
-            rows[k] = [(q * x - a * y) // p for x, y in zip(rows[k], w)]
-            supports[k] = False
+            a, row = col[k], rows[k]
+            if a:
+                rows[k] = [(q * x - a * y) // p for x, y in zip(row, w)]
+                supports[k] = False
+                continue
+            # zero at c: a rescale by q/p, which keeps the support
+            nz = supports[k]
+            if nz is False:
+                nz = supports[k] = _support(row)
+            if nz is None:
+                rows[k] = [q * x // p for x in row]
+            else:
+                for i in nz:
+                    row[i] = q * row[i] // p
         # rows stay in pivot order: moving the new row up past the kept rows
         # with a later pivot is that many row swaps
         k = bisect(self.pivots, c)
@@ -191,7 +209,7 @@ class Matrix:
     def identity(n: int) -> "Matrix":
         if n < 1:
             raise ValueError("matrix needs at least one row")
-        return _wrap(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
+        return _wrap(tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)), 1)
 
     @staticmethod
     def from_numerators(rows, den: int = 1) -> "Matrix":
@@ -303,10 +321,10 @@ class Matrix:
                 continue
             # sparse row: add up the rows of other it selects
             acc = zero
-            for k, a in enumerate(ra):
-                if a:
-                    term = b[k] if a == 1 else tuple(map(mul, b[k], repeat(a)))
-                    acc = term if acc is zero else tuple(map(add, acc, term))
+            for k in compress(range(inner), ra):
+                a = ra[k]
+                term = b[k] if a == 1 else tuple(map(mul, b[k], repeat(a)))
+                acc = term if acc is zero else tuple(map(add, acc, term))
             out.append(acc)
         return _lowest(out, self.denominator * other.denominator)
 
@@ -318,13 +336,11 @@ class Matrix:
 
     def is_symmetric(self) -> bool:
         m = self.numerators
-        return self.is_square() and all(m[i][j] == m[j][i] for i in range(self.rows) for j in range(i))
+        return self.is_square() and tuple(zip(*m)) == m
 
     def is_antisymmetric(self) -> bool:
         m = self.numerators
-        return self.is_square() and all(
-            m[i][j] == -m[j][i] for i in range(self.rows) for j in range(i + 1)
-        )
+        return self.is_square() and tuple(zip(*m)) == tuple(tuple(map(neg, r)) for r in m)
 
     def is_integer(self) -> bool:
         return self.denominator == 1

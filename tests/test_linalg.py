@@ -334,6 +334,18 @@ def _rank(rows, k):
     return len(_ref_rref([[Fraction(x) for x in q[:k]] for q in rows])[1])
 
 
+def _assert_echelon_invariant(ech, kept):
+    """Each kept row is p times its reduced row: p at its own pivot, 0 at
+    every other pivot, and p times the RREF of the kept rows elsewhere."""
+    assert len(ech.rows) == len(ech.pivots) == len(kept)
+    for row, c in zip(ech.rows, ech.pivots):
+        assert [row[d] for d in ech.pivots] == [ech.p * (d == c) for d in ech.pivots]
+    if kept:
+        reduced, pivots = _ref_rref([[Fraction(x) for x in q] for q in kept])
+        assert pivots == ech.pivots
+        assert ech.rows == [[ech.p * x for x in q] for q in reduced]
+
+
 def test_echelon_against_rref_and_leibniz():
     rng = random.Random(19680)
     for _ in range(300):
@@ -348,6 +360,7 @@ def test_echelon_against_rref_and_leibniz():
                 kept.append(v)
             else:
                 assert not any(res[:k])
+            _assert_echelon_invariant(ech, kept)
         assert len(ech.rows) == len(ech.pivots) == len(kept)
         assert ech.pivots == _ref_rref([[Fraction(x) for x in q[:k]] for q in rows])[1]
         assert ech.p > 0 and ech.sign in (1, -1)
@@ -377,6 +390,108 @@ def test_echelon_against_rref_and_leibniz():
             assert (not any(res[:k])) == (_rank(kept + [u], k) == len(kept))
         if extra == 0 and r == k:
             assert Matrix(rows).det() == _ref_det([[Fraction(x) for x in q] for q in rows])
+
+
+# -- the shapes of catalog data: monomial and block-diagonal matrices ------------
+
+
+def _monomial(rng, n, values):
+    """A signed permutation matrix whose nonzero entries are drawn from
+    values, and its determinant: the sign of the permutation times the
+    product of the entries."""
+    perm = rng.sample(range(n), n)
+    entries = [Fraction(rng.choice(values)) for _ in range(n)]
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for r, (c, x) in enumerate(zip(perm, entries)):
+        rows[r][c] = x
+    inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+    return rows, (-1) ** inversions * math.prod(entries)
+
+
+def _block_diagonal(rng, sizes):
+    """A block-diagonal matrix with dense blocks of the given sizes, about
+    one in four of them singular, and its determinant by Leibniz on each
+    block."""
+    n = sum(sizes)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    det = Fraction(1)
+    at = 0
+    for size in sizes:
+        block = [[Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2))) for _ in range(size)]
+                 for _ in range(size)]
+        if rng.random() < 0.25:
+            block[-1] = [2 * x for x in block[0]]
+        for r, q in enumerate(block):
+            rows[at + r][at : at + size] = q
+        det *= _ref_det(block)
+        at += size
+    return rows, det
+
+
+def _catalog_shapes(rng):
+    """(name, rows, det) for monomial matrices with the entries of catalog
+    pairings (+-1, +-2, -a and -b for a definite quaternion algebra (a, b),
+    and one non-integer), one each at dimensions 32 and 64, and for
+    block-diagonal matrices with dense 2 x 2 and 4 x 4 blocks."""
+    out = []
+    for n in (2, 5, 8, 12, 32, 64):
+        a, b = -rng.randint(1, 5), -rng.randint(1, 7)
+        out.append((f"monomial-{n}", *_monomial(rng, n, (1, -1, 2, -2, -a, -b, Fraction(1, 3)))))
+    for k in range(6):
+        sizes = [rng.choice((2, 4)) for _ in range(rng.randint(1, 5))]
+        out.append((f"blocks-{k}-{sizes}", *_block_diagonal(rng, sizes)))
+    # symmetric and alternating forms of the same shapes, as validate meets them
+    for name, rows, _ in list(out):
+        if len(rows) <= 12:
+            t = _ref_transpose(rows)
+            for tag, sign in (("sym", 1), ("alt", -1)):
+                form = [[x + sign * y for x, y in zip(p, q)] for p, q in zip(rows, t)]
+                out.append((f"{name}-{tag}", form, _ref_det(form) if len(rows) <= 6 else None))
+    return out
+
+
+def test_oracle_on_catalog_shapes():
+    rng = random.Random(1992)
+    for name, a, det in _catalog_shapes(rng):
+        n = len(a)
+        m = Matrix(a)
+        if det is not None:
+            assert m.det() == det, name
+        dense = _rand_rows(rng, n, 3)
+        assert (m @ Matrix(dense)).tolist() == _ref_mul(a, dense), name
+        assert (Matrix(_ref_transpose(dense)) @ m).tolist() == _ref_mul(_ref_transpose(dense), a), name
+        if n <= 32:
+            assert (m @ m).tolist() == _ref_mul(a, a), name
+        t = _ref_transpose(a)
+        assert m.is_symmetric() == (a == t), name
+        assert m.is_antisymmetric() == (a == [[-x for x in q] for q in t]), name
+        reduced, pivots = _ref_rref(a)
+        assert m.rank() == len(pivots), name
+        assert m.column_space_basis().tolist() == [[row[c] for c in pivots] for row in a], name
+        if len(pivots) == n:
+            ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+            inv = _ref_rref([p + q for p, q in zip(a, ident)])[0]
+            assert m.inv().tolist() == [r[n:] for r in inv], name
+        else:
+            assert det in (None, 0), name
+            with pytest.raises(ValueError):
+                m.inv()
+        rhs = _ref_mul(a, _rand_rows(rng, n, 2))
+        aug, aug_pivots = _ref_rref([p + q for p, q in zip(a, rhs)])
+        ref_x = [[Fraction(0)] * 2 for _ in range(n)]
+        for row, c in zip(aug, aug_pivots):
+            ref_x[c] = row[n:]
+        assert m.solve(Matrix(rhs)).tolist() == ref_x, name
+        other = _rand_rows(rng, n, 2)
+        if any(c >= n for c in _ref_rref([p + q for p, q in zip(a, other)])[1]):
+            with pytest.raises(ValueError):
+                m.solve(Matrix(other))
+        # the echelon behind det, inv and rank, row by row on the numerators
+        ech, kept = Echelon(n), []
+        for q in m.numerators:
+            if ech.insert(q) is None:
+                kept.append(q)
+            _assert_echelon_invariant(ech, kept)
 
 
 def test_rectangular_solve_and_rank():

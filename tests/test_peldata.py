@@ -476,6 +476,16 @@ def validation_data():
                 out.append((alg_name, PelDatum(alg, datum.pairing, datum.j)))
                 out.append((alg_name + "/negated_j", PelDatum(alg, datum.pairing, -datum.j)))
             out.append((name + "/broken_star", _break_star(datum)))
+    # Sp data over M_1(Q), which commutes with every P: j moved by a P that
+    # is not symplectic for the pairing squares to -1 and commutes, but is
+    # not skew; -j is skew but negative
+    for g in (2, 3, 4):
+        base = symplectic_datum(1, g)
+        p = random_rational(rng, base.dim_v)
+        raw = AlgebraPresentation.raw(base.dim_v, base.algebra.generators)
+        for alg_name, alg in ((f"sp{2 * g}", base.algebra), (f"sp{2 * g}/raw", raw)):
+            out.append((alg_name + "/moved_j", PelDatum(alg, base.pairing, p.inv() @ base.j @ p)))
+            out.append((alg_name + "/negated_j", PelDatum(alg, base.pairing, -base.j)))
     return out
 
 
@@ -491,12 +501,19 @@ def test_validation_data_reach_every_branch():
     reports = [(d.algebra.mode, validate(d)) for _, d in VALIDATION_DATA]
     assert {(mode, r.failure_code) for mode, r in reports} == {
         ("structured", None),
+        ("structured", "j_pairing_skew"),
         ("structured", "polarization_positive"),
         ("raw", None),
         ("raw", "star_adjoint"),
+        ("raw", "j_pairing_skew"),
         ("raw", "polarization_positive"),
         ("raw", "involution_anti"),
     }
+    # both readings of g = m j: its symmetry, then its signature
+    for name, datum in VALIDATION_DATA:
+        if name.startswith("sp"):
+            expected = "j_pairing_skew" if name.endswith("/moved_j") else "polarization_positive"
+            assert validate(datum).failure_code == expected, name
 
 
 def test_structured_validate_runs_no_closure():
@@ -509,6 +526,18 @@ def test_structured_validate_runs_no_closure():
     assert validate(raw).valid
     after = _closure.cache_info()
     assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
+
+
+def test_validate_forms_the_polarization_gram_matrix_once(monkeypatch):
+    # two products per generator for star_adjoint and two for j_commutes,
+    # one for j_square and one for g = m j, which both j checks read
+    datum = quaternion_m2_datum().conjugate(random_rational(random.Random(5), 8))
+    gens = len(datum.algebra.generators)
+    products = []
+    matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda self, other: products.append(self) or matmul(self, other))
+    assert validate(datum).valid
+    assert gens > 1 and len(products) == 4 * gens + 2
 
 
 def test_classify_reads_the_kept_basis_inverse(monkeypatch):
