@@ -27,6 +27,7 @@ from .linalg import Echelon, Matrix, signature
 MAT_Q = "mat_q"
 MAT_IMAG_QUAD = "mat_imag_quad"
 MAT_DEF_QUAT = "mat_def_quat"
+MAX_ABS_D = 10**9  # bounds the trial-division squarefree test to ~3e4 steps
 
 
 def _is_squarefree(n: int) -> bool:
@@ -46,7 +47,7 @@ class CatalogFactor:
     kind: str
     n: int
     multiplicity: int
-    d: int = 0  # imaginary quadratic only: squarefree d < 0
+    d: int = 0  # imaginary quadratic only: squarefree -MAX_ABS_D <= d < 0
     a: int = 0  # definite quaternion only: both < 0
     b: int = 0
 
@@ -63,6 +64,8 @@ class CatalogFactor:
             if getattr(self, name):
                 raise ValueError(f"{self.kind} takes no parameter {name}, got {getattr(self, name)}")
         if self.kind == MAT_IMAG_QUAD:
+            if self.d < -MAX_ABS_D:
+                raise ValueError(f"|d| must be at most {MAX_ABS_D}, got {self.d}")
             if self.d >= 0 or not _is_squarefree(self.d):
                 raise ValueError("imaginary quadratic centre needs squarefree d < 0")
         if self.kind == MAT_DEF_QUAT:
@@ -144,7 +147,8 @@ class AlgebraPresentation:
 
     A structured presentation is its catalog factors plus ``basis``, the
     basis of V in catalog coordinates (``None`` while canonical); the
-    constructor derives its generators (pass ``None``) and refuses others.
+    constructor derives its generators (pass ``None``) and refuses others,
+    and refuses a basis that is not an invertible dim_v x dim_v matrix.
     ``==`` and hashing compare the generators only.  Two bases that give
     equal generators differ by an element of the commutant, which preserves
     each isotypic block and commutes with the centre, so they classify alike.
@@ -160,7 +164,10 @@ class AlgebraPresentation:
         if self.factors or self.generators is None:
             gens = _catalog_generators(self.factors)
             if self.basis is not None:
-                b, b_inv = self.basis, self.basis.inv()
+                b = self.basis
+                if b.rows != self.dim_v or b.cols != self.dim_v:
+                    raise ValueError(f"basis must be {self.dim_v} x {self.dim_v}, got {b.rows} x {b.cols}")
+                b_inv = b.inv()
                 object.__setattr__(self, "basis_inv", b_inv)
                 gens = tuple((b_inv @ a @ b, b_inv @ s @ b) for a, s in gens)
             if self.generators not in (None, gens):

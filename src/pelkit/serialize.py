@@ -1,9 +1,11 @@
 """JSON encoding shared by the command line and the bundled examples.
 
 Rationals travel as exact strings "p" or "p/q" (never decimals); matrices
-as arrays of arrays of such strings; weights as integer arrays.  Schema
-violations raise SchemaError with a JSON-pointer-ish path so the CLI can
-print a usable diagnostic and exit with code 2.
+as arrays of arrays of such strings; weights as integer arrays.  A
+structured algebra travels as it is held in memory: its catalog factors
+plus, once a base change has moved it, its basis, so every datum reloads
+as itself.  Schema violations raise SchemaError with a JSON-pointer-ish
+path so the CLI can print a usable diagnostic and exit with code 2.
 """
 
 from __future__ import annotations
@@ -14,13 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .admissibility import MorphismSpec, RepSide
-from .algebras import (
-    MAT_DEF_QUAT,
-    MAT_IMAG_QUAD,
-    MAT_Q,
-    AlgebraPresentation,
-    CatalogFactor,
-)
+from .algebras import AlgebraPresentation, CatalogFactor
 from .characters import Factor, RootDatum, TorusMap, WeightChar
 from .errors import InputError
 from .linalg import Matrix
@@ -47,13 +43,6 @@ def _bad_rational(obj) -> str | None:
     if isinstance(obj, str) and not _RAT_RE.match(obj):
         return f"bad rational {obj!r}: expected 'p' or 'p/q' with q > 0"
     return None
-
-
-def frac_from_json(obj, path: str) -> Fraction:
-    problem = _bad_rational(obj)
-    if problem:
-        raise SchemaError(path, problem)
-    return Fraction(obj)
 
 
 def matrix_to_json(m: Matrix):
@@ -98,26 +87,17 @@ def _require(obj, key, path, kind=None):
 
 
 def algebra_to_json(alg: AlgebraPresentation):
-    """JSON form of a presentation.  A structured one is written as its
-    catalog factors alone, so it must carry the catalog's own generators:
-    a base-changed structured presentation raises ``ValueError`` rather
-    than reload as a different algebra."""
-    if alg.mode == "structured":
-        if alg.generators != AlgebraPresentation.from_catalog(alg.factors).generators:
-            raise ValueError(
-                "structured algebra is not in its catalog basis (base-changed?); "
-                "only its catalog factors would be written"
-            )
-        factors = []
-        for f in alg.factors:
-            entry = {"kind": f.kind, "n": f.n, "multiplicity": f.multiplicity}
-            if f.kind == MAT_IMAG_QUAD:
-                entry["d"] = f.d
-            elif f.kind == MAT_DEF_QUAT:
-                entry["a"] = f.a
-                entry["b"] = f.b
-            factors.append(entry)
-        return {"mode": "structured", "dim_v": alg.dim_v, "factors": factors}
+    """JSON form of a presentation.  A structured one is its catalog
+    factors, each as its non-zero fields, plus its basis when it has one."""
+    if alg.factors:
+        out = {
+            "mode": "structured",
+            "dim_v": alg.dim_v,
+            "factors": [{k: v for k, v in vars(f).items() if v} for f in alg.factors],
+        }
+        if alg.basis is not None:
+            out["basis"] = matrix_to_json(alg.basis)
+        return out
     return {
         "mode": "raw",
         "dim_v": alg.dim_v,
@@ -127,38 +107,37 @@ def algebra_to_json(alg: AlgebraPresentation):
     }
 
 
+_STRUCTURED_KEYS = {"mode", "dim_v", "factors", "basis"}
+
+
 def algebra_from_json(obj, path: str = "algebra") -> AlgebraPresentation:
     mode = _require(obj, "mode", path, str)
     dim_v = _require(obj, "dim_v", path, int)
     if mode == "structured":
+        unknown = obj.keys() - _STRUCTURED_KEYS
+        if unknown:
+            raise SchemaError(path, f"unknown key {min(unknown)!r}")
         factors = _require(obj, "factors", path, list)
         catalog = []
         for i, f in enumerate(factors):
             fpath = f"{path}.factors[{i}]"
             kind = _require(f, "kind", fpath, str)
-            if kind not in (MAT_Q, MAT_IMAG_QUAD, MAT_DEF_QUAT):
-                raise SchemaError(fpath, f"unknown kind {kind!r}")
             n = _require(f, "n", fpath, int)
             multiplicity = _require(f, "multiplicity", fpath, int)
             try:
                 catalog.append(
-                    CatalogFactor(
-                        kind=kind,
-                        n=n,
-                        multiplicity=multiplicity,
-                        d=f.get("d", 0),
-                        a=f.get("a", 0),
-                        b=f.get("b", 0),
-                    )
+                    CatalogFactor(kind, n, multiplicity, d=f.get("d", 0), a=f.get("a", 0), b=f.get("b", 0))
                 )
             except ValueError as exc:
                 raise SchemaError(fpath, str(exc))
-        alg = AlgebraPresentation.from_catalog(catalog)
-        if alg.dim_v != dim_v:
-            raise SchemaError(
-                f"{path}.dim_v", f"catalog factors span dimension {alg.dim_v}, not {dim_v}"
-            )
-        return alg
+        span = sum(f.isotypic_dim for f in catalog)
+        if span != dim_v:
+            raise SchemaError(f"{path}.dim_v", f"catalog factors span dimension {span}, not {dim_v}")
+        basis = matrix_from_json(obj["basis"], f"{path}.basis") if "basis" in obj else None
+        try:
+            return AlgebraPresentation(dim_v, None, tuple(catalog), basis)
+        except ValueError as exc:
+            raise SchemaError(f"{path}.basis", str(exc))
     if mode == "raw":
         gens = _require(obj, "generators", path, list)
         pairs = []

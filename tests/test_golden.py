@@ -72,6 +72,21 @@ def test_golden_pin(name, argv, capsys, monkeypatch):
     assert code == codes[name]
 
 
+# gu11 moved by a unimodular and a rational base change of V: the same
+# datum in another presentation, so it prints the gu11 pins
+BASE_CHANGED = [
+    (name, [a.replace("/gu11.json", "/gu11_base_changed.json") for a in argv])
+    for name, argv in COMMANDS
+    if name in ("validate-gu11", "classify-gu11", "hodge-std-gu11")
+]
+
+
+@pytest.mark.parametrize("name,argv", BASE_CHANGED, ids=[n for n, _ in BASE_CHANGED])
+def test_base_changed_gu11_prints_the_gu11_pin(name, argv, capsys, monkeypatch):
+    assert f"{EXAMPLES}/gu11_base_changed.json" in argv
+    test_golden_pin(name, argv, capsys, monkeypatch)
+
+
 def write_pins() -> None:
     """Run every pinned command through ``python -m pelkit`` and store its
     stdout and exit code."""

@@ -10,6 +10,7 @@ from pelkit.peldata import GroupFactorization, PelDatum, classify, factorize, sh
 
 
 def mixed_datum() -> PelDatum:
+    """Two factors at once: Q-factor on Q^2 plus Q(i)-factor on Q(i)^2."""
     alg = AlgebraPresentation.from_catalog(
         [CatalogFactor(MAT_Q, 1, 2), CatalogFactor(MAT_IMAG_QUAD, 1, 2, d=-1)]
     )

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from classify_oracle import oracle_factorize_details
 from gauss_oracle import simult_eigensplit
+from test_mixed_factors import mixed_datum
 from validate_oracle import oracle_validate
 
 from pelkit.algebras import (
@@ -140,19 +141,6 @@ def test_negating_j_swaps_unitary_signature():
     flipped = PelDatum(d.algebra, -d.pairing, -d.j)
     assert validate(flipped).valid
     assert factorize(flipped) == GroupFactorization((), ((0, 2),), ())
-
-
-def mixed_datum() -> PelDatum:
-    """Two factors at once: Q-factor on Q^2 plus Q(i)-factor on Q(i)^2."""
-    alg = AlgebraPresentation.from_catalog(
-        [CatalogFactor(MAT_Q, 1, 2), CatalogFactor(MAT_IMAG_QUAD, 1, 2, d=-1)]
-    )
-    m1, gu = modular_curve_datum(), gu11_datum()
-    return PelDatum(
-        alg,
-        Matrix.block_diag(m1.pairing, gu.pairing),
-        Matrix.block_diag(m1.j, gu.j),
-    )
 
 
 def test_isotypic_dimensions_fill_v():

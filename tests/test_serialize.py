@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,15 @@ import pytest
 from pelkit import serialize
 from pelkit.algebras import AlgebraPresentation, CatalogFactor
 from pelkit.characters import WeightChar
-from pelkit.fixtures import det_twist_morphism, gu11_datum, modular_curve_datum
+from pelkit.fixtures import (
+    balanced_imag_quad_datum,
+    det_twist_morphism,
+    gsp8_tensor_datum,
+    gu11_datum,
+    modular_curve_datum,
+    modular_curve_m2_datum,
+    quaternion_datum,
+)
 from pelkit.linalg import Matrix
 from pelkit.peldata import PelDatum, classify, validate
 
@@ -17,12 +26,12 @@ DOCS = os.path.join(os.path.dirname(__file__), "..", "docs", "examples")
 def test_fraction_strings():
     assert serialize.frac_to_str(Fraction(3)) == "3"
     assert serialize.frac_to_str(Fraction(-1, 2)) == "-1/2"
-    assert serialize.frac_from_json("7/3", "x") == Fraction(7, 3)
-    assert serialize.frac_from_json(4, "x") == 4
+    assert serialize.matrix_from_json([["7/3"]], "x") == Matrix([[Fraction(7, 3)]])
+    assert serialize.matrix_from_json([[4]], "x") == Matrix([[4]])
     with pytest.raises(serialize.SchemaError):
-        serialize.frac_from_json("1.5", "x")
+        serialize.matrix_from_json([["1.5"]], "x")
     with pytest.raises(serialize.SchemaError):
-        serialize.frac_from_json("1/0", "x")
+        serialize.matrix_from_json([["1/0"]], "x")
 
 
 def test_matrix_round_trip():
@@ -45,21 +54,27 @@ def test_datum_round_trip():
         assert validate(again).valid
 
 
-def test_base_changed_structured_datum_is_refused():
+def _reload(datum):
+    return serialize.datum_from_json(json.loads(serialize.dumps(serialize.datum_to_json(datum))))
+
+
+def test_base_changed_structured_datum_round_trips():
     datum = gu11_datum()
     shear = Matrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     moved = datum.conjugate(shear)
-    assert validate(moved).valid
-    with pytest.raises(ValueError, match="catalog basis"):
-        serialize.datum_to_json(moved)
-    # a base change by a scalar fixes every generator, so nothing is lost
+    assert serialize.datum_to_json(moved)["algebra"]["basis"] == serialize.matrix_to_json(shear)
+    again = _reload(moved)
+    assert again == moved and again.algebra.basis == shear and validate(again).valid
+    # a base change by a scalar fixes every generator but is still written
     scaled = datum.conjugate(Matrix.identity(4).scale(2))
-    again = serialize.datum_from_json(json.loads(serialize.dumps(serialize.datum_to_json(scaled))))
-    assert again == scaled and validate(again).valid
+    again = _reload(scaled)
+    assert again == scaled and again.algebra.basis == scaled.algebra.basis and validate(again).valid
     # raw presentations write their generators and survive any base change
     raw = PelDatum(AlgebraPresentation.raw(4, moved.algebra.generators), moved.pairing, moved.j)
-    again = serialize.datum_from_json(json.loads(serialize.dumps(serialize.datum_to_json(raw))))
+    again = _reload(raw)
     assert again == raw and validate(again).valid
+    # the canonical basis is no basis at all
+    assert "basis" not in serialize.datum_to_json(datum)["algebra"]
 
 
 def test_dumps_shares_equal_texts():
@@ -101,6 +116,7 @@ def test_docs_examples_load_and_validate():
         "gsp8_tensor",
         "quaternion",
         "balanced_sqrt_minus_2",
+        "gu11_base_changed",
     ]
     for name in names:
         with open(os.path.join(DOCS, f"{name}.json"), "r", encoding="utf-8") as fh:
@@ -181,12 +197,35 @@ def _nested_schema_cases():
     the innermost path that names it."""
     no_n = _doc("gu11")
     del no_n["algebra"]["factors"][0]["n"]
+    real_kind = _doc("modular_curve")
+    real_kind["algebra"]["factors"][0]["kind"] = "mat_r"
     series_b = _doc("det_twist_morphism")
     series_b["source"]["root_datum"]["factors"][0]["series"] = "B"
     negative_centre = _doc("det_twist_morphism")
     negative_centre["source"]["root_datum"]["central_rank"] = -1
-    return [
+    singular = [["1", "0", "0", "0"], ["2", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+    basis_faults = [
+        ({"basis": singular}, "datum.algebra.basis", "matrix is singular"),
+        ({"basis": [r[:3] for r in singular[1:]]}, "datum.algebra.basis", "basis must be 4 x 4, got 3 x 3"),
+        ({"basis": singular[1:]}, "datum.algebra.basis", "basis must be 4 x 4, got 3 x 4"),
+        (
+            {"basis": [["1", "1.5", "0", "0"]] + singular[1:]},
+            "datum.algebra.basis[0][1]",
+            "bad rational '1.5': expected 'p' or 'p/q' with q > 0",
+        ),
+    ]
+    cases = []
+    for entries, path, message in basis_faults:
+        obj = _doc("gu11_base_changed")
+        obj["algebra"].update(entries)
+        cases.append(("validate", "datum.json", obj, path, message))
+    # without the key check the misspelt basis would be dropped silently
+    misspelt = _doc("gu11_base_changed")
+    misspelt["algebra"]["basiss"] = misspelt["algebra"].pop("basis")
+    cases.append(("validate", "datum.json", misspelt, "datum.algebra", "unknown key 'basiss'"))
+    return cases + [
         ("validate", "datum.json", no_n, "datum.algebra.factors[0]", "missing key 'n'"),
+        ("validate", "datum.json", real_kind, "datum.algebra.factors[0]", "unknown catalog kind 'mat_r'"),
         (
             "admissible",
             "morphism.json",
@@ -245,3 +284,46 @@ def test_foreign_factor_parameters_are_schema_errors(tmp_path, capsys):
     obj["algebra"]["factors"][0].update(d=0, a=0)  # zeros are the defaults, not parameters
     datum = serialize.datum_from_json(obj, "datum")
     assert serialize.datum_from_json(serialize.datum_to_json(datum), "datum") == datum
+
+
+# the unimodular and the rational base change behind docs/examples/gu11_base_changed.json
+GU11_UNIMODULAR = Matrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, -1], [0, 0, 0, 1]])
+GU11_RATIONAL = Matrix(
+    [[Fraction(1, 2), 0, 0, 0], [0, 1, 0, Fraction(1, 3)], [0, 0, 2, 0], [1, 0, 0, 1]]
+)
+
+
+def test_docs_examples_are_written_by_datum_to_json():
+    written = {
+        "modular_curve": modular_curve_datum(),
+        "modular_curve_m2": modular_curve_m2_datum(),
+        "gu11": gu11_datum(),
+        "gsp8_tensor": gsp8_tensor_datum(),
+        "quaternion": quaternion_datum(),
+        "balanced_sqrt_minus_2": balanced_imag_quad_datum(),
+        "gu11_base_changed": gu11_datum().conjugate(GU11_UNIMODULAR).conjugate(GU11_RATIONAL),
+    }
+    for name, datum in written.items():
+        with open(os.path.join(DOCS, f"{name}.json"), "r", encoding="utf-8") as fh:
+            assert fh.read() == serialize.dumps(serialize.datum_to_json(datum)), name
+    assert written["gu11_base_changed"].algebra.basis == GU11_UNIMODULAR @ GU11_RATIONAL
+
+
+def test_huge_squarefree_d_is_a_quick_schema_error(tmp_path, capsys):
+    # d = -(2^61 - 1) is squarefree (a Mersenne prime): trial division up
+    # to its square root would run for minutes, so |d| is bounded first
+    from pelkit.cli import main
+
+    obj = _doc("gu11")
+    obj["algebra"]["factors"][0]["d"] = -(2**61 - 1)
+    file = tmp_path / "huge_d.json"
+    file.write_text(json.dumps(obj), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["validate", str(file)]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "schema error: datum.algebra.factors[0]: |d| must be at most 1000000000, got -2305843009213693951\n"
+    obj["algebra"]["factors"][0]["d"] = -(10**9)  # at the bound: divisible by 4, so not squarefree
+    with pytest.raises(serialize.SchemaError, match="squarefree"):
+        serialize.datum_from_json(obj, "datum")
