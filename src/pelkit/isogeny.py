@@ -7,9 +7,15 @@ that f(n L) lies in L', and the scale 1/n.  Two arrows are equal when they
 share endpoints and rational matrix; the normalisation is canonical and
 recomputed, which is what makes the well-definedness laws decidable.
 
-A lattice inverts its basis once, at construction, which also rejects a
-singular basis.  The law suite draws its random lattices and maps on
-integer numerators over one common denominator, never through ``Fraction``.
+Every lattice stores the inverse of its basis, which ``minimal_n`` reads.
+A lattice built through the public constructor (``LatticeObject(dim,
+basis)``, ``standard``, ``scaled``) inverts its basis once, which also
+rejects a singular basis.  The law suite's random lattices and direct sums
+carry their inverse by construction: a random basis is a unimodular matrix,
+inverted operation by operation as it is drawn, times a diagonal, and a
+direct sum's inverse is the block sum of the inverses.  So the law suite
+runs no elimination.  It draws its random lattices and maps on integer
+numerators over one common denominator, never through ``Fraction``.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from .errors import InputError
 from .linalg import Matrix
@@ -43,6 +50,8 @@ class LatticeObject:
             return
         if self.basis is None or self.basis.rows != self.dim or self.basis.cols != self.dim:
             raise ValueError("basis must be square of size dim")
+        if self.basis_inv is not None:  # carried in by _with_inverse
+            return
         try:  # the one elimination: validates the basis and stores its inverse
             object.__setattr__(self, "basis_inv", self.basis.inv())
         except ValueError:  # a square inv fails only on a singular matrix
@@ -60,14 +69,34 @@ class LatticeObject:
 ZERO_LATTICE = LatticeObject(0, None)
 
 
+def _with_inverse(basis: Matrix, basis_inv: Matrix) -> LatticeObject:
+    """The lattice of ``basis``, whose inverse ``basis_inv`` the caller
+    already knows.  It still runs ``__post_init__`` and its shape checks."""
+    lat = object.__new__(LatticeObject)
+    object.__setattr__(lat, "dim", basis.rows)
+    object.__setattr__(lat, "basis", basis)
+    object.__setattr__(lat, "basis_inv", basis_inv)
+    lat.__post_init__()
+    return lat
+
+
+def _int_matmul(a, b) -> list:
+    cols = tuple(zip(*b))
+    return [[sum(map(mul, r, c)) for c in cols] for r in a]
+
+
 def minimal_n(f: Matrix, src: LatticeObject, dst: LatticeObject) -> int:
-    """Least n >= 1 with f(n * L_src) inside L_dst: the lcm of the
-    denominators of dst.basis^-1 @ f @ src.basis."""
+    """Least n >= 1 with f(n * L_src) inside L_dst: the denominator of
+    dst.basis^-1 @ f @ src.basis in lowest terms, read off the integer
+    product of the three numerators over the product of the denominators."""
     if src.dim == 0 or dst.dim == 0:
         return 1
     if f.rows != dst.dim or f.cols != src.dim:
         raise ShapeMismatchError("map shape does not match the lattices")
-    return (dst.basis_inv @ f @ src.basis).denominator
+    inv, basis = dst.basis_inv, src.basis
+    den = inv.denominator * f.denominator * basis.denominator
+    prod = _int_matmul(_int_matmul(inv.numerators, f.numerators), basis.numerators)
+    return den // gcd(den, *(x for r in prod for x in r))
 
 
 @dataclass(frozen=True)
@@ -120,7 +149,7 @@ def direct_sum(a: LatticeObject, b: LatticeObject) -> LatticeObject:
         return b
     if b.dim == 0:
         return a
-    return LatticeObject(a.dim + b.dim, Matrix.block_diag(a.basis, b.basis))
+    return _with_inverse(Matrix.block_diag(a.basis, b.basis), Matrix.block_diag(a.basis_inv, b.basis_inv))
 
 
 def direct_sum_arrows(f: IsoMorphism, g: IsoMorphism) -> IsoMorphism:
@@ -134,24 +163,36 @@ def direct_sum_arrows(f: IsoMorphism, g: IsoMorphism) -> IsoMorphism:
 # -- randomized law suite ------------------------------------------------------
 
 
-def _random_unimodular(rng: random.Random, n: int) -> list:
+def _random_unimodular(rng: random.Random, n: int) -> tuple[list, list]:
+    """Integer rows of a random unimodular U and of its inverse.  Each row
+    operation row_i += c row_j on U is undone on the right of U^-1 by the
+    column operation col_j -= c col_i."""
     m = [[int(i == j) for j in range(n)] for i in range(n)]
+    m_inv = [r[:] for r in m]
     for _ in range(2 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         if i != j:
             c = rng.randint(-2, 2)
             m[i] = [x + c * y for x, y in zip(m[i], m[j])]
-    return m
+            for r in m_inv:
+                r[j] -= c * r[i]
+    return m, m_inv
 
 
 def _random_lattice(rng: random.Random, n: int) -> LatticeObject:
-    """Lattice with basis unimodular @ diag(p_j / q_j), as numerators over
-    L = lcm(q_j).  Draws the diagonal first, each p before its q."""
+    """Lattice with basis U @ diag(p_j / q_j), as numerators over lcm(q_j),
+    and inverse diag(q_j / p_j) @ U^-1, over lcm(p_j).  Draws the diagonal
+    first, each p before its q."""
     diag = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(n)]
-    u = _random_unimodular(rng, n)
+    u, u_inv = _random_unimodular(rng, n)
     den = lcm(*(q for _, q in diag))
     col = [p * (den // q) for p, q in diag]  # column j scaled by p_j / q_j
-    return LatticeObject(n, Matrix.from_numerators([[x * c for x, c in zip(r, col)] for r in u], den))
+    den_inv = lcm(*(p for p, _ in diag))
+    basis_inv = [[x * q * (den_inv // p) for x in r] for r, (p, q) in zip(u_inv, diag)]  # row j by q_j / p_j
+    return _with_inverse(
+        Matrix.from_numerators([[x * c for x, c in zip(r, col)] for r in u], den),
+        Matrix.from_numerators(basis_inv, den_inv),
+    )
 
 
 def _random_map(rng: random.Random, rows: int, cols: int) -> Matrix:

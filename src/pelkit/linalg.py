@@ -12,8 +12,8 @@ every entry stays an integer minor (Bareiss, Math. Comp. 22, 1968).
 Catalog data are monomial (at most one nonzero per row), so the kernels
 pay for nonzeros: a sparse product row adds only the rows its nonzeros
 select, and a pivot change rescales a kept row on its nonzeros alone.
-Entries read back through ``m[i, j]``, ``row``, ``column``, ``tolist`` and
-``flatten`` are ``Fraction``s.  Sizes are desk-scale (dimension <= 64).
+Entries read back through ``m[i, j]``, ``row``, ``column`` and ``tolist``
+are ``Fraction``s.  Sizes are desk-scale (dimension <= 64).
 """
 
 from __future__ import annotations
@@ -342,17 +342,10 @@ class Matrix:
         m = self.numerators
         return self.is_square() and tuple(zip(*m)) == tuple(tuple(map(neg, r)) for r in m)
 
-    def is_integer(self) -> bool:
-        return self.denominator == 1
-
     def trace(self) -> Fraction:
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
         return Fraction(sum(r[i] for i, r in enumerate(self.numerators)), self.denominator)
-
-    def flatten(self):
-        den = self.denominator
-        return tuple(Fraction(x, den) for r in self.numerators for x in r)
 
     # -- elimination-based operations ----------------------------------------
 

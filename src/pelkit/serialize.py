@@ -4,8 +4,10 @@ Rationals travel as exact strings "p" or "p/q" (never decimals); matrices
 as arrays of arrays of such strings; weights as integer arrays.  A
 structured algebra travels as it is held in memory: its catalog factors
 plus, once a base change has moved it, its basis, so every datum reloads
-as itself.  Schema violations raise SchemaError with a JSON-pointer-ish
-path so the CLI can print a usable diagnostic and exit with code 2.
+as itself.  Every JSON object the readers parse refuses a key it does not
+know, so a misspelt key is reported rather than dropped.  Schema
+violations raise SchemaError with a JSON-pointer-ish path so the CLI can
+print a usable diagnostic and exit with code 2.
 """
 
 from __future__ import annotations
@@ -86,6 +88,15 @@ def _require(obj, key, path, kind=None):
     return val
 
 
+def _known_keys(obj, path: str, known) -> None:
+    """Refuse a key of the JSON object obj outside known, at obj's own
+    path.  A non-object passes, for ``_require`` to report."""
+    if isinstance(obj, dict):
+        unknown = obj.keys() - known
+        if unknown:
+            raise SchemaError(path, f"unknown key {min(unknown)!r}")
+
+
 def algebra_to_json(alg: AlgebraPresentation):
     """JSON form of a presentation.  A structured one is its catalog
     factors, each as its non-zero fields, plus its basis when it has one."""
@@ -107,20 +118,16 @@ def algebra_to_json(alg: AlgebraPresentation):
     }
 
 
-_STRUCTURED_KEYS = {"mode", "dim_v", "factors", "basis"}
-
-
 def algebra_from_json(obj, path: str = "algebra") -> AlgebraPresentation:
     mode = _require(obj, "mode", path, str)
     dim_v = _require(obj, "dim_v", path, int)
     if mode == "structured":
-        unknown = obj.keys() - _STRUCTURED_KEYS
-        if unknown:
-            raise SchemaError(path, f"unknown key {min(unknown)!r}")
+        _known_keys(obj, path, {"mode", "dim_v", "factors", "basis"})
         factors = _require(obj, "factors", path, list)
         catalog = []
         for i, f in enumerate(factors):
             fpath = f"{path}.factors[{i}]"
+            _known_keys(f, fpath, {"kind", "n", "multiplicity", "d", "a", "b"})
             kind = _require(f, "kind", fpath, str)
             n = _require(f, "n", fpath, int)
             multiplicity = _require(f, "multiplicity", fpath, int)
@@ -139,10 +146,12 @@ def algebra_from_json(obj, path: str = "algebra") -> AlgebraPresentation:
         except ValueError as exc:
             raise SchemaError(f"{path}.basis", str(exc))
     if mode == "raw":
+        _known_keys(obj, path, {"mode", "dim_v", "generators"})
         gens = _require(obj, "generators", path, list)
         pairs = []
         for i, g in enumerate(gens):
             gpath = f"{path}.generators[{i}]"
+            _known_keys(g, gpath, {"action", "star"})
             pairs.append(
                 (
                     matrix_from_json(_require(g, "action", gpath), f"{gpath}.action"),
@@ -166,6 +175,7 @@ def datum_to_json(datum: PelDatum):
 
 def datum_from_json(obj, path: str = "") -> PelDatum:
     base = path or "datum"
+    _known_keys(obj, base, {"algebra", "pairing", "j"})
     return PelDatum(
         algebra=algebra_from_json(_require(obj, "algebra", base), f"{base}.algebra"),
         pairing=matrix_from_json(_require(obj, "pairing", base), f"{base}.pairing"),
@@ -181,10 +191,12 @@ def root_datum_to_json(rd: RootDatum):
 
 
 def root_datum_from_json(obj, path: str = "root_datum") -> RootDatum:
+    _known_keys(obj, path, {"factors", "central_rank"})
     factors = _require(obj, "factors", path, list)
     out = []
     for i, f in enumerate(factors):
         fpath = f"{path}.factors[{i}]"
+        _known_keys(f, fpath, {"series", "n"})
         series, n = _require(f, "series", fpath, str), _require(f, "n", fpath, int)
         try:
             out.append(Factor(series, n))
@@ -207,6 +219,7 @@ def char_from_json(obj, path: str = "char") -> WeightChar:
     acc = {}
     for i, entry in enumerate(obj):
         epath = f"{path}[{i}]"
+        _known_keys(entry, epath, {"weight", "mult"})
         w = _require(entry, "weight", epath, list)
         m = _require(entry, "mult", epath, int)
         if not all(_is_int(c) for c in w):
@@ -230,6 +243,7 @@ def morphism_to_json(m: MorphismSpec):
 
 
 def _side_from_json(obj, path: str) -> RepSide:
+    _known_keys(obj, path, {"root_datum", "standard_char"})
     return RepSide(
         root_datum=root_datum_from_json(_require(obj, "root_datum", path), f"{path}.root_datum"),
         standard_char=char_from_json(_require(obj, "standard_char", path), f"{path}.standard_char"),
@@ -237,6 +251,7 @@ def _side_from_json(obj, path: str) -> RepSide:
 
 
 def morphism_from_json(obj, path: str = "morphism") -> MorphismSpec:
+    _known_keys(obj, path, {"source", "target", "weight_pullback"})
     pullback = _require(obj, "weight_pullback", path, list)
     if not all(isinstance(r, list) and all(_is_int(x) for x in r) for r in pullback):
         raise SchemaError(f"{path}.weight_pullback", "expected an integer matrix")

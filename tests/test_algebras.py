@@ -366,7 +366,8 @@ def test_catalog_generating_set_sizes(factors):
     assert len(cl.basis) == sum(f.n**2 * f.coeff_dim for f in factors)
     # when every factor has n = 1 their units E_11 (x) 1 sum to the identity
     # of V, so one generator is dependent
-    independent = Matrix([m.flatten() for m in [Matrix.identity(alg.dim_v)] + [a for a, _ in alg.generators]]).rank() - 1
+    units = [Matrix.identity(alg.dim_v)] + [a for a, _ in alg.generators]
+    independent = Matrix([[x for r in m.numerators for x in r] for m in units]).rank() - 1
     assert independent == len(alg.generators) - all(f.n == 1 for f in factors)
     # one kept row [b | b*] per basis element, and every product of a basis
     # element with an independent generator reduces to zero with its

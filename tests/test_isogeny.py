@@ -190,16 +190,59 @@ def _same(a: Matrix, b: Matrix) -> bool:
 
 def test_integer_generators_match_fraction_generators():
     for seed in range(1200):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             old, new = random.Random(seed), random.Random(seed)
             lat_old, lat_new = fraction_lattice(old, n), isogeny._random_lattice(new, n)
             assert _same(lat_old.basis, lat_new.basis), (seed, n)
-            assert _same(lat_old.basis_inv, lat_new.basis_inv), (seed, n)
+            assert _same(lat_old.basis_inv, lat_new.basis_inv), (seed, n)  # carried against inv()
             assert old.getstate() == new.getstate(), (seed, n)
             cols = 1 + (seed + n) % 3
             assert _same(fraction_map(old, n, cols), isogeny._random_map(new, n, cols)), (seed, n)
-            assert _same(fraction_unimodular(old, n), Matrix(isogeny._random_unimodular(new, n))), (seed, n)
+            u_old = fraction_unimodular(old, n)
+            u, u_inv = isogeny._random_unimodular(new, n)
+            assert _same(u_old, Matrix(u)) and _same(u_old.inv(), Matrix(u_inv)), (seed, n)
             assert old.getstate() == new.getstate(), (seed, n)
+
+
+def test_direct_sum_carries_the_inverse_of_its_basis():
+    rng = random.Random(11)
+    pool = [ZERO_LATTICE, Z1, Z2] + [isogeny._random_lattice(rng, 1 + k % 3) for k in range(30)]
+    for _ in range(300):
+        a, b = rng.choice(pool), rng.choice(pool)
+        s = direct_sum(a, b)
+        if s.dim == 0:
+            assert s is ZERO_LATTICE
+            continue
+        assert _same(s.basis_inv, s.basis.inv())
+        assert s == LatticeObject(s.dim, s.basis)
+        if len(pool) < 60 and s.dim <= 4:
+            pool.append(s)
+
+
+def test_carried_inverses_still_run_post_init(monkeypatch):
+    calls = []
+    post = LatticeObject.__post_init__
+    monkeypatch.setattr(LatticeObject, "__post_init__", lambda lat: calls.append(lat) or post(lat))
+    rng = random.Random(3)
+    a, b = isogeny._random_lattice(rng, 2), isogeny._random_lattice(rng, 1)
+    s = direct_sum(a, b)
+    assert calls == [a, b, s]
+    with pytest.raises(ValueError, match="square of size dim"):
+        isogeny._with_inverse(Matrix([[1, 0]]), Matrix([[1, 0]]))
+
+
+def test_minimal_n_matches_the_denominator_of_the_product():
+    rng = random.Random(2026)
+    for trial in range(1500):
+        m, n = rng.randint(0, 4), rng.randint(0, 4)
+        src = isogeny._random_lattice(rng, n) if n else ZERO_LATTICE
+        dst = isogeny._random_lattice(rng, m) if m else ZERO_LATTICE
+        if m == 0 or n == 0:
+            f = Matrix.identity(max(m, n, 1))
+            assert minimal_n(f, src, dst) == 1, trial
+            continue
+        f = Matrix.zero(m, n) if trial % 10 == 0 else isogeny._random_map(rng, m, n)
+        assert minimal_n(f, src, dst) == (dst.basis_inv @ f @ src.basis).denominator, trial
 
 
 @pytest.mark.parametrize("seed", [0, 5, 7, 2024, 31337])

