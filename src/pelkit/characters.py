@@ -30,7 +30,8 @@ it is W-invariant exactly when each group has one multiplicity and fills
 its orbit, and is then fixed by its dominant weights, so the peeling
 subtracts only the dominant part of each irreducible.
 
-``tensor`` forms the full product in one loop, first factor outer, and
+``tensor`` builds the product weights in C from the larger factor's
+coordinate columns, shifted once per weight of the other factor, and
 wraps the sums without re-normalising them.
 """
 
@@ -457,18 +458,31 @@ def _constituent(highest: Weight, mult: int):
 
 
 def tensor(x: WeightChar, y: WeightChar) -> WeightChar:
+    """The product character x (x) y, exact, with zero multiplicities
+    dropped.  Its weights come in the order x outer, y inner, which is also
+    the order in which ``decompose`` meets them."""
     if x.is_zero() or y.is_zero():
         return WeightChar({})
     if x.rank() != y.rank():
         raise RankMismatchError("tensor factors live on different tori")
+    if not x.rank():  # the one weight () has no coordinate columns
+        return WeightChar._of({(): x.mult(()) * y.mult(())})
+    big, small = (x, y) if len(x._m) >= len(y._m) else (y, x)
+    cols, cs = tuple(zip(*big._m)), tuple(big._m.values())
+    add = operator.add
+    # big's weights shifted by d, with big's multiplicities times c
+    copies = [
+        zip(*[map(add, col, itertools.repeat(s)) if s else col for col, s in zip(cols, d)])
+        for d in small._m
+    ]
+    mults = [cs if c == 1 else map(operator.mul, cs, itertools.repeat(c)) for c in small._m.values()]
+    join = itertools.chain.from_iterable
+    if big is x:  # x outer: the copies interleave
+        copies, mults = zip(*copies), zip(*mults)
     acc = {}
     get = acc.get
-    add = operator.add
-    ys = tuple(y.items())
-    for w1, c1 in x.items():
-        for w2, c2 in ys:
-            w = tuple(map(add, w1, w2))
-            acc[w] = get(w, 0) + c1 * c2
+    for w, c in zip(join(copies), join(mults)):
+        acc[w] = get(w, 0) + c
     return WeightChar._of({w: c for w, c in acc.items() if c})
 
 

@@ -92,6 +92,7 @@ def _parse_rep(spec: str, cl) -> WeightChar:
         obj = _json.loads(spec)
     except ValueError as exc:
         raise serialize.SchemaError("--rep", f"expected 'std' or a JSON object: {exc}")
+    serialize._known_keys(obj, "--rep", {"highest"})
     highest = obj.get("highest") if isinstance(obj, dict) else None
     if not isinstance(highest, list) or not all(
         isinstance(x, int) and not isinstance(x, bool) for x in highest

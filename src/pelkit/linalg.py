@@ -467,7 +467,8 @@ def signature(gram: Matrix) -> Signature:
             a = br[k]
             if a:
                 br[k + 1 :] = [(p * x - a * y) // prev for x, y in zip(br[k + 1 :], tail)]
-            elif p != prev:
-                br[k + 1 :] = [p * x // prev for x in br[k + 1 :]]
+            elif p != prev:  # rescale the row on its support
+                for t in compress(range(k + 1, n), br[k + 1 :]):
+                    br[t] = p * br[t] // prev
         prev = p
     return Signature(pos, neg, zero)

@@ -632,6 +632,13 @@ def _shift(x, e):
     return WeightChar({tuple(a + b for a, b in zip(w, e)): c for w, c in x.items()})
 
 
+def _assert_tensor_matches_oracle(x, y):
+    got, want = tensor(x, y), oracle_tensor(x, y)
+    assert got == want and hash(got) == hash(want)
+    assert list(got.items()) == list(want.items())  # first factor outer
+    return got
+
+
 @st.composite
 def virtual_chars(draw, rank, max_size=8):
     entries = draw(
@@ -650,10 +657,9 @@ def test_property_tensor_matches_full_product(case):
     # (z + z.t^e)(y - y.t^e) = zy - zy.t^2e: the middle terms cancel to zero
     x = add_chars(z, _shift(z, e))
     y2 = add_chars(y, _shift(y, e).scale(-1))
-    for a, b in ((z, y), (x, y2), (y2, x), (x, WeightChar({}))):
-        got, want = tensor(a, b), oracle_tensor(a, b)
-        assert got == want and hash(got) == hash(want)
-        assert list(got.items()) == list(want.items())  # insertion order too
+    # both orders and one size: either factor may be the larger
+    for a, b in ((z, y), (y, z), (x, y2), (y2, x), (x, x), (x, WeightChar({}))):
+        got = _assert_tensor_matches_oracle(a, b)
         assert all(c for _, c in got.items())
 
 
@@ -663,6 +669,67 @@ def test_tensor_cancelling_product_keeps_order_and_drops_zeros():
     got = tensor(x, y)
     assert list(got.items()) == [((0, 1), 1), ((2, 1), -1)]
     assert list(got.items()) == list(oracle_tensor(x, y).items())
+
+
+TENSOR_TYPES = {
+    spec: RootDatum(tuple(Factor(s[0], int(s[1:])) for s in spec.split("x")), 1)
+    for spec in ("C3", "C4", "A4", "D4", "C2xC2", "C2xA2")
+}
+
+
+@pytest.mark.parametrize("spec", TENSOR_TYPES)
+def test_tensor_powers_of_std_match_the_oracle_in_either_order(spec):
+    """std^k (x) t and t (x) std^k for k up to 5, t = std or dual(std): the
+    first factor larger, then smaller; then both of one size."""
+    rd = TENSOR_TYPES[spec]
+    rng = random.Random(f"tensor-{spec}")
+    std = standard_char(rd, [1] * len(rd.factors))
+    x = std
+    for k in range(1, 6):
+        t = rng.choice((std, dual(std)))
+        assert len(x.support()) > len(t.support()) or k == 1
+        _assert_tensor_matches_oracle(t, x)
+        x = _assert_tensor_matches_oracle(x, t)
+    for k in (1, 2):
+        power = std if k == 1 else tensor(std, dual(std))
+        for a, b in ((power, dual(power)), (power, power), (power.scale(-2), power.scale(3))):
+            assert len(a.support()) == len(b.support())
+            _assert_tensor_matches_oracle(a, b)
+
+
+def test_tensor_with_multiplicities_and_zero_factors_matches_the_oracle():
+    rd = TENSOR_TYPES["C2xA2"]
+    std = standard_char(rd, [2, 3])
+    square = tensor(std, std)
+    for a, b in ((square, std), (std, square), (square.scale(-1), std.scale(2)), (std.scale(5), dual(square))):
+        _assert_tensor_matches_oracle(a, b)
+    zero = WeightChar({})
+    for a, b in ((square, zero), (zero, square), (zero, zero)):
+        assert _assert_tensor_matches_oracle(a, b).is_zero()
+    # rank 0: the one weight () carries the product of the multiplicities
+    assert _assert_tensor_matches_oracle(WeightChar({(): 2}), WeightChar({(): -3})) == WeightChar({(): -6})
+
+
+@pytest.mark.parametrize("spec", TENSOR_TYPES)
+def test_decompose_of_an_asymmetric_product_names_the_same_weight(spec):
+    """decompose reads the product in its insertion order, so the weight its
+    NotACharacterError names is the same on either product."""
+    rd = TENSOR_TYPES[spec]
+    rng = random.Random(f"skew-{spec}")
+    std = standard_char(rd, [1] * len(rd.factors))
+    square = tensor(std, std)
+    for _ in range(6):
+        # std plus one weight +-e_i on a block, which no Weyl group fixes
+        i = rng.randrange(rd.total_rank - 1)
+        e = (0,) * i + (rng.choice((1, -1)),) + (0,) * (rd.total_rank - 2 - i)
+        extra = {e + (rng.randint(-1, 1),): rng.randint(1, 3)}
+        skew = add_chars(std, WeightChar(extra))
+        for a, b in ((square, skew), (skew, square), (skew, std)):
+            with pytest.raises(NotACharacterError) as fast:
+                decompose(rd, tensor(a, b))
+            with pytest.raises(NotACharacterError) as slow:
+                decompose(rd, oracle_tensor(a, b))
+            assert str(fast.value) == str(slow.value)
 
 
 def test_of_built_and_init_built_characters_agree():

@@ -206,6 +206,15 @@ def test_booleans_are_not_integers(tmp_path):
     assert code == 2 and out == ""
 
 
+def test_rep_object_refuses_unknown_keys(capsys):
+    rep = '{"highest": [1, 0, 1], "hihgest": [9, 9]}'
+    code, out = run_cli("hodge", "--datum", os.path.join(DOCS, "gu11.json"), "--rep", rep)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "schema error: --rep: unknown key 'hihgest'\n"
+    code, out = run_cli("hodge", "--datum", os.path.join(DOCS, "gu11.json"), "--rep", '{"highest": [1, 0, 1]}')
+    assert code == 0 and json.loads(out)["hodge_type"]
+
+
 def test_every_value_error_in_pelkit_is_an_input_error():
     import importlib
     import inspect

@@ -49,6 +49,8 @@ def _commands():
         ("D4-std3", "D4", "std,std,std"),
         ("A4-std-dual", "A4", "std,dual(std)"),
         ("C2xA2-std-dual-std", "C2xA2", "std,dual(std),std"),
+        ("C4-std6", "C4", "std,std,std,std,std,std"),
+        ("C2xA2-std-dual-std-dual-std", "C2xA2", "std,dual(std),std,dual(std),std"),
     ):
         out.append((f"rep-decompose-{name}", ["rep", "decompose", "--type", series, "--tensor", tensor]))
     out.append(

@@ -641,6 +641,33 @@ def test_signature_bareiss_against_oracle():
         assert signature(Matrix(a)) == expected
         if n <= 8 or trial % 4 == 0:
             assert _ref_signature(a) == expected
+    for trial in range(40):
+        n = rng.randint(1, 16)
+        form, expected = _monomial_form(rng, n, pairs=0 if trial % 2 else rng.randint(0, n // 2))
+        assert signature(Matrix(form)) == expected
+        if n <= 8:
+            assert _ref_signature(form) == expected
+
+
+def _monomial_form(rng, n, pairs):
+    """A symmetric monomial n x n form with distinct non-unit entries and a
+    few zero rows: diagonal when pairs is 0, else with that many hyperbolic
+    planes on swapped coordinates.  The stored pivot changes from step to
+    step, and most trailing rows are zero at its column, so elimination
+    only rescales them."""
+    values = iter([Fraction(v, rng.choice((1, 61))) * rng.choice((1, -1)) for v in rng.sample(range(2, 60), n)])
+    perm = list(range(n))
+    rng.shuffle(perm)
+    form = [[Fraction(0)] * n for _ in range(n)]
+    sig = [pairs, pairs, 0]
+    for t in range(pairs):  # hyperbolic planes on swapped coordinates
+        i, j = perm[2 * t], perm[2 * t + 1]
+        form[i][j] = form[j][i] = next(values)
+    for i in perm[2 * pairs :]:
+        c = next(values) if rng.random() < 0.9 else Fraction(0)
+        form[i][i] = c
+        sig[0 if c > 0 else 1 if c < 0 else 2] += 1
+    return form, Signature(*sig)
 
 
 def test_signature_fixup_in_the_middle():
