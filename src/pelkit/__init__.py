@@ -41,7 +41,6 @@ from .admissibility import (
     AdmissibilityVerdict,
     MorphismSpec,
     RepSide,
-    check_symplectic_source_admissible,
     decide,
 )
 from .isogeny import (

@@ -21,26 +21,15 @@ from .characters import (
     NotACharacterError,
     RootDatum,
     TorusMap,
-    UnsupportedTypeError,
     WeightChar,
     decompose,
     restrict,
 )
 from .errors import InputError
-from .hodge import HodgeCochar, cochar_from_mu2, is_av_type
 
 
 class NotGenuineError(InputError):
     pass
-
-
-class HodgeCompatibilityError(InputError):
-    pass
-
-
-class RefutationError(AssertionError):
-    """A verdict the underlying theory proves impossible.  Reaching this is
-    a finding about the implementation or the input, never expected."""
 
 
 @dataclass(frozen=True)
@@ -101,34 +90,3 @@ def decide(m: MorphismSpec) -> AdmissibilityVerdict:
     if missing:
         return AdmissibilityVerdict(False, None, tuple(sorted(missing)))
     return AdmissibilityVerdict(True, max(witness, 1), ())
-
-
-def check_symplectic_source_admissible(m: MorphismSpec, cochar: HodgeCochar | None = None) -> bool:
-    """For a source of pure symplectic type every genuine morphism of data
-    is admissible; this wrapper decides and escalates a negative verdict.
-
-    The pullback of the target standard character must be of type
-    {(-1,0), (0,-1)} for the source cocharacter (that is the shadow of the
-    assumed compatibility with the complex structures); inputs violating it
-    are rejected rather than treated as refutations.
-    """
-    rd = m.source.root_datum
-    if any(f.series != "C" for f in rd.factors):
-        raise UnsupportedTypeError("source root datum is not of pure symplectic type")
-    if cochar is None:
-        if rd.central_rank != 1:
-            raise UnsupportedTypeError("auto cocharacter needs exactly one central coordinate")
-        cochar = cochar_from_mu2((1,) * rd.total_rank)
-    pulled = restrict(m.target.standard_char, m.torus_map)
-    if not is_av_type(pulled, cochar):
-        raise HodgeCompatibilityError(
-            "pulled-back standard character is not of abelian type for the source; "
-            "the torus map does not come from a morphism of data"
-        )
-    verdict = decide(m)
-    if not verdict.admissible:
-        raise RefutationError(
-            "symplectic-type source produced a non-admissible morphism; "
-            f"missing constituents: {verdict.missing_constituents}"
-        )
-    return True

@@ -133,7 +133,8 @@ class WeightChar:
     """Finitely supported integer multiplicity function on weights.
 
     Multiplicities may be negative (virtual characters); zero entries are
-    never stored.  Instances are immutable and hashable.
+    never stored.  All weights have one length, the rank of the torus.
+    Instances are immutable and hashable.
     """
 
     __slots__ = ("_m", "_hash")
@@ -144,6 +145,8 @@ class WeightChar:
             if c:
                 c = c if type(c) is int else _as_int(c, NotACharacterError)
                 m[_int_tuple(w, NotACharacterError)] = c
+        if len(set(map(len, m))) > 1:
+            raise RankMismatchError("the weights of a character differ in length")
         object.__setattr__(self, "_m", m)
         object.__setattr__(self, "_hash", None)
 
@@ -503,7 +506,7 @@ def decompose(rd: RootDatum, x: WeightChar, genuine: bool = True):
     raises; with ``genuine=False`` signed constituent lists are returned.
     """
     rank = rd.total_rank
-    if any(len(w) != rank for w in x.support()):
+    if not x.is_zero() and x.rank() != rank:
         raise RankMismatchError("character rank does not match the root datum")
     # block slices are computed once, not once per weight
     slices = [(f.series, a, b) for f, a, b in rd.block_slices()]

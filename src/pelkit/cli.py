@@ -94,9 +94,7 @@ def _parse_rep(spec: str, cl) -> WeightChar:
         raise serialize.SchemaError("--rep", f"expected 'std' or a JSON object: {exc}")
     serialize._known_keys(obj, "--rep", {"highest"})
     highest = obj.get("highest") if isinstance(obj, dict) else None
-    if not isinstance(highest, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in highest
-    ):
+    if not isinstance(highest, list) or not all(map(serialize._is_int, highest)):
         raise serialize.SchemaError("--rep.highest", "expected an integer array")
     return irr_char(cl.root_datum, tuple(highest))
 

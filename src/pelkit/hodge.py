@@ -120,19 +120,16 @@ def cochar_from_mu2(mu2) -> HodgeCochar:
 def auto_cochar(classification: Classification) -> HodgeCochar:
     """Cocharacter pair for a classified datum, one block at a time.
 
-    Symplectic and orthogonal blocks take the half-sum direction (all block
-    entries of mu equal 1/2); unitary blocks take the signature orientation
-    (+1/2 on the first a coordinates, -1/2 on the remaining b: "agreement
-    first").  The central entry makes the standard character land exactly on
+    Each factor's doubled mu reads its signature (Kottwitz, JAMS 5, 1992,
+    section 5): +1 on the first ``params[0]`` block coordinates and -1 on
+    the remaining ``sum(params[1:])``.  That is the half-sum direction on
+    symplectic and orthogonal blocks and "agreement first" on U(a, b).  The
+    central entry makes the standard character land exactly on
     {(-1,0), (0,-1)}, which is checked on construction.
     """
     mu2 = []
     for d in classification.details:
-        if d.kind == "unitary":
-            a, b = d.params
-            mu2.extend([1] * a + [-1] * b)
-        else:
-            mu2.extend([1] * d.params[0])
+        mu2 += [1] * d.params[0] + [-1] * sum(d.params[1:])
     mu2.append(1)  # central coordinate
     hc = cochar_from_mu2(mu2)
     if not is_av_type(classification.standard_char, hc):

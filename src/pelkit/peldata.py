@@ -184,8 +184,9 @@ class FactorGroup:
 
     kind "symplectic": params = (g,) for Sp_2g; "unitary": params = (a, b);
     "orthogonal": params = (r,) for the rank-r quaternionic orthogonal
-    group.  catalog_n is the matrix size of the underlying simple algebra
-    factor and fixes the multiplicity of the standard character.
+    group.  params is the factor's signature, and its block has rank
+    sum(params).  catalog_n is the matrix size of the underlying simple
+    algebra factor and fixes the multiplicity of the standard character.
     """
 
     kind: str
@@ -347,16 +348,13 @@ class Classification:
     standard_char: WeightChar
 
 
+# Per kind: the block series of the root datum, and the multiplicity of each
+# standard block weight per unit of catalog_n.
+_KIND_RULE = {"symplectic": ("C", 1), "unitary": ("A", 1), "orthogonal": ("D", 2)}
+
+
 def root_datum_for(details) -> RootDatum:
-    factors = []
-    for d in details:
-        if d.kind == "symplectic":
-            factors.append(Factor("C", d.params[0]))
-        elif d.kind == "unitary":
-            factors.append(Factor("A", d.params[0] + d.params[1]))
-        else:
-            factors.append(Factor("D", d.params[0]))
-    return RootDatum(tuple(factors), central_rank=1)
+    return RootDatum(tuple(Factor(_KIND_RULE[d.kind][0], sum(d.params)) for d in details), central_rank=1)
 
 
 def standard_char_for(details) -> WeightChar:
@@ -364,10 +362,7 @@ def standard_char_for(details) -> WeightChar:
     central coordinate 1 (the centre acts on V by scalars); block weights
     are +-e_i with multiplicity n for symplectic and unitary factors and
     2n for quaternionic-orthogonal ones."""
-    return standard_char(
-        root_datum_for(details),
-        [d.catalog_n if d.kind in ("symplectic", "unitary") else 2 * d.catalog_n for d in details],
-    )
+    return standard_char(root_datum_for(details), [_KIND_RULE[d.kind][1] * d.catalog_n for d in details])
 
 
 def classify(datum: PelDatum) -> Classification:

@@ -224,6 +224,8 @@ def char_from_json(obj, path: str = "char") -> WeightChar:
         m = _require(entry, "mult", epath, int)
         if not all(_is_int(c) for c in w):
             raise SchemaError(f"{epath}.weight", "weights are integer arrays")
+        if len(w) != len(obj[0]["weight"]):
+            raise SchemaError(f"{epath}.weight", f"length {len(w)}, but the first weight has {len(obj[0]['weight'])}")
         acc[tuple(w)] = acc.get(tuple(w), 0) + m
     return WeightChar(acc)
 

@@ -3,25 +3,23 @@ import random
 
 import pytest
 
-from admissibility_oracle import summand_search
+from admissibility_oracle import summand_search, symplectic_source_verdict
 from pelkit.admissibility import (
     AdmissibilityVerdict,
-    HodgeCompatibilityError,
     MorphismSpec,
     NotGenuineError,
     RepSide,
-    check_symplectic_source_admissible,
     decide,
 )
 from pelkit.characters import (
     Factor,
     RootDatum,
     TorusMap,
-    UnsupportedTypeError,
     WeightChar,
     add_chars,
     irr_char,
     restrict,
+    standard_char,
     tensor,
 )
 from pelkit.fixtures import (
@@ -106,36 +104,83 @@ def signed_permutation_maps(n):
     return out
 
 
+def assert_symplectic_source_lemma(spec):
+    verdict = symplectic_source_verdict(spec)
+    assert verdict is not None, "the lemma's type condition fails on this morphism"
+    assert verdict.admissible and verdict.witness_n >= 1, verdict
+
+
 def test_weyl_twist_self_maps_admissible():
     for tm in signed_permutation_maps(2):
-        spec = MorphismSpec(RepSide(C2, STD2), RepSide(C2, STD2), tm)
-        assert check_symplectic_source_admissible(spec)
+        assert_symplectic_source_lemma(MorphismSpec(RepSide(C2, STD2), RepSide(C2, STD2), tm))
 
 
 def test_symplectic_source_checker_on_fixtures():
     for _, spec in identity_morphisms():
-        assert check_symplectic_source_admissible(spec)
-
-
-def test_checker_rejects_non_symplectic_source():
-    spec = det_twist_morphism()
-    with pytest.raises(UnsupportedTypeError):
-        check_symplectic_source_admissible(spec)
-
-
-def test_checker_rejects_hodge_incompatible_map():
-    zero = TorusMap(((0, 0, 0), (0, 0, 0)))
-    spec = MorphismSpec(RepSide(C1, STD1), RepSide(C2, STD2), zero)
-    with pytest.raises(HodgeCompatibilityError):
-        check_symplectic_source_admissible(spec)
+        assert_symplectic_source_lemma(spec)
 
 
 def test_refutation_error_unreachable_on_valid_inputs():
-    # the checker must never refute on honest inputs; exercise a scaled target
+    # the lemma holds for a scaled target, with three copies of the source
     big = MorphismSpec(
         RepSide(C1, STD1), RepSide(C1, STD1.scale(3)), TorusMap.identity(2)
     )
-    assert check_symplectic_source_admissible(big)
+    assert_symplectic_source_lemma(big)
+    assert decide(big).witness_n == 3
+
+
+def random_symplectic_source_morphism(rng):
+    """A morphism from a product of C1-C3 blocks into a product of C blocks.
+
+    Each target block restricts to one or two copies of source blocks, and
+    sometimes to a trivial part beside them; its coordinates are then
+    permuted with random signs (a Weyl twist).  So the pullback of the
+    target's standard character is Weyl-invariant, and it has the abelian
+    Hodge type exactly when no trivial part was drawn.  Returns the
+    morphism and whether a trivial part was drawn."""
+    src = [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
+    starts = [sum(src[:k]) for k in range(len(src))]
+    columns, tgt, trivial = [], [], False
+    for _ in range(rng.randint(1, 2)):
+        coords = []
+        for k in rng.choices(range(len(src)), k=rng.randint(1, 2)):
+            coords += range(starts[k], starts[k] + src[k])
+        if rng.random() < 0.3:
+            coords += [None] * rng.randint(1, 2)
+            trivial = True
+        rng.shuffle(coords)
+        tgt.append(len(coords))
+        columns += [(i, rng.choice((1, -1))) for i in coords]
+    rows = [[0] * (len(columns) + 1) for _ in range(sum(src) + 1)]
+    for j, (i, sign) in enumerate(columns):
+        if i is not None:
+            rows[i][j] = sign
+    rows[-1][-1] = 1  # the central coordinates match
+    source = RootDatum(tuple(Factor("C", a) for a in src), 1)
+    target = RootDatum(tuple(Factor("C", b) for b in tgt), 1)
+    spec = MorphismSpec(
+        RepSide(source, standard_char(source, [rng.randint(1, 2) for _ in src])),
+        RepSide(target, standard_char(target, [rng.randint(1, 3) for _ in tgt])),
+        TorusMap(tuple(map(tuple, rows))),
+    )
+    return spec, trivial
+
+
+def test_property_symplectic_source_lemma():
+    rng = random.Random(18)
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        spec, trivial = random_symplectic_source_morphism(rng)
+        verdict = symplectic_source_verdict(spec)
+        assert (verdict is None) == trivial
+        if trivial:
+            # a trivial part is not of the abelian type, and it is no summand
+            # of copies of the source standard representation
+            assert not decide(spec).admissible
+        else:
+            assert verdict.admissible and verdict.witness_n >= 1
+        seen[trivial] += 1
+    assert seen[True] > 20 and seen[False] > 20
 
 
 def random_genuine_char(rng, rd, pool, max_dim):
@@ -212,7 +257,7 @@ def test_symplectic_inclusion_across_ranks():
     assert pulled == WeightChar({(1, 1): 2, (-1, 1): 2})
     verdict = decide(spec)
     assert verdict.admissible and verdict.witness_n == 2
-    assert check_symplectic_source_admissible(spec)
+    assert_symplectic_source_lemma(spec)
 
 
 def test_composition_of_weyl_twist_and_inclusion():
@@ -225,3 +270,5 @@ def test_composition_of_weyl_twist_and_inclusion():
         composed = MorphismSpec(f.source, g.target, g_map.compose(incl))
         assert decide(f).admissible and decide(g).admissible
         assert decide(composed).admissible, "composition closure violated: open finding"
+        for spec in (f, g, composed):
+            assert_symplectic_source_lemma(spec)

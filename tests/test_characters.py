@@ -366,8 +366,17 @@ def test_decompose_rejects_asymmetric_support():
 
 
 def test_decompose_rejects_weights_of_another_rank():
-    with pytest.raises(RankMismatchError):
-        decompose(C2, WeightChar({(0, 0, 1): 1, (0, 1): 1}))
+    with pytest.raises(RankMismatchError, match="root datum"):
+        decompose(C2, WeightChar({(0, 1): 1, (1, 1): 1}))
+    assert decompose(C2, WeightChar({})) == ()
+
+
+def test_weights_of_one_character_share_their_length():
+    for ragged in ({(1, 2): 1, (3,): 1}, {(0, 0, 1): 1, (0, 1): 1}, {(): 1, (0,): 2}):
+        with pytest.raises(RankMismatchError, match="differ in length"):
+            WeightChar(ragged)
+    # a weight with multiplicity zero is not stored, so its length is not read
+    assert WeightChar({(1, 2): 1, (3,): 0}) == WeightChar({(1, 2): 1})
 
 
 def test_decompositions_share_their_entries():

@@ -239,7 +239,6 @@ def test_every_value_error_in_pelkit_is_an_input_error():
         "NotACharacterError",
         "UnsupportedTypeError",
         "NotGenuineError",
-        "HodgeCompatibilityError",
         "DimensionMismatchError",
         "StructuredModeRequiredError",
         "ShapeMismatchError",
@@ -252,11 +251,9 @@ def test_every_value_error_in_pelkit_is_an_input_error():
 
 
 def test_defect_errors_stay_outside_the_input_base():
-    from pelkit.admissibility import RefutationError
     from pelkit.errors import InputError, InternalCheckError
 
     assert not issubclass(InternalCheckError, InputError)
-    assert not issubclass(RefutationError, InputError)
 
 
 def test_any_input_error_exits_2_without_the_cli_naming_it(monkeypatch, capsys):

@@ -16,7 +16,7 @@ from pelkit.algebras import (
     _closure,
     _coeff_generators,
 )
-from pelkit.characters import Factor, RootDatum
+from pelkit.characters import Factor, RootDatum, standard_char
 from pelkit.fixtures import (
     _break_star,
     balanced_imag_quad_datum,
@@ -28,6 +28,7 @@ from pelkit.fixtures import (
     quaternion_datum,
     u20_datum,
 )
+from pelkit.hodge import auto_cochar, cochar_from_mu2
 from pelkit.linalg import (
     Matrix,
     NotCommutingError,
@@ -36,16 +37,21 @@ from pelkit.linalg import (
     signature,
 )
 from pelkit.peldata import (
+    Classification,
     DimensionMismatchError,
+    FactorGroup,
     GroupFactorization,
     PelDatum,
     StructuredModeRequiredError,
+    _factorization,
     _isotypic_blocks,
     _unitary_signature,
     classify,
     factorize,
     factorize_details,
+    root_datum_for,
     shimura_report,
+    standard_char_for,
     validate,
 )
 
@@ -535,3 +541,76 @@ def test_classify_reads_the_kept_basis_inverse(monkeypatch):
     monkeypatch.setattr(Matrix, "inv", lambda self: inverted.append(self) or inv(self))
     assert classify(datum).factorization == GroupFactorization((), ((1, 1),), ())
     assert inverted == []
+
+
+# -- the kind rule against the per-kind branches it replaced --------------------
+
+
+def oracle_root_datum_for(details):
+    factors = []
+    for d in details:
+        if d.kind == "symplectic":
+            factors.append(Factor("C", d.params[0]))
+        elif d.kind == "unitary":
+            factors.append(Factor("A", d.params[0] + d.params[1]))
+        else:
+            factors.append(Factor("D", d.params[0]))
+    return RootDatum(tuple(factors), central_rank=1)
+
+
+def oracle_standard_char_for(details):
+    return standard_char(
+        oracle_root_datum_for(details),
+        [d.catalog_n if d.kind in ("symplectic", "unitary") else 2 * d.catalog_n for d in details],
+    )
+
+
+def oracle_auto_cochar_mu2(details):
+    mu2 = []
+    for d in details:
+        if d.kind == "unitary":
+            a, b = d.params
+            mu2.extend([1] * a + [-1] * b)
+        else:
+            mu2.extend([1] * d.params[0])
+    mu2.append(1)
+    return tuple(mu2)
+
+
+KIND_RULE_CASES = [
+    (FactorGroup("unitary", (3, 0), 1),),
+    (FactorGroup("unitary", (0, 2), 2),),
+    (FactorGroup("unitary", (2, 1), 1),),
+    (FactorGroup("orthogonal", (2,), 1),),
+    (FactorGroup("orthogonal", (3,), 2), FactorGroup("unitary", (0, 1), 1)),
+    (FactorGroup("symplectic", (2,), 1), FactorGroup("unitary", (2, 1), 2), FactorGroup("orthogonal", (2,), 1)),
+    (FactorGroup("orthogonal", (2,), 2), FactorGroup("unitary", (1, 0), 1), FactorGroup("symplectic", (1,), 3)),
+]
+
+
+def random_details(rng):
+    out = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(("symplectic", "unitary", "orthogonal"))
+        if kind == "unitary":
+            a = rng.randint(0, 3)
+            params = (a, rng.randint(0 if a else 1, 3))
+        else:
+            params = (rng.randint(1, 4),)
+        out.append(FactorGroup(kind, params, rng.randint(1, 3)))
+    return tuple(out)
+
+
+def test_kind_rule_matches_the_per_kind_branches():
+    rng = random.Random(18)
+    cases = KIND_RULE_CASES + [random_details(rng) for _ in range(200)]
+    kinds_seen = set()
+    for details in cases:
+        rd = root_datum_for(details)
+        assert rd == oracle_root_datum_for(details)
+        assert standard_char_for(details) == oracle_standard_char_for(details)
+        cl = Classification(_factorization(details), details, rd, standard_char_for(details))
+        assert auto_cochar(cl) == cochar_from_mu2(oracle_auto_cochar_mu2(details))
+        kinds_seen.add(tuple(d.kind for d in details))
+    assert {k for ks in kinds_seen for k in ks} == {"symplectic", "unitary", "orthogonal"}
+    assert len([ks for ks in kinds_seen if len(set(ks)) == 3]) > 5  # mixed catalog orders

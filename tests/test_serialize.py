@@ -246,6 +246,8 @@ def _nested_schema_cases():
     series_b["source"]["root_datum"]["factors"][0]["series"] = "B"
     negative_centre = _doc("det_twist_morphism")
     negative_centre["source"]["root_datum"]["central_rank"] = -1
+    ragged = _doc("det_twist_morphism")
+    ragged["source"]["standard_char"][1]["weight"].pop()
     singular = [["1", "0", "0", "0"], ["2", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
     basis_faults = [
         ({"basis": singular}, "datum.algebra.basis", "matrix is singular"),
@@ -283,6 +285,13 @@ def _nested_schema_cases():
             negative_centre,
             "morphism.source.root_datum",
             "central_rank must be >= 0",
+        ),
+        (
+            "admissible",
+            "morphism.json",
+            ragged,
+            "morphism.source.standard_char[1].weight",
+            "length 2, but the first weight has 3",
         ),
     ]
 
