@@ -5,55 +5,49 @@ classification of the associated real group into symplectic / unitary /
 quaternionic-orthogonal factors, weight-character calculus with Hodge
 types, admissibility decisions for torus-presented morphisms, and a
 machine-checked law suite for the lattice-normalised isogeny category.
+
+``import pelkit`` loads no submodule: each exported name imports its
+module when it is first used (PEP 562), and each ``pel`` command imports
+only the modules it runs.  ``from pelkit import X``, ``import *`` and
+``dir`` see every export.
 """
 
-from .linalg import Matrix, Signature, signature
-from .algebras import (
-    AlgebraPresentation,
-    CatalogFactor,
-    check_anti_involution,
-    check_positive,
-)
-from .peldata import (
-    Classification,
-    GroupFactorization,
-    PelDatum,
-    ShimuraReport,
-    classify,
-    factorize,
-    shimura_report,
-    validate,
-)
-from .characters import (
-    Factor,
-    RootDatum,
-    TorusMap,
-    WeightChar,
-    decompose,
-    dual,
-    irr_char,
-    restrict,
-    tensor,
-    weyl_dim,
-)
-from .hodge import HodgeCochar, HodgeType, auto_cochar, enumerate_av_irreducibles, hodge_type, is_av_type
-from .admissibility import (
-    AdmissibilityVerdict,
-    MorphismSpec,
-    RepSide,
-    decide,
-)
-from .isogeny import (
-    IsoMorphism,
-    LatticeObject,
-    arrow,
-    compose,
-    direct_sum,
-    direct_sum_arrows,
-    identity_arrow,
-    lattice_change_iso,
-    minimal_n,
-    run_law_suite,
-)
+import importlib
 
+_EXPORTS = {
+    ".linalg": "Matrix Signature signature",
+    ".algebras": "AlgebraPresentation CatalogFactor check_anti_involution check_positive",
+    ".peldata": "Classification GroupFactorization PelDatum ShimuraReport classify factorize shimura_report validate",
+    ".characters": "Factor RootDatum TorusMap WeightChar decompose dual irr_char restrict tensor weyl_dim",
+    ".hodge": "HodgeCochar HodgeType auto_cochar enumerate_av_irreducibles hodge_type is_av_type",
+    ".admissibility": "AdmissibilityVerdict MorphismSpec RepSide decide",
+    ".isogeny": "IsoMorphism LatticeObject arrow compose direct_sum direct_sum_arrows identity_arrow "
+    "lattice_change_iso minimal_n run_law_suite",
+}
+__all__ = [name for names in _EXPORTS.values() for name in names.split()]
 __version__ = "0.1.0"
+
+
+def _lazy(namespace, imports):
+    """A lookup for the module whose globals are namespace: imports maps a
+    module, named as in an import statement, to names separated by spaces.
+    A name is imported on first lookup and bound in namespace, so later
+    lookups are a dict read.  It also serves as a PEP 562 ``__getattr__``."""
+    module_of = {name: module for module, names in imports.items() for name in names.split()}
+
+    def lookup(name):
+        if name in namespace:
+            return namespace[name]
+        if name not in module_of:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(importlib.import_module(module_of[name], __name__), name)
+        return value
+
+    return lookup
+
+
+__getattr__ = _lazy(globals(), _EXPORTS)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

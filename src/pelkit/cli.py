@@ -15,24 +15,24 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import serialize
-from .admissibility import decide
-from .characters import (
-    Factor,
-    RootDatum,
-    WeightChar,
-    check_bounds,
-    decompose,
-    dual,
-    irr_char,
-    standard_char,
-    tensor,
-)
+from . import _lazy, serialize
 from .errors import InputError, OutOfScopeError
-from .fixtures import conformance_ok, conformance_rows
-from .hodge import auto_cochar, hodge_type
-from .isogeny import run_law_suite
-from .peldata import classify, shimura_report, validate
+
+# Each handler imports its command's functions from their own modules when
+# it runs, so it calls what those modules hold then: a test's patch or the
+# span tracer's wrapper reaches it.  The tracer also looks up the names this
+# module bound when it imported every layer at the top; they resolve on
+# first access.
+__getattr__ = _lazy(
+    globals(),
+    {
+        ".peldata": "validate classify",
+        ".characters": "irr_char decompose tensor",
+        ".hodge": "auto_cochar hodge_type",
+        ".admissibility": "decide",
+        ".isogeny": "run_law_suite",
+    },
+)
 
 
 def _emit(args, payload) -> None:
@@ -52,6 +52,8 @@ def _load_datum(path: str):
 
 
 def _cmd_validate(args) -> int:
+    from .peldata import validate
+
     datum = _load_datum(args.datum)
     report = validate(datum)
     _emit(args, report.to_dict())
@@ -61,6 +63,8 @@ def _cmd_validate(args) -> int:
 def _classified(args):
     """The classification of the datum file, or None once the validation
     report of an invalid datum is emitted."""
+    from .peldata import classify, validate
+
     datum = _load_datum(args.datum)
     report = validate(datum)
     if not report.valid:
@@ -70,6 +74,8 @@ def _classified(args):
 
 
 def _cmd_classify(args) -> int:
+    from .peldata import shimura_report
+
     cl = _classified(args)
     if cl is None:
         return 1
@@ -86,11 +92,13 @@ def _cmd_classify(args) -> int:
 def _parse_rep(spec: str, cl) -> WeightChar:
     import json as _json
 
+    from .characters import irr_char
+
     if spec == "std":
         return cl.standard_char
     try:
         obj = _json.loads(spec)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise serialize.SchemaError("--rep", f"expected 'std' or a JSON object: {exc}")
     serialize._known_keys(obj, "--rep", {"highest"})
     highest = obj.get("highest") if isinstance(obj, dict) else None
@@ -100,6 +108,8 @@ def _parse_rep(spec: str, cl) -> WeightChar:
 
 
 def _cmd_hodge(args) -> int:
+    from .hodge import auto_cochar, hodge_type
+
     cl = _classified(args)
     if cl is None:
         return 1
@@ -118,6 +128,8 @@ def _cmd_hodge(args) -> int:
 
 
 def _parse_type(text: str) -> RootDatum:
+    from .characters import Factor, RootDatum
+
     factors = []
     for piece in text.split("x"):
         piece = piece.strip()
@@ -131,6 +143,8 @@ def _parse_type(text: str) -> RootDatum:
 
 
 def _cmd_rep_decompose(args) -> int:
+    from .characters import check_bounds, decompose, dual, standard_char, tensor
+
     rd = _parse_type(args.type)
     tokens = [token.strip() for token in args.tensor.split(",")]
     for token in tokens:
@@ -159,6 +173,8 @@ def _cmd_rep_decompose(args) -> int:
 
 
 def _cmd_admissible(args) -> int:
+    from .admissibility import decide
+
     spec = serialize.morphism_from_json(serialize.load_json_file(args.morphism), "morphism")
     verdict = decide(spec)
     _emit(args, verdict.to_dict())
@@ -166,6 +182,8 @@ def _cmd_admissible(args) -> int:
 
 
 def _cmd_isofun_check(args) -> int:
+    from .isogeny import run_law_suite
+
     results = run_law_suite(trials=args.trials, seed=args.seed)
     ok = all(r["pass"] for r in results.values())
     _emit(args, {"laws": results, "pass": ok, "seed": args.seed, "trials": args.trials})
@@ -173,6 +191,8 @@ def _cmd_isofun_check(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
+    from .fixtures import conformance_ok, conformance_rows
+
     rows = conformance_rows()
     ok = conformance_ok(rows)
     _emit(args, {"conformance": rows, "pass": ok, "seed": args.seed})

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _lazy
 from .algebras import (
     MAT_IMAG_QUAD,
     MAT_Q,
@@ -21,7 +22,6 @@ from .algebras import (
     check_anti_involution,
     check_positive,
 )
-from .characters import Factor, RootDatum, WeightChar, standard_char
 from .errors import InputError
 from .linalg import (
     Matrix,
@@ -339,6 +339,10 @@ def shimura_report(fact: GroupFactorization) -> ShimuraReport:
 
 # -- bridge to the character calculus ----------------------------------------------
 
+# The builders below look ``characters`` up when they run, so that validation
+# alone never loads it.
+_use = _lazy(globals(), {".characters": "Factor RootDatum standard_char"})
+
 
 @dataclass(frozen=True)
 class Classification:
@@ -354,6 +358,7 @@ _KIND_RULE = {"symplectic": ("C", 1), "unitary": ("A", 1), "orthogonal": ("D", 2
 
 
 def root_datum_for(details) -> RootDatum:
+    Factor, RootDatum = _use("Factor"), _use("RootDatum")
     return RootDatum(tuple(Factor(_KIND_RULE[d.kind][0], sum(d.params)) for d in details), central_rank=1)
 
 
@@ -362,7 +367,7 @@ def standard_char_for(details) -> WeightChar:
     central coordinate 1 (the centre acts on V by scalars); block weights
     are +-e_i with multiplicity n for symplectic and unitary factors and
     2n for quaternionic-orthogonal ones."""
-    return standard_char(root_datum_for(details), [_KIND_RULE[d.kind][1] * d.catalog_n for d in details])
+    return _use("standard_char")(root_datum_for(details), [_KIND_RULE[d.kind][1] * d.catalog_n for d in details])
 
 
 def classify(datum: PelDatum) -> Classification:

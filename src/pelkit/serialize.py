@@ -14,15 +14,25 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from functools import lru_cache
 
-from .admissibility import MorphismSpec, RepSide
-from .algebras import AlgebraPresentation, CatalogFactor
-from .characters import Factor, RootDatum, TorusMap, WeightChar
+from . import _lazy
 from .errors import InputError
-from .linalg import Matrix
-from .peldata import PelDatum
+
+# Each reader looks up the classes it builds when it runs, so a command
+# that reads no datum loads no algebra code, and one that reads no
+# character loads no character code.
+_use = _lazy(
+    globals(),
+    {
+        "fractions": "Fraction",
+        ".linalg": "Matrix",
+        ".algebras": "AlgebraPresentation CatalogFactor",
+        ".peldata": "PelDatum",
+        ".characters": "Factor RootDatum TorusMap WeightChar",
+        ".admissibility": "MorphismSpec RepSide",
+    },
+)
 
 
 class SchemaError(InputError):
@@ -52,6 +62,7 @@ def matrix_to_json(m: Matrix):
 
 
 def matrix_from_json(obj, path: str) -> Matrix:
+    Fraction, Matrix = _use("Fraction"), _use("Matrix")
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SchemaError(path, "expected a non-empty array of arrays")
     values = {}  # each distinct entry string, checked and converted once
@@ -119,6 +130,7 @@ def algebra_to_json(alg: AlgebraPresentation):
 
 
 def algebra_from_json(obj, path: str = "algebra") -> AlgebraPresentation:
+    AlgebraPresentation, CatalogFactor = _use("AlgebraPresentation"), _use("CatalogFactor")
     mode = _require(obj, "mode", path, str)
     dim_v = _require(obj, "dim_v", path, int)
     if mode == "structured":
@@ -174,6 +186,7 @@ def datum_to_json(datum: PelDatum):
 
 
 def datum_from_json(obj, path: str = "") -> PelDatum:
+    PelDatum = _use("PelDatum")
     base = path or "datum"
     _known_keys(obj, base, {"algebra", "pairing", "j"})
     return PelDatum(
@@ -191,6 +204,7 @@ def root_datum_to_json(rd: RootDatum):
 
 
 def root_datum_from_json(obj, path: str = "root_datum") -> RootDatum:
+    Factor, RootDatum = _use("Factor"), _use("RootDatum")
     _known_keys(obj, path, {"factors", "central_rank"})
     factors = _require(obj, "factors", path, list)
     out = []
@@ -214,6 +228,7 @@ def char_to_json(x: WeightChar):
 
 
 def char_from_json(obj, path: str = "char") -> WeightChar:
+    WeightChar = _use("WeightChar")
     if not isinstance(obj, list):
         raise SchemaError(path, "expected an array of {weight, mult} entries")
     acc = {}
@@ -245,6 +260,7 @@ def morphism_to_json(m: MorphismSpec):
 
 
 def _side_from_json(obj, path: str) -> RepSide:
+    RepSide = _use("RepSide")
     _known_keys(obj, path, {"root_datum", "standard_char"})
     return RepSide(
         root_datum=root_datum_from_json(_require(obj, "root_datum", path), f"{path}.root_datum"),
@@ -253,6 +269,7 @@ def _side_from_json(obj, path: str) -> RepSide:
 
 
 def morphism_from_json(obj, path: str = "morphism") -> MorphismSpec:
+    MorphismSpec, TorusMap = _use("MorphismSpec"), _use("TorusMap")
     _known_keys(obj, path, {"source", "target", "weight_pullback"})
     pullback = _require(obj, "weight_pullback", path, list)
     if not all(isinstance(r, list) and all(_is_int(x) for x in r) for r in pullback):
@@ -273,6 +290,10 @@ def load_json_file(path: str):
         raise SchemaError(path, f"cannot read file: {exc}")
     except json.JSONDecodeError as exc:
         raise SchemaError(path, f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(path, f"not UTF-8 text: {exc.reason} at byte {exc.start}")
+    except RecursionError:
+        raise SchemaError(path, "JSON nested too deeply") from None
 
 
 def dumps(obj) -> str:

@@ -206,6 +206,32 @@ def test_booleans_are_not_integers(tmp_path):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("command", [["validate"], ["admissible", "--morphism"]])
+def test_non_utf8_file_is_a_schema_error(tmp_path, capsys, command):
+    path = tmp_path / "utf16.json"
+    path.write_bytes('{"mode": "raw"}'.encode("utf-16"))  # starts with the bytes ff fe
+    code, out = run_cli(*command, str(path))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"schema error: {path}: not UTF-8 text: invalid start byte at byte 0\n"
+
+
+@pytest.mark.parametrize("command", [["validate"], ["admissible", "--morphism"]])
+def test_deeply_nested_json_is_a_schema_error(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out = run_cli(*command, str(path))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"schema error: {path}: JSON nested too deeply\n"
+
+
+def test_deeply_nested_rep_object_is_a_schema_error(capsys):
+    rep = "[" * 50_000 + "]" * 50_000
+    code, out = run_cli("hodge", "--datum", os.path.join(DOCS, "gu11.json"), "--rep", rep)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: --rep: expected 'std' or a JSON object: ") and err.count("\n") == 1
+
+
 def test_rep_object_refuses_unknown_keys(capsys):
     rep = '{"highest": [1, 0, 1], "hihgest": [9, 9]}'
     code, out = run_cli("hodge", "--datum", os.path.join(DOCS, "gu11.json"), "--rep", rep)
@@ -257,7 +283,7 @@ def test_defect_errors_stay_outside_the_input_base():
 
 
 def test_any_input_error_exits_2_without_the_cli_naming_it(monkeypatch, capsys):
-    import pelkit.cli
+    import pelkit.peldata
     from pelkit.errors import InputError
 
     class FreshInputError(InputError):
@@ -266,7 +292,7 @@ def test_any_input_error_exits_2_without_the_cli_naming_it(monkeypatch, capsys):
     def reject(datum):
         raise FreshInputError("rejected by a layer the CLI does not know")
 
-    monkeypatch.setattr(pelkit.cli, "validate", reject)
+    monkeypatch.setattr(pelkit.peldata, "validate", reject)  # the handler imports it when it runs
     assert main(["validate", os.path.join(DOCS, "gu11.json")]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: rejected by a layer the CLI does not know\n"
@@ -326,12 +352,14 @@ def test_unwritable_output_of_an_out_of_scope_error_exits_2(tmp_path, capsys):
     ],
 )
 def test_rep_decompose_bounds_come_before_the_product(monkeypatch, capsys, series, tokens, message):
-    import pelkit.cli
+    import pelkit.characters
 
     def refuse(*args):
         raise AssertionError("the product was built before the bound check")
 
-    monkeypatch.setattr(pelkit.cli, "tensor", refuse)
+    monkeypatch.setattr(pelkit.characters, "tensor", refuse)  # the handler imports it when it runs
+    with pytest.raises(AssertionError, match="product was built"):  # the patch reaches the handler
+        run_cli("rep", "decompose", "--type", "C2", "--tensor", "std,std")
     code, out = run_cli("rep", "decompose", "--type", series, "--tensor", ",".join(tokens))
     assert code == 2
     assert json.loads(out) == {"error": {"message": message, "type": "BoundExceededError"}}
