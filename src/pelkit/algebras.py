@@ -109,6 +109,7 @@ def _coeff_generators(factor: CatalogFactor):
 def _catalog_generators(factors) -> tuple:
     """The catalog factors' generators on V, in catalog coordinates."""
     dim_v = sum(f.isotypic_dim for f in factors)
+    zero = (0,) * dim_v  # the one row every embedding shares
     all_gens = []
     offset = 0
     for f in factors:
@@ -117,11 +118,11 @@ def _catalog_generators(factors) -> tuple:
         coeff = [(lx.numerators, conj.numerators) for lx, conj in _coeff_generators(f)]
 
         def embed(small, offset=offset, f=f, md=md) -> Matrix:
-            rows = [[0] * dim_v for _ in range(dim_v)]
+            rows = [zero] * dim_v
             for copy in range(f.multiplicity):
                 base = offset + copy * md
                 for i, r in enumerate(small):
-                    rows[base + i][base : base + md] = r
+                    rows[base + i] = zero[:base] + tuple(r) + zero[base + md :]
             return Matrix.from_numerators(rows)
 
         # E_11 (x) x for x = 1 and the generators of D, then

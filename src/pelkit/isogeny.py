@@ -63,7 +63,7 @@ class LatticeObject:
 
     @staticmethod
     def scaled(dim: int, c) -> "LatticeObject":
-        return LatticeObject(dim, Matrix.identity(dim).scale(c))
+        return LatticeObject(dim, Matrix.scalar(dim, c))
 
 
 ZERO_LATTICE = LatticeObject(0, None)

@@ -10,8 +10,13 @@ run on the numerators in one incremental fraction-free echelon,
 symmetric elimination.  Both divide exactly by the previous pivot, so
 every entry stays an integer minor (Bareiss, Math. Comp. 22, 1968).
 Catalog data are monomial (at most one nonzero per row), so the kernels
-pay for nonzeros: a sparse product row adds only the rows its nonzeros
-select, and a pivot change rescales a kept row on its nonzeros alone.
+pay for nonzeros.  ``_monomial`` finds each row's one nonzero, or gives
+up at the first row with two.  On a monomial matrix ``det`` is a signed
+permutation product and ``signature`` counts 1 x 1 blocks and hyperbolic
+planes, with no elimination; a product row with one nonzero is the row of
+the other factor it selects, times that entry.  Otherwise a sparse
+product row adds only the rows its nonzeros select, and a pivot change
+rescales a kept row on its nonzeros alone.
 Entries read back through ``m[i, j]``, ``row``, ``column`` and ``tolist``
 are ``Fraction``s.  Sizes are desk-scale (dimension <= 64).
 """
@@ -21,9 +26,9 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, repeat
-from math import gcd, lcm
-from operator import add, mul, neg
+from itertools import chain, compress, count, repeat
+from math import gcd, lcm, prod
+from operator import add, getitem, mul, neg
 
 from .errors import InputError
 
@@ -80,6 +85,32 @@ def _lowest(num, den: int) -> "Matrix":
         num = [[x // g for x in r] for r in num]
         den //= g
     return _wrap(tuple(map(tuple, num)), den)
+
+
+def _monomial(rows):
+    """The column of each row's one nonzero entry (None for a zero row), or
+    None as soon as a row has two nonzeros, so a dense matrix costs a row."""
+    cols = []
+    for r in rows:
+        nonzero = len(r) - r.count(0)
+        if nonzero > 1:
+            return None
+        cols.append(next(compress(count(), r)) if nonzero else None)
+    return cols
+
+
+def _permutation_sign(cols) -> int:
+    """The sign of the permutation i -> cols[i]: a cycle of length L
+    contributes (-1)^(L - 1)."""
+    sign, seen = 1, [False] * len(cols)
+    for i in range(len(cols)):
+        j = cols[i]
+        seen[i] = True
+        while not seen[j]:
+            seen[j] = True
+            j = cols[j]
+            sign = -sign
+    return sign
 
 
 def _support(row):
@@ -207,9 +238,16 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
+        return Matrix.scalar(n, 1)
+
+    @staticmethod
+    def scalar(n: int, c) -> "Matrix":
+        """c times the n x n identity, written on the diagonal."""
         if n < 1:
             raise ValueError("matrix needs at least one row")
-        return _wrap(tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)), 1)
+        c = c if type(c) is int else _frac(c)
+        p, den = (c, 1) if type(c) is int else (c.numerator, c.denominator)
+        return _wrap(tuple((0,) * i + (p,) + (0,) * (n - i - 1) for i in range(n)), den)
 
     @staticmethod
     def from_numerators(rows, den: int = 1) -> "Matrix":
@@ -297,7 +335,7 @@ class Matrix:
         return self._sum(other, -1)
 
     def __neg__(self) -> "Matrix":
-        return _wrap(tuple(tuple(-x for x in r) for r in self.numerators), self.denominator)
+        return _wrap(tuple(tuple(map(neg, r)) for r in self.numerators), self.denominator)
 
     def scale(self, c) -> "Matrix":
         c = _frac(c)
@@ -313,19 +351,25 @@ class Matrix:
         columns = None
         out = []
         for ra in self.numerators:
-            if 3 * (inner - ra.count(0)) > inner:
+            nonzero = inner - ra.count(0)
+            if nonzero == 1:
+                # monomial row: the one row of other it selects
+                k = next(compress(count(), ra))
+                a = ra[k]
+                out.append(b[k] if a == 1 else tuple(map(neg, b[k])) if a == -1 else tuple(map(mul, b[k], repeat(a))))
+            elif 3 * nonzero > inner:
                 # dense row: one dot product per column of other
                 if columns is None:
                     columns = tuple(zip(*b))
                 out.append([sum(map(mul, ra, col)) for col in columns])
-                continue
-            # sparse row: add up the rows of other it selects
-            acc = zero
-            for k in compress(range(inner), ra):
-                a = ra[k]
-                term = b[k] if a == 1 else tuple(map(mul, b[k], repeat(a)))
-                acc = term if acc is zero else tuple(map(add, acc, term))
-            out.append(acc)
+            else:
+                # sparse row: add up the rows of other it selects
+                acc = zero
+                for k in compress(range(inner), ra):
+                    a = ra[k]
+                    term = b[k] if a == 1 else tuple(map(mul, b[k], repeat(a)))
+                    acc = term if acc is zero else tuple(map(add, acc, term))
+                out.append(acc)
         return _lowest(out, self.denominator * other.denominator)
 
     def transpose(self) -> "Matrix":
@@ -352,9 +396,14 @@ class Matrix:
     def det(self) -> Fraction:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
+        n, rows = self.rows, self.numerators
+        cols = _monomial(rows)
+        if cols is not None:  # nonzero only when the nonzeros sit on a permutation
+            if None in cols or len(set(cols)) < n:
+                return Fraction(0)
+            return Fraction(_permutation_sign(cols) * prod(map(getitem, rows, cols)), self.denominator**n)
         ech = Echelon(n)
-        if any(ech.insert(r) is not None for r in self.numerators):
+        if any(ech.insert(r) is not None for r in rows):
             return Fraction(0)
         return Fraction(ech.sign * ech.p, self.denominator**n)
 
@@ -420,21 +469,47 @@ class Signature:
 def signature(gram: Matrix) -> Signature:
     """Sylvester signature of a symmetric rational form.
 
-    Congruence diagonalization using the first nonzero diagonal pivot; when
-    the remaining diagonal vanishes but an off-diagonal entry survives, the
-    standard rank-2 fix-up (add row+column) restores a diagonal pivot.  The
-    positive common denominator does not change the signature, so the
-    numerators are diagonalized, fraction-free: symmetric Bareiss
-    elimination keeps the trailing block equal to the previous pivot times
-    the true Schur complement, so each true pivot has the sign of the
-    stored pivot times the sign of the previous one.
+    A symmetric monomial form is a sum of 1 x 1 blocks, each counted by its
+    sign, and hyperbolic planes [[0, a], [a, 0]], each one positive and one
+    negative.  Any other form goes to ``_bareiss_signature``.
     """
     if not gram.is_square():
         raise NotSymmetricError("gram matrix must be square")
     if not gram.is_symmetric():
         raise NotSymmetricError("gram matrix must equal its transpose")
-    n = gram.rows
-    b = [list(r) for r in gram.numerators]
+    rows = gram.numerators
+    cols = _monomial(rows)
+    if cols is None:
+        return _bareiss_signature(rows)
+    pos = neg = zero = 0
+    for i, c in enumerate(cols):
+        if c is None:
+            zero += 1
+        elif c != i:  # row i of a plane; count the plane at its first row
+            pos += i < c
+            neg += i < c
+        elif rows[i][i] > 0:
+            pos += 1
+        else:
+            neg += 1
+    return Signature(pos, neg, zero)
+
+
+def _bareiss_signature(rows) -> Signature:
+    """Sylvester signature of the symmetric form with integer rows ``rows``,
+    the numerators of a form: its positive denominator leaves the signature
+    as it is.
+
+    Congruence diagonalization using the first nonzero diagonal pivot; when
+    the remaining diagonal vanishes but an off-diagonal entry survives, the
+    standard rank-2 fix-up (add row+column) restores a diagonal pivot.  It
+    runs fraction-free: symmetric Bareiss
+    elimination keeps the trailing block equal to the previous pivot times
+    the true Schur complement, so each true pivot has the sign of the
+    stored pivot times the sign of the previous one.
+    """
+    n = len(rows)
+    b = [list(r) for r in rows]
     # Only the trailing block b[k:][k:] is read after step k; swaps and the
     # fix-up are congruences of that block, so every entry stays an integer
     # minor of a congruent integer form and the Bareiss division is exact.

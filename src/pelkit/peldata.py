@@ -138,7 +138,7 @@ def validate(datum: PelDatum) -> ValidationReport:
             )
     passed.append("star_adjoint")
 
-    if j @ j != -Matrix.identity(n):
+    if j @ j != Matrix.scalar(n, -1):
         return fail("j_square", "j does not square to -identity")
     passed.append("j_square")
 
@@ -225,9 +225,9 @@ def _unitary_signature(c: Matrix, j: Matrix, d: int, n: int) -> tuple:
     b = d2 / n.
     """
     dim = c.rows
-    if c @ c != Matrix.identity(dim).scale(d):
+    if c @ c != Matrix.scalar(dim, d):
         raise NotComplexStructureError(f"centre action does not square to {d}")
-    if j @ j != -Matrix.identity(dim):
+    if j @ j != Matrix.scalar(dim, -1):
         raise NotComplexStructureError("j does not square to -identity on the block")
     cj = c @ j
     if cj != j @ c:

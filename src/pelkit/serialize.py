@@ -14,7 +14,11 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from functools import lru_cache
+from itertools import chain
+from math import lcm
+from operator import itemgetter
 
 from . import _lazy
 from .errors import InputError
@@ -45,16 +49,27 @@ def frac_to_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-_RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+# ASCII digits only, matched whole: "\d" takes any Unicode digit and "$"
+# a trailing newline, both of which int() would then read
+_RAT_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def _bad_rational(obj) -> str | None:
     """Why obj is not a JSON rational, or None when it is one."""
     if isinstance(obj, bool) or not isinstance(obj, (int, str)):
         return f"expected an integer or 'p/q' string, got {obj!r}"
-    if isinstance(obj, str) and not _RAT_RE.match(obj):
+    if isinstance(obj, str) and not _RAT_RE.fullmatch(obj):
         return f"bad rational {obj!r}: expected 'p' or 'p/q' with q > 0"
     return None
+
+
+def _rational(s: str, path: str):
+    """The value of a rational string that ``_RAT_RE`` accepts, or a
+    SchemaError at path when it has more digits than int() converts."""
+    try:
+        return int(s) if "/" not in s else _use("Fraction")(s)
+    except ValueError:  # over the interpreter's limit on integer digits
+        raise SchemaError(path, f"bad rational: more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def matrix_to_json(m: Matrix):
@@ -62,9 +77,45 @@ def matrix_to_json(m: Matrix):
 
 
 def matrix_from_json(obj, path: str) -> Matrix:
-    Fraction, Matrix = _use("Fraction"), _use("Matrix")
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SchemaError(path, "expected a non-empty array of arrays")
+    m = _matrix_by_table(obj, path)
+    return _matrix_by_entry(obj, path) if m is None else m
+
+
+def _matrix_by_table(obj, path: str):
+    """The matrix of a well-formed array of rows of rational strings, or
+    None for any other array.  Each distinct string is checked and
+    converted once, to its numerator over one common denominator, and each
+    row is a lookup in that table.  Strings only: ``true`` and ``1.0`` hash
+    like ``1`` and ``false`` like ``0``, so with integers about, one table
+    key could stand for an entry that must be refused."""
+    width = len(obj[0])
+    if not width or any(len(r) != width for r in obj):
+        return None
+    try:
+        distinct = set(chain.from_iterable(obj))
+    except TypeError:  # an unhashable entry: an array or an object
+        return None
+    if not all(type(x) is str and _RAT_RE.fullmatch(x) for x in distinct):
+        return None
+    try:
+        table = {x: _rational(x, path) for x in distinct}
+    except SchemaError:  # the per-entry loop names the entry
+        return None
+    den = lcm(*(v.denominator for v in table.values()))
+    for x, v in table.items():
+        table[x] = v.numerator * (den // v.denominator)
+    if width == 1:  # itemgetter of one key returns the value, not a tuple
+        rows = [(table[r[0]],) for r in obj]
+    else:
+        rows = [itemgetter(*r)(table) for r in obj]
+    return _use("Matrix").from_numerators(rows, den)
+
+
+def _matrix_by_entry(obj, path: str) -> Matrix:
+    """The matrix of an array of arrays, entry by entry; a SchemaError
+    names the first bad entry, or the shape when every entry is good."""
     values = {}  # each distinct entry string, checked and converted once
     rows = []
     for i, r in enumerate(obj):
@@ -76,12 +127,12 @@ def matrix_from_json(obj, path: str) -> Matrix:
                     problem = _bad_rational(x)
                     if problem:
                         raise SchemaError(f"{path}[{i}][{j}]", problem)
-                    v = values[x] = int(x) if "/" not in x else Fraction(x)
+                    v = values[x] = _rational(x, f"{path}[{i}][{j}]")
                 x = v
             row.append(x)
         rows.append(row)
     try:
-        return Matrix(rows)
+        return _use("Matrix")(rows)
     except ValueError as exc:
         raise SchemaError(path, str(exc))
 
@@ -294,6 +345,8 @@ def load_json_file(path: str):
         raise SchemaError(path, f"not UTF-8 text: {exc.reason} at byte {exc.start}")
     except RecursionError:
         raise SchemaError(path, "JSON nested too deeply") from None
+    except ValueError:  # json reads an integer literal over the digit limit
+        raise SchemaError(path, f"integer literal with more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def dumps(obj) -> str:

@@ -224,6 +224,37 @@ def test_deeply_nested_json_is_a_schema_error(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"schema error: {path}: JSON nested too deeply\n"
 
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter converts integers of any length")
+def test_rational_string_over_the_digit_limit_is_a_schema_error(tmp_path, capsys):
+    with open(os.path.join(DOCS, "modular_curve.json")) as fh:
+        obj = json.load(fh)
+    obj["pairing"][0][1] = "-" + "9" * (DIGIT_LIMIT + 1)
+    path = tmp_path / "huge_entry.json"
+    path.write_text(json.dumps(obj))
+    code, out = run_cli("validate", str(path))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"schema error: datum.pairing[0][1]: bad rational: more than {DIGIT_LIMIT} digits\n"
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter converts integers of any length")
+@pytest.mark.parametrize("command, doc, key", [
+    (["validate"], "modular_curve.json", '"dim_v": 2'),
+    (["admissible", "--morphism"], "det_twist_morphism.json", '"central_rank": 1'),
+])
+def test_integer_literal_over_the_digit_limit_is_a_schema_error(tmp_path, capsys, command, doc, key):
+    with open(os.path.join(DOCS, doc)) as fh:
+        text = fh.read()
+    assert key in text
+    path = tmp_path / "huge_literal.json"
+    path.write_text(text.replace(key, key[:-1] + "1" * (DIGIT_LIMIT + 1), 1))
+    code, out = run_cli(*command, str(path))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"schema error: {path}: integer literal with more than {DIGIT_LIMIT} digits\n"
+
+
 def test_deeply_nested_rep_object_is_a_schema_error(capsys):
     rep = "[" * 50_000 + "]" * 50_000
     code, out = run_cli("hodge", "--datum", os.path.join(DOCS, "gu11.json"), "--rep", rep)

@@ -14,6 +14,8 @@ from pelkit.linalg import (
     NotSymmetricError,
     RankDeficientError,
     Signature,
+    _bareiss_signature,
+    _monomial as monomial_columns,
     signature,
 )
 
@@ -645,6 +647,8 @@ def test_signature_bareiss_against_oracle():
         n = rng.randint(1, 16)
         form, expected = _monomial_form(rng, n, pairs=0 if trial % 2 else rng.randint(0, n // 2))
         assert signature(Matrix(form)) == expected
+        # the monomial route answers above; the elimination still has to agree
+        assert _bareiss_signature(Matrix(form).numerators) == expected
         if n <= 8:
             assert _ref_signature(form) == expected
 
@@ -680,3 +684,96 @@ def test_signature_fixup_in_the_middle():
     half = Fraction(1, 2)
     m = Matrix([[0, half, 0, 0], [half, 0, 1, 0], [0, 1, 0, half], [0, 0, half, 0]])
     assert signature(m) == _ref_signature(m.tolist()) == Signature(2, 2, 0)
+
+
+# -- the monomial routes against elimination and the Fraction oracles ------------
+
+
+def _scaled_permutation(rng, n):
+    """A signed, scaled n x n permutation matrix over a random denominator,
+    with some rows zero and, in about a third of the draws, some columns
+    repeated (a map that is not a permutation)."""
+    cols = rng.choices(range(n), k=n) if rng.random() < 0.35 else rng.sample(range(n), n)
+    den = rng.choice((1, 1, 2, 3, 12))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for r, c in enumerate(cols):
+        if rng.random() >= 0.1:
+            rows[r][c] = Fraction(rng.choice((1, -1, 1, -1, 2, -3, 5, -7)), den * rng.choice((1, 1, 2, 5)))
+    return rows
+
+
+def _symmetric_monomial(rng, n):
+    """A symmetric monomial n x n form: hyperbolic planes on random pairs of
+    coordinates, signed 1 x 1 blocks and zero rows, over a denominator."""
+    perm = rng.sample(range(n), n)
+    den = rng.choice((1, 2, 3, 12))
+    form = [[Fraction(0)] * n for _ in range(n)]
+    pairs = rng.randint(0, n // 2)
+    for t in range(pairs):
+        i, j = perm[2 * t], perm[2 * t + 1]
+        form[i][j] = form[j][i] = Fraction(rng.choice((1, -1, 3, -5)), den)
+    for i in perm[2 * pairs :]:
+        form[i][i] = Fraction(rng.choice((1, -1, 2, -3, 0)), den)
+    return form
+
+
+def _echelon_det(m):
+    ech = Echelon(m.rows)
+    if any(ech.insert(r) is not None for r in m.numerators):
+        return Fraction(0)
+    return Fraction(ech.sign * ech.p, m.denominator**m.rows)
+
+
+def test_monomial_columns():
+    assert monomial_columns(((0, 3, 0), (0, 0, 0), (-1, 0, 0))) == [1, None, 0]
+    assert monomial_columns(((0, 0, 1), (1, 0, 2), (0, 0, 0))) is None
+    assert monomial_columns(Matrix.identity(5).numerators) == list(range(5))
+
+
+def test_monomial_det_against_echelon_and_leibniz():
+    rng = random.Random(1992_1)
+    for trial in range(300):
+        n = rng.randint(1, 7) if trial % 10 else rng.choice((16, 32, 64))
+        a = _scaled_permutation(rng, n)
+        m = Matrix(a)
+        assert monomial_columns(m.numerators) is not None
+        assert m.det() == _echelon_det(m), a
+        if n <= 6:
+            assert m.det() == _ref_det(a), a
+
+
+def test_monomial_signature_against_bareiss_and_char_poly():
+    rng = random.Random(1992_2)
+    for trial in range(300):
+        n = rng.randint(1, 8) if trial % 10 else rng.choice((16, 32, 64))
+        form = _symmetric_monomial(rng, n)
+        m = Matrix(form)
+        assert monomial_columns(m.numerators) is not None
+        assert signature(m) == _bareiss_signature(m.numerators), form
+        if n <= 6:
+            assert signature(m) == _ref_signature(form), form
+    with pytest.raises(NotSymmetricError):
+        signature(Matrix([[0, 1], [2, 0]]))
+
+
+def test_monomial_products_against_fraction_oracle():
+    rng = random.Random(1992_3)
+    for _ in range(150):
+        n, c = rng.randint(1, 9), rng.randint(1, 5)
+        a, b = _scaled_permutation(rng, n), _scaled_permutation(rng, n)
+        dense = _rand_rows(rng, n, c)
+        ma, mb, md = Matrix(a), Matrix(b), Matrix(dense)
+        assert (ma @ mb).tolist() == _ref_mul(a, b)
+        assert (ma @ md).tolist() == _ref_mul(a, dense)
+        assert (Matrix(_ref_transpose(dense)) @ ma).tolist() == _ref_mul(_ref_transpose(dense), a)
+        assert _is_canonical(ma @ md) and _is_canonical(ma @ mb)
+
+
+def test_scalar_matrices():
+    for n in (1, 2, 5):
+        for c in (0, 1, -1, 7, Fraction(-3, 4), "5/10"):
+            m = Matrix.scalar(n, c)
+            assert m == Matrix.identity(n).scale(c) and _is_canonical(m)
+        assert -Matrix.identity(n) == Matrix.scalar(n, -1)
+    with pytest.raises(ValueError):
+        Matrix.scalar(0, 2)

@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import sys
 import time
 from fractions import Fraction
 
@@ -380,3 +382,108 @@ def test_huge_squarefree_d_is_a_quick_schema_error(tmp_path, capsys):
     obj["algebra"]["factors"][0]["d"] = -(10**9)  # at the bound: divisible by 4, so not squarefree
     with pytest.raises(serialize.SchemaError, match="squarefree"):
         serialize.datum_from_json(obj, "datum")
+
+
+# -- rational strings: ASCII digits, and no more than the interpreter converts ----
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter converts integers of any length")
+
+
+@pytest.mark.parametrize("text", ["1\n", "-1\n", "１", "١/2", "1/２", " 1", "+1", "1/-2", "0x1", "1_0"])
+def test_rational_strings_take_ascii_digits_only(text):
+    for rows, at in (([[text]], "[0][0]"), ([["0", "1"], ["1", text]], "[1][1]")):
+        with pytest.raises(serialize.SchemaError) as err:
+            serialize.matrix_from_json(rows, "datum.j")
+        assert err.value.path == f"datum.j{at}"
+        assert str(err.value) == f"datum.j{at}: bad rational {text!r}: expected 'p' or 'p/q' with q > 0"
+
+
+@needs_digit_limit
+def test_rational_strings_over_the_digit_limit_are_schema_errors():
+    big = "7" * (DIGIT_LIMIT + 1)
+    for text in (big, f"-{big}/3", f"1/{big}"):
+        with pytest.raises(serialize.SchemaError) as err:
+            serialize.matrix_from_json([["0", "1"], [text, "0"]], "datum.pairing")
+        assert str(err.value) == f"datum.pairing[1][0]: bad rational: more than {DIGIT_LIMIT} digits"
+    at_limit = "7" * DIGIT_LIMIT
+    assert serialize.matrix_from_json([[at_limit, f"1/{at_limit}"]], "m") == Matrix(
+        [[int(at_limit), Fraction(1, int(at_limit))]]
+    )
+
+
+# -- the table reader against the per-entry reader ------------------------------
+
+_GOOD_STRINGS = ("0", "1", "-1", "-0", "2", "2/4", "-7/6", "3/9", "12")
+_BAD_ENTRIES = (True, False, 1.0, 0.5, None, ["1"], [], {"1": 1}, "x", "1/0", "1.5", "")
+
+
+def _outcome(read, obj):
+    try:
+        return read(obj, "m")
+    except serialize.SchemaError as exc:
+        return "error", str(exc)
+
+
+def _random_matrix_json(rng):
+    """An array of rows for matrix_from_json: mostly well formed, with
+    width 1 now and then, integers beside strings in about a quarter of
+    them; sometimes one bad entry, a ragged or an empty row."""
+    rows, width = rng.randint(1, 5), rng.choice((1, 1, 2, 3, 4, 6))
+    good = _GOOD_STRINGS + (0, 1, -1, 5) if rng.random() < 0.25 else _GOOD_STRINGS
+    obj = [[rng.choice(good) for _ in range(width)] for _ in range(rows)]
+    kind = rng.random()
+    if kind < 0.3:
+        obj[rng.randrange(rows)][rng.randrange(width)] = rng.choice(_BAD_ENTRIES)
+    elif kind < 0.4:
+        obj[rng.randrange(rows)].append(rng.choice(good))
+    elif kind < 0.45:
+        obj[rng.randrange(rows)] = []
+    return obj
+
+
+def test_table_reader_against_the_per_entry_reader():
+    rng = random.Random(4300)
+    fast = 0
+    for _ in range(600):
+        obj = _random_matrix_json(rng)
+        expected = _outcome(serialize._matrix_by_entry, obj)
+        assert _outcome(serialize.matrix_from_json, obj) == expected, obj
+        if not isinstance(expected, tuple):
+            assert expected.tolist() == [[Fraction(x) for x in r] for r in obj], obj
+            table = serialize._matrix_by_table(obj, "m")
+            if all(type(x) is str for r in obj for x in r):
+                assert table == expected and table.numerators == expected.numerators, obj
+                fast += 1
+            else:
+                assert table is None, obj
+    assert fast > 200
+
+
+@pytest.mark.parametrize(
+    "obj, at",
+    [
+        ([[1, True]], "[0][1]"),
+        ([[True, 1]], "[0][0]"),
+        ([["1", 1.0]], "[0][1]"),
+        ([[1.0, 1]], "[0][0]"),
+        ([[0, False]], "[0][1]"),
+        ([["2/4"], [0], ["2/4"], [False]], "[3][0]"),
+        ([["1"], [["1"]]], "[1][0]"),
+        ([["2/4", "1"], ["-0", [1, 2]]], "[1][1]"),
+    ],
+)
+def test_booleans_and_floats_do_not_hide_behind_equal_integers(obj, at):
+    with pytest.raises(serialize.SchemaError) as err:
+        serialize.matrix_from_json(obj, "m")
+    assert err.value.path == f"m{at}"
+
+
+def test_table_reader_shapes():
+    assert serialize.matrix_from_json([["2/4"], ["-0"], ["1/3"]], "m") == Matrix(
+        [[Fraction(1, 2)], [0], [Fraction(1, 3)]]
+    )
+    for obj, message in (([["1", "0"], ["1"]], "ragged or empty matrix rows"), ([[], []], "ragged or empty matrix rows")):
+        with pytest.raises(serialize.SchemaError) as err:
+            serialize.matrix_from_json(obj, "m")
+        assert str(err.value) == f"m: {message}"
