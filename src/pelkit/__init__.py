@@ -13,6 +13,7 @@ only the modules it runs.  ``from pelkit import X``, ``import *`` and
 """
 
 import importlib
+from operator import attrgetter
 
 _EXPORTS = {
     ".linalg": "Matrix Signature signature",
@@ -44,6 +45,47 @@ def _lazy(namespace, imports):
         return value
 
     return lookup
+
+
+class _Value:
+    """Base of the immutable value types: each sets its ``__slots__`` in
+    ``__init__`` through ``object.__setattr__``, and ``==``, ``hash`` and
+    ``repr`` read the fields named in ``_compared``, by default every slot."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._compared = cls.__dict__.get("_compared", cls.__slots__)
+        cls._key = attrgetter(*cls._compared)
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__name__}({fields})"
+
+
+def _as_dict(self):
+    """The ``to_dict`` of the value types a command prints: the fields by
+    name, with a tuple field, and each tuple inside it, made a list."""
+    out = {}
+    for name in self.__slots__:
+        value = getattr(self, name)
+        if type(value) is tuple:
+            value = [list(x) if type(x) is tuple else x for x in value]
+        out[name] = value
+    return out
 
 
 __getattr__ = _lazy(globals(), _EXPORTS)

@@ -15,8 +15,8 @@ semisimple part.
 from __future__ import annotations
 
 from math import ceil
-from dataclasses import dataclass
 
+from . import _as_dict, _Value
 from .characters import (
     NotACharacterError,
     RootDatum,
@@ -32,37 +32,35 @@ class NotGenuineError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class RepSide:
-    root_datum: RootDatum
-    standard_char: WeightChar
+class RepSide(_Value):
+    __slots__ = ("root_datum", "standard_char")
+
+    def __init__(self, root_datum: RootDatum, standard_char: WeightChar):
+        object.__setattr__(self, "root_datum", root_datum)
+        object.__setattr__(self, "standard_char", standard_char)
 
 
-@dataclass(frozen=True)
-class MorphismSpec:
-    source: RepSide
-    target: RepSide
-    torus_map: TorusMap
+class MorphismSpec(_Value):
+    __slots__ = ("source", "target", "torus_map")
 
-    def __post_init__(self):
-        if self.torus_map.source_rank != self.source.root_datum.total_rank:
+    def __init__(self, source: RepSide, target: RepSide, torus_map: TorusMap):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "torus_map", torus_map)
+        if torus_map.source_rank != source.root_datum.total_rank:
             raise ValueError("torus map rows do not match the source rank")
-        if self.torus_map.target_rank != self.target.root_datum.total_rank:
+        if torus_map.target_rank != target.root_datum.total_rank:
             raise ValueError("torus map columns do not match the target rank")
 
 
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
-    admissible: bool
-    witness_n: int | None
-    missing_constituents: tuple
+class AdmissibilityVerdict(_Value):
+    __slots__ = ("admissible", "witness_n", "missing_constituents")
+    to_dict = _as_dict
 
-    def to_dict(self):
-        return {
-            "admissible": self.admissible,
-            "witness_n": self.witness_n,
-            "missing_constituents": [list(w) for w in self.missing_constituents],
-        }
+    def __init__(self, admissible: bool, witness_n: int | None, missing_constituents: tuple):
+        object.__setattr__(self, "admissible", admissible)
+        object.__setattr__(self, "witness_n", witness_n)
+        object.__setattr__(self, "missing_constituents", missing_constituents)
 
 
 def _genuine_constituents(rd, char, side):

@@ -18,10 +18,10 @@ quaternion algebras to definite ones (a, b < 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
 
+from . import _Value
 from .linalg import Echelon, Matrix, signature
 
 MAT_Q = "mat_q"
@@ -40,18 +40,18 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CatalogFactor:
+class CatalogFactor(_Value):
     """One simple factor M_n(D) together with its multiplicity in V."""
 
-    kind: str
-    n: int
-    multiplicity: int
-    d: int = 0  # imaginary quadratic only: squarefree -MAX_ABS_D <= d < 0
-    a: int = 0  # definite quaternion only: both < 0
-    b: int = 0
+    __slots__ = ("kind", "n", "multiplicity", "d", "a", "b")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, n: int, multiplicity: int, d: int = 0, a: int = 0, b: int = 0):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "d", d)  # imaginary quadratic only: squarefree -MAX_ABS_D <= d < 0
+        object.__setattr__(self, "a", a)  # definite quaternion only: both < 0
+        object.__setattr__(self, "b", b)
         if self.kind not in (MAT_Q, MAT_IMAG_QUAD, MAT_DEF_QUAT):
             raise ValueError(f"unknown catalog kind {self.kind!r}")
         for name in ("n", "multiplicity", "d", "a", "b"):
@@ -142,8 +142,7 @@ def _catalog_generators(factors) -> tuple:
     return tuple(all_gens)
 
 
-@dataclass(frozen=True)
-class AlgebraPresentation:
+class AlgebraPresentation(_Value):
     """Generators of an algebra acting on V, each with its star image.
 
     A structured presentation is its catalog factors plus ``basis``, the
@@ -155,29 +154,30 @@ class AlgebraPresentation:
     each isotypic block and commutes with the centre, so they classify alike.
     """
 
-    dim_v: int
-    generators: tuple | None  # tuple[(Matrix, Matrix), ...]; None: derive from factors
-    factors: tuple = ()  # tuple[CatalogFactor, ...]; empty means raw mode
-    basis: Matrix | None = field(default=None, compare=False, repr=False)
-    basis_inv: Matrix | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("dim_v", "generators", "factors", "basis", "basis_inv")
+    _compared = ("dim_v", "generators", "factors")
 
-    def __post_init__(self):
-        if self.factors or self.generators is None:
-            gens = _catalog_generators(self.factors)
-            if self.basis is not None:
-                b = self.basis
-                if b.rows != self.dim_v or b.cols != self.dim_v:
-                    raise ValueError(f"basis must be {self.dim_v} x {self.dim_v}, got {b.rows} x {b.cols}")
-                b_inv = b.inv()
+    def __init__(self, dim_v: int, generators, factors: tuple = (), basis: Matrix | None = None):
+        object.__setattr__(self, "dim_v", dim_v)
+        object.__setattr__(self, "factors", factors)  # tuple[CatalogFactor, ...]; empty means raw mode
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis_inv", None)
+        if factors or generators is None:
+            gens = _catalog_generators(factors)
+            if basis is not None:
+                if basis.rows != dim_v or basis.cols != dim_v:
+                    raise ValueError(f"basis must be {dim_v} x {dim_v}, got {basis.rows} x {basis.cols}")
+                b_inv = basis.inv()
                 object.__setattr__(self, "basis_inv", b_inv)
-                gens = tuple((b_inv @ a @ b, b_inv @ s @ b) for a, s in gens)
-            if self.generators not in (None, gens):
+                gens = tuple((b_inv @ a @ basis, b_inv @ s @ basis) for a, s in gens)
+            if generators not in (None, gens):
                 raise ValueError("structured generators must be the catalog's, moved by the basis")
-            object.__setattr__(self, "generators", gens)
-        for act, star in self.generators:
-            if act.rows != self.dim_v or act.cols != self.dim_v:
+            generators = gens
+        object.__setattr__(self, "generators", generators)  # tuple[(Matrix, Matrix), ...]
+        for act, star in generators:
+            if act.rows != dim_v or act.cols != dim_v:
                 raise ValueError("generator action has wrong shape")
-            if star.rows != self.dim_v or star.cols != self.dim_v:
+            if star.rows != dim_v or star.cols != dim_v:
                 raise ValueError("generator star image has wrong shape")
 
     @property
@@ -214,13 +214,15 @@ def _with_star(x: Matrix, s: Matrix) -> list:
     return [a * fx for r in x.numerators for a in r] + [a * fs for r in s.numerators for a in r]
 
 
-@dataclass(frozen=True)
-class _Closure:
-    basis: list  # list[Matrix]
-    star_of: list  # list[Matrix], the declared or derived star of each basis element
-    echelon: Echelon  # one kept row [b | b*] per basis element b
-    linearity_witness: tuple | None  # first dependent generator with an inconsistent star
-    reversal_witness: tuple | None  # first (b_i, g) with (b_i g)* != g* b_i*
+class _Closure(_Value):
+    __slots__ = ("basis", "star_of", "echelon", "linearity_witness", "reversal_witness")
+
+    def __init__(self, basis, star_of, echelon, linearity_witness, reversal_witness):
+        object.__setattr__(self, "basis", basis)  # list[Matrix]
+        object.__setattr__(self, "star_of", star_of)  # the declared or derived star of each basis element
+        object.__setattr__(self, "echelon", echelon)  # one kept row [b | b*] per basis element b
+        object.__setattr__(self, "linearity_witness", linearity_witness)  # see _closure for both witnesses
+        object.__setattr__(self, "reversal_witness", reversal_witness)
 
 
 @lru_cache(maxsize=8)
@@ -265,11 +267,13 @@ def _closure(alg: AlgebraPresentation) -> _Closure:
     return _Closure(basis, star_of, ech, linearity_witness, reversal_witness)
 
 
-@dataclass(frozen=True)
-class InvolutionReport:
-    ok: bool
-    reason: str = ""
-    witness: tuple = ()  # offending pair of matrices, when applicable
+class InvolutionReport(_Value):
+    __slots__ = ("ok", "reason", "witness")
+
+    def __init__(self, ok: bool, reason: str = "", witness: tuple = ()):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "witness", witness)  # offending pair of matrices, when applicable
 
     def __bool__(self):
         return self.ok

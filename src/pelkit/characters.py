@@ -41,9 +41,9 @@ import itertools
 import math
 import operator
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 
+from . import _Value
 from .errors import InputError, InternalCheckError, OutOfScopeError
 
 MAX_BLOCK_RANK = 8
@@ -85,26 +85,25 @@ def _int_tuple(w, error):
 Weight = tuple  # tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Factor:
-    series: str  # "C" | "A" | "D"
-    n: int
+class Factor(_Value):
+    __slots__ = ("series", "n")
 
-    def __post_init__(self):
-        if self.series not in ("C", "A", "D"):
-            raise UnsupportedTypeError(f"unknown series {self.series!r}")
-        if self.n < 1:
+    def __init__(self, series: str, n: int):
+        object.__setattr__(self, "series", series)  # "C" | "A" | "D"
+        object.__setattr__(self, "n", n)
+        if series not in ("C", "A", "D"):
+            raise UnsupportedTypeError(f"unknown series {series!r}")
+        if n < 1:
             raise ValueError("block length must be >= 1")
 
 
-@dataclass(frozen=True)
-class RootDatum:
-    factors: tuple[Factor, ...]
-    central_rank: int = 1
+class RootDatum(_Value):
+    __slots__ = ("factors", "central_rank")
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if self.central_rank < 0:
+    def __init__(self, factors, central_rank: int = 1):
+        object.__setattr__(self, "factors", tuple(factors))  # tuple[Factor, ...]
+        object.__setattr__(self, "central_rank", central_rank)
+        if central_rank < 0:
             raise ValueError("central_rank must be >= 0")
 
     @property
@@ -129,7 +128,7 @@ class RootDatum:
         return blocks, tuple(w[self.total_rank - self.central_rank :]) if self.central_rank else ()
 
 
-class WeightChar:
+class WeightChar(_Value):
     """Finitely supported integer multiplicity function on weights.
 
     Multiplicities may be negative (virtual characters); zero entries are
@@ -157,9 +156,6 @@ class WeightChar:
         object.__setattr__(obj, "_m", m)
         object.__setattr__(obj, "_hash", None)
         return obj
-
-    def __setattr__(self, *a):
-        raise AttributeError("WeightChar is immutable")
 
     def items(self):
         return self._m.items()
@@ -542,8 +538,7 @@ def decompose(rd: RootDatum, x: WeightChar, genuine: bool = True):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class TorusMap:
+class TorusMap(_Value):
     """Integer torus map presented by its pullback action on weights.
 
     ``weight_pullback`` has one row per source coordinate and one column per
@@ -551,10 +546,10 @@ class TorusMap:
     ``weight_pullback @ w``.
     """
 
-    weight_pullback: tuple
+    __slots__ = ("weight_pullback",)
 
-    def __post_init__(self):
-        rows = tuple(_int_tuple(r, ValueError) for r in self.weight_pullback)
+    def __init__(self, weight_pullback):
+        rows = tuple(_int_tuple(r, ValueError) for r in weight_pullback)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged pullback matrix")
         object.__setattr__(self, "weight_pullback", rows)

@@ -47,6 +47,11 @@ def _emit(args, payload) -> None:
         raise InputError(f"cannot write {args.output}: {exc.strerror}") from None
 
 
+def _clipped(text: str) -> str:
+    """The repr of a token from the command line, cut to 24 characters."""
+    return repr(text[:24]) + "..." * (len(text) > 24)
+
+
 def _load_datum(path: str):
     return serialize.datum_from_json(serialize.load_json_file(path), "datum")
 
@@ -98,8 +103,11 @@ def _parse_rep(spec: str, cl) -> WeightChar:
         return cl.standard_char
     try:
         obj = _json.loads(spec)
-    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
+    except (_json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise serialize.SchemaError("--rep", f"expected 'std' or a JSON object: {exc}")
+    except ValueError:  # json reads an integer literal over the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise serialize.SchemaError("--rep", f"integer literal with more than {limit} digits") from None
     serialize._known_keys(obj, "--rep", {"highest"})
     highest = obj.get("highest") if isinstance(obj, dict) else None
     if not isinstance(highest, list) or not all(map(serialize._is_int, highest)):
@@ -133,12 +141,19 @@ def _parse_type(text: str) -> RootDatum:
     factors = []
     for piece in text.split("x"):
         piece = piece.strip()
-        if len(piece) < 2 or piece[0] not in "CAD" or not piece[1:].isdigit():
-            raise serialize.SchemaError("--type", f"bad factor {piece!r}; expected e.g. C2 or C2xA3")
+        digits, shown = piece[1:], _clipped(piece)
+        # ASCII only: isdigit also takes fullwidth and superscript digits, which int() reads or refuses
+        if piece[:1] not in ("C", "A", "D") or not (digits.isascii() and digits.isdigit()):
+            raise serialize.SchemaError("--type", f"bad factor {shown}; expected e.g. C2 or C2xA3")
         try:
-            factors.append(Factor(piece[0], int(piece[1:])))
+            n = int(digits)
+        except ValueError:  # over the interpreter's limit on integer digits
+            limit = sys.get_int_max_str_digits()
+            raise serialize.SchemaError("--type", f"bad factor {shown}: more than {limit} digits") from None
+        try:
+            factors.append(Factor(piece[0], n))
         except ValueError as exc:
-            raise serialize.SchemaError("--type", f"bad factor {piece!r}: {exc}")
+            raise serialize.SchemaError("--type", f"bad factor {shown}: {exc}")
     return RootDatum(tuple(factors), central_rank=1)
 
 
@@ -149,7 +164,7 @@ def _cmd_rep_decompose(args) -> int:
     tokens = [token.strip() for token in args.tensor.split(",")]
     for token in tokens:
         if token not in ("std", "dual(std)"):
-            raise serialize.SchemaError("--tensor", f"unknown token {token!r}; use std or dual(std)")
+            raise serialize.SchemaError("--tensor", f"unknown token {_clipped(token)}; use std or dual(std)")
     # Every weight of std is +-e_i off the centre, so decompose peels a
     # highest weight with block part k*e_1 first, k the number of tokens:
     # its bound errors come here, before the product is built.  The bounds

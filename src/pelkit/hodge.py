@@ -21,8 +21,8 @@ axiom SV1 allows; any other cocharacter raises ``UnsupportedTypeError``.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
+from . import _as_dict, _Value
 from .characters import (
     MAX_BLOCK_RANK,
     MAX_WEIGHT_NORM,
@@ -44,18 +44,17 @@ class NonIntegralPairingError(OutOfScopeError):
     pass
 
 
-@dataclass(frozen=True)
-class HodgeCochar:
+class HodgeCochar(_Value):
     """Doubled covector pair: mu2 = 2*mu, mu_bar2 = 2*mu_bar, and the
     doubled central weight covector kappa2 = mu2 + mu_bar2."""
 
-    mu2: tuple
-    mu_bar2: tuple
-    kappa2: tuple
+    __slots__ = ("mu2", "mu_bar2", "kappa2")
+    to_dict = _as_dict
 
-    def __post_init__(self):
-        for name in ("mu2", "mu_bar2", "kappa2"):
-            object.__setattr__(self, name, _int_tuple(getattr(self, name), ValueError))
+    def __init__(self, mu2, mu_bar2, kappa2):
+        object.__setattr__(self, "mu2", _int_tuple(mu2, ValueError))
+        object.__setattr__(self, "mu_bar2", _int_tuple(mu_bar2, ValueError))
+        object.__setattr__(self, "kappa2", _int_tuple(kappa2, ValueError))
         if len(self.mu2) != len(self.mu_bar2) or len(self.mu2) != len(self.kappa2):
             raise ValueError("covector lengths differ")
         if tuple(a + b for a, b in zip(self.mu2, self.mu_bar2)) != self.kappa2:
@@ -78,13 +77,12 @@ class HodgeCochar:
     def bidegree(self, w):
         return (-self.pair(w, self.mu2), -self.pair(w, self.mu_bar2))
 
-    def to_dict(self):
-        return {"mu2": list(self.mu2), "mu_bar2": list(self.mu_bar2), "kappa2": list(self.kappa2)}
 
+class HodgeType(_Value):
+    __slots__ = ("pairs",)
 
-@dataclass(frozen=True)
-class HodgeType:
-    pairs: frozenset
+    def __init__(self, pairs: frozenset):
+        object.__setattr__(self, "pairs", pairs)
 
     def sorted_pairs(self):
         return sorted(self.pairs)

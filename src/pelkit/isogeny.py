@@ -21,12 +21,12 @@ numerators over one common denominator, never through ``Fraction``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
+from . import _Value
 from .errors import InputError
 from .linalg import Matrix
 
@@ -35,11 +35,15 @@ class ShapeMismatchError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class LatticeObject:
-    dim: int
-    basis: Matrix | None  # None only for the zero-dimensional object
-    basis_inv: Matrix | None = field(default=None, init=False, repr=False, compare=False)
+class LatticeObject(_Value):
+    __slots__ = ("dim", "basis", "basis_inv")
+    _compared = ("dim", "basis")
+
+    def __init__(self, dim: int, basis: Matrix | None):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "basis", basis)  # None only for the zero-dimensional object
+        object.__setattr__(self, "basis_inv", None)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.dim < 0:
@@ -99,12 +103,15 @@ def minimal_n(f: Matrix, src: LatticeObject, dst: LatticeObject) -> int:
     return den // gcd(den, *(x for r in prod for x in r))
 
 
-@dataclass(frozen=True)
-class IsoMorphism:
-    src: LatticeObject
-    dst: LatticeObject
-    raw: Matrix
-    n_used: int = field(compare=False)  # minimal_n(raw, src, dst), so not compared
+class IsoMorphism(_Value):
+    __slots__ = ("src", "dst", "raw", "n_used")
+    _compared = ("src", "dst", "raw")  # n_used is minimal_n(raw, src, dst)
+
+    def __init__(self, src: LatticeObject, dst: LatticeObject, raw: Matrix, n_used: int):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "n_used", n_used)
 
     @property
     def scale(self) -> Fraction:

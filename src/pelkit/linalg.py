@@ -24,12 +24,12 @@ are ``Fraction``s.  Sizes are desk-scale (dimension <= 64).
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count, repeat
 from math import gcd, lcm, prod
 from operator import add, getitem, mul, neg
 
+from . import _Value
 from .errors import InputError
 
 
@@ -450,13 +450,15 @@ class Matrix:
         return _lowest([[r[c] for c in keep] for r in self.numerators], self.denominator)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(_Value):
     """Sylvester signature (positive, negative, zero) of a symmetric form."""
 
-    positive: int
-    negative: int
-    zero: int
+    __slots__ = ("positive", "negative", "zero")
+
+    def __init__(self, positive: int, negative: int, zero: int):
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "negative", negative)
+        object.__setattr__(self, "zero", zero)
 
     @property
     def dimension(self) -> int:

@@ -11,9 +11,7 @@ matrix are out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import _lazy
+from . import _as_dict, _lazy, _Value
 from .algebras import (
     MAT_IMAG_QUAD,
     MAT_Q,
@@ -45,11 +43,13 @@ class StructuredModeRequiredError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class PelDatum:
-    algebra: AlgebraPresentation
-    pairing: Matrix
-    j: Matrix
+class PelDatum(_Value):
+    __slots__ = ("algebra", "pairing", "j")
+
+    def __init__(self, algebra: AlgebraPresentation, pairing: Matrix, j: Matrix):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "pairing", pairing)
+        object.__setattr__(self, "j", j)
 
     @property
     def dim_v(self) -> int:
@@ -80,20 +80,15 @@ CHECK_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    valid: bool
-    failure_code: str | None
-    message: str
-    passed: tuple
+class ValidationReport(_Value):
+    __slots__ = ("valid", "failure_code", "message", "passed")
+    to_dict = _as_dict
 
-    def to_dict(self):
-        return {
-            "valid": self.valid,
-            "failure_code": self.failure_code,
-            "message": self.message,
-            "passed": list(self.passed),
-        }
+    def __init__(self, valid: bool, failure_code: str | None, message: str, passed: tuple):
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "failure_code", failure_code)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "passed", passed)
 
 
 def validate(datum: PelDatum) -> ValidationReport:
@@ -178,8 +173,7 @@ def validate(datum: PelDatum) -> ValidationReport:
 # -- classification ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorGroup:
+class FactorGroup(_Value):
     """One real factor of the classified group.
 
     kind "symplectic": params = (g,) for Sp_2g; "unitary": params = (a, b);
@@ -189,25 +183,23 @@ class FactorGroup:
     algebra factor and fixes the multiplicity of the standard character.
     """
 
-    kind: str
-    params: tuple
-    catalog_n: int
+    __slots__ = ("kind", "params", "catalog_n")
+
+    def __init__(self, kind: str, params: tuple, catalog_n: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "catalog_n", catalog_n)
 
 
-@dataclass(frozen=True)
-class GroupFactorization:
-    symplectic: tuple  # tuple[int, ...]
-    unitary: tuple  # tuple[(a, b), ...]
-    orthogonal: tuple  # tuple[int, ...]
-    similitude: bool = True
+class GroupFactorization(_Value):
+    __slots__ = ("symplectic", "unitary", "orthogonal", "similitude")
+    to_dict = _as_dict
 
-    def to_dict(self):
-        return {
-            "symplectic": list(self.symplectic),
-            "unitary": [list(ab) for ab in self.unitary],
-            "orthogonal": list(self.orthogonal),
-            "similitude": self.similitude,
-        }
+    def __init__(self, symplectic: tuple, unitary: tuple, orthogonal: tuple, similitude: bool = True):
+        object.__setattr__(self, "symplectic", symplectic)  # tuple[int, ...]
+        object.__setattr__(self, "unitary", unitary)  # tuple[(a, b), ...]
+        object.__setattr__(self, "orthogonal", orthogonal)  # tuple[int, ...]
+        object.__setattr__(self, "similitude", similitude)
 
 
 def _unitary_signature(c: Matrix, j: Matrix, d: int, n: int) -> tuple:
@@ -296,22 +288,16 @@ def factorize(datum: PelDatum) -> GroupFactorization:
     return _factorization(factorize_details(datum))
 
 
-@dataclass(frozen=True)
-class ShimuraReport:
-    is_shimura_datum_for_g0: bool
-    g_connected: bool
-    center_condition: bool
-    offending_factors: tuple
-    center_reasons: tuple
+class ShimuraReport(_Value):
+    __slots__ = ("is_shimura_datum_for_g0", "g_connected", "center_condition", "offending_factors", "center_reasons")
+    to_dict = _as_dict
 
-    def to_dict(self):
-        return {
-            "is_shimura_datum_for_g0": self.is_shimura_datum_for_g0,
-            "g_connected": self.g_connected,
-            "center_condition": self.center_condition,
-            "offending_factors": list(self.offending_factors),
-            "center_reasons": list(self.center_reasons),
-        }
+    def __init__(self, is_shimura_datum_for_g0, g_connected, center_condition, offending_factors, center_reasons):
+        object.__setattr__(self, "is_shimura_datum_for_g0", is_shimura_datum_for_g0)
+        object.__setattr__(self, "g_connected", g_connected)
+        object.__setattr__(self, "center_condition", center_condition)
+        object.__setattr__(self, "offending_factors", offending_factors)
+        object.__setattr__(self, "center_reasons", center_reasons)
 
 
 def shimura_report(fact: GroupFactorization) -> ShimuraReport:
@@ -344,12 +330,14 @@ def shimura_report(fact: GroupFactorization) -> ShimuraReport:
 _use = _lazy(globals(), {".characters": "Factor RootDatum standard_char"})
 
 
-@dataclass(frozen=True)
-class Classification:
-    factorization: GroupFactorization
-    details: tuple  # tuple[FactorGroup, ...]
-    root_datum: RootDatum
-    standard_char: WeightChar
+class Classification(_Value):
+    __slots__ = ("factorization", "details", "root_datum", "standard_char")
+
+    def __init__(self, factorization, details, root_datum, standard_char):
+        object.__setattr__(self, "factorization", factorization)
+        object.__setattr__(self, "details", details)  # tuple[FactorGroup, ...]
+        object.__setattr__(self, "root_datum", root_datum)
+        object.__setattr__(self, "standard_char", standard_char)
 
 
 # Per kind: the block series of the root datum, and the multiplicity of each

@@ -166,7 +166,7 @@ def algebra_to_json(alg: AlgebraPresentation):
         out = {
             "mode": "structured",
             "dim_v": alg.dim_v,
-            "factors": [{k: v for k, v in vars(f).items() if v} for f in alg.factors],
+            "factors": [{k: getattr(f, k) for k in f.__slots__ if getattr(f, k)} for f in alg.factors],
         }
         if alg.basis is not None:
             out["basis"] = matrix_to_json(alg.basis)

@@ -255,6 +255,36 @@ def test_integer_literal_over_the_digit_limit_is_a_schema_error(tmp_path, capsys
     assert capsys.readouterr().err == f"schema error: {path}: integer literal with more than {DIGIT_LIMIT} digits\n"
 
 
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter converts integers of any length")
+def test_type_over_the_digit_limit_is_a_schema_error_with_a_short_echo(capsys):
+    code, out = run_cli("rep", "decompose", "--type", "C" + "9" * (DIGIT_LIMIT + 1), "--tensor", "std")
+    assert code == 2 and out == ""
+    shown = "'C" + "9" * 23 + "'..."
+    assert capsys.readouterr().err == f"schema error: --type: bad factor {shown}: more than {DIGIT_LIMIT} digits\n"
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter converts integers of any length")
+def test_rep_integer_over_the_digit_limit_is_a_schema_error(capsys):
+    rep = '{"highest": [' + "9" * (DIGIT_LIMIT + 1) + ", 1]}"
+    code, out = run_cli("hodge", "--datum", os.path.join(DOCS, "modular_curve.json"), "--rep", rep)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"schema error: --rep: integer literal with more than {DIGIT_LIMIT} digits\n"
+
+
+@pytest.mark.parametrize("spec", ["C\uff12", "C\u00b2", "A\u0663"])  # fullwidth 2, superscript 2, Arabic-Indic 3
+def test_type_takes_ascii_digits_only(capsys, spec):
+    code, out = run_cli("rep", "decompose", "--type", spec, "--tensor", "std")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"schema error: --type: bad factor {spec!r}; expected e.g. C2 or C2xA3\n"
+
+
+def test_long_tensor_token_is_echoed_cut(capsys):
+    code, out = run_cli("rep", "decompose", "--type", "C2", "--tensor", "std," + "s" * 10_000)
+    assert code == 2 and out == ""
+    shown = "'" + "s" * 24 + "'..."
+    assert capsys.readouterr().err == f"schema error: --tensor: unknown token {shown}; use std or dual(std)\n"
+
+
 def test_deeply_nested_rep_object_is_a_schema_error(capsys):
     rep = "[" * 50_000 + "]" * 50_000
     code, out = run_cli("hodge", "--datum", os.path.join(DOCS, "gu11.json"), "--rep", rep)

@@ -1,5 +1,6 @@
 """Each ``pel`` command imports only the layers on its own path, and the
-package loads a submodule when one of its names is first used.
+package loads a submodule when one of its names is first used.  No command
+imports ``dataclasses`` or ``inspect``: the value types are slotted classes.
 
 The module sets are read from fresh interpreters, so they hold for the
 ``pel`` console script as installed, and the exports are checked against
@@ -53,9 +54,9 @@ LOADS = [
 ]
 
 
-def _loaded(code: str) -> set:
-    """The pelkit modules a fresh interpreter holds after running code."""
-    probe = code + "\nprint(sorted(m for m in sys.modules if m.startswith('pelkit')))"
+def _held(code: str) -> set:
+    """The modules a fresh interpreter holds after running code."""
+    probe = code + "\nprint(sorted(sys.modules))"
     proc = subprocess.run(
         [sys.executable, "-c", "import sys\n" + probe], capture_output=True, text=True, timeout=120
     )
@@ -63,10 +64,18 @@ def _loaded(code: str) -> set:
     return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
 
 
+def _loaded(code: str) -> set:
+    """The pelkit modules a fresh interpreter holds after running code."""
+    return {m for m in _held(code) if m.startswith("pelkit")}
+
+
 @pytest.mark.parametrize("argv, expected", LOADS, ids=[" ".join(a[:2]) for a, _ in LOADS])
 def test_each_command_loads_only_its_layers(argv, expected):
-    loaded = _loaded(f"import pelkit.cli\npelkit.cli.main({argv!r})")
-    assert loaded == expected
+    held = _held(f"import pelkit.cli\npelkit.cli.main({argv!r})")
+    assert {m for m in held if m.startswith("pelkit")} == expected
+    # of the stdlib, what the command adds to a bare interpreter's modules,
+    # which differ between versions
+    assert not {"dataclasses", "inspect"} & (held - _held("pass"))
 
 
 def _modules(*names):

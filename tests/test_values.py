@@ -1,0 +1,167 @@
+"""Value semantics of pelkit's immutable value types.
+
+Each type is a slotted class on ``pelkit._Value``.  Its fields cannot be
+assigned or deleted; ``==`` and ``hash`` read every field except the ones a
+type derives or caches (an algebra's basis and its inverse, a lattice's
+inverse basis, an arrow's minimal n); instances of different types are
+never equal; and positional and keyword construction agree.
+"""
+
+import itertools
+
+import pytest
+
+import pelkit
+from pelkit.admissibility import AdmissibilityVerdict, MorphismSpec, RepSide
+from pelkit.algebras import MAT_IMAG_QUAD, MAT_Q, AlgebraPresentation, CatalogFactor, InvolutionReport, _Closure
+from pelkit.characters import Factor, RootDatum, TorusMap, WeightChar, standard_char
+from pelkit.fixtures import modular_curve_datum
+from pelkit.hodge import HodgeCochar, HodgeType
+from pelkit.isogeny import IsoMorphism, LatticeObject
+from pelkit.linalg import Echelon, Matrix, Signature
+from pelkit.peldata import (
+    Classification,
+    FactorGroup,
+    GroupFactorization,
+    PelDatum,
+    ShimuraReport,
+    ValidationReport,
+    classify,
+)
+
+I2 = Matrix.identity(2)
+RD = RootDatum((Factor("C", 1),))
+SIDE = RepSide(RD, standard_char(RD, [1]))
+DATUM = modular_curve_datum()
+CL = classify(DATUM)
+Z2 = LatticeObject.standard(2)
+
+# Each type with the fields of one instance, in the order of its constructor.
+FIELDS = {
+    Signature: {"positive": 2, "negative": 1, "zero": 0},
+    CatalogFactor: {"kind": MAT_IMAG_QUAD, "n": 1, "multiplicity": 2, "d": -1},
+    AlgebraPresentation: {"dim_v": 2, "generators": None, "factors": (CatalogFactor(MAT_Q, 1, 2),), "basis": I2},
+    _Closure: {
+        "basis": (I2,),
+        "star_of": (I2,),
+        "echelon": Echelon(8),
+        "linearity_witness": None,
+        "reversal_witness": (I2, I2),
+    },
+    InvolutionReport: {"ok": False, "reason": "star is not an involution", "witness": (I2, -I2)},
+    PelDatum: {"algebra": DATUM.algebra, "pairing": DATUM.pairing, "j": DATUM.j},
+    ValidationReport: {"valid": False, "failure_code": "shape", "message": "bad shape", "passed": ()},
+    FactorGroup: {"kind": "unitary", "params": (1, 1), "catalog_n": 1},
+    GroupFactorization: {"symplectic": (1,), "unitary": ((1, 1),), "orthogonal": (), "similitude": False},
+    ShimuraReport: {
+        "is_shimura_datum_for_g0": True,
+        "g_connected": True,
+        "center_condition": True,
+        "offending_factors": (),
+        "center_reasons": ("similitude: Q-split torus",),
+    },
+    Classification: {
+        "factorization": CL.factorization,
+        "details": CL.details,
+        "root_datum": CL.root_datum,
+        "standard_char": CL.standard_char,
+    },
+    Factor: {"series": "D", "n": 3},
+    RootDatum: {"factors": (Factor("C", 2), Factor("A", 1)), "central_rank": 2},
+    TorusMap: {"weight_pullback": ((1, 0), (0, 1), (1, 1))},
+    HodgeCochar: {"mu2": (1, -1), "mu_bar2": (-1, 3), "kappa2": (0, 2)},
+    HodgeType: {"pairs": frozenset({(-1, 0), (0, -1)})},
+    RepSide: {"root_datum": SIDE.root_datum, "standard_char": SIDE.standard_char},
+    MorphismSpec: {"source": SIDE, "target": SIDE, "torus_map": TorusMap.identity(2)},
+    AdmissibilityVerdict: {"admissible": True, "witness_n": 1, "missing_constituents": ()},
+    LatticeObject: {"dim": 2, "basis": Matrix([[1, 1], [0, 2]])},
+    IsoMorphism: {"src": Z2, "dst": LatticeObject.scaled(2, 3), "raw": I2, "n_used": 3},
+}
+# The fields that == and hash ignore: each is derived from the others, or
+# (an algebra's basis) changes nothing that classification reads.
+NOT_COMPARED = {
+    AlgebraPresentation: {"basis", "basis_inv"},
+    LatticeObject: {"basis_inv"},
+    IsoMorphism: {"n_used"},
+}
+TYPES = list(FIELDS)
+IDS = [cls.__name__ for cls in TYPES]
+
+
+def _sample(cls):
+    return cls(**FIELDS[cls])
+
+
+def test_every_value_type_is_covered():
+    assert len(TYPES) == 21
+    subclasses = {cls for cls in pelkit._Value.__subclasses__() if cls.__module__.startswith("pelkit.")}
+    assert subclasses == {*TYPES, WeightChar}  # WeightChar keeps its own ==, hash and repr
+
+
+def test_weight_char_fields_cannot_be_assigned_or_deleted():
+    x = WeightChar({(1, 0): 2})
+    hash(x)  # fills the cached hash
+    for name in ("_m", "_hash"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x == WeightChar({(1, 0): 2}) and x.mult((1, 0)) == 2
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(cls):
+    obj = _sample(cls)
+    for name in (*cls.__slots__, "no_such_field"):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert obj == _sample(cls)
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=IDS)
+def test_eq_and_hash_ignore_exactly_the_derived_fields(cls):
+    obj = _sample(cls)
+    for name in cls.__slots__:
+        other = object.__new__(cls)
+        for slot in cls.__slots__:
+            object.__setattr__(other, slot, getattr(obj, slot))
+        assert other == obj and hash(other) == hash(obj)
+        object.__setattr__(other, name, object())  # equal to nothing but itself
+        if name in NOT_COMPARED.get(cls, ()):
+            assert other == obj and hash(other) == hash(obj)
+        else:
+            assert other != obj and not other == obj  # noqa: SIM201
+
+
+def test_instances_of_different_types_never_compare_equal():
+    samples = [_sample(cls) for cls in TYPES]
+    for a, b in itertools.permutations(samples, 2):
+        assert a != b and not a == b  # noqa: SIM201
+    for obj in samples:  # nor does a tuple of an instance's fields
+        fields = tuple(getattr(obj, name) for name in type(obj)._compared)
+        assert obj != fields and obj != fields[0]
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=IDS)
+def test_positional_and_keyword_construction_agree(cls):
+    by_position, by_keyword = cls(*FIELDS[cls].values()), cls(**FIELDS[cls])
+    assert by_position == by_keyword and hash(by_position) == hash(by_keyword)
+    for name in cls.__slots__:
+        assert getattr(by_position, name) == getattr(by_keyword, name)
+
+
+def test_defaults():
+    assert RootDatum((Factor("C", 1),)).central_rank == 1
+    assert InvolutionReport(True).reason == "" and InvolutionReport(True).witness == ()
+    assert GroupFactorization((1,), (), ()).similitude is True
+    assert CatalogFactor(MAT_Q, 2, 1) == CatalogFactor(MAT_Q, 2, 1, d=0, a=0, b=0)
+    raw = AlgebraPresentation(2, ((I2, I2),))
+    assert raw.factors == () and raw.basis is None and raw.basis_inv is None and raw.mode == "raw"
+
+
+def test_repr_names_the_compared_fields():
+    assert repr(Factor("C", 2)) == "Factor(series='C', n=2)"
+    assert repr(Signature(1, 0, 2)) == "Signature(positive=1, negative=0, zero=2)"
+    assert repr(LatticeObject.standard(1)) == f"LatticeObject(dim=1, basis={Matrix.identity(1)!r})"
