@@ -6,11 +6,12 @@ lists (action matrix, star-image matrix) and support only axiom checking.
 Structured presentations are built from a catalog of simple factors --
 matrix algebras over Q, over an imaginary quadratic field, or over a
 definite quaternion algebra -- and additionally support classification.
-A structured presentation is its catalog factors and the basis of V in
-catalog coordinates that moved them.  It derives its generators from these
-and carries no others, so its involution axioms hold by construction
-(Mumford, Abelian Varieties, section 21; Kottwitz, JAMS 5, 1992, section 1)
-and validation runs the closure for raw ones only.
+A structured presentation is its catalog factors and a basis of V in
+catalog coordinates.  Its generators are the catalog's, whatever the basis,
+so its involution axioms hold by construction (Mumford, Abelian Varieties,
+section 21; Kottwitz, JAMS 5, 1992, section 1) and validation runs the
+closure for raw ones only.  The catalog spans at most ``MAX_DIM_V``
+dimensions, the desk scale of ``pelkit.linalg``.
 The catalog covers exactly the simple real types that admit a positive
 involution; centres are restricted to Q and imaginary quadratic fields,
 quaternion algebras to definite ones (a, b < 0).
@@ -22,12 +23,18 @@ from functools import lru_cache
 from math import lcm
 
 from . import _Value
+from .errors import OutOfScopeError
 from .linalg import Echelon, Matrix, signature
 
 MAT_Q = "mat_q"
 MAT_IMAG_QUAD = "mat_imag_quad"
 MAT_DEF_QUAT = "mat_def_quat"
 MAX_ABS_D = 10**9  # bounds the trial-division squarefree test to ~3e4 steps
+MAX_DIM_V = 64  # building the catalog generators costs about dim_v^3
+
+
+class CatalogTooLargeError(OutOfScopeError):
+    pass
 
 
 def _is_squarefree(n: int) -> bool:
@@ -145,17 +152,16 @@ def _catalog_generators(factors) -> tuple:
 class AlgebraPresentation(_Value):
     """Generators of an algebra acting on V, each with its star image.
 
-    A structured presentation is its catalog factors plus ``basis``, the
-    basis of V in catalog coordinates (``None`` while canonical); the
-    constructor derives its generators (pass ``None``) and refuses others,
-    and refuses a basis that is not an invertible dim_v x dim_v matrix.
-    ``==`` and hashing compare the generators only.  Two bases that give
-    equal generators differ by an element of the commutant, which preserves
-    each isotypic block and commutes with the centre, so they classify alike.
+    A structured presentation is its catalog factors, ``basis``, the basis
+    of V in catalog coordinates (``None`` while canonical), and its inverse
+    ``basis_inv``, which ``==`` and hashing ignore.  Its generators are the
+    catalog's for every basis: the constructor derives them (pass ``None``)
+    and refuses others, and refuses a basis that is not an invertible
+    dim_v x dim_v matrix, or any basis for a raw presentation.
     """
 
     __slots__ = ("dim_v", "generators", "factors", "basis", "basis_inv")
-    _compared = ("dim_v", "generators", "factors")
+    _compared = ("dim_v", "generators", "factors", "basis")
 
     def __init__(self, dim_v: int, generators, factors: tuple = (), basis: Matrix | None = None):
         object.__setattr__(self, "dim_v", dim_v)
@@ -163,16 +169,19 @@ class AlgebraPresentation(_Value):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "basis_inv", None)
         if factors or generators is None:
+            span = sum(f.isotypic_dim for f in factors)
+            if span > MAX_DIM_V:
+                raise CatalogTooLargeError(f"catalog factors span dimension {span}, past the bound {MAX_DIM_V}")
             gens = _catalog_generators(factors)
+            if generators not in (None, gens):
+                raise ValueError("structured generators must be the catalog's")
+            generators = gens
             if basis is not None:
                 if basis.rows != dim_v or basis.cols != dim_v:
                     raise ValueError(f"basis must be {dim_v} x {dim_v}, got {basis.rows} x {basis.cols}")
-                b_inv = basis.inv()
-                object.__setattr__(self, "basis_inv", b_inv)
-                gens = tuple((b_inv @ a @ basis, b_inv @ s @ basis) for a, s in gens)
-            if generators not in (None, gens):
-                raise ValueError("structured generators must be the catalog's, moved by the basis")
-            generators = gens
+                object.__setattr__(self, "basis_inv", basis.inv())
+        elif basis is not None:
+            raise ValueError("a raw presentation takes no basis")
         object.__setattr__(self, "generators", generators)  # tuple[(Matrix, Matrix), ...]
         for act, star in generators:
             if act.rows != dim_v or act.cols != dim_v:
@@ -194,8 +203,8 @@ class AlgebraPresentation(_Value):
         return AlgebraPresentation(sum(f.isotypic_dim for f in factors), None, factors)
 
     def conjugate(self, p: Matrix) -> "AlgebraPresentation":
-        """Change of basis on V: every generator A becomes p^-1 A p; a
-        structured presentation gets there by composing its basis with p."""
+        """Change of basis on V: a raw presentation's generators A become
+        p^-1 A p, and a structured one composes its basis with p."""
         if self.factors:
             basis = p if self.basis is None else self.basis @ p
             return AlgebraPresentation(self.dim_v, None, self.factors, basis)

@@ -91,15 +91,22 @@ class ValidationReport(_Value):
         object.__setattr__(self, "passed", passed)
 
 
+def _catalog_frame(alg: AlgebraPresentation, m: Matrix | None, j: Matrix) -> tuple:
+    """m (or None) and j in catalog coordinates: b^-T m b^-1 and b j b^-1 for alg's basis b, if any."""
+    b, c = alg.basis, alg.basis_inv
+    return (m, j) if b is None else (m if m is None else c.transpose() @ m @ c, b @ j @ c)
+
+
 def validate(datum: PelDatum) -> ValidationReport:
     """Run the axioms in order and stop at the first failure.
 
     Failures are reported as diagnostic codes, not exceptions, so that a
     mutated or hand-written datum can be triaged from the command line.
 
-    Structured data skip the algebra closure: their star is the catalog's
-    positive involution conjugated by a basis, so both involution axioms
-    hold by construction (``pelkit.algebras`` gives the references).
+    Every axiom reads the catalog generators with the pairing and j of
+    ``_catalog_frame``, where it holds exactly when it holds on V.  Structured
+    data skip the closure: their star is the catalog's positive involution,
+    so both involution axioms hold by construction (``pelkit.algebras``).
 
     The last two j checks read one Gram matrix g = m j.  The pairing m has
     been checked to be alternating, so j^T m = -(m j) holds exactly when g
@@ -116,6 +123,7 @@ def validate(datum: PelDatum) -> ValidationReport:
     if m.rows != n or m.cols != n or j.rows != n or j.cols != n:
         return fail("shape", "pairing and j must be dim_v x dim_v")
     passed.append("shape")
+    m, j = _catalog_frame(datum.algebra, m, j)
 
     if not m.is_antisymmetric():
         return fail("pairing_antisymmetric", "pairing is not alternating")
@@ -236,16 +244,14 @@ def _unitary_signature(c: Matrix, j: Matrix, d: int, n: int) -> tuple:
 
 def _isotypic_blocks(datum: PelDatum):
     """Each catalog factor with j on its isotypic block.  In catalog
-    coordinates, basis j basis^-1, factor k acts on a fixed range, and j
+    coordinates (``_catalog_frame``) factor k acts on a fixed range, and j
     preserves its block when no entry links that range to the rest of V."""
     alg = datum.algebra
     if alg.mode != "structured":
         raise StructuredModeRequiredError("classification requires a structured presentation")
-    j = datum.j
-    if j.rows != alg.dim_v or j.cols != alg.dim_v:
+    if datum.j.rows != alg.dim_v or datum.j.cols != alg.dim_v:
         raise DimensionMismatchError("j does not preserve an isotypic block")
-    if alg.basis is not None:
-        j = alg.basis @ j @ alg.basis_inv
+    _, j = _catalog_frame(alg, None, datum.j)
     rows = j.numerators
     lo = 0
     for f in alg.factors:

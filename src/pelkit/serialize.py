@@ -21,7 +21,7 @@ from math import lcm
 from operator import itemgetter
 
 from . import _lazy
-from .errors import InputError
+from .errors import InputError, OutOfScopeError
 
 # Each reader looks up the classes it builds when it runs, so a command
 # that reads no datum loads no algebra code, and one that reads no
@@ -206,6 +206,8 @@ def algebra_from_json(obj, path: str = "algebra") -> AlgebraPresentation:
         basis = matrix_from_json(obj["basis"], f"{path}.basis") if "basis" in obj else None
         try:
             return AlgebraPresentation(dim_v, None, tuple(catalog), basis)
+        except OutOfScopeError:  # a catalog past the desk scale
+            raise
         except ValueError as exc:
             raise SchemaError(f"{path}.basis", str(exc))
     if mode == "raw":

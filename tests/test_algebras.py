@@ -7,8 +7,10 @@ from pelkit.algebras import (
     MAT_DEF_QUAT,
     MAT_IMAG_QUAD,
     MAT_Q,
+    MAX_DIM_V,
     AlgebraPresentation,
     CatalogFactor,
+    CatalogTooLargeError,
     _closure,
     _trace_gram,
     _with_star,
@@ -27,6 +29,7 @@ from pelkit.fixtures import (
 from pelkit.linalg import Matrix, Signature, signature
 
 from closure_oracle import oracle_check_anti_involution, oracle_check_positive, oracle_closure
+from validate_oracle import v_generators
 
 
 def unit(n, p, q):
@@ -339,7 +342,7 @@ def test_random_raw_presentations_reach_every_verdict():
 def test_closure_matches_oracle_on_base_changed_catalog(kind, n):
     rng = random.Random(7 * n + len(kind))
     alg = AlgebraPresentation.from_catalog([_random_factor(rng, kind, n)])
-    moved = alg.conjugate(_unimodular(rng, alg.dim_v))
+    moved = AlgebraPresentation.raw(alg.dim_v, v_generators(alg.conjugate(_unimodular(rng, alg.dim_v))))
     assert _assert_matches_oracle(moved) == "ok"
     broken = AlgebraPresentation.raw(moved.dim_v, _break_star(rng, moved.generators))
     _assert_matches_oracle(broken)
@@ -393,7 +396,7 @@ def test_catalog_has_a_generator_that_is_not_self_adjoint(kind, n):
     assert any(a != s for a, s in gens) == (kind != MAT_Q or n > 1)
 
 
-# -- structured presentations: catalog factors moved by a basis, nothing else ----
+# -- structured presentations: catalog factors and a basis, nothing else ---------
 
 
 def _shear(n):
@@ -408,12 +411,14 @@ def test_structured_presentation_rejects_foreign_generators():
     gens[1] = (gens[1][0], gens[1][0])  # sqrt(-1) made self-adjoint
     with pytest.raises(ValueError, match="catalog's"):
         AlgebraPresentation(4, tuple(gens), gu.factors)
-    with pytest.raises(ValueError, match="catalog's"):
-        AlgebraPresentation(4, gu.generators, gu.factors, _shear(4))
-    # the catalog's own generators, given or derived, are accepted
     moved = gu.conjugate(_shear(4))
+    with pytest.raises(ValueError, match="catalog's"):
+        AlgebraPresentation(4, v_generators(moved), gu.factors, _shear(4))
+    # the catalog's own generators, given or derived, are accepted for every
+    # basis, and == tells the bases apart
     assert AlgebraPresentation(4, gu.generators, gu.factors) == gu
-    assert AlgebraPresentation(4, moved.generators, gu.factors, _shear(4)) == moved
+    assert AlgebraPresentation(4, gu.generators, gu.factors, _shear(4)) == moved
+    assert moved.generators == gu.generators and moved != gu
 
 
 def test_structured_presentation_rejects_singular_basis():
@@ -433,6 +438,21 @@ def test_raw_presentation_accepts_any_generators():
     for alg in (AlgebraPresentation(4, gens), AlgebraPresentation.raw(4, gens), AlgebraPresentation(4, ())):
         assert alg.mode == "raw" and alg.basis is None and alg.basis_inv is None
     assert AlgebraPresentation(4, gens).generators == gens
+
+
+def test_raw_presentation_refuses_a_basis():
+    for gens in ((), ((Matrix.identity(2), Matrix.identity(2)),)):
+        with pytest.raises(ValueError, match="raw presentation takes no basis"):
+            AlgebraPresentation(2, gens, (), Matrix.identity(2))
+
+
+def test_catalog_past_the_desk_scale_is_refused_before_its_generators():
+    # one dimension past the bound; the check reads the factors alone
+    too_large = [CatalogFactor(MAT_Q, 1, MAX_DIM_V - 1), CatalogFactor(MAT_IMAG_QUAD, 1, 1, d=-1)]
+    for factors in (too_large, [CatalogFactor(MAT_DEF_QUAT, 2, 8, a=-1, b=-1), CatalogFactor(MAT_Q, 1, 1)]):
+        with pytest.raises(CatalogTooLargeError, match=f"span dimension {MAX_DIM_V + 1}, past the bound"):
+            AlgebraPresentation.from_catalog(factors)
+    assert AlgebraPresentation.from_catalog([CatalogFactor(MAT_Q, 1, MAX_DIM_V)]).dim_v == MAX_DIM_V
 
 
 def test_structured_presentation_keeps_its_basis_inverse():

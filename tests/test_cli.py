@@ -320,6 +320,7 @@ def test_every_value_error_in_pelkit_is_an_input_error():
         "SchemaError",
         "OutOfScopeError",
         "BoundExceededError",
+        "CatalogTooLargeError",
         "NonIntegralPairingError",
         "NotDominantError",
         "RankMismatchError",
@@ -393,6 +394,26 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "report.json"
     lines = _write_failure(capsys, ["validate", os.path.join(DOCS, "gu11.json")], target)
     assert len(lines) == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "classify"])
+def test_catalog_past_the_desk_scale_exits_2_with_json_error(tmp_path, monkeypatch, capsys, command):
+    import pelkit.algebras
+
+    def refuse(factors):
+        raise AssertionError("catalog generators were built before the bound check")
+
+    monkeypatch.setattr(pelkit.algebras, "_catalog_generators", refuse)
+    # a datum of a few bytes whose catalog spans 65 dimensions; the pairing is
+    # never read
+    algebra = {"mode": "structured", "dim_v": 65, "factors": [{"kind": "mat_q", "n": 5, "multiplicity": 13}]}
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({"algebra": algebra, "pairing": [["0"]], "j": [["0"]]}))
+    message = "catalog factors span dimension 65, past the bound 64"
+    code, out = run_cli(command, str(path))
+    assert code == 2
+    assert json.loads(out) == {"error": {"message": message, "type": "CatalogTooLargeError"}}
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_unwritable_output_of_an_out_of_scope_error_exits_2(tmp_path, capsys):

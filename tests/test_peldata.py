@@ -5,7 +5,7 @@ import pytest
 from classify_oracle import oracle_factorize_details
 from gauss_oracle import simult_eigensplit
 from test_mixed_factors import mixed_datum
-from validate_oracle import oracle_validate
+from validate_oracle import oracle_validate, v_generators
 
 from pelkit.algebras import (
     MAT_DEF_QUAT,
@@ -455,9 +455,10 @@ def leaky_star_datum() -> PelDatum:
 def validation_data():
     """Every fixture and the mixed datum, each canonical and under a
     unimodular, a rational and both base changes; for each of these the
-    datum and its raw copy, each also with j negated, and its identity-star
-    mutation (``fixtures._break_star``); then the bundled mutations and the
-    leaky raw datum."""
+    datum and its raw copy on V (``v_generators``), each also with j
+    negated, and the identity-star mutation of the raw copy
+    (``fixtures._break_star``); then the bundled mutations and the leaky
+    raw datum."""
     rng = random.Random(12)
     out = [(name, datum) for name, datum, _ in mutations()] + [("leaky_star", leaky_star_datum())]
     for build in ALL_DATA + [mixed_datum]:
@@ -465,11 +466,11 @@ def validation_data():
         p, q = random_unimodular(rng, base.dim_v), random_rational(rng, base.dim_v)
         for tag, datum in (("", base), ("/u", base.conjugate(p)), ("/r", base.conjugate(q)), ("/ur", base.conjugate(p).conjugate(q))):
             name = build.__name__ + tag
-            raw = AlgebraPresentation.raw(datum.dim_v, datum.algebra.generators)
+            raw = AlgebraPresentation.raw(datum.dim_v, v_generators(datum.algebra))
             for alg_name, alg in ((name, datum.algebra), (name + "/raw", raw)):
                 out.append((alg_name, PelDatum(alg, datum.pairing, datum.j)))
                 out.append((alg_name + "/negated_j", PelDatum(alg, datum.pairing, -datum.j)))
-            out.append((name + "/broken_star", _break_star(datum)))
+            out.append((name + "/broken_star", _break_star(PelDatum(raw, datum.pairing, datum.j))))
     # Sp data over M_1(Q), which commutes with every P: j moved by a P that
     # is not symplectic for the pairing squares to -1 and commutes, but is
     # not skew; -j is skew but negative
@@ -516,31 +517,65 @@ def test_structured_validate_runs_no_closure():
     before = _closure.cache_info()
     assert validate(datum).valid
     assert _closure.cache_info() == before
-    raw = PelDatum(AlgebraPresentation.raw(8, datum.algebra.generators), datum.pairing, datum.j)
+    raw = PelDatum(AlgebraPresentation.raw(8, v_generators(datum.algebra)), datum.pairing, datum.j)
     assert validate(raw).valid
     after = _closure.cache_info()
     assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
 
 
+def _count_calls(monkeypatch, *names):
+    """A list per Matrix method in names, which collects each call's self."""
+    calls = {}
+    for name in names:
+        calls[name] = seen = []
+
+        def counted(self, *args, method=getattr(Matrix, name), seen=seen):
+            seen.append(self)
+            return method(self, *args)
+
+        monkeypatch.setattr(Matrix, name, counted)
+    return calls
+
+
 def test_validate_forms_the_polarization_gram_matrix_once(monkeypatch):
-    # two products per generator for star_adjoint and two for j_commutes,
-    # one for j_square and one for g = m j, which both j checks read
+    # two products each for the pairing and j in catalog coordinates, then
+    # two per generator for star_adjoint and two for j_commutes, one for
+    # j_square and one for g = m j, which both j checks read
     datum = quaternion_m2_datum().conjugate(random_rational(random.Random(5), 8))
     gens = len(datum.algebra.generators)
-    products = []
-    matmul = Matrix.__matmul__
-    monkeypatch.setattr(Matrix, "__matmul__", lambda self, other: products.append(self) or matmul(self, other))
+    calls = _count_calls(monkeypatch, "__matmul__", "inv")
     assert validate(datum).valid
-    assert gens > 1 and len(products) == 4 * gens + 2
+    assert gens > 1 and len(calls["__matmul__"]) == 4 * gens + 6 and calls["inv"] == []
 
 
 def test_classify_reads_the_kept_basis_inverse(monkeypatch):
-    datum = gu11_datum().conjugate(random_rational(random.Random(4), 4))
-    inverted = []
-    inv = Matrix.inv
-    monkeypatch.setattr(Matrix, "inv", lambda self: inverted.append(self) or inv(self))
-    assert classify(datum).factorization == GroupFactorization((), ((1, 1),), ())
-    assert inverted == []
+    # b j b^-1 is the only product on a quaternionic block; the unitary
+    # signature adds four on each unitary block
+    cases = (
+        (gu11_datum, 4, GroupFactorization((), ((1, 1),), ()), 6),
+        (quaternion_m2_datum, 8, GroupFactorization((), (), (1,)), 2),
+    )
+    calls = _count_calls(monkeypatch, "__matmul__", "inv")
+    for build, dim, factorization, products in cases:
+        datum = build().conjugate(random_rational(random.Random(4), dim))
+        for seen in calls.values():
+            seen.clear()
+        assert classify(datum).factorization == factorization
+        assert len(calls["__matmul__"]) == products and calls["inv"] == []
+
+
+@pytest.mark.parametrize("build", [gu11_datum, quaternion_m2_datum])
+def test_conjugating_a_structured_presentation_moves_no_generator(monkeypatch, build):
+    # one product composes the basis, one inverse gives basis_inv, whatever
+    # the number of generators
+    rng = random.Random(build.__name__)
+    alg = build().algebra
+    moved = alg.conjugate(random_unimodular(rng, alg.dim_v))
+    p = random_rational(rng, alg.dim_v)
+    calls = _count_calls(monkeypatch, "__matmul__", "inv")
+    again = moved.conjugate(p)
+    assert len(calls["__matmul__"]) == 1 and len(calls["inv"]) == 1
+    assert again.generators == alg.generators and again.basis == moved.basis @ p
 
 
 # -- the kind rule against the per-kind branches it replaced --------------------

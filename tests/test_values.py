@@ -2,9 +2,9 @@
 
 Each type is a slotted class on ``pelkit._Value``.  Its fields cannot be
 assigned or deleted; ``==`` and ``hash`` read every field except the ones a
-type derives or caches (an algebra's basis and its inverse, a lattice's
-inverse basis, an arrow's minimal n); instances of different types are
-never equal; and positional and keyword construction agree.
+type derives or caches (an algebra's and a lattice's inverse basis, an
+arrow's minimal n); instances of different types are never equal; and
+positional and keyword construction agree.
 """
 
 import itertools
@@ -77,10 +77,9 @@ FIELDS = {
     LatticeObject: {"dim": 2, "basis": Matrix([[1, 1], [0, 2]])},
     IsoMorphism: {"src": Z2, "dst": LatticeObject.scaled(2, 3), "raw": I2, "n_used": 3},
 }
-# The fields that == and hash ignore: each is derived from the others, or
-# (an algebra's basis) changes nothing that classification reads.
+# The fields that == and hash ignore: each is derived from the others.
 NOT_COMPARED = {
-    AlgebraPresentation: {"basis", "basis_inv"},
+    AlgebraPresentation: {"basis_inv"},
     LatticeObject: {"basis_inv"},
     IsoMorphism: {"n_used"},
 }

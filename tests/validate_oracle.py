@@ -1,21 +1,32 @@
 """The full axiom sequence of validation, kept as the test oracle for
 ``pelkit.peldata.validate``.
 
-This runs every axiom on every datum, the two involution axioms through the
-algebra closure included.  ``validate`` skips the closure for structured
-presentations, whose involution is the catalog's canonical positive one
-moved by a basis, and must return the same report as this on every datum.
+This runs every axiom on every datum in the coordinates of V, the two
+involution axioms through the algebra closure included.  ``validate`` reads
+a structured datum in catalog coordinates and skips the closure, since its
+involution is the catalog's canonical positive one; it must return the same
+report as this on every datum.
 """
 
 from __future__ import annotations
 
-from pelkit.algebras import check_anti_involution, check_positive
+from pelkit.algebras import AlgebraPresentation, check_anti_involution, check_positive
 from pelkit.linalg import Matrix, NotSymmetricError, signature
 from pelkit.peldata import PelDatum, ValidationReport
 
 
+def v_generators(alg: AlgebraPresentation) -> tuple:
+    """The generators of alg acting on V: for a structured presentation
+    with basis b, each catalog generator (a, s) moved to (b^-1 a b, b^-1 s b)."""
+    b, b_inv = alg.basis, alg.basis_inv
+    if b is None:
+        return alg.generators
+    return tuple((b_inv @ a @ b, b_inv @ s @ b) for a, s in alg.generators)
+
+
 def oracle_validate(datum: PelDatum) -> ValidationReport:
     n = datum.dim_v
+    gens = v_generators(datum.algebra)
     m = datum.pairing
     j = datum.j
     passed = []
@@ -35,7 +46,7 @@ def oracle_validate(datum: PelDatum) -> ValidationReport:
         return fail("pairing_nondegenerate", "pairing is degenerate")
     passed.append("pairing_nondegenerate")
 
-    for k, (act, star) in enumerate(datum.algebra.generators):
+    for k, (act, star) in enumerate(gens):
         if act.transpose() @ m != m @ star:
             return fail(
                 "star_adjoint",
@@ -47,7 +58,7 @@ def oracle_validate(datum: PelDatum) -> ValidationReport:
         return fail("j_square", "j does not square to -identity")
     passed.append("j_square")
 
-    for k, (act, _) in enumerate(datum.algebra.generators):
+    for k, (act, _) in enumerate(gens):
         if j @ act != act @ j:
             return fail("j_commutes", f"j does not commute with generator {k}")
     passed.append("j_commutes")
@@ -67,12 +78,13 @@ def oracle_validate(datum: PelDatum) -> ValidationReport:
         )
     passed.append("polarization_positive")
 
-    inv = check_anti_involution(datum.algebra)
+    alg = AlgebraPresentation.raw(n, gens)
+    inv = check_anti_involution(alg)
     if not inv.ok:
         return fail("involution_anti", inv.reason)
     passed.append("involution_anti")
 
-    if not check_positive(datum.algebra):
+    if not check_positive(alg):
         return fail("involution_positive", "trace form of the involution is not positive definite")
     passed.append("involution_positive")
 
