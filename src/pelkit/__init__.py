@@ -64,6 +64,8 @@ class _Value:
     __delattr__ = __setattr__
 
     def __eq__(self, other):
+        if other is self:  # compose's endpoints are usually one object
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key(self) == self._key(other)

@@ -165,9 +165,14 @@ class AlgebraPresentation(_Value):
 
     def __init__(self, dim_v: int, generators, factors: tuple = (), basis: Matrix | None = None):
         object.__setattr__(self, "dim_v", dim_v)
+        object.__setattr__(self, "generators", generators)  # tuple[(Matrix, Matrix), ...]
         object.__setattr__(self, "factors", factors)  # tuple[CatalogFactor, ...]; empty means raw mode
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "basis_inv", None)
+        self.__post_init__()
+
+    def __post_init__(self):
+        dim_v, generators, factors, basis = self.dim_v, self.generators, self.factors, self.basis
         if factors or generators is None:
             span = sum(f.isotypic_dim for f in factors)
             if span > MAX_DIM_V:
@@ -175,15 +180,15 @@ class AlgebraPresentation(_Value):
             gens = _catalog_generators(factors)
             if generators not in (None, gens):
                 raise ValueError("structured generators must be the catalog's")
-            generators = gens
+            object.__setattr__(self, "generators", gens)
             if basis is not None:
                 if basis.rows != dim_v or basis.cols != dim_v:
                     raise ValueError(f"basis must be {dim_v} x {dim_v}, got {basis.rows} x {basis.cols}")
-                object.__setattr__(self, "basis_inv", basis.inv())
+                if self.basis_inv is None:  # else carried in by _conjugate
+                    object.__setattr__(self, "basis_inv", basis.inv())
         elif basis is not None:
             raise ValueError("a raw presentation takes no basis")
-        object.__setattr__(self, "generators", generators)  # tuple[(Matrix, Matrix), ...]
-        for act, star in generators:
+        for act, star in self.generators:
             if act.rows != dim_v or act.cols != dim_v:
                 raise ValueError("generator action has wrong shape")
             if star.rows != dim_v or star.cols != dim_v:
@@ -208,8 +213,20 @@ class AlgebraPresentation(_Value):
         if self.factors:
             basis = p if self.basis is None else self.basis @ p
             return AlgebraPresentation(self.dim_v, None, self.factors, basis)
-        q = p.inv()
-        return AlgebraPresentation(self.dim_v, tuple((q @ a @ p, q @ s @ p) for a, s in self.generators))
+        return self._conjugate(p, p.inv())
+
+    def _conjugate(self, p: Matrix, q: Matrix) -> "AlgebraPresentation":
+        """``conjugate(p)`` for a caller that holds q = p^-1.  A structured
+        presentation carries q basis^-1 as its new basis inverse, so nothing
+        is inverted; ``__post_init__`` still runs its checks."""
+        if not self.factors:
+            return AlgebraPresentation(self.dim_v, tuple((q @ a @ p, q @ s @ p) for a, s in self.generators))
+        moved = object.__new__(AlgebraPresentation)
+        basis, basis_inv = (p, q) if self.basis is None else (self.basis @ p, q @ self.basis_inv)
+        for name, value in zip(self.__slots__, (self.dim_v, None, self.factors, basis, basis_inv)):
+            object.__setattr__(moved, name, value)
+        moved.__post_init__()
+        return moved
 
 
 # -- multiplicative closure ------------------------------------------------------

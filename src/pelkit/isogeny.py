@@ -15,7 +15,10 @@ carry their inverse by construction: a random basis is a unimodular matrix,
 inverted operation by operation as it is drawn, times a diagonal, and a
 direct sum's inverse is the block sum of the inverses.  So the law suite
 runs no elimination.  It draws its random lattices and maps on integer
-numerators over one common denominator, never through ``Fraction``.
+numerators over one common denominator, never through ``Fraction``, and
+with ``getrandbits`` exactly as ``randint``, ``randrange`` and ``choice``
+would, so every seed's inputs are unchanged.  ``minimal_n`` stops folding
+the gcd of its product once it reaches 1.
 """
 
 from __future__ import annotations
@@ -84,23 +87,25 @@ def _with_inverse(basis: Matrix, basis_inv: Matrix) -> LatticeObject:
     return lat
 
 
-def _int_matmul(a, b) -> list:
-    cols = tuple(zip(*b))
-    return [[sum(map(mul, r, c)) for c in cols] for r in a]
-
-
 def minimal_n(f: Matrix, src: LatticeObject, dst: LatticeObject) -> int:
     """Least n >= 1 with f(n * L_src) inside L_dst: the denominator of
     dst.basis^-1 @ f @ src.basis in lowest terms, read off the integer
-    product of the three numerators over the product of the denominators."""
+    product of the three numerators over the product of the denominators.
+    The gcd is folded entry by entry and stops at 1, where n is that product."""
     if src.dim == 0 or dst.dim == 0:
         return 1
     if f.rows != dst.dim or f.cols != src.dim:
         raise ShapeMismatchError("map shape does not match the lattices")
     inv, basis = dst.basis_inv, src.basis
-    den = inv.denominator * f.denominator * basis.denominator
-    prod = _int_matmul(_int_matmul(inv.numerators, f.numerators), basis.numerators)
-    return den // gcd(den, *(x for r in prod for x in r))
+    den = g = inv.denominator * f.denominator * basis.denominator
+    f_cols, cols = tuple(zip(*f.numerators)), tuple(zip(*basis.numerators))
+    for r in inv.numerators:
+        r = [sum(map(mul, r, c)) for c in f_cols]  # a row of inv @ f
+        for c in cols:
+            g = gcd(g, sum(map(mul, r, c)))
+            if g == 1:
+                return den
+    return den // g
 
 
 class IsoMorphism(_Value):
@@ -170,6 +175,17 @@ def direct_sum_arrows(f: IsoMorphism, g: IsoMorphism) -> IsoMorphism:
 # -- randomized law suite ------------------------------------------------------
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """rng.randrange(n), n >= 1, as random.Random draws it: n.bit_length()
+    bits, again while >= n.  randint(a, b) is a + _below(rng, b - a + 1) and
+    choice(s) is s[_below(rng, len(s))]: the same stream, one C call a draw."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _random_unimodular(rng: random.Random, n: int) -> tuple[list, list]:
     """Integer rows of a random unimodular U and of its inverse.  Each row
     operation row_i += c row_j on U is undone on the right of U^-1 by the
@@ -177,9 +193,9 @@ def _random_unimodular(rng: random.Random, n: int) -> tuple[list, list]:
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     m_inv = [r[:] for r in m]
     for _ in range(2 * n):
-        i, j = rng.randrange(n), rng.randrange(n)
+        i, j = _below(rng, n), _below(rng, n)
         if i != j:
-            c = rng.randint(-2, 2)
+            c = _below(rng, 5) - 2  # randint(-2, 2)
             m[i] = [x + c * y for x, y in zip(m[i], m[j])]
             for r in m_inv:
                 r[j] -= c * r[i]
@@ -190,7 +206,7 @@ def _random_lattice(rng: random.Random, n: int) -> LatticeObject:
     """Lattice with basis U @ diag(p_j / q_j), as numerators over lcm(q_j),
     and inverse diag(q_j / p_j) @ U^-1, over lcm(p_j).  Draws the diagonal
     first, each p before its q."""
-    diag = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(n)]
+    diag = [(1 + _below(rng, 4), 1 + _below(rng, 4)) for _ in range(n)]  # randint(1, 4) each
     u, u_inv = _random_unimodular(rng, n)
     den = lcm(*(q for _, q in diag))
     col = [p * (den // q) for p, q in diag]  # column j scaled by p_j / q_j
@@ -203,7 +219,8 @@ def _random_lattice(rng: random.Random, n: int) -> LatticeObject:
 
 
 def _random_map(rng: random.Random, rows: int, cols: int) -> Matrix:
-    pq = [[(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(cols)] for _ in range(rows)]
+    # randint(-3, 3) over choice((1, 1, 2, 3))
+    pq = [[(_below(rng, 7) - 3, (1, 1, 2, 3)[_below(rng, 4)]) for _ in range(cols)] for _ in range(rows)]
     den = lcm(*(q for r in pq for _, q in r))
     return Matrix.from_numerators([[p * (den // q) for p, q in r] for r in pq], den)
 
@@ -239,6 +256,8 @@ def run_law_suite(trials: int = 500, seed: int = 0) -> dict:
     """Seeded random verification of the normalisation laws; returns a
     pass/fail ledger per law with exact arithmetic throughout.  The ledger's
     per-law entries are read-only dicts."""
+    if type(trials) is not int or trials < 0:  # True would share the cached lines of 1
+        raise ValueError(f"trials must be an int >= 0, got {trials!r}")
     rng = random.Random(seed)
     results = {}
 

@@ -56,11 +56,13 @@ class PelDatum(_Value):
         return self.algebra.dim_v
 
     def conjugate(self, p: Matrix) -> "PelDatum":
-        """Base change on V by p (new basis vectors are the columns of p)."""
+        """Base change on V by p (new basis vectors are the columns of p).
+        It inverts p once, for j and the algebra both."""
+        q = p.inv()
         return PelDatum(
-            algebra=self.algebra.conjugate(p),
+            algebra=self.algebra._conjugate(p, q),
             pairing=p.transpose() @ self.pairing @ p,
-            j=p.inv() @ self.j @ p,
+            j=q @ self.j @ p,
         )
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -113,11 +114,20 @@ def test_law_suite_all_pass():
     }
     for law, report in results.items():
         assert report["pass"], f"{law}: {report}"
-        assert report["failures"] == 0
+        assert report["failures"] == 0 and type(report["trials"]) is int and report["trials"] == 120
 
 
 def test_law_suite_deterministic():
     assert run_law_suite(trials=40, seed=7) == run_law_suite(trials=40, seed=7)
+
+
+@pytest.mark.parametrize("trials", [True, False, -1, -3, 2.0, "3", None])
+def test_law_suite_refuses_a_count_that_is_not_an_int_at_least_0(trials):
+    with pytest.raises(ValueError, match="trials must be an int >= 0"):
+        run_law_suite(trials=trials, seed=1)
+    ledger = run_law_suite(trials=1, seed=1)  # the refused call left no cached line behind
+    assert all(type(entry["trials"]) is int and entry["trials"] == 1 for entry in ledger.values())
+    assert all(entry["pass"] and entry["trials"] == 0 for entry in run_law_suite(trials=0).values())
 
 
 def test_lattice_object_validation():
@@ -203,6 +213,26 @@ def test_integer_generators_match_fraction_generators():
             assert old.getstate() == new.getstate(), (seed, n)
 
 
+# (a, b) of randint; n of randrange; a sequence of choice
+DRAWS = [(0, n - 1) for n in (1, 2, 3, 4)] + [(1, 4), (-2, 2), (-3, 3), (1, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("bound", DRAWS, ids=map(str, DRAWS))
+def test_below_is_the_stream_of_random_random(bound):
+    # the draws of _random_unimodular, _random_lattice and _random_map
+    for seed in range(600):
+        old, new = random.Random(seed), random.Random(seed)
+        for _ in range(12):
+            if len(bound) == 4:
+                assert old.choice(bound) == bound[isogeny._below(new, len(bound))], seed
+            elif bound[0] == 0:
+                assert old.randrange(bound[1] + 1) == isogeny._below(new, bound[1] + 1), seed
+            else:
+                a, b = bound
+                assert old.randint(a, b) == a + isogeny._below(new, b - a + 1), seed
+        assert old.getstate() == new.getstate(), seed
+
+
 def test_direct_sum_carries_the_inverse_of_its_basis():
     rng = random.Random(11)
     pool = [ZERO_LATTICE, Z1, Z2] + [isogeny._random_lattice(rng, 1 + k % 3) for k in range(30)]
@@ -242,6 +272,29 @@ def test_minimal_n_matches_the_denominator_of_the_product():
             continue
         f = Matrix.zero(m, n) if trial % 10 == 0 else isogeny._random_map(rng, m, n)
         assert minimal_n(f, src, dst) == (dst.basis_inv @ f @ src.basis).denominator, trial
+
+
+def test_minimal_n_stopping_at_gcd_1_agrees_with_the_full_product():
+    # the fold stops at the first entry of the product that is coprime to
+    # the common denominator; split seeded maps by whether the very first
+    # entry is, or no entry ever is
+    rng = random.Random(23)
+    first, never = 0, 0
+    for trial in range(2000):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        src, dst = isogeny._random_lattice(rng, n), isogeny._random_lattice(rng, m)
+        f = isogeny._random_map(rng, m, n)
+        if trial % 3 == 0:  # a multiple of an integral-on-lattices map: no entry reaches gcd 1
+            f = dst.basis @ Matrix.scalar(m, rng.randint(1, 6)) @ isogeny._random_map(rng, m, n).scale(6) @ src.basis_inv
+        prod = dst.basis_inv @ f @ src.basis
+        den = dst.basis_inv.denominator * f.denominator * src.basis.denominator
+        entries = [x * (den // prod.denominator) for r in prod.numerators for x in r]
+        if gcd(den, entries[0]) == 1:
+            first += 1
+        elif gcd(den, *entries) != 1:
+            never += 1
+        assert minimal_n(f, src, dst) == prod.denominator, trial
+    assert first > 100 and never > 100, (first, never)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 7, 2024, 31337])

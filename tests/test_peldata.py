@@ -578,6 +578,39 @@ def test_conjugating_a_structured_presentation_moves_no_generator(monkeypatch, b
     assert again.generators == alg.generators and again.basis == moved.basis @ p
 
 
+def conjugate_oracle(datum: PelDatum, p: Matrix) -> PelDatum:
+    """The base change as it was written with two inversions: one in the
+    algebra (of the new basis, or of p on raw data) and one for j."""
+    alg = datum.algebra
+    if alg.factors:
+        algebra = AlgebraPresentation(alg.dim_v, None, alg.factors, p if alg.basis is None else alg.basis @ p)
+    else:
+        q = p.inv()
+        algebra = AlgebraPresentation(alg.dim_v, tuple((q @ a @ p, q @ s @ p) for a, s in alg.generators))
+    return PelDatum(algebra, p.transpose() @ datum.pairing @ p, p.inv() @ datum.j @ p)
+
+
+@pytest.mark.parametrize("kind", ["structured", "based", "raw"])
+def test_conjugating_a_datum_inverts_once(monkeypatch, kind):
+    rng = random.Random(kind)
+    base = quaternion_m2_datum()
+    if kind == "based":
+        base = base.conjugate(random_unimodular(rng, 8))
+    elif kind == "raw":
+        base = PelDatum(AlgebraPresentation.raw(8, v_generators(base.algebra)), base.pairing, base.j)
+    for p in [random_rational(rng, 8) for _ in range(3)] + [random_unimodular(rng, 8) for _ in range(3)]:
+        expected = conjugate_oracle(base, p)
+        calls = _count_calls(monkeypatch, "inv")
+        moved = base.conjugate(p)
+        monkeypatch.undo()
+        assert len(calls["inv"]) == 1 and calls["inv"][0] is p
+        assert moved == expected and moved.algebra.generators == expected.algebra.generators
+        if kind == "raw":
+            assert moved.algebra.basis is None and moved.algebra.basis_inv is None
+        else:
+            assert moved.algebra.basis_inv == moved.algebra.basis.inv() == expected.algebra.basis_inv
+
+
 # -- the kind rule against the per-kind branches it replaced --------------------
 
 

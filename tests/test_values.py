@@ -134,6 +134,18 @@ def test_eq_and_hash_ignore_exactly_the_derived_fields(cls):
             assert other != obj and not other == obj  # noqa: SIM201
 
 
+@pytest.mark.parametrize("cls", TYPES, ids=IDS)
+def test_an_instance_equals_itself_and_its_equal_copies(cls):
+    # == answers an instance compared with itself before it reads any field
+    x, y = _sample(cls), _sample(cls)
+    assert x is not y
+    assert x == x and not (x != x) and x.__eq__(x) is True  # noqa: PLR0124
+    assert x == y and y == x and not (x != y) and hash(x) == hash(y)
+    for other in TYPES:
+        if other is not cls:
+            assert x != _sample(other) and not x == _sample(other)  # noqa: SIM201
+
+
 def test_instances_of_different_types_never_compare_equal():
     samples = [_sample(cls) for cls in TYPES]
     for a, b in itertools.permutations(samples, 2):
