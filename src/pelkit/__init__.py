@@ -30,15 +30,13 @@ __version__ = "0.1.0"
 
 
 def _lazy(namespace, imports):
-    """A lookup for the module whose globals are namespace: imports maps a
-    module, named as in an import statement, to names separated by spaces.
-    A name is imported on first lookup and bound in namespace, so later
-    lookups are a dict read.  It also serves as a PEP 562 ``__getattr__``."""
+    """The PEP 562 ``__getattr__`` of the module whose globals are namespace:
+    imports maps a module, named as in an import statement, to names
+    separated by spaces.  A name is imported on first access and bound in
+    namespace, so later accesses never reach the hook."""
     module_of = {name: module for module, names in imports.items() for name in names.split()}
 
     def lookup(name):
-        if name in namespace:
-            return namespace[name]
         if name not in module_of:
             raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
         value = namespace[name] = getattr(importlib.import_module(module_of[name], __name__), name)

@@ -156,8 +156,8 @@ class AlgebraPresentation(_Value):
     of V in catalog coordinates (``None`` while canonical), and its inverse
     ``basis_inv``, which ``==`` and hashing ignore.  Its generators are the
     catalog's for every basis: the constructor derives them (pass ``None``)
-    and refuses others, and refuses a basis that is not an invertible
-    dim_v x dim_v matrix, or any basis for a raw presentation.
+    and refuses others.  It refuses a dim_v below 1, a basis that is not an
+    invertible dim_v x dim_v matrix, and any basis for a raw presentation.
     """
 
     __slots__ = ("dim_v", "generators", "factors", "basis", "basis_inv")
@@ -173,6 +173,8 @@ class AlgebraPresentation(_Value):
 
     def __post_init__(self):
         dim_v, generators, factors, basis = self.dim_v, self.generators, self.factors, self.basis
+        if dim_v < 1:
+            raise ValueError(f"dim_v must be >= 1, got {dim_v}")
         if factors or generators is None:
             span = sum(f.isotypic_dim for f in factors)
             if span > MAX_DIM_V:

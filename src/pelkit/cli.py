@@ -161,20 +161,20 @@ def _cmd_rep_decompose(args) -> int:
     from .characters import check_bounds, decompose, dual, standard_char, tensor
 
     rd = _parse_type(args.type)
+    chars = {"std": lambda std: std, "dual(std)": dual}  # each token's character, from std
     tokens = [token.strip() for token in args.tensor.split(",")]
     for token in tokens:
-        if token not in ("std", "dual(std)"):
+        if token not in chars:
             raise serialize.SchemaError("--tensor", f"unknown token {_clipped(token)}; use std or dual(std)")
     # Every weight of std is +-e_i off the centre, so decompose peels a
     # highest weight with block part k*e_1 first, k the number of tokens:
-    # its bound errors come here, before the product is built.  The bounds
-    # do not read the central part.
+    # its bound errors come here, before std (its size grows as the rank
+    # squared) or the product is built.  The bounds skip the central part.
     check_bounds(rd, (len(tokens),) + (0,) * (rd.total_rank - 1))
     std = standard_char(rd, [1] * len(rd.factors))
-    chars = {"std": std, "dual(std)": dual(std)}
-    acc = chars[tokens[0]]
+    acc = chars[tokens[0]](std)
     for token in tokens[1:]:
-        acc = tensor(acc, chars[token])
+        acc = tensor(acc, chars[token](std))
     parts = decompose(rd, acc, genuine=True)
     _emit(
         args,
@@ -214,10 +214,21 @@ def _cmd_fixtures(args) -> int:
     return 0 if ok else 1
 
 
+def _ascii_int(text: str) -> int:
+    """int(text) for ASCII digits after at most one "-"; int() alone also reads "1_0" and " 2"."""
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # over the interpreter's limit on integer digits
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")  # as argparse words it for type=int
+
+
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
+        value = _ascii_int(text)
+    except argparse.ArgumentTypeError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
@@ -235,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         """--output on every command, --seed only where it is read."""
         p.add_argument("--output", help="write the JSON report to this path instead of stdout")
         if seed_help:
-            p.add_argument("--seed", type=int, default=0, help=seed_help)
+            p.add_argument("--seed", type=_ascii_int, default=0, help=seed_help)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("validate", help="check the axioms of a datum file")

@@ -166,7 +166,8 @@ def det_twist_morphism() -> MorphismSpec:
 
 
 def conformance_rows():
-    """Deterministic pass/fail table over every bundled example."""
+    """Deterministic pass/fail table over every bundled example.  ``data`` lists
+    each bundled datum once, with the factors it must classify to (see ``kinds``)."""
     rows = []
 
     def row(name, check, expected, got):
@@ -180,30 +181,21 @@ def conformance_rows():
             }
         )
 
-    named_data = (
-        ("modular_curve", modular_curve_datum()),
-        ("modular_curve_m2", modular_curve_m2_datum()),
-        ("gu11", gu11_datum()),
-        ("gsp8_tensor", gsp8_tensor_datum()),
-        ("quaternion", quaternion_datum()),
-        ("balanced_sqrt_minus_2", balanced_imag_quad_datum()),
+    data = (
+        ("modular_curve", modular_curve_datum(), [1], [], []),
+        ("modular_curve_m2", modular_curve_m2_datum(), [1], [], []),
+        ("gu11", gu11_datum(), [], [[1, 1]], []),
+        ("gsp8_tensor", gsp8_tensor_datum(), [4], [], []),
+        ("quaternion", quaternion_datum(), [], [], [1]),
+        ("balanced_sqrt_minus_2", balanced_imag_quad_datum(), [], [[1, 1]], []),
     )
-    for name, datum in named_data:
+    for name, datum, *_ in data:
         row(name, "validate", "valid", "valid" if validate(datum).valid else "invalid")
 
-    expected_factors = (
-        ("modular_curve", {"symplectic": [1], "unitary": [], "orthogonal": []}),
-        ("modular_curve_m2", {"symplectic": [1], "unitary": [], "orthogonal": []}),
-        ("gu11", {"symplectic": [], "unitary": [[1, 1]], "orthogonal": []}),
-        ("gsp8_tensor", {"symplectic": [4], "unitary": [], "orthogonal": []}),
-        ("quaternion", {"symplectic": [], "unitary": [], "orthogonal": [1]}),
-        ("balanced_sqrt_minus_2", {"symplectic": [], "unitary": [[1, 1]], "orthogonal": []}),
-    )
-    by_name = dict(named_data)
-    for name, want in expected_factors:
-        fact = classify(by_name[name]).factorization.to_dict()
-        got = {k: fact[k] for k in ("symplectic", "unitary", "orthogonal")}
-        row(name, "classify", want, got)
+    kinds = ("symplectic", "unitary", "orthogonal")
+    for name, datum, *want in data:
+        fact = classify(datum).factorization.to_dict()
+        row(name, "classify", dict(zip(kinds, want)), {k: fact[k] for k in kinds})
 
     for name, datum, code in mutations():
         report = validate(datum)

@@ -37,7 +37,7 @@ from .errors import InternalCheckError, OutOfScopeError
 from .peldata import Classification
 
 AV_TYPES = frozenset(((-1, 0), (0, -1)))
-_AV_DOUBLED = frozenset(((2, 0), (0, 2)))  # (-2p, -2q) over AV_TYPES
+_AV_DOUBLED = frozenset((-2 * p, -2 * q) for p, q in AV_TYPES)
 
 
 class NonIntegralPairingError(OutOfScopeError):

@@ -11,7 +11,7 @@ matrix are out of scope.
 
 from __future__ import annotations
 
-from . import _as_dict, _lazy, _Value
+from . import _as_dict, _Value
 from .algebras import (
     MAT_IMAG_QUAD,
     MAT_Q,
@@ -100,7 +100,7 @@ def _catalog_frame(alg: AlgebraPresentation, m: Matrix | None, j: Matrix) -> tup
 
 
 def validate(datum: PelDatum) -> ValidationReport:
-    """Run the axioms in order and stop at the first failure.
+    """Run the axioms in ``CHECK_ORDER`` up to the first failure; ``passed`` lists those before it.
 
     Failures are reported as diagnostic codes, not exceptions, so that a
     mutated or hand-written datum can be triaged from the command line.
@@ -117,23 +117,19 @@ def validate(datum: PelDatum) -> ValidationReport:
     n = datum.dim_v
     m = datum.pairing
     j = datum.j
-    passed = []
 
     def fail(code, message):
-        return ValidationReport(False, code, message, tuple(passed))
+        return ValidationReport(False, code, message, CHECK_ORDER[: CHECK_ORDER.index(code)])
 
     if m.rows != n or m.cols != n or j.rows != n or j.cols != n:
         return fail("shape", "pairing and j must be dim_v x dim_v")
-    passed.append("shape")
     m, j = _catalog_frame(datum.algebra, m, j)
 
     if not m.is_antisymmetric():
         return fail("pairing_antisymmetric", "pairing is not alternating")
-    passed.append("pairing_antisymmetric")
 
     if m.det() == 0:
         return fail("pairing_nondegenerate", "pairing is degenerate")
-    passed.append("pairing_nondegenerate")
 
     for k, (act, star) in enumerate(datum.algebra.generators):
         if act.transpose() @ m != m @ star:
@@ -141,21 +137,17 @@ def validate(datum: PelDatum) -> ValidationReport:
                 "star_adjoint",
                 f"generator {k} is not adjoint to its star image under the pairing",
             )
-    passed.append("star_adjoint")
 
     if j @ j != Matrix.scalar(n, -1):
         return fail("j_square", "j does not square to -identity")
-    passed.append("j_square")
 
     for k, (act, _) in enumerate(datum.algebra.generators):
         if j @ act != act @ j:
             return fail("j_commutes", f"j does not commute with generator {k}")
-    passed.append("j_commutes")
 
     g = m @ j
     if not g.is_symmetric():
         return fail("j_pairing_skew", "<ju, v> != -<u, jv>")
-    passed.append("j_pairing_skew")
 
     sig = signature(g)
     if not sig.is_positive_definite():
@@ -163,21 +155,15 @@ def validate(datum: PelDatum) -> ValidationReport:
             "polarization_positive",
             f"<u, jv> has signature ({sig.positive},{sig.negative},{sig.zero}), not positive definite",
         )
-    passed.append("polarization_positive")
 
-    if datum.algebra.mode == "structured":  # the two involution axioms hold by construction
-        return ValidationReport(True, None, "all axioms hold", CHECK_ORDER)
+    if datum.algebra.mode == "raw":  # on structured data both involution axioms hold by construction
+        inv = check_anti_involution(datum.algebra)
+        if not inv.ok:
+            return fail("involution_anti", inv.reason)
+        if not check_positive(datum.algebra):
+            return fail("involution_positive", "trace form of the involution is not positive definite")
 
-    inv = check_anti_involution(datum.algebra)
-    if not inv.ok:
-        return fail("involution_anti", inv.reason)
-    passed.append("involution_anti")
-
-    if not check_positive(datum.algebra):
-        return fail("involution_positive", "trace form of the involution is not positive definite")
-    passed.append("involution_positive")
-
-    return ValidationReport(True, None, "all axioms hold", tuple(passed))
+    return ValidationReport(True, None, "all axioms hold", CHECK_ORDER)
 
 
 # -- classification ---------------------------------------------------------------
@@ -333,10 +319,6 @@ def shimura_report(fact: GroupFactorization) -> ShimuraReport:
 
 # -- bridge to the character calculus ----------------------------------------------
 
-# The builders below look ``characters`` up when they run, so that validation
-# alone never loads it.
-_use = _lazy(globals(), {".characters": "Factor RootDatum standard_char"})
-
 
 class Classification(_Value):
     __slots__ = ("factorization", "details", "root_datum", "standard_char")
@@ -354,7 +336,8 @@ _KIND_RULE = {"symplectic": ("C", 1), "unitary": ("A", 1), "orthogonal": ("D", 2
 
 
 def root_datum_for(details) -> RootDatum:
-    Factor, RootDatum = _use("Factor"), _use("RootDatum")
+    from .characters import Factor, RootDatum  # when it runs, so that validation alone never loads it
+
     return RootDatum(tuple(Factor(_KIND_RULE[d.kind][0], sum(d.params)) for d in details), central_rank=1)
 
 
@@ -363,7 +346,9 @@ def standard_char_for(details) -> WeightChar:
     central coordinate 1 (the centre acts on V by scalars); block weights
     are +-e_i with multiplicity n for symplectic and unitary factors and
     2n for quaternionic-orthogonal ones."""
-    return _use("standard_char")(root_datum_for(details), [_KIND_RULE[d.kind][1] * d.catalog_n for d in details])
+    from .characters import standard_char
+
+    return standard_char(root_datum_for(details), [_KIND_RULE[d.kind][1] * d.catalog_n for d in details])
 
 
 def classify(datum: PelDatum) -> Classification:

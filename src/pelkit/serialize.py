@@ -20,23 +20,9 @@ from itertools import chain
 from math import lcm
 from operator import itemgetter
 
-from . import _lazy
 from .errors import InputError, OutOfScopeError
 
-# Each reader looks up the classes it builds when it runs, so a command
-# that reads no datum loads no algebra code, and one that reads no
-# character loads no character code.
-_use = _lazy(
-    globals(),
-    {
-        "fractions": "Fraction",
-        ".linalg": "Matrix",
-        ".algebras": "AlgebraPresentation CatalogFactor",
-        ".peldata": "PelDatum",
-        ".characters": "Factor RootDatum TorusMap WeightChar",
-        ".admissibility": "MorphismSpec RepSide",
-    },
-)
+# Each reader imports the classes it builds when it runs, so a command loads only the layers it reads.
 
 
 class SchemaError(InputError):
@@ -67,7 +53,11 @@ def _rational(s: str, path: str):
     """The value of a rational string that ``_RAT_RE`` accepts, or a
     SchemaError at path when it has more digits than int() converts."""
     try:
-        return int(s) if "/" not in s else _use("Fraction")(s)
+        if "/" not in s:
+            return int(s)
+        from fractions import Fraction  # on this path alone: the import statement costs more than int()
+
+        return Fraction(s)
     except ValueError:  # over the interpreter's limit on integer digits
         raise SchemaError(path, f"bad rational: more than {sys.get_int_max_str_digits()} digits") from None
 
@@ -90,6 +80,8 @@ def _matrix_by_table(obj, path: str):
     row is a lookup in that table.  Strings only: ``true`` and ``1.0`` hash
     like ``1`` and ``false`` like ``0``, so with integers about, one table
     key could stand for an entry that must be refused."""
+    from .linalg import Matrix
+
     width = len(obj[0])
     if not width or any(len(r) != width for r in obj):
         return None
@@ -110,12 +102,14 @@ def _matrix_by_table(obj, path: str):
         rows = [(table[r[0]],) for r in obj]
     else:
         rows = [itemgetter(*r)(table) for r in obj]
-    return _use("Matrix").from_numerators(rows, den)
+    return Matrix.from_numerators(rows, den)
 
 
 def _matrix_by_entry(obj, path: str) -> Matrix:
     """The matrix of an array of arrays, entry by entry; a SchemaError
     names the first bad entry, or the shape when every entry is good."""
+    from .linalg import Matrix
+
     values = {}  # each distinct entry string, checked and converted once
     rows = []
     for i, r in enumerate(obj):
@@ -132,7 +126,7 @@ def _matrix_by_entry(obj, path: str) -> Matrix:
             row.append(x)
         rows.append(row)
     try:
-        return _use("Matrix")(rows)
+        return Matrix(rows)
     except ValueError as exc:
         raise SchemaError(path, str(exc))
 
@@ -181,9 +175,12 @@ def algebra_to_json(alg: AlgebraPresentation):
 
 
 def algebra_from_json(obj, path: str = "algebra") -> AlgebraPresentation:
-    AlgebraPresentation, CatalogFactor = _use("AlgebraPresentation"), _use("CatalogFactor")
+    from .algebras import AlgebraPresentation, CatalogFactor
+
     mode = _require(obj, "mode", path, str)
     dim_v = _require(obj, "dim_v", path, int)
+    if dim_v < 1:
+        raise SchemaError(f"{path}.dim_v", f"expected at least 1, got {dim_v}")
     if mode == "structured":
         _known_keys(obj, path, {"mode", "dim_v", "factors", "basis"})
         factors = _require(obj, "factors", path, list)
@@ -239,7 +236,8 @@ def datum_to_json(datum: PelDatum):
 
 
 def datum_from_json(obj, path: str = "") -> PelDatum:
-    PelDatum = _use("PelDatum")
+    from .peldata import PelDatum
+
     base = path or "datum"
     _known_keys(obj, base, {"algebra", "pairing", "j"})
     return PelDatum(
@@ -257,7 +255,8 @@ def root_datum_to_json(rd: RootDatum):
 
 
 def root_datum_from_json(obj, path: str = "root_datum") -> RootDatum:
-    Factor, RootDatum = _use("Factor"), _use("RootDatum")
+    from .characters import Factor, RootDatum
+
     _known_keys(obj, path, {"factors", "central_rank"})
     factors = _require(obj, "factors", path, list)
     out = []
@@ -281,7 +280,8 @@ def char_to_json(x: WeightChar):
 
 
 def char_from_json(obj, path: str = "char") -> WeightChar:
-    WeightChar = _use("WeightChar")
+    from .characters import WeightChar
+
     if not isinstance(obj, list):
         raise SchemaError(path, "expected an array of {weight, mult} entries")
     acc = {}
@@ -298,22 +298,21 @@ def char_from_json(obj, path: str = "char") -> WeightChar:
     return WeightChar(acc)
 
 
+def _side_to_json(side: RepSide):
+    return {"root_datum": root_datum_to_json(side.root_datum), "standard_char": char_to_json(side.standard_char)}
+
+
 def morphism_to_json(m: MorphismSpec):
     return {
-        "source": {
-            "root_datum": root_datum_to_json(m.source.root_datum),
-            "standard_char": char_to_json(m.source.standard_char),
-        },
-        "target": {
-            "root_datum": root_datum_to_json(m.target.root_datum),
-            "standard_char": char_to_json(m.target.standard_char),
-        },
+        "source": _side_to_json(m.source),
+        "target": _side_to_json(m.target),
         "weight_pullback": [list(r) for r in m.torus_map.weight_pullback],
     }
 
 
 def _side_from_json(obj, path: str) -> RepSide:
-    RepSide = _use("RepSide")
+    from .admissibility import RepSide
+
     _known_keys(obj, path, {"root_datum", "standard_char"})
     return RepSide(
         root_datum=root_datum_from_json(_require(obj, "root_datum", path), f"{path}.root_datum"),
@@ -322,7 +321,9 @@ def _side_from_json(obj, path: str) -> RepSide:
 
 
 def morphism_from_json(obj, path: str = "morphism") -> MorphismSpec:
-    MorphismSpec, TorusMap = _use("MorphismSpec"), _use("TorusMap")
+    from .admissibility import MorphismSpec
+    from .characters import TorusMap
+
     _known_keys(obj, path, {"source", "target", "weight_pullback"})
     pullback = _require(obj, "weight_pullback", path, list)
     if not all(isinstance(r, list) and all(_is_int(x) for x in r) for r in pullback):

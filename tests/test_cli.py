@@ -34,6 +34,20 @@ def test_validate_malformed_input_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "algebra",
+    [{"mode": "raw", "dim_v": -1, "generators": []}, {"mode": "structured", "dim_v": 0, "factors": []}],
+    ids=["raw", "structured"],
+)
+def test_validate_dim_v_below_1_is_a_schema_error(tmp_path, capsys, algebra):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"algebra": algebra, "pairing": [["0"]], "j": [["0"]]}))
+    code, out = run_cli("validate", str(path))
+    assert code == 2 and out == ""
+    dim_v = algebra["dim_v"]
+    assert capsys.readouterr().err == f"schema error: datum.algebra.dim_v: expected at least 1, got {dim_v}\n"
+
+
 def test_validate_invalid_datum_exits_1(tmp_path):
     with open(os.path.join(DOCS, "modular_curve.json")) as fh:
         obj = json.load(fh)
@@ -99,12 +113,26 @@ def test_isofun_check_both_spellings():
 
 def test_isofun_check_rejects_non_positive_trials(capsys):
     for argv in (("isofun", "check"), ("isofun-check",)):
-        for trials in ("-3", "0", "x"):
+        # int() reads the last three as 10, 2 and 2: only ASCII digits count
+        for trials in ("-3", "0", "x", "1_0", " 2", "\uff12"):
             with pytest.raises(SystemExit) as exc:
                 run_cli(*argv, "--trials", trials)
             assert exc.value.code == 2
             err = capsys.readouterr().err
-            assert err.startswith("usage:") and "--trials: expected a positive integer" in err
+            assert err.startswith("usage:") and f"--trials: expected a positive integer, got {trials!r}" in err
+
+
+@pytest.mark.parametrize("argv", [("fixtures",), ("isofun", "check", "--trials", "1"), ("isofun-check", "--trials", "1")])
+def test_seed_takes_ascii_digits_with_an_optional_minus(argv, capsys):
+    for seed, echoed in (("7", 7), ("-3", -3), ("-0", 0)):
+        code, out = run_cli(*argv, "--seed", seed)
+        assert code == 0 and json.loads(out)["seed"] == echoed
+    for seed in ("x", "1_0", " 2", "\uff10", "+1", "1-", ""):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--seed", seed)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage:") and f"--seed: invalid int value: {seed!r}" in err
 
 
 def test_zero_rank_type_is_a_schema_error():
@@ -474,6 +502,20 @@ def test_early_bound_errors_match_the_full_product(series, tokens):
         decompose(rd, acc)
     code, out = run_cli("rep", "decompose", "--type", series, "--tensor", ",".join(tokens))
     assert code == 2 and json.loads(out)["error"]["message"] == str(full.value)
+
+
+def test_rep_decompose_large_rank_is_refused_before_std_is_built(monkeypatch):
+    # std on C_n has 2n weights of length n + 1, so a rank past the bound
+    # must be refused before it is built
+    import pelkit.characters
+
+    def refuse(*args):
+        raise AssertionError("std was built before the bound check")
+
+    monkeypatch.setattr(pelkit.characters, "standard_char", refuse)
+    code, out = run_cli("rep", "decompose", "--type", "C100000", "--tensor", "std,dual(std)")
+    assert code == 2
+    assert json.loads(out)["error"] == {"message": "block rank 100000 exceeds 8", "type": "BoundExceededError"}
 
 
 def test_rep_decompose_unknown_token_comes_before_the_bounds(capsys):

@@ -146,6 +146,44 @@ def test_schema_error_paths():
         serialize.morphism_from_json({"source": {}, "target": {}, "weight_pullback": [["x"]]})
 
 
+@pytest.mark.parametrize("mode, extra", [("raw", {"generators": []}), ("structured", {"factors": []})])
+@pytest.mark.parametrize("dim_v", [0, -1])
+def test_dim_v_below_1_is_a_schema_error(mode, extra, dim_v):
+    with pytest.raises(serialize.SchemaError) as err:
+        serialize.algebra_from_json({"mode": mode, "dim_v": dim_v, **extra})
+    assert err.value.path == "algebra.dim_v"
+    assert str(err.value) == f"algebra.dim_v: expected at least 1, got {dim_v}"
+    with pytest.raises(ValueError, match="dim_v must be >= 1"):
+        AlgebraPresentation.raw(dim_v, ())
+    with pytest.raises(ValueError, match="dim_v must be >= 1"):
+        AlgebraPresentation.from_catalog(())
+
+
+def test_readers_build_with_the_classes_their_modules_hold_when_they_run(monkeypatch):
+    # each reader imports its classes when it runs, so a patch made after
+    # its first call still reaches it
+    import pelkit.algebras
+    import pelkit.peldata
+
+    expected = modular_curve_datum()
+    obj = serialize.datum_to_json(expected)
+    assert serialize.datum_from_json(obj) == expected
+    calls = []
+
+    def algebra(*args):
+        calls.append("algebra")
+        return AlgebraPresentation(*args)
+
+    def datum(**fields):
+        calls.append("datum")
+        return PelDatum(**fields)
+
+    monkeypatch.setattr(pelkit.algebras, "AlgebraPresentation", algebra)
+    monkeypatch.setattr(pelkit.peldata, "PelDatum", datum)
+    assert serialize.datum_from_json(obj) == expected
+    assert calls == ["algebra", "datum"]
+
+
 def test_booleans_rejected_where_integers_are_parsed():
     with pytest.raises(serialize.SchemaError):
         serialize.algebra_from_json(
