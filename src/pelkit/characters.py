@@ -398,17 +398,27 @@ def weyl_dim(rd: RootDatum, highest: Weight) -> int:
     return out
 
 
+def check_block_rank(f: Factor) -> None:
+    """Refuse a block past ``MAX_BLOCK_RANK``."""
+    if f.n > MAX_BLOCK_RANK:
+        raise BoundExceededError(f"block rank {f.n} exceeds {MAX_BLOCK_RANK}")
+
+
+def check_weight_norm(norm: int) -> None:
+    """Refuse a highest weight whose |lambda|_1 over all blocks passes ``MAX_WEIGHT_NORM``."""
+    if norm > MAX_WEIGHT_NORM:
+        raise BoundExceededError(f"|highest|_1 exceeds {MAX_WEIGHT_NORM}")
+
+
 def _irr_parts(rd: RootDatum, highest: Weight):
     """``(series, n, lam)`` of each block and the central part of the
     irreducible with the given highest weight, after the bound and
     dominance checks."""
     blocks, central = rd.split(highest)
     for f, lam in zip(rd.factors, blocks):
-        if f.n > MAX_BLOCK_RANK:
-            raise BoundExceededError(f"block rank {f.n} exceeds {MAX_BLOCK_RANK}")
+        check_block_rank(f)
         _require_dominant(f, lam)
-    if sum(abs(x) for b in blocks for x in b) > MAX_WEIGHT_NORM:
-        raise BoundExceededError(f"|highest|_1 exceeds {MAX_WEIGHT_NORM}")
+    check_weight_norm(sum(abs(x) for b in blocks for x in b))
     return [(f.series, f.n, lam) for f, lam in zip(rd.factors, blocks)], central
 
 

@@ -24,13 +24,12 @@ import operator
 
 from . import _as_dict, _Value
 from .characters import (
-    MAX_BLOCK_RANK,
-    MAX_WEIGHT_NORM,
-    BoundExceededError,
     RootDatum,
     UnsupportedTypeError,
     WeightChar,
     _int_tuple,
+    check_block_rank,
+    check_weight_norm,
     irr_char,  # noqa: F401 -- not called here; the benchmark tracer patches this binding
 )
 from .errors import InternalCheckError, OutOfScopeError
@@ -158,10 +157,8 @@ def enumerate_av_irreducibles(rd: RootDatum, hc: HodgeCochar, bound: int):
     if hc.rank != rd.total_rank:
         raise ValueError("cocharacter rank does not match the root datum")
     for f in rd.factors:
-        if f.n > MAX_BLOCK_RANK:
-            raise BoundExceededError(f"block rank {f.n} exceeds {MAX_BLOCK_RANK}")
-    if bound > MAX_WEIGHT_NORM:
-        raise BoundExceededError(f"|highest|_1 exceeds {MAX_WEIGHT_NORM}")
+        check_block_rank(f)
+    check_weight_norm(bound)
     for f, a, b in rd.block_slices():
         if any(hc.kappa2[a:b]) or set(hc.mu2[a:b]) not in ({0}, {1}, {-1}, {1, -1}):
             raise UnsupportedTypeError(f"the cocharacter is not minuscule on the block {f.series}{f.n}")

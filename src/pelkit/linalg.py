@@ -14,7 +14,12 @@ pay for nonzeros.  ``_monomial`` finds each row's one nonzero, or gives
 up at the first row with two.  On a monomial matrix ``det`` is a signed
 permutation product and ``signature`` counts 1 x 1 blocks and hyperbolic
 planes, with no elimination; a product row with one nonzero is the row of
-the other factor it selects, times that entry.  Otherwise a sparse
+the other factor it selects, times that entry.  A matrix remembers that
+map once ``det``, ``signature`` or a product with it on the left has
+found it; the product finds it while walking its rows, with no scan of
+its own.  A later product selects rows straight from the map, and the
+product of two mapped matrices inherits their composite, so each matrix
+of a catalog datum is scanned at most once.  Otherwise a sparse
 product row adds only the rows its nonzeros select, and a pivot change
 rescales a kept row on its nonzeros alone.
 Entries read back through ``m[i, j]``, ``row``, ``column`` and ``tolist``
@@ -59,19 +64,21 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to a rational")
 
 
-def _wrap(num: tuple, den: int) -> "Matrix":
+def _wrap(num: tuple, den: int, nonzero_cols=False) -> "Matrix":
     """Matrix from numerator rows (tuples of int) already in lowest terms
-    over den > 0; skips ``__init__``."""
+    over den > 0, with its ``_monomial`` map if known; skips ``__init__``."""
     m = object.__new__(Matrix)
     m.rows = len(num)
     m.cols = len(num[0])
     m.numerators = num
     m.denominator = den
+    m._nonzero_cols = nonzero_cols
     return m
 
 
-def _lowest(num, den: int) -> "Matrix":
-    """Matrix with value num / den for integer rows num and den != 0."""
+def _lowest(num, den: int, nonzero_cols=False) -> "Matrix":
+    """Matrix with value num / den for integer rows num and den != 0;
+    nonzero_cols is passed on, as scaling keeps every zero."""
     if den < 0:
         num = [[-x for x in r] for r in num]
         den = -den
@@ -84,7 +91,7 @@ def _lowest(num, den: int) -> "Matrix":
     if g != 1:
         num = [[x // g for x in r] for r in num]
         den //= g
-    return _wrap(tuple(map(tuple, num)), den)
+    return _wrap(tuple(map(tuple, num)), den, nonzero_cols)
 
 
 def _monomial(rows):
@@ -96,6 +103,14 @@ def _monomial(rows):
         if nonzero > 1:
             return None
         cols.append(next(compress(count(), r)) if nonzero else None)
+    return cols
+
+
+def _cols_of(m: "Matrix"):
+    """``_monomial`` of m's rows, found on first use and kept on m."""
+    cols = m._nonzero_cols
+    if cols is False:
+        cols = m._nonzero_cols = _monomial(m.numerators)
     return cols
 
 
@@ -209,10 +224,17 @@ class Matrix:
 
     ``numerators`` is a tuple of integer row tuples and ``denominator`` a
     positive integer sharing no factor with all of them; entry (i, j) is
-    ``numerators[i][j] / denominator``.
+    ``numerators[i][j] / denominator``.  ``_nonzero_cols`` is what
+    ``_monomial`` returns on the numerators once a kernel has found it,
+    and False before; ``==`` and hashing ignore it.
+
+    Immutability is a convention, not enforced: no caller assigns to a
+    Matrix, and the kernels only fill in ``_nonzero_cols``.  The catalog
+    generators, which every presentation of one catalog shares
+    (``pelkit.algebras``), and the maps found on them rely on it.
     """
 
-    __slots__ = ("rows", "cols", "numerators", "denominator")
+    __slots__ = ("rows", "cols", "numerators", "denominator", "_nonzero_cols")
 
     def __init__(self, data):
         rows = tuple(map(tuple, data))
@@ -233,6 +255,7 @@ class Matrix:
         self.cols = width
         self.numerators = rows
         self.denominator = den
+        self._nonzero_cols = False
 
     # -- construction helpers ------------------------------------------------
 
@@ -346,31 +369,57 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in @")
         b = other.numerators
-        inner = other.rows
         zero = (0,) * other.cols
-        columns = None
-        out = []
-        for ra in self.numerators:
-            nonzero = inner - ra.count(0)
-            if nonzero == 1:
-                # monomial row: the one row of other it selects
-                k = next(compress(count(), ra))
-                a = ra[k]
-                out.append(b[k] if a == 1 else tuple(map(neg, b[k])) if a == -1 else tuple(map(mul, b[k], repeat(a))))
-            elif 3 * nonzero > inner:
-                # dense row: one dot product per column of other
-                if columns is None:
-                    columns = tuple(zip(*b))
-                out.append([sum(map(mul, ra, col)) for col in columns])
-            else:
-                # sparse row: add up the rows of other it selects
-                acc = zero
-                for k in compress(range(inner), ra):
+        cols = self._nonzero_cols
+        if cols:
+            # monomial: each row is zero or the row of other it selects, times its entry
+            out = [
+                zero if k is None
+                else b[k] if (a := ra[k]) == 1
+                else tuple(map(neg, b[k])) if a == -1
+                else tuple(map(mul, b[k], repeat(a)))
+                for k, ra in zip(cols, self.numerators)
+            ]
+        else:
+            # walk the rows, finding self's map on the way
+            inner = other.rows
+            columns = None
+            out, cols, dense = [], [], False
+            for ra in self.numerators:
+                nonzero = inner - ra.count(0)
+                if nonzero == 1:
+                    # monomial row: the one row of other it selects
+                    k = next(compress(count(), ra))
                     a = ra[k]
-                    term = b[k] if a == 1 else tuple(map(mul, b[k], repeat(a)))
-                    acc = term if acc is zero else tuple(map(add, acc, term))
-                out.append(acc)
-        return _lowest(out, self.denominator * other.denominator)
+                    out.append(b[k] if a == 1 else tuple(map(neg, b[k])) if a == -1 else tuple(map(mul, b[k], repeat(a))))
+                    cols.append(k)
+                elif 3 * nonzero > inner:
+                    # dense row: one dot product per column of other
+                    if columns is None:
+                        columns = tuple(zip(*b))
+                    out.append([sum(map(mul, ra, col)) for col in columns])
+                    dense = True
+                elif nonzero:
+                    # sparse row: add up the rows of other it selects
+                    acc = zero
+                    for k in compress(range(inner), ra):
+                        a = ra[k]
+                        term = b[k] if a == 1 else tuple(map(mul, b[k], repeat(a)))
+                        acc = term if acc is zero else tuple(map(add, acc, term))
+                    out.append(acc)
+                    dense = True
+                else:
+                    out.append(zero)
+                    cols.append(None)
+            if dense:
+                self._nonzero_cols = None
+                return _lowest(out, self.denominator * other.denominator)
+            self._nonzero_cols = cols
+        b_cols = other._nonzero_cols
+        # with both maps known the product's is their composite: a selected
+        # row of other, times a nonzero entry, keeps its zeros
+        out_cols = [None if k is None else b_cols[k] for k in cols] if b_cols else False
+        return _lowest(out, self.denominator * other.denominator, out_cols)
 
     def transpose(self) -> "Matrix":
         return _wrap(tuple(zip(*self.numerators)), self.denominator)
@@ -397,7 +446,7 @@ class Matrix:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         n, rows = self.rows, self.numerators
-        cols = _monomial(rows)
+        cols = _cols_of(self)
         if cols is not None:  # nonzero only when the nonzeros sit on a permutation
             if None in cols or len(set(cols)) < n:
                 return Fraction(0)
@@ -480,7 +529,7 @@ def signature(gram: Matrix) -> Signature:
     if not gram.is_symmetric():
         raise NotSymmetricError("gram matrix must equal its transpose")
     rows = gram.numerators
-    cols = _monomial(rows)
+    cols = _cols_of(gram)
     if cols is None:
         return _bareiss_signature(rows)
     pos = neg = zero = 0

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from pelkit.algebras import (
     AlgebraPresentation,
     CatalogFactor,
     CatalogTooLargeError,
+    _catalog_generators,
     _closure,
     _trace_gram,
     _with_star,
@@ -26,7 +28,8 @@ from pelkit.fixtures import (
     quaternion_datum,
     u20_datum,
 )
-from pelkit.linalg import Matrix, Signature, signature
+from pelkit.linalg import Matrix, Signature, _monomial, signature
+from pelkit.serialize import datum_from_json, datum_to_json
 
 from closure_oracle import oracle_check_anti_involution, oracle_check_positive, oracle_closure
 from validate_oracle import v_generators
@@ -497,3 +500,46 @@ def test_involution_axioms_hold_on_structured_presentations(case):
         assert check_anti_involution(alg).ok and check_positive(alg), depth
         if depth < 2:
             alg = alg.conjugate(draws[depth](rng, alg.dim_v))
+
+
+# -- catalog generators: built once per catalog and shared -------------------------
+
+
+def test_catalog_generators_are_built_once_per_catalog():
+    # from_catalog, a JSON load and a base change of the datum, and of a
+    # base-changed one, all read one build per distinct factor tuple
+    _catalog_generators.cache_clear()
+    data = (gu11_datum(), quaternion_datum(), gu11_datum())
+    shared = {}
+    for datum in data:
+        factors = datum.algebra.factors
+        moved = datum.conjugate(_shear(datum.dim_v))
+        for alg in (
+            datum.algebra,
+            AlgebraPresentation.from_catalog(factors),
+            datum_from_json(json.loads(json.dumps(datum_to_json(datum)))).algebra,
+            moved.algebra,
+            moved.conjugate(_shear(datum.dim_v)).algebra,
+            datum_from_json(json.loads(json.dumps(datum_to_json(moved)))).algebra,
+        ):
+            assert alg.generators is shared.setdefault(factors, alg.generators)
+    info = _catalog_generators.cache_info()
+    assert len(shared) == info.misses == 2 and info.hits > 0
+
+
+@pytest.mark.parametrize("case", STRUCTURED_CASES, ids=_case_id)
+def test_shared_catalog_generators_equal_a_fresh_build(case):
+    # every catalog kind, alone and mixed: the shared generators are the
+    # uncached build, also after validate and products have remembered
+    # their monomial maps on them
+    rng = random.Random(str(case))
+    factors = (_catalog_factor(rng, *case),) if isinstance(case[0], str) else tuple(case)
+    alg = AlgebraPresentation.from_catalog(factors)
+    fresh = _catalog_generators.__wrapped__(factors)
+    assert alg.generators is _catalog_generators(factors) and alg.generators == fresh
+    for act, star in alg.generators:
+        (act @ star).det()
+        star @ act
+    assert alg.generators == fresh
+    for m in (m for pair in alg.generators for m in pair):
+        assert m._nonzero_cols is False or m._nonzero_cols == _monomial(m.numerators)

@@ -287,6 +287,25 @@ def test_enumerate_bounds_raise():
         enumerate_av_irreducibles(RootDatum((Factor("C", 9),), 1), gsp_cochar(9), bound=1)
 
 
+def test_enumerate_bounds_say_what_irr_char_says():
+    # one owner of both bounds: the enumeration and irr_char refuse with the
+    # same messages, and a negative bound is no error but an empty answer
+    big = RootDatum((Factor("C", 2), Factor("C", 9)), 1)
+    small = RootDatum((Factor("C", 2),), 1)
+    cases = (
+        (lambda: enumerate_av_irreducibles(big, gsp_cochar(11), bound=1), lambda: irr_char(big, (0,) * 12),
+         "block rank 9 exceeds 8"),
+        (lambda: enumerate_av_irreducibles(small, gsp_cochar(2), bound=9), lambda: irr_char(small, (9, 0, 0)),
+         "|highest|_1 exceeds 8"),
+    )
+    for enumerate_call, irr_call, message in cases:
+        for call in (enumerate_call, irr_call):
+            with pytest.raises(BoundExceededError) as refused:
+                call()
+            assert str(refused.value) == message
+    assert enumerate_av_irreducibles(small, gsp_cochar(2), bound=-1) == ()
+
+
 @pytest.mark.parametrize(
     "mu2,kappa_central",
     [((2, 0, 1), 2), ((1, 0, 1), 2), ((3, 3, 1), 2), ((0, -2, 1), 2)],

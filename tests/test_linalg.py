@@ -769,6 +769,81 @@ def test_monomial_products_against_fraction_oracle():
         assert _is_canonical(ma @ md) and _is_canonical(ma @ mb)
 
 
+# -- the remembered monomial map against fresh copies that walk their rows -------
+
+
+def _fresh(m):
+    """An equal matrix that remembers nothing, so every kernel walks its rows."""
+    return Matrix(m.tolist())
+
+
+def _map_is_sound(m):
+    cols = m._nonzero_cols
+    return cols is False or cols == monomial_columns(m.numerators)
+
+
+def _map_pool(rng, n):
+    """Matrices of every shape the remembered map meets: scaled permutations
+    (non-unit entries, denominators, some zero rows or repeated columns), a
+    partial one with half its rows zero, symmetric monomial forms, scalars
+    whose products _lowest reduces (1/2 times 2, 6 times 1/3), the zero
+    matrix, and dense and sparse non-monomial ones."""
+    partial = _scaled_permutation(rng, n)
+    for r in rng.sample(range(n), n // 2):
+        partial[r] = [Fraction(0)] * n
+    sparse = [[Fraction(rng.choice((1, -2, 3))) if c in (r, (r + 1) % n) else Fraction(0) for c in range(n)]
+              for r in range(n)]
+    return (
+        [Matrix(_scaled_permutation(rng, n)) for _ in range(4)]
+        + [Matrix(partial), Matrix(_symmetric_monomial(rng, n)), Matrix(_symmetric_monomial(rng, n))]
+        + [Matrix.scalar(n, c) for c in (Fraction(1, 2), 2, 6, Fraction(1, 3))]
+        + [Matrix.zero(n, n), Matrix(_rand_rows(rng, n, n)), Matrix(sparse)]
+    )
+
+
+def test_remembered_maps_agree_with_fresh_copies():
+    # seeded runs of @, det and signature on one pool, whose products join
+    # it: chains of products inherit composite maps, and each answer must be
+    # the one a fresh copy gives by walking its rows
+    rng = random.Random(1992_4)
+    for trial in range(40):
+        n = rng.randint(1, 8) if trial % 8 else rng.choice((16, 32))
+        pool = _map_pool(rng, n)
+        for _ in range(40):
+            x, y = rng.choice(pool), rng.choice(pool)
+            step = rng.random()
+            if step < 0.5:
+                z = x @ y
+                assert z == _fresh(x) @ _fresh(y) and _is_canonical(z)
+                pool.append(z)
+            elif step < 0.75:
+                assert x.det() == _fresh(x).det()
+            else:
+                form = x.transpose() @ rng.choice(pool[5:7]) @ x  # congruent to a symmetric form
+                assert signature(form) == signature(_fresh(form)) == _bareiss_signature(form.numerators)
+        assert all(map(_map_is_sound, pool))
+        assert sum(m._nonzero_cols is not False for m in pool) > len(pool) // 2
+
+
+def test_a_product_of_mapped_factors_inherits_their_composite_map():
+    rng = random.Random(1992_5)
+    for _ in range(50):
+        n = rng.randint(1, 12)
+        a, b = Matrix(_scaled_permutation(rng, n)), Matrix(_scaled_permutation(rng, n))
+        assert a._nonzero_cols is False and b._nonzero_cols is False
+        a.det()
+        b.det()
+        c = a @ b
+        assert c._nonzero_cols == monomial_columns(c.numerators) is not None
+        # the walk of a fresh left factor finds its map on the way
+        fresh = _fresh(a)
+        assert fresh @ b == c and fresh._nonzero_cols == a._nonzero_cols
+        # a dense left factor is found to be one, and its product maps nothing
+        d = Matrix([[1] * n] * n)
+        if n > 1:
+            assert (d @ c)._nonzero_cols is False and d._nonzero_cols is None
+
+
 def test_scalar_matrices():
     for n in (1, 2, 5):
         for c in (0, 1, -1, 7, Fraction(-3, 4), "5/10"):

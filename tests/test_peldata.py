@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -54,6 +55,7 @@ from pelkit.peldata import (
     standard_char_for,
     validate,
 )
+from pelkit.serialize import datum_from_json, datum_to_json
 
 ALL_DATA = [
     modular_curve_datum,
@@ -546,6 +548,26 @@ def test_validate_forms_the_polarization_gram_matrix_once(monkeypatch):
     calls = _count_calls(monkeypatch, "__matmul__", "inv")
     assert validate(datum).valid
     assert gens > 1 and len(calls["__matmul__"]) == 4 * gens + 6 and calls["inv"] == []
+
+
+def test_validate_finds_each_monomial_map_at_most_once(monkeypatch):
+    # canonical Sp_64 from JSON: det finds the pairing's map, the walk of
+    # j @ j finds j's, the shared generator keeps its map from load to load
+    # and g = m j inherits one, so no matrix is scanned twice
+    import pelkit.linalg
+
+    scanned = []
+
+    def counted(rows, monomial=pelkit.linalg._monomial):
+        scanned.append(rows)
+        return monomial(rows)
+
+    monkeypatch.setattr(pelkit.linalg, "_monomial", counted)
+    text = json.dumps(datum_to_json(symplectic_datum(1, 32)))
+    loads = [datum_from_json(json.loads(text)) for _ in range(3)]  # kept alive, so ids stay distinct
+    for datum in loads + loads:
+        assert datum.dim_v == 64 and validate(datum).valid
+    assert len({id(rows) for rows in scanned}) == len(scanned) <= len(loads)
 
 
 def test_classify_reads_the_kept_basis_inverse(monkeypatch):
