@@ -1,56 +1,126 @@
 """Bundled example data and the conformance runner behind ``pel fixtures``.
 
-The builders return the worked examples the package is pinned against: the
-modular-curve datum over Q, its Morita twin over the 2x2 matrix algebra,
-the indefinite unitary datum over Q(i), the 8-dimensional symplectic datum
-receiving its determinant-twisted map, plus two extra data (a definite
-quaternion datum and a balanced Q(sqrt-2) datum) exercising the remaining
-classification branches.
+``catalog_datum(blocks)`` builds a structured datum as the block sum, in the
+given order, of blocks of one catalog factor each.  A block is a tuple: its
+family, n, the group's parameters, then the coefficient algebra's.
+
+- ``("sp", n, g)``: Sp_2g on M_n(Q) with 2g copies of Q^n;
+- ``("unitary", n, a, b)``: U(a, b) on M_n(Q(i)) with a + b copies, the
+  first a with complex structure i on each coordinate, the last b with -i;
+- ``("balanced", n, k, d)``: U(k, k) on M_n(Q(sqrt d)) with 2k copies, j
+  swapping copy 2c with copy 2c + 1;
+- ``("quaternion", n, m, a, b)``: O*_2m on M_n(D) with m copies, for the
+  definite quaternion algebra D = (a, b) with a = -1 or b = -1.
+
+``NAMED`` holds the blocks of the worked examples the package is pinned
+against.  The 8-dimensional symplectic datum receiving the
+determinant-twisted map is built by hand as the Kronecker image of gu11.
 """
 
 from __future__ import annotations
 
 from .admissibility import MorphismSpec, RepSide, decide
-from .algebras import (
-    MAT_DEF_QUAT,
-    MAT_IMAG_QUAD,
-    MAT_Q,
-    AlgebraPresentation,
-    CatalogFactor,
-)
+from .algebras import MAT_DEF_QUAT, MAT_IMAG_QUAD, MAT_Q, AlgebraPresentation, CatalogFactor, _coeff_generators
 from .characters import TorusMap
 from .hodge import auto_cochar, enumerate_av_irreducibles
 from .linalg import Matrix
 from .peldata import Classification, PelDatum, classify, validate
 
+NAMED = {
+    "modular_curve": (("sp", 1, 1),),  # Q on Q^2
+    "modular_curve_m2": (("sp", 2, 1),),  # its Morita twin M_2(Q) on Q^4
+    "gu11": (("unitary", 1, 1, 1),),  # Q(i) on Q(i)^2, j acting as (i, -i)
+    "quaternion": (("quaternion", 1, 1, -1, -1),),  # (-1,-1) on itself
+    "balanced_sqrt_minus_2": (("balanced", 1, 1, -2),),  # j rational forces U(1,1)
+}
+_J = Matrix([[0, 1], [-1, 0]])  # _J (x) T = [[0, T], [-T, 0]] pairs two copies
+
+
+def _factor(block) -> CatalogFactor:
+    """The catalog factor of one block; ``CatalogFactor`` refuses an n or a count below 1."""
+    family, n, *p = block
+    if family == "sp":
+        (g,) = p
+        return CatalogFactor(MAT_Q, n, 2 * g)
+    if family == "unitary":
+        a, b = p
+        if min(a, b) < 0:
+            raise ValueError("a and b must be >= 0")
+        return CatalogFactor(MAT_IMAG_QUAD, n, a + b, d=-1)
+    if family == "balanced":
+        k, d = p
+        return CatalogFactor(MAT_IMAG_QUAD, n, 2 * k, d=d)
+    if family == "quaternion":
+        m, a, b = p
+        if -1 not in (a, b):
+            raise ValueError("needs a = -1 or b = -1 for a rational u with u^2 = -1")
+        return CatalogFactor(MAT_DEF_QUAT, n, m, a=a, b=b)
+    raise ValueError(f"unknown family {family!r}")
+
+
+def _quaternion_forms(factor: CatalogFactor):
+    """Pairing and j on D = (a, b) acting on itself: j is right multiplication
+    by a pure u with u^2 = -1 (-j if b = -1, else i), and <v, w> =
+    Trd(conj(v) w t) = -4 (conj(v) w u)_0 with t = -2u.  On the integral
+    left-regular matrices L_x, column c of j is L_{e_c} L_u 1 = e_c u, and
+    row c of the pairing is -4 times the first row of L_{conj(e_c)} times j."""
+    (one, _), (li, li_bar), (lj, lj_bar) = _coeff_generators(factor)
+    lu = -lj if factor.b == -1 else li
+    moved = [(x @ lu).numerators for x in (one, li, lj, li @ lj)]  # L_{e_c u}
+    j = Matrix([[x[r][0] for x in moved] for r in range(4)])
+    bar = Matrix([x.numerators[0] for x in (one, li_bar, lj_bar, lj_bar @ li_bar)])  # of 1, i, j, k
+    return (bar @ j).scale(-4), j
+
+
+def _forms(block, factor: CatalogFactor):
+    """The pairing and j blocks, one per coordinate or pair of copies."""
+    family, n, *p = block
+    if family == "unitary":  # (2J, i) on each coordinate of the first a copies, (-2J, -i) on the last b
+        a, b = (copies * n for copies in p)
+        return [_J.scale(2)] * a + [_J.scale(-2)] * b, [-_J] * a + [_J] * b
+    if family == "quaternion":
+        pairing, j = _quaternion_forms(factor)
+        return [pairing] * (n * p[0]), [j] * (n * p[0])
+    # Sp and balanced: T is the trace form of Q, resp. Q(sqrt d), per coordinate
+    t = Matrix.identity(n) if family == "sp" else Matrix.identity(n).kron(Matrix([[2, 0], [0, -2 * factor.d]]))
+    return [_J.kron(t)] * p[0], [_J.kron(Matrix.scalar(t.rows, -1))] * p[0]
+
+
+def catalog_datum(blocks) -> PelDatum:
+    """The datum of a list of blocks.  A malformed block raises ``ValueError``
+    naming it; a product past ``MAX_DIM_V`` raises ``CatalogTooLargeError``
+    before any form is built."""
+    blocks, factors = tuple(blocks), []
+    for block in blocks:
+        try:
+            factors.append(_factor(block))
+        except ValueError as exc:
+            raise ValueError(f"block {block!r}: {exc}") from None
+    algebra = AlgebraPresentation.from_catalog(factors)
+    forms = [_forms(block, factor) for block, factor in zip(blocks, factors)]
+    pairing, j = (Matrix.block_diag(*(x for f in forms for x in f[side])) for side in (0, 1))
+    return PelDatum(algebra, pairing, j)
+
+
+def expected_factors(blocks) -> dict:
+    """The factorization a catalog datum classifies to, read off its blocks."""
+    out = {"symplectic": [], "unitary": [], "orthogonal": []}
+    for family, _, x, *y in blocks:
+        kind = {"sp": "symplectic", "quaternion": "orthogonal"}.get(family, "unitary")
+        out[kind].append([x, y[0] if family == "unitary" else x] if kind == "unitary" else x)
+    return out
+
 
 def modular_curve_datum() -> PelDatum:
-    """B = Q acting on Q^2 with the standard alternating form."""
-    return PelDatum(
-        algebra=AlgebraPresentation.from_catalog([CatalogFactor(MAT_Q, 1, 2)]),
-        pairing=Matrix([[0, 1], [-1, 0]]),
-        j=Matrix([[0, -1], [1, 0]]),
-    )
+    return catalog_datum(NAMED["modular_curve"])
 
 
 def modular_curve_m2_datum() -> PelDatum:
-    """B = M_2(Q) acting diagonally on Q^4; same group as the Q^2 datum."""
-    return PelDatum(
-        algebra=AlgebraPresentation.from_catalog([CatalogFactor(MAT_Q, 2, 2)]),
-        pairing=Matrix([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]),
-        j=Matrix([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]),
-    )
+    return catalog_datum(NAMED["modular_curve_m2"])
 
 
 def gu11_datum() -> PelDatum:
-    """B = Q(i) on Q(i)^2 with pairings of opposite orientation on the two
-    copies and complex structure acting as (i, -i): the indefinite unitary
-    similitude group of signature (1,1)."""
-    return PelDatum(
-        algebra=AlgebraPresentation.from_catalog([CatalogFactor(MAT_IMAG_QUAD, 1, 2, d=-1)]),
-        pairing=Matrix([[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, -2], [0, 0, 2, 0]]),
-        j=Matrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]),
-    )
+    return catalog_datum(NAMED["gu11"])
 
 
 def gsp8_tensor_datum() -> PelDatum:
@@ -58,44 +128,19 @@ def gsp8_tensor_datum() -> PelDatum:
     datum: pairing and complex structure are the Kronecker products of the
     unitary ones with the trace form (resp. identity) of Q(i)."""
     gu = gu11_datum()
-    trace_form = Matrix([[2, 0], [0, 2]])
     return PelDatum(
         algebra=AlgebraPresentation.from_catalog([CatalogFactor(MAT_Q, 1, 8)]),
-        pairing=gu.pairing.kron(trace_form),
+        pairing=gu.pairing.kron(Matrix([[2, 0], [0, 2]])),
         j=gu.j.kron(Matrix.identity(2)),
     )
 
 
 def quaternion_datum() -> PelDatum:
-    """B = (-1,-1)-quaternions acting on themselves by left multiplication;
-    the classified group is the rank-1 quaternionic orthogonal group."""
-    return PelDatum(
-        algebra=AlgebraPresentation.from_catalog([CatalogFactor(MAT_DEF_QUAT, 1, 1, a=-1, b=-1)]),
-        pairing=Matrix(
-            [[0, 0, -4, 0], [0, 0, 0, -4], [4, 0, 0, 0], [0, 4, 0, 0]]
-        ),
-        j=Matrix([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]),
-    )
+    return catalog_datum(NAMED["quaternion"])
 
 
 def balanced_imag_quad_datum() -> PelDatum:
-    """B = Q(sqrt-2) on two copies of itself; the rationality of the complex
-    structure forces the balanced signature (1,1)."""
-    return PelDatum(
-        algebra=AlgebraPresentation.from_catalog([CatalogFactor(MAT_IMAG_QUAD, 1, 2, d=-2)]),
-        pairing=Matrix([[0, 0, 2, 0], [0, 0, 0, 4], [-2, 0, 0, 0], [0, -4, 0, 0]]),
-        j=Matrix([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]),
-    )
-
-
-def u20_datum() -> PelDatum:
-    """Definite unitary datum U(2,0): both copies of Q(i) carry the same
-    orientation, so the complex structures agree everywhere."""
-    return PelDatum(
-        algebra=AlgebraPresentation.from_catalog([CatalogFactor(MAT_IMAG_QUAD, 1, 2, d=-1)]),
-        pairing=Matrix([[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]]),
-        j=Matrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]),
-    )
+    return catalog_datum(NAMED["balanced_sqrt_minus_2"])
 
 
 # -- mutations -------------------------------------------------------------------
@@ -106,11 +151,7 @@ def _break_star(datum: PelDatum) -> PelDatum:
     identity involution), breaking pairing-adjointness for noncommutative
     or imaginary-quadratic actions."""
     gens = tuple((a, a) for a, _ in datum.algebra.generators)
-    return PelDatum(
-        algebra=AlgebraPresentation.raw(datum.dim_v, gens),
-        pairing=datum.pairing,
-        j=datum.j,
-    )
+    return PelDatum(AlgebraPresentation.raw(datum.dim_v, gens), datum.pairing, datum.j)
 
 
 def mutations():
@@ -152,13 +193,7 @@ def det_twist_morphism() -> MorphismSpec:
     determinant character; it is not admissible."""
     src = classify(gu11_datum())
     dst = classify(gsp8_tensor_datum())
-    pullback = TorusMap(
-        (
-            (3, 2, 1, 2, 0),
-            (2, 3, 2, 1, 0),
-            (0, 0, 0, 0, 1),
-        )
-    )
+    pullback = TorusMap(((3, 2, 1, 2, 0), (2, 3, 2, 1, 0), (0, 0, 0, 0, 1)))
     return MorphismSpec(side_of(src), side_of(dst), pullback)
 
 
@@ -167,78 +202,40 @@ def det_twist_morphism() -> MorphismSpec:
 
 def conformance_rows():
     """Deterministic pass/fail table over every bundled example.  ``data`` lists
-    each bundled datum once, with the factors it must classify to (see ``kinds``)."""
+    each bundled datum once, with the blocks whose factors it must classify to."""
     rows = []
 
     def row(name, check, expected, got):
-        rows.append(
-            {
-                "fixture": name,
-                "check": check,
-                "expected": expected,
-                "got": got,
-                "pass": expected == got,
-            }
-        )
+        rows.append({"fixture": name, "check": check, "expected": expected, "got": got, "pass": expected == got})
 
-    data = (
-        ("modular_curve", modular_curve_datum(), [1], [], []),
-        ("modular_curve_m2", modular_curve_m2_datum(), [1], [], []),
-        ("gu11", gu11_datum(), [], [[1, 1]], []),
-        ("gsp8_tensor", gsp8_tensor_datum(), [4], [], []),
-        ("quaternion", quaternion_datum(), [], [], [1]),
-        ("balanced_sqrt_minus_2", balanced_imag_quad_datum(), [], [[1, 1]], []),
-    )
-    for name, datum, *_ in data:
+    data = [(name, catalog_datum(blocks), blocks) for name, blocks in NAMED.items()]
+    # the hand-built Kronecker image, with the blocks of the group it presents
+    data.insert(3, ("gsp8_tensor", gsp8_tensor_datum(), (("sp", 1, 4),)))
+    for name, datum, _ in data:
         row(name, "validate", "valid", "valid" if validate(datum).valid else "invalid")
 
-    kinds = ("symplectic", "unitary", "orthogonal")
-    for name, datum, *want in data:
+    for name, datum, blocks in data:
         fact = classify(datum).factorization.to_dict()
-        row(name, "classify", dict(zip(kinds, want)), {k: fact[k] for k in kinds})
+        want = expected_factors(blocks)
+        row(name, "classify", want, {k: fact[k] for k in want})
 
     for name, datum, code in mutations():
-        report = validate(datum)
-        row(name, "mutation_diagnostic", code, report.failure_code or "valid")
+        row(name, "mutation_diagnostic", code, validate(datum).failure_code or "valid")
 
     for name, spec in identity_morphisms():
         verdict = decide(spec)
-        row(
-            name,
-            "identity_admissible",
-            {"admissible": True, "witness_in_1_2": True},
-            {"admissible": verdict.admissible, "witness_in_1_2": verdict.witness_n in (1, 2)},
-        )
+        got = {"admissible": verdict.admissible, "witness_in_1_2": verdict.witness_n in (1, 2)}
+        row(name, "identity_admissible", {"admissible": True, "witness_in_1_2": True}, got)
 
     twist = decide(det_twist_morphism())
-    row(
-        "det_twist",
-        "not_admissible",
-        {"admissible": False, "names_missing_constituent": True},
-        {
-            "admissible": twist.admissible,
-            "names_missing_constituent": (3, 2, 1) in twist.missing_constituents,
-        },
-    )
+    got = {"admissible": twist.admissible, "names_missing_constituent": (3, 2, 1) in twist.missing_constituents}
+    row("det_twist", "not_admissible", {"admissible": False, "names_missing_constituent": True}, got)
 
     for g in (1, 2, 3):
-        cl = classify(
-            PelDatum(
-                algebra=AlgebraPresentation.from_catalog([CatalogFactor(MAT_Q, 1, 2 * g)]),
-                pairing=Matrix.block_diag(
-                    *[Matrix([[0, 1], [-1, 0]]) for _ in range(g)]
-                ),
-                j=Matrix.block_diag(*[Matrix([[0, -1], [1, 0]]) for _ in range(g)]),
-            )
-        )
+        cl = classify(catalog_datum([("sp", 1, g)]))
         found = enumerate_av_irreducibles(cl.root_datum, auto_cochar(cl), bound=4)
-        std_weight = tuple([1] + [0] * (g - 1) + [1])
-        row(
-            f"symplectic_rank_{g}",
-            "av_irreducibles",
-            [list(std_weight)],
-            [list(w) for w in found],
-        )
+        std_weight = [1] + [0] * (g - 1) + [1]
+        row(f"symplectic_rank_{g}", "av_irreducibles", [std_weight], [list(w) for w in found])
 
     return rows
 

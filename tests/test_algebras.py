@@ -19,19 +19,12 @@ from pelkit.algebras import (
     check_anti_involution,
     check_positive,
 )
-from pelkit.fixtures import (
-    balanced_imag_quad_datum,
-    gsp8_tensor_datum,
-    gu11_datum,
-    modular_curve_datum,
-    modular_curve_m2_datum,
-    quaternion_datum,
-    u20_datum,
-)
+from pelkit.fixtures import gu11_datum, quaternion_datum
 from pelkit.linalg import Matrix, Signature, _monomial, signature
 from pelkit.serialize import datum_from_json, datum_to_json
 
 from closure_oracle import oracle_check_anti_involution, oracle_check_positive, oracle_closure
+from test_peldata import ALL_DATA
 from validate_oracle import v_generators
 
 
@@ -188,21 +181,10 @@ def _matmul_gram(alg):
     return gram
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        modular_curve_datum,
-        modular_curve_m2_datum,
-        gu11_datum,
-        gsp8_tensor_datum,
-        quaternion_datum,
-        balanced_imag_quad_datum,
-        u20_datum,
-    ],
-)
-def test_integer_gram_is_positive_multiple_of_matmul_gram(build):
+@pytest.mark.parametrize("name", ALL_DATA)
+def test_integer_gram_is_positive_multiple_of_matmul_gram(name):
     rng = random.Random(31)
-    alg = build().algebra
+    alg = ALL_DATA[name]().algebra
     n = alg.dim_v
     for _ in range(3):
         old = _matmul_gram(alg)

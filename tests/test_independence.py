@@ -18,17 +18,17 @@ from random import Random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_mixed_factors import mixed_datum
+from test_mixed_factors import MIXED
 from test_peldata import ALL_DATA, random_rational, random_unimodular
 from validate_oracle import oracle_validate
 
 from pelkit import serialize
-from pelkit.fixtures import _break_star
+from pelkit.fixtures import _break_star, catalog_datum
 from pelkit.hodge import auto_cochar, hodge_type
 from pelkit.linalg import Matrix
 from pelkit.peldata import PelDatum, classify, validate
 
-FIXTURES = {build.__name__: build for build in ALL_DATA + [mixed_datum]}
+FIXTURES = ALL_DATA | {"mixed_datum": lambda: catalog_datum(MIXED)}
 
 
 def invariants(datum: PelDatum):

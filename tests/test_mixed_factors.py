@@ -1,29 +1,16 @@
 """End-to-end exercise of a datum with two factors of different types."""
 
 from pelkit.admissibility import MorphismSpec, RepSide, decide
-from pelkit.algebras import MAT_IMAG_QUAD, MAT_Q, AlgebraPresentation, CatalogFactor
 from pelkit.characters import Factor, RootDatum, TorusMap
-from pelkit.fixtures import gu11_datum, modular_curve_datum
+from pelkit.fixtures import NAMED, catalog_datum, gu11_datum, quaternion_datum
 from pelkit.hodge import auto_cochar, is_av_type
-from pelkit.linalg import Matrix
-from pelkit.peldata import GroupFactorization, PelDatum, classify, factorize, shimura_report, validate
+from pelkit.peldata import GroupFactorization, classify, factorize, shimura_report, validate
 
-
-def mixed_datum() -> PelDatum:
-    """Two factors at once: Q-factor on Q^2 plus Q(i)-factor on Q(i)^2."""
-    alg = AlgebraPresentation.from_catalog(
-        [CatalogFactor(MAT_Q, 1, 2), CatalogFactor(MAT_IMAG_QUAD, 1, 2, d=-1)]
-    )
-    m1, gu = modular_curve_datum(), gu11_datum()
-    return PelDatum(
-        alg,
-        Matrix.block_diag(m1.pairing, gu.pairing),
-        Matrix.block_diag(m1.j, gu.j),
-    )
+MIXED = NAMED["modular_curve"] + NAMED["gu11"]  # Q on Q^2 plus Q(i) on Q(i)^2
 
 
 def test_mixed_datum_classifies():
-    datum = mixed_datum()
+    datum = catalog_datum(MIXED)
     assert validate(datum).valid
     assert factorize(datum) == GroupFactorization((1,), ((1, 1),), ())
     report = shimura_report(factorize(datum))
@@ -31,7 +18,7 @@ def test_mixed_datum_classifies():
 
 
 def test_mixed_standard_char_and_cochar():
-    cl = classify(mixed_datum())
+    cl = classify(catalog_datum(MIXED))
     assert cl.root_datum == RootDatum((Factor("C", 1), Factor("A", 2)), 1)
     assert cl.standard_char.dim() == 6
     hc = auto_cochar(cl)
@@ -40,7 +27,7 @@ def test_mixed_standard_char_and_cochar():
 
 
 def test_mixed_identity_admissible():
-    cl = classify(mixed_datum())
+    cl = classify(catalog_datum(MIXED))
     side = RepSide(cl.root_datum, cl.standard_char)
     verdict = decide(MorphismSpec(side, side, TorusMap.identity(4)))
     assert verdict.admissible and verdict.witness_n == 1
@@ -50,7 +37,7 @@ def test_mixed_missing_constituents_detected():
     # synthetic torus map killing the symplectic block: the symplectic part
     # of the mixed standard character pulls back to central-only weights,
     # which are not constituents of the unitary standard character
-    mixed = classify(mixed_datum())
+    mixed = classify(catalog_datum(MIXED))
     gu = classify(gu11_datum())
     pullback = TorusMap(
         (
@@ -73,15 +60,8 @@ def test_quaternionic_morita_pair():
     # the same rank-1 quaternionic-orthogonal group presented over M_1(H)
     # acting on H and over M_2(H) acting on H^2; the identity morphism is
     # admissible for either assignment of the two data
-    from pelkit.algebras import MAT_DEF_QUAT
-    from pelkit.fixtures import quaternion_datum
-
     small = quaternion_datum()
-    big = PelDatum(
-        AlgebraPresentation.from_catalog([CatalogFactor(MAT_DEF_QUAT, 2, 1, a=-1, b=-1)]),
-        Matrix.block_diag(small.pairing, small.pairing),
-        Matrix.block_diag(small.j, small.j),
-    )
+    big = catalog_datum([("quaternion", 2, 1, -1, -1)])
     assert validate(big).valid
     assert factorize(big) == factorize(small) == GroupFactorization((), (), (1,))
     cs, cb = classify(small), classify(big)

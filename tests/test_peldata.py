@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 from classify_oracle import oracle_factorize_details
 from gauss_oracle import simult_eigensplit
-from test_mixed_factors import mixed_datum
+from test_linalg import J2
+from test_mixed_factors import MIXED
 from validate_oracle import oracle_validate, v_generators
 
 from pelkit.algebras import (
-    MAT_DEF_QUAT,
     MAT_IMAG_QUAD,
-    MAT_Q,
     AlgebraPresentation,
     CatalogFactor,
     _closure,
@@ -19,15 +18,16 @@ from pelkit.algebras import (
 )
 from pelkit.characters import Factor, RootDatum, standard_char
 from pelkit.fixtures import (
+    NAMED,
     _break_star,
     balanced_imag_quad_datum,
+    catalog_datum,
     gsp8_tensor_datum,
     gu11_datum,
     modular_curve_datum,
     modular_curve_m2_datum,
     mutations,
     quaternion_datum,
-    u20_datum,
 )
 from pelkit.hodge import auto_cochar, cochar_from_mu2
 from pelkit.linalg import (
@@ -57,20 +57,24 @@ from pelkit.peldata import (
 )
 from pelkit.serialize import datum_from_json, datum_to_json
 
-ALL_DATA = [
-    modular_curve_datum,
-    modular_curve_m2_datum,
-    gu11_datum,
-    gsp8_tensor_datum,
-    quaternion_datum,
-    balanced_imag_quad_datum,
-    u20_datum,
-]
+U20 = [("unitary", 1, 2, 0)]  # definite: both copies of Q(i) carry i
+QUATERNION_M2 = [("quaternion", 2, 1, -1, -1)]  # M_2(H) on H^2, the Morita double of the quaternion fixture
+ALL_DATA = {
+    build.__name__: build
+    for build in (
+        modular_curve_datum,
+        modular_curve_m2_datum,
+        gu11_datum,
+        gsp8_tensor_datum,
+        quaternion_datum,
+        balanced_imag_quad_datum,
+    )
+} | {"u20_datum": lambda: catalog_datum(U20)}
 
 
-@pytest.mark.parametrize("build", ALL_DATA)
-def test_fixture_data_validate(build):
-    report = validate(build())
+@pytest.mark.parametrize("name", ALL_DATA)
+def test_fixture_data_validate(name):
+    report = validate(ALL_DATA[name]())
     assert report.valid, report.message
 
 
@@ -115,7 +119,7 @@ def test_factorize_fixture_groups():
     assert factorize(gsp8_tensor_datum()) == GroupFactorization((4,), (), ())
     assert factorize(quaternion_datum()) == GroupFactorization((), (), (1,))
     assert factorize(balanced_imag_quad_datum()) == GroupFactorization((), ((1, 1),), ())
-    assert factorize(u20_datum()) == GroupFactorization((), ((2, 0),), ())
+    assert factorize(catalog_datum(U20)) == GroupFactorization((), ((2, 0),), ())
 
 
 def test_factorize_requires_structured_mode():
@@ -145,14 +149,14 @@ def test_factorize_basis_invariant(build):
 
 
 def test_negating_j_swaps_unitary_signature():
-    d = u20_datum()
+    d = catalog_datum(U20)
     flipped = PelDatum(d.algebra, -d.pairing, -d.j)
     assert validate(flipped).valid
     assert factorize(flipped) == GroupFactorization((), ((0, 2),), ())
 
 
 def test_isotypic_dimensions_fill_v():
-    datum = mixed_datum()
+    datum = catalog_datum(MIXED)
     assert validate(datum).valid
     fact = factorize(datum)
     assert fact == GroupFactorization((1,), ((1, 1),), ())
@@ -166,7 +170,7 @@ def test_shimura_report_flags():
     ok = shimura_report(factorize(modular_curve_datum()))
     assert ok.is_shimura_datum_for_g0 and ok.g_connected and ok.center_condition
 
-    definite = shimura_report(factorize(u20_datum()))
+    definite = shimura_report(factorize(catalog_datum(U20)))
     assert not definite.is_shimura_datum_for_g0
     assert definite.offending_factors == ("U(2,0)",)
     assert definite.g_connected
@@ -218,32 +222,6 @@ def test_dimension_mismatch_detected():
 
 # -- the unitary signature by one trace against the Q(i) eigenspace oracle ------
 
-J2 = Matrix([[0, -1], [1, 0]])  # multiplication by i on the basis (1, i)
-P2 = Matrix([[0, 2], [-2, 0]])
-
-
-def unitary_datum(a: int, b: int, n: int) -> PelDatum:
-    """M_n(Q(i)) on a + b copies of Q(i)^n: the first a copies carry the
-    pairing P and complex structure i on each coordinate, the other b carry
-    -P and -i, so the group is U(a, b)."""
-    signs = [1] * a + [-1] * b
-    alg = AlgebraPresentation.from_catalog([CatalogFactor(MAT_IMAG_QUAD, n, a + b, d=-1)])
-    return PelDatum(
-        alg,
-        Matrix.block_diag(*[P2.scale(s) for s in signs for _ in range(n)]),
-        Matrix.block_diag(*[J2.scale(s) for s in signs for _ in range(n)]),
-    )
-
-
-def balanced_datum(d: int, k: int) -> PelDatum:
-    """Q(sqrt d) on 2k copies of itself, j swapping paired copies: U(k, k)."""
-    t = -2 * d  # the trace form of Q(sqrt d) is diag(2, t)
-    pairing = Matrix([[0, 0, 2, 0], [0, 0, 0, t], [-2, 0, 0, 0], [0, -t, 0, 0]])
-    j = Matrix([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
-    alg = AlgebraPresentation.from_catalog([CatalogFactor(MAT_IMAG_QUAD, 1, 2 * k, d=d)])
-    return PelDatum(alg, Matrix.block_diag(*[pairing] * k), Matrix.block_diag(*[j] * k))
-
-
 def random_unimodular(rng, n: int) -> Matrix:
     """Integer matrix of determinant +-1: a signed permutation after random
     elementary row operations."""
@@ -289,7 +267,7 @@ UNITARY_GRID = [
 @pytest.mark.parametrize("a,b,n", UNITARY_GRID, ids=[f"U{a}{b}-n{n}" for a, b, n in UNITARY_GRID])
 def test_trace_split_matches_eigenspace_oracle(a, b, n):
     rng = random.Random(1000 * a + 100 * b + n)
-    base = unitary_datum(a, b, n)
+    base = catalog_datum([("unitary", n, a, b)])
     assert validate(base).valid
     assert factorize(base) == GroupFactorization((), ((a, b),), ())
     for p in (Matrix.identity(base.dim_v), random_unimodular(rng, base.dim_v)):
@@ -300,20 +278,20 @@ def test_trace_split_matches_eigenspace_oracle(a, b, n):
 
 
 @pytest.mark.parametrize(
-    "build,expected",
+    "blocks,expected",
     [
-        (u20_datum, (2, 0)),
-        (gu11_datum, (1, 1)),
-        (balanced_imag_quad_datum, (1, 1)),
-        (lambda: balanced_datum(-3, 1), (1, 1)),
-        (lambda: balanced_datum(-5, 2), (2, 2)),
-        (lambda: balanced_datum(-7, 1), (1, 1)),
+        (U20, (2, 0)),
+        (NAMED["gu11"], (1, 1)),
+        (NAMED["balanced_sqrt_minus_2"], (1, 1)),
+        ([("balanced", 1, 1, -3)], (1, 1)),
+        ([("balanced", 1, 2, -5)], (2, 2)),
+        ([("balanced", 1, 1, -7)], (1, 1)),
     ],
     ids=["u20", "gu11", "balanced-2", "balanced-3", "balanced-5x2", "balanced-7"],
 )
-def test_trace_split_on_fixtures_and_base_changes(build, expected):
+def test_trace_split_on_fixtures_and_base_changes(blocks, expected):
     rng = random.Random(29)
-    base = build()
+    base = catalog_datum(blocks)
     assert validate(base).valid
     for p in [Matrix.identity(base.dim_v)] + [random_unimodular(rng, base.dim_v) for _ in range(3)]:
         moved = base.conjugate(p)
@@ -348,33 +326,15 @@ def random_rational(rng, n: int) -> Matrix:
             return p
 
 
-def symplectic_datum(n: int, m: int) -> PelDatum:
-    """M_n(Q) on 2m copies of Q^n with the standard form on the copy index."""
-    alg = AlgebraPresentation.from_catalog([CatalogFactor(MAT_Q, n, 2 * m)])
-    pairing, j = Matrix([[0, 1], [-1, 0]]), Matrix([[0, -1], [1, 0]])
-    ident = Matrix.identity(n)
-    return PelDatum(alg, Matrix.block_diag(*[pairing.kron(ident)] * m), Matrix.block_diag(*[j.kron(ident)] * m))
-
-
-def quaternion_m2_datum() -> PelDatum:
-    """M_2(H) on H^2, the Morita double of the quaternion fixture."""
-    small = quaternion_datum()
-    return PelDatum(
-        AlgebraPresentation.from_catalog([CatalogFactor(MAT_DEF_QUAT, 2, 1, a=-1, b=-1)]),
-        Matrix.block_diag(small.pairing, small.pairing),
-        Matrix.block_diag(small.j, small.j),
-    )
-
-
-ORACLE_DATA = {b.__name__: b for b in ALL_DATA} | {
-    "mixed": mixed_datum,
-    "mat_q-n1": lambda: symplectic_datum(1, 2),
-    "mat_q-n2": lambda: symplectic_datum(2, 1),
-    "imag_quad-n1": lambda: unitary_datum(2, 1, 1),
-    "imag_quad-n2": lambda: unitary_datum(1, 1, 2),
-    "imag_quad-d-5": lambda: balanced_datum(-5, 1),
+ORACLE_DATA = ALL_DATA | {
+    "mixed": lambda: catalog_datum(MIXED),
+    "mat_q-n1": lambda: catalog_datum([("sp", 1, 2)]),
+    "mat_q-n2": lambda: catalog_datum([("sp", 2, 1)]),
+    "imag_quad-n1": lambda: catalog_datum([("unitary", 1, 2, 1)]),
+    "imag_quad-n2": lambda: catalog_datum([("unitary", 2, 1, 1)]),
+    "imag_quad-d-5": lambda: catalog_datum([("balanced", 1, 1, -5)]),
     "def_quat-n1": quaternion_datum,
-    "def_quat-n2": quaternion_m2_datum,
+    "def_quat-n2": lambda: catalog_datum(QUATERNION_M2),
 }
 BASE_CHANGES = [(), ("u",), ("r",), ("u", "r"), ("r", "u"), ("r", "r")]
 
@@ -426,7 +386,7 @@ def test_j_of_wrong_shape_is_a_dimension_mismatch():
 
 @pytest.mark.parametrize("entry", [(0, 2), (2, 0), (5, 1), (1, 5)])
 def test_j_linking_two_isotypic_blocks_is_a_dimension_mismatch(entry):
-    base = mixed_datum()
+    base = catalog_datum(MIXED)
     rows = base.j.tolist()
     rows[entry[0]][entry[1]] = 1
     linked = PelDatum(base.algebra, base.pairing, Matrix(rows))
@@ -463,11 +423,11 @@ def validation_data():
     raw datum."""
     rng = random.Random(12)
     out = [(name, datum) for name, datum, _ in mutations()] + [("leaky_star", leaky_star_datum())]
-    for build in ALL_DATA + [mixed_datum]:
+    for fixture, build in (ALL_DATA | {"mixed_datum": lambda: catalog_datum(MIXED)}).items():
         base = build()
         p, q = random_unimodular(rng, base.dim_v), random_rational(rng, base.dim_v)
         for tag, datum in (("", base), ("/u", base.conjugate(p)), ("/r", base.conjugate(q)), ("/ur", base.conjugate(p).conjugate(q))):
-            name = build.__name__ + tag
+            name = fixture + tag
             raw = AlgebraPresentation.raw(datum.dim_v, v_generators(datum.algebra))
             for alg_name, alg in ((name, datum.algebra), (name + "/raw", raw)):
                 out.append((alg_name, PelDatum(alg, datum.pairing, datum.j)))
@@ -477,7 +437,7 @@ def validation_data():
     # is not symplectic for the pairing squares to -1 and commutes, but is
     # not skew; -j is skew but negative
     for g in (2, 3, 4):
-        base = symplectic_datum(1, g)
+        base = catalog_datum([("sp", 1, g)])
         p = random_rational(rng, base.dim_v)
         raw = AlgebraPresentation.raw(base.dim_v, base.algebra.generators)
         for alg_name, alg in ((f"sp{2 * g}", base.algebra), (f"sp{2 * g}/raw", raw)):
@@ -515,7 +475,7 @@ def test_validation_data_reach_every_branch():
 
 def test_structured_validate_runs_no_closure():
     # a base change of its own, so no other test has met these generators
-    datum = quaternion_m2_datum().conjugate(random_unimodular(random.Random("no closure"), 8))
+    datum = catalog_datum(QUATERNION_M2).conjugate(random_unimodular(random.Random("no closure"), 8))
     before = _closure.cache_info()
     assert validate(datum).valid
     assert _closure.cache_info() == before
@@ -543,7 +503,7 @@ def test_validate_forms_the_polarization_gram_matrix_once(monkeypatch):
     # two products each for the pairing and j in catalog coordinates, then
     # two per generator for star_adjoint and two for j_commutes, one for
     # j_square and one for g = m j, which both j checks read
-    datum = quaternion_m2_datum().conjugate(random_rational(random.Random(5), 8))
+    datum = catalog_datum(QUATERNION_M2).conjugate(random_rational(random.Random(5), 8))
     gens = len(datum.algebra.generators)
     calls = _count_calls(monkeypatch, "__matmul__", "inv")
     assert validate(datum).valid
@@ -563,7 +523,7 @@ def test_validate_finds_each_monomial_map_at_most_once(monkeypatch):
         return monomial(rows)
 
     monkeypatch.setattr(pelkit.linalg, "_monomial", counted)
-    text = json.dumps(datum_to_json(symplectic_datum(1, 32)))
+    text = json.dumps(datum_to_json(catalog_datum([("sp", 1, 32)])))
     loads = [datum_from_json(json.loads(text)) for _ in range(3)]  # kept alive, so ids stay distinct
     for datum in loads + loads:
         assert datum.dim_v == 64 and validate(datum).valid
@@ -574,24 +534,24 @@ def test_classify_reads_the_kept_basis_inverse(monkeypatch):
     # b j b^-1 is the only product on a quaternionic block; the unitary
     # signature adds four on each unitary block
     cases = (
-        (gu11_datum, 4, GroupFactorization((), ((1, 1),), ()), 6),
-        (quaternion_m2_datum, 8, GroupFactorization((), (), (1,)), 2),
+        (NAMED["gu11"], 4, GroupFactorization((), ((1, 1),), ()), 6),
+        (QUATERNION_M2, 8, GroupFactorization((), (), (1,)), 2),
     )
     calls = _count_calls(monkeypatch, "__matmul__", "inv")
-    for build, dim, factorization, products in cases:
-        datum = build().conjugate(random_rational(random.Random(4), dim))
+    for blocks, dim, factorization, products in cases:
+        datum = catalog_datum(blocks).conjugate(random_rational(random.Random(4), dim))
         for seen in calls.values():
             seen.clear()
         assert classify(datum).factorization == factorization
         assert len(calls["__matmul__"]) == products and calls["inv"] == []
 
 
-@pytest.mark.parametrize("build", [gu11_datum, quaternion_m2_datum])
-def test_conjugating_a_structured_presentation_moves_no_generator(monkeypatch, build):
+@pytest.mark.parametrize("name", ["gu11_datum", "quaternion_m2_datum"])
+def test_conjugating_a_structured_presentation_moves_no_generator(monkeypatch, name):
     # one product composes the basis, one inverse gives basis_inv, whatever
     # the number of generators
-    rng = random.Random(build.__name__)
-    alg = build().algebra
+    rng = random.Random(name)
+    alg = catalog_datum(NAMED["gu11"] if name == "gu11_datum" else QUATERNION_M2).algebra
     moved = alg.conjugate(random_unimodular(rng, alg.dim_v))
     p = random_rational(rng, alg.dim_v)
     calls = _count_calls(monkeypatch, "__matmul__", "inv")
@@ -615,7 +575,7 @@ def conjugate_oracle(datum: PelDatum, p: Matrix) -> PelDatum:
 @pytest.mark.parametrize("kind", ["structured", "based", "raw"])
 def test_conjugating_a_datum_inverts_once(monkeypatch, kind):
     rng = random.Random(kind)
-    base = quaternion_m2_datum()
+    base = catalog_datum(QUATERNION_M2)
     if kind == "based":
         base = base.conjugate(random_unimodular(rng, 8))
     elif kind == "raw":
