@@ -201,13 +201,13 @@ def standard_char(rd: RootDatum, mults) -> WeightChar:
     coordinate 1 (the centre acts by scalars)."""
     if rd.central_rank != 1:
         raise ValueError("the standard character needs exactly one central coordinate")
-    total = rd.total_rank
+    total, mults = rd.total_rank, tuple(mults)
     acc = {}
     for (_, a, b), mult in zip(rd.block_slices(), mults, strict=True):
         for i in range(a, b):
             for sign in (1, -1):
                 acc[_e(total - 1, i, sign) + (1,)] = mult
-    return WeightChar(acc)
+    return WeightChar._of(acc) if all(type(m) is int and m for m in mults) else WeightChar(acc)
 
 
 def add_chars(*chars: WeightChar) -> WeightChar:

@@ -63,18 +63,10 @@ class HodgeCochar(_Value):
     def rank(self) -> int:
         return len(self.mu2)
 
-    def pair(self, w, doubled) -> int:
+    def bidegree(self, w):
         if len(w) != self.rank:
             raise ValueError("weight length does not match the cocharacter")
-        s = sum(map(operator.mul, w, doubled))
-        if s % 2:
-            raise NonIntegralPairingError(
-                f"weight {w} pairs half-integrally; it is not a weight of this group"
-            )
-        return s // 2
-
-    def bidegree(self, w):
-        return (-self.pair(w, self.mu2), -self.pair(w, self.mu_bar2))
+        return _bidegrees((w,), self).pop()
 
 
 class HodgeType(_Value):
@@ -90,11 +82,27 @@ class HodgeType(_Value):
         return pq in self.pairs
 
 
+def _bidegrees(weights, hc: HodgeCochar) -> set:
+    """The bidegrees of weights of length hc.rank, from both doubled
+    pairings at once; the first weight with an odd pairing raises."""
+    mu2, mu_bar2 = hc.mu2, hc.mu_bar2
+    out = set()
+    for w in weights:
+        s = sum(map(operator.mul, w, mu2))
+        t = sum(map(operator.mul, w, mu_bar2))
+        if s % 2 or t % 2:
+            raise NonIntegralPairingError(f"weight {w} pairs half-integrally; it is not a weight of this group")
+        out.add((-(s // 2), -(t // 2)))
+    return out
+
+
 def hodge_type(x: WeightChar, hc: HodgeCochar) -> HodgeType:
     """Set of bidegrees realised by the support of x."""
     if x.is_zero():
         raise ValueError("the zero character has no Hodge type")
-    return HodgeType(frozenset(hc.bidegree(w) for w in x.support()))
+    if x.rank() != hc.rank:  # every weight of x has this length
+        raise ValueError("weight length does not match the cocharacter")
+    return HodgeType(frozenset(_bidegrees(x.support(), hc)))
 
 
 def is_av_type(x: WeightChar, hc: HodgeCochar) -> bool:

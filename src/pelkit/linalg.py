@@ -18,8 +18,10 @@ the other factor it selects, times that entry.  A matrix remembers that
 map once ``det``, ``signature`` or a product with it on the left has
 found it; the product finds it while walking its rows, with no scan of
 its own.  A later product selects rows straight from the map, and the
-product of two mapped matrices inherits their composite, so each matrix
-of a catalog datum is scanned at most once.  Otherwise a sparse
+product of two mapped matrices inherits their composite.  The transpose
+of a matrix whose map has distinct columns carries the inverse map, so
+``act.transpose() @ m`` selects rows too, and each matrix of a catalog
+datum is scanned at most once.  Otherwise a sparse
 product row adds only the rows its nonzeros select, and a pivot change
 rescales a kept row on its nonzeros alone.
 Entries read back through ``m[i, j]``, ``row``, ``column`` and ``tolist``
@@ -422,7 +424,18 @@ class Matrix:
         return _lowest(out, self.denominator * other.denominator, out_cols)
 
     def transpose(self) -> "Matrix":
-        return _wrap(tuple(zip(*self.numerators)), self.denominator)
+        """The transpose, with the inverse of self's map when that is known
+        and has distinct columns, and else unknown: a non-monomial matrix,
+        such as [[1, 1], [0, 0]], can have a monomial transpose."""
+        cols, inverse = self._nonzero_cols, False
+        if cols:
+            inverse = [None] * self.cols
+            for i, c in enumerate(cols):
+                if c is not None:
+                    inverse[c] = i
+            if self.cols - inverse.count(None) != len(cols) - cols.count(None):
+                inverse = False  # a repeated column: the transpose is not monomial
+        return _wrap(tuple(zip(*self.numerators)), self.denominator, inverse)
 
     def is_square(self) -> bool:
         return self.rows == self.cols

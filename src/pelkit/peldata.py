@@ -341,25 +341,21 @@ def root_datum_for(details) -> RootDatum:
     return RootDatum(tuple(Factor(_KIND_RULE[d.kind][0], sum(d.params)) for d in details), central_rank=1)
 
 
-def standard_char_for(details) -> WeightChar:
-    """Character of V for the classified group.  Every weight sits at
-    central coordinate 1 (the centre acts on V by scalars); block weights
-    are +-e_i with multiplicity n for symplectic and unitary factors and
-    2n for quaternionic-orthogonal ones."""
-    from .characters import standard_char
-
-    return standard_char(root_datum_for(details), [_KIND_RULE[d.kind][1] * d.catalog_n for d in details])
-
-
 def classify(datum: PelDatum) -> Classification:
-    """Factorization bundled with the root datum and standard character.
+    """Factorization bundled with the root datum and the character of V,
+    whose weights sit at central coordinate 1 (the centre acts on V by
+    scalars) and are +-e_i on each block, with multiplicity n for
+    symplectic and unitary factors and 2n for quaternionic-orthogonal ones.
 
     The caller is responsible for running validate() first; classification
     of an invalid datum raises or returns garbage."""
+    from .characters import standard_char
+
     details = factorize_details(datum)
+    rd = root_datum_for(details)
     return Classification(
         factorization=_factorization(details),
         details=details,
-        root_datum=root_datum_for(details),
-        standard_char=standard_char_for(details),
+        root_datum=rd,
+        standard_char=standard_char(rd, [_KIND_RULE[d.kind][1] * d.catalog_n for d in details]),
     )

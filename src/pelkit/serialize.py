@@ -8,6 +8,10 @@ as itself.  Every JSON object the readers parse refuses a key it does not
 know, so a misspelt key is reported rather than dropped.  Schema
 violations raise SchemaError with a JSON-pointer-ish path so the CLI can
 print a usable diagnostic and exit with code 2.
+
+``dumps`` writes through a small recursive emitter, ``_text``, the exact
+text of ``json.dumps(indent=2, sort_keys=True)``, its test oracle, which
+``indent`` keeps off the C encoder and which writes any other value.
 """
 
 from __future__ import annotations
@@ -353,7 +357,46 @@ def load_json_file(path: str):
 
 
 def dumps(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline; ``json.dumps`` itself
+    writes a value ``_text`` does not handle or that nests past the recursion limit."""
+    try:
+        return _shared_text(_text(obj, "\n") + "\n")
+    except (_Unhandled, RecursionError):
+        pass  # json.dumps runs outside the handler, so its errors carry no context
     return _shared_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+class _Unhandled(Exception):
+    pass
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _text(obj, newline: str) -> str:
+    """obj as ``json.dumps(indent=2, sort_keys=True)`` writes it where each
+    line starts with newline; ``_Unhandled`` on a value other than a dict
+    with str keys, a list, a tuple, a str, an int, a bool or None."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None or kind is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    inner = newline + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        if not all(type(k) is str for k in obj):
+            raise _Unhandled
+        items = ["%s: %s" % (_quote(k), _text(obj[k], inner)) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_text(x, inner) for x in obj]) + newline + "]"
+    raise _Unhandled
 
 
 @lru_cache(maxsize=64)

@@ -398,6 +398,19 @@ def test_standard_char_per_block_multiplicities():
         standard_char(RootDatum((Factor("C", 1),), 0), [1])
 
 
+def test_standard_char_stores_what_the_validating_constructor_stores():
+    # nonzero ints are wrapped as they are; a zero, a bool or an integral
+    # Fraction goes through WeightChar's checks, and a non-integer is refused
+    rd = RootDatum((Factor("C", 1), Factor("A", 2)), 1)
+    for mults in ([2, 1], [1, 3], [0, 1], [2, 0], [True, 1], [Fraction(4, 2), -1]):
+        got = standard_char(rd, iter(mults))  # any iterable of multiplicities
+        want = WeightChar({w: mults[0] if w[0] else mults[1] for w in std_char(rd).support()})
+        assert got == want and got.items() == want.items()
+        assert all(type(c) is int and c for c in got._m.values())
+    with pytest.raises(NotACharacterError):
+        standard_char(rd, [Fraction(1, 2), 1])
+
+
 # -- dominant-weight peeling against the full-support oracle --------------------
 
 # Every first block has a nontrivial Weyl group, which the perturbation

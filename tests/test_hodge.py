@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -321,3 +322,58 @@ def test_enumerate_rejects_kappa_on_the_block():
     hc = HodgeCochar((1, 1), (1, 1), (2, 2))
     with pytest.raises(UnsupportedTypeError, match="not minuscule"):
         enumerate_av_irreducibles(rd, hc, bound=2)
+
+
+# -- one-pass hodge_type against the per-weight pairing it replaced ---------------
+
+
+def _oracle_pair(hc, w, doubled):
+    if len(w) != hc.rank:
+        raise ValueError("weight length does not match the cocharacter")
+    s = sum(a * b for a, b in zip(w, doubled))
+    if s % 2:
+        raise NonIntegralPairingError(f"weight {w} pairs half-integrally; it is not a weight of this group")
+    return s // 2
+
+
+def _oracle_bidegree(hc, w):
+    return (-_oracle_pair(hc, w, hc.mu2), -_oracle_pair(hc, w, hc.mu_bar2))
+
+
+def oracle_hodge_type(x, hc):
+    if x.is_zero():
+        raise ValueError("the zero character has no Hodge type")
+    return frozenset(_oracle_bidegree(hc, w) for w in x.support())
+
+
+def _result(f, *args):
+    """("ok", f(*args)), or the type and message of what it raises."""
+    try:
+        return "ok", f(*args)
+    except (ValueError, NonIntegralPairingError) as exc:
+        return type(exc), str(exc)
+
+
+def test_one_pass_hodge_type_against_the_per_weight_oracle():
+    # seeded cocharacters with odd entries, so that many weights pair
+    # half-integrally in one or both pairings, and one character in eight
+    # of the wrong rank
+    rng = random.Random(2018_7)
+    outcomes = set()
+    for trial in range(400):
+        rank = rng.randint(1, 6)
+        mu2 = [rng.randint(-3, 3) for _ in range(rank)]
+        kappa2 = [rng.choice((0, 0, 2, 1, -2)) for _ in range(rank)]
+        hc = HodgeCochar(mu2, [k - m for k, m in zip(kappa2, mu2)], kappa2)
+        length = rank + rng.choice((-1, 1)) if trial % 8 == 0 and rank > 1 else rank
+        x = WeightChar({tuple(rng.randint(-2, 2) for _ in range(length)): rng.choice((1, 2, -1))
+                        for _ in range(rng.randint(0, 6))})
+        got, want = _result(lambda: hodge_type(x, hc).pairs), _result(oracle_hodge_type, x, hc)
+        assert got == want
+        if want[0] is NonIntegralPairingError:
+            first = next(w for w in x.support() if _result(_oracle_bidegree, hc, w)[0] != "ok")
+            assert want[1].startswith(f"weight {first} ")
+        outcomes.add(want[0])
+        for w in x.support():
+            assert _result(hc.bidegree, w) == _result(_oracle_bidegree, hc, w)
+    assert outcomes == {"ok", ValueError, NonIntegralPairingError}

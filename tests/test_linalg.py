@@ -844,6 +844,51 @@ def test_a_product_of_mapped_factors_inherits_their_composite_map():
             assert (d @ c)._nonzero_cols is False and d._nonzero_cols is None
 
 
+def _transpose_pool(rng):
+    """Matrices whose transposes meet every case of the carried map: scaled
+    permutations (some with zero rows or repeated columns), one with half
+    its rows zero, a rectangular monomial one, a dense one, and [[1, 1],
+    [0, 0]], which is not monomial although its transpose is."""
+    n, k = rng.randint(1, 9), rng.randint(1, 9)
+    partial = _scaled_permutation(rng, n)
+    for r in rng.sample(range(n), n // 2):
+        partial[r] = [Fraction(0)] * n
+    wide = [[Fraction(0)] * k for _ in range(n)]
+    for r in range(n):
+        if rng.random() < 0.8:
+            wide[r][rng.randrange(k)] = Fraction(rng.choice((1, -1, 3)), rng.choice((1, 2)))
+    return [Matrix(_scaled_permutation(rng, n)) for _ in range(3)] + [
+        Matrix(partial), Matrix(wide), Matrix(_rand_rows(rng, n, k)), Matrix([[1, 1], [0, 0]])
+    ]
+
+
+def test_a_transpose_carries_only_a_sound_map():
+    # a map is found by the walk of a product with the matrix on the left;
+    # each transpose, of a matrix with its map found or not, must equal the
+    # plain transpose and carry a map only if a fresh copy's rows give it
+    rng = random.Random(1992_6)
+    carried = 0
+    for _ in range(80):
+        for m in _transpose_pool(rng):
+            for found in (False, True):
+                if found:
+                    m @ Matrix.identity(m.cols)
+                t = m.transpose()
+                assert t == Matrix([list(c) for c in zip(*m.tolist())])
+                cols = t._nonzero_cols
+                assert cols is False or cols == monomial_columns(_fresh(t).numerators)
+                carried += cols is not False
+                if cols is not False:  # the product selects rows, and must equal the walked one
+                    assert t @ m == _fresh(t) @ m
+    assert carried > 200
+    # a dense parent's map is None; its transpose's is unknown, never None
+    d = Matrix([[1, 1], [0, 0]])
+    d @ d
+    assert d._nonzero_cols is None
+    assert d.transpose()._nonzero_cols is False
+    assert monomial_columns(d.transpose().numerators) == [0, 0]
+
+
 def test_scalar_matrices():
     for n in (1, 2, 5):
         for c in (0, 1, -1, 7, Fraction(-3, 4), "5/10"):

@@ -13,6 +13,7 @@ from pelkit.algebras import (
     MAT_IMAG_QUAD,
     AlgebraPresentation,
     CatalogFactor,
+    CatalogTooLargeError,
     _closure,
     _coeff_generators,
 )
@@ -52,7 +53,6 @@ from pelkit.peldata import (
     factorize_details,
     root_datum_for,
     shimura_report,
-    standard_char_for,
     validate,
 )
 from pelkit.serialize import datum_from_json, datum_to_json
@@ -530,6 +530,29 @@ def test_validate_finds_each_monomial_map_at_most_once(monkeypatch):
     assert len({id(rows) for rows in scanned}) == len(scanned) <= len(loads)
 
 
+def test_a_warm_validate_walks_only_j_squared(monkeypatch):
+    # canonical Sp_64 and M_2(Q)^16 from JSON, once the shared generators
+    # know their maps: each transpose in star_adjoint carries its
+    # generator's inverse map, so the one product whose left factor has no
+    # map is j @ j, on the freshly loaded j
+    walked = []
+
+    def counted(a, b, matmul=Matrix.__matmul__):
+        if not a._nonzero_cols:
+            walked.append((a, b))
+        return matmul(a, b)
+
+    for blocks in ([("sp", 1, 32)], [("sp", 2, 8)]):
+        text = json.dumps(datum_to_json(catalog_datum(blocks)))
+        assert validate(datum_from_json(json.loads(text))).valid
+        datum = datum_from_json(json.loads(text))
+        walked.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Matrix, "__matmul__", counted)
+            assert validate(datum).valid
+        assert len(walked) == 1 and walked[0][0] is walked[0][1] is datum.j
+
+
 def test_classify_reads_the_kept_basis_inverse(monkeypatch):
     # b j b^-1 is the only product on a quaternionic block; the unitary
     # signature adds four on each unitary block
@@ -651,16 +674,35 @@ def random_details(rng):
     return tuple(out)
 
 
+def _blocks_of(details):
+    """The catalog blocks of a datum that classifies to details."""
+    family = {"symplectic": "sp", "unitary": "unitary", "orthogonal": "quaternion"}
+    return [(family[d.kind], d.catalog_n, *d.params) + ((-1, -1) if d.kind == "orthogonal" else ())
+            for d in details]
+
+
 def test_kind_rule_matches_the_per_kind_branches():
+    # classify of the catalog datum of each case that fits under MAX_DIM_V,
+    # and auto_cochar on every case
     rng = random.Random(18)
     cases = KIND_RULE_CASES + [random_details(rng) for _ in range(200)]
     kinds_seen = set()
+    classified = 0
     for details in cases:
         rd = root_datum_for(details)
         assert rd == oracle_root_datum_for(details)
-        assert standard_char_for(details) == oracle_standard_char_for(details)
-        cl = Classification(_factorization(details), details, rd, standard_char_for(details))
+        std = oracle_standard_char_for(details)
+        try:
+            datum = catalog_datum(_blocks_of(details))
+        except CatalogTooLargeError:
+            pass
+        else:
+            cl = classify(datum)
+            assert (cl.details, cl.root_datum, cl.standard_char) == (details, rd, std)
+            classified += 1
+        cl = Classification(_factorization(details), details, rd, std)
         assert auto_cochar(cl) == cochar_from_mu2(oracle_auto_cochar_mu2(details))
         kinds_seen.add(tuple(d.kind for d in details))
+    assert classified > len(cases) // 2
     assert {k for ks in kinds_seen for k in ks} == {"symplectic", "unitary", "orthogonal"}
     assert len([ks for ks in kinds_seen if len(set(ks)) == 3]) > 5  # mixed catalog orders

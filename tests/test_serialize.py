@@ -86,6 +86,109 @@ def test_dumps_shares_equal_texts():
     assert first == '{\n  "a": "x",\n  "b": [\n    1,\n    2\n  ]\n}\n'
 
 
+# -- the indented emitter against json.dumps ---------------------------------------
+
+
+def _json_dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _dumped(dump, obj):
+    """The text dump writes for obj, or the type and message it raises."""
+    try:
+        return dump(obj)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_KEYS = ("", "a", "b", "Z", "\u00e9t\u00e9", "\u2603", "\U0001f600", 'q"uote', "back\\slash", "tab\tnul\x00\x1f\x7f")
+
+
+def _scalar(rng):
+    return rng.choice(
+        (
+            rng.choice(_KEYS) + rng.choice(("", "p/q", "-3/4", "\n")),
+            rng.randint(-5, 5),
+            2**64 + rng.randint(-2, 2),
+            -(2**100) - rng.randint(0, 9),
+            True,
+            False,
+            None,
+        )
+    )
+
+
+def _payload(rng, depth):
+    """A nested value of dicts with str keys, lists, tuples and scalars;
+    each container is empty one time in five, at any depth."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        return _scalar(rng)
+    size = 0 if rng.random() < 0.2 else rng.randint(1, 4)
+    if roll < 0.6:
+        return {rng.choice(_KEYS) + str(rng.randrange(3)): _payload(rng, depth - 1) for _ in range(size)}
+    items = [_payload(rng, depth - 1) for _ in range(size)]
+    return tuple(items) if rng.random() < 0.3 else items
+
+
+def test_dumps_matches_json_dumps_on_seeded_payloads():
+    rng = random.Random(2018_27)
+    for _ in range(600):
+        obj = _payload(rng, rng.randint(0, 5))
+        assert serialize.dumps(obj) == _json_dumps(obj)
+    for empty in ({}, [], (), {"a": {}}, [[[]]], {"a": [{}, ()]}):
+        assert serialize.dumps(empty) == _json_dumps(empty)
+
+
+class _Label(str):
+    pass
+
+
+def _circular():
+    loop = []
+    loop.append(loop)
+    return loop
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        1.5,
+        float("nan"),
+        {"a": [1, 2.5]},
+        {1: "x"},
+        {"a": {2: 1, True: None}},
+        {"a": 1, None: 2},
+        {"a": object()},
+        [_Label("label"), {_Label("k"): 1}],
+        10**5000,
+        _circular(),
+    ],
+    ids=["float", "nan", "nested float", "int key", "int and bool keys", "mixed keys", "object", "str subclass",
+         "over the digit limit", "circular"],
+)
+def test_dumps_behaves_as_json_dumps_on_other_values(obj):
+    assert _dumped(serialize.dumps, obj) == _dumped(_json_dumps, obj)
+
+
+def test_dumps_matches_json_dumps_on_every_payload_the_cli_prints(monkeypatch, capsys):
+    # every pinned command, plus one that prints a JSON error object
+    from test_golden import COMMANDS, EXAMPLES, ROOT
+
+    from pelkit.cli import main
+
+    error = ["hodge", "--datum", f"{EXAMPLES}/modular_curve.json", "--rep", '{"highest": [9, 1]}']
+    printed, dumps = [], serialize.dumps
+    monkeypatch.setattr(serialize, "dumps", lambda obj: printed.append(obj) or dumps(obj))
+    monkeypatch.chdir(ROOT)
+    for _, argv in COMMANDS + [("error", error)]:
+        main(argv)
+    capsys.readouterr()
+    assert len(printed) == len(COMMANDS) + 1 and "error" in printed[-1]
+    for obj in printed:
+        assert dumps(obj) == _json_dumps(obj)
+
+
 def test_raw_algebra_round_trip():
     datum = modular_curve_datum()
     raw = {
