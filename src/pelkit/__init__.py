@@ -45,6 +45,21 @@ def _lazy(namespace, imports):
     return lookup
 
 
+class _Deferred:
+    """Stands for the pelkit submodule ``name`` in the global of that name
+    until its first attribute read, which imports the module and rebinds the
+    global to it: a function-local ``from .x import y`` costs more per call."""
+
+    __slots__ = ("namespace", "name")
+
+    def __init__(self, namespace, name):
+        self.namespace, self.name = namespace, name
+
+    def __getattr__(self, attr):
+        module = self.namespace[self.name] = importlib.import_module("." + self.name, __name__)
+        return getattr(module, attr)
+
+
 class _Value:
     """Base of the immutable value types: each sets its ``__slots__`` in
     ``__init__`` through ``object.__setattr__``, and ``==``, ``hash`` and

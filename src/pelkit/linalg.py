@@ -15,15 +15,16 @@ up at the first row with two.  On a monomial matrix ``det`` is a signed
 permutation product and ``signature`` counts 1 x 1 blocks and hyperbolic
 planes, with no elimination; a product row with one nonzero is the row of
 the other factor it selects, times that entry.  A matrix remembers that
-map once ``det``, ``signature`` or a product with it on the left has
-found it; the product finds it while walking its rows, with no scan of
-its own.  A later product selects rows straight from the map, and the
-product of two mapped matrices inherits their composite.  The transpose
-of a matrix whose map has distinct columns carries the inverse map, so
-``act.transpose() @ m`` selects rows too, and each matrix of a catalog
-datum is scanned at most once.  Otherwise a sparse
-product row adds only the rows its nonzeros select, and a pivot change
-rescales a kept row on its nonzeros alone.
+map once a kernel has found it (a product while walking its rows); a
+later product selects rows straight from it, a product of two mapped
+matrices inherits their composite, and a transpose the inverse map.
+The map and each row's one numerator, over the denominator, are the
+matrix's *monomial form* (``_product_form``), on which product, transpose
+and equality cost O(n): ``products_equal`` decides an equation between
+products of matrices, and ``signature`` and ``trace`` read a product, on
+forms when every factor has one and else through ``@`` and ``==``.
+Otherwise a sparse product row adds only the rows its nonzeros select,
+and a pivot change rescales a kept row on its nonzeros alone.
 Entries read back through ``m[i, j]``, ``row``, ``column`` and ``tolist``
 are ``Fraction``s.  Sizes are desk-scale (dimension <= 64).
 """
@@ -32,9 +33,10 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, compress, count, repeat
 from math import gcd, lcm, prod
-from operator import add, getitem, mul, neg
+from operator import add, getitem, matmul, mul, neg
 
 from . import _Value
 from .errors import InputError
@@ -512,6 +514,69 @@ class Matrix:
         return _lowest([[r[c] for c in keep] for r in self.numerators], self.denominator)
 
 
+class Transposed:
+    """A factor of ``products_equal``, ``signature`` or ``trace`` read as
+    the transpose of ``matrix``; on the form route it is never built."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: "Matrix"):
+        self.matrix = matrix
+
+
+def _product_form(factors):
+    """The monomial form of the product of factors, each a square Matrix or
+    Transposed of one size: (cols, vals, den), where row i is vals[i] / den
+    at column cols[i], None and 0 for a zero row.  It reads each matrix's
+    map (``_cols_of``) and costs O(n) per factor.  None when a factor is not
+    monomial, its transpose has a repeated column, or the sizes differ."""
+    out = None
+    for factor in factors:
+        m = factor.matrix if type(factor) is Transposed else factor
+        if m.rows != m.cols or out and len(out[0]) != m.rows or (cols := _cols_of(m)) is None:
+            return None
+        vals = [0 if c is None else r[c] for r, c in zip(m.numerators, cols)]
+        if m is not factor:  # the transpose: its row c is the one row i of m with cols[i] == c
+            row_of = {c: i for i, c in enumerate(cols) if c is not None}
+            if len(row_of) < len(cols) - cols.count(None):  # a repeated column
+                return None
+            cols = [row_of.get(c) for c in range(m.rows)]
+            vals = [0 if i is None else vals[i] for i in cols]
+        if out is not None:  # row i of the product is row k = ocols[i] of this factor, times ovals[i]
+            ocols, ovals, oden = out
+            cols = [None if k is None else cols[k] for k in ocols]
+            vals = [v and v * vals[k] for k, v in zip(ocols, ovals)]
+        out = cols, vals, m.denominator * (oden if out else 1)
+    return out
+
+
+def _dense(factors) -> "Matrix":
+    return reduce(matmul, [f.matrix.transpose() if type(f) is Transposed else f for f in factors])
+
+
+def products_equal(lhs, rhs=(), scale=1) -> bool:
+    """Whether the product of the factors lhs, each a Matrix or Transposed,
+    equals scale (nonzero) times the product of rhs, or times the identity
+    when rhs is empty.  When every factor has a monomial form
+    (``_product_form``) it compares forms, in O(n); otherwise it multiplies
+    with ``@`` and compares with ``==``."""
+    f = _product_form(lhs)
+    g = f and (_product_form(rhs) if rhs else (list(range(len(f[0]))), [1] * len(f[0]), 1))
+    if f and g and scale:
+        return f[0] == g[0] and [v * g[2] for v in f[1]] == [scale * f[2] * v for v in g[1]]
+    a = _dense(lhs)
+    b = _dense(rhs) if rhs else Matrix.identity(a.rows)
+    return a == (b if scale == 1 else b.scale(scale))
+
+
+def trace(*factors) -> Fraction:
+    """The trace of the product of factors, as in ``products_equal``, off its form when it has one."""
+    f = _product_form(factors)
+    if f is None:
+        return _dense(factors).trace()
+    return Fraction(sum(v for i, c, v in zip(count(), f[0], f[1]) if c == i), f[2])
+
+
 class Signature(_Value):
     """Sylvester signature (positive, negative, zero) of a symmetric form."""
 
@@ -530,29 +595,35 @@ class Signature(_Value):
         return self.negative == 0 and self.zero == 0
 
 
-def signature(gram: Matrix) -> Signature:
-    """Sylvester signature of a symmetric rational form.
+def signature(*factors) -> Signature:
+    """Sylvester signature of the symmetric form that is the product of
+    factors (one Matrix, or several as in ``products_equal``).
 
     A symmetric monomial form is a sum of 1 x 1 blocks, each counted by its
     sign, and hyperbolic planes [[0, a], [a, 0]], each one positive and one
-    negative.  Any other form goes to ``_bareiss_signature``.
+    negative; on factors with monomial forms neither the product nor its
+    transpose is built.  Any other form goes to ``_bareiss_signature``.
     """
-    if not gram.is_square():
-        raise NotSymmetricError("gram matrix must be square")
-    if not gram.is_symmetric():
+    f = _product_form(factors)
+    if f is None:
+        gram = _dense(factors)
+        if not gram.is_square():
+            raise NotSymmetricError("gram matrix must be square")
+        if not gram.is_symmetric():
+            raise NotSymmetricError("gram matrix must equal its transpose")
+        f = _product_form((gram,))
+        if f is None:
+            return _bareiss_signature(gram.numerators)
+    elif any(c is not None and (f[0][c] != i or f[1][c] != f[1][i]) for i, c in enumerate(f[0])):
         raise NotSymmetricError("gram matrix must equal its transpose")
-    rows = gram.numerators
-    cols = _cols_of(gram)
-    if cols is None:
-        return _bareiss_signature(rows)
     pos = neg = zero = 0
-    for i, c in enumerate(cols):
+    for i, c, v in zip(count(), f[0], f[1]):
         if c is None:
             zero += 1
         elif c != i:  # row i of a plane; count the plane at its first row
             pos += i < c
             neg += i < c
-        elif rows[i][i] > 0:
+        elif v > 0:
             pos += 1
         else:
             neg += 1

@@ -11,7 +11,7 @@ matrix are out of scope.
 
 from __future__ import annotations
 
-from . import _as_dict, _Value
+from . import _as_dict, _Deferred, _Value
 from .algebras import (
     MAT_IMAG_QUAD,
     MAT_Q,
@@ -21,18 +21,17 @@ from .algebras import (
     check_positive,
 )
 from .errors import InputError
-from .linalg import (
-    Matrix,
-    NotCommutingError,
-    NotComplexStructureError,
-    signature,
-)
+from .linalg import Matrix, NotCommutingError, NotComplexStructureError, NotSymmetricError, Transposed
+from .linalg import products_equal, signature, trace
 
 # perfbench/tracing.py times ``peldata.simult_eigensplit`` by name.  The Q(i)
 # eigenspace split once bound here is gone (the unitary signature now comes
 # from one rational trace, see ``_unitary_signature``); the name stays bound,
 # and is never called, so the tracer loads until its entry is dropped.
 simult_eigensplit = None
+
+# imported on the first classification, so that validation alone never loads it
+characters = _Deferred(globals(), "characters")
 
 
 class DimensionMismatchError(InputError):
@@ -110,9 +109,13 @@ def validate(datum: PelDatum) -> ValidationReport:
     data skip the closure: their star is the catalog's positive involution,
     so both involution axioms hold by construction (``pelkit.algebras``).
 
-    The last two j checks read one Gram matrix g = m j.  The pairing m has
-    been checked to be alternating, so j^T m = -(m j) holds exactly when g
-    is symmetric, and the polarization is then the signature of g.
+    Each equation (m^T = -m, act^T m = m star, j j = -1, j act = act j)
+    is one ``products_equal``, and the last two j checks read g = m j in
+    one ``signature``: m is alternating, so j^T m = -(m j) holds exactly
+    when g is symmetric, and the polarization is then its signature.  Both
+    read monomial forms (each row's one nonzero column and numerator) when
+    every factor has one, as in catalog coordinates, in O(n) and with no
+    n x n product; other factors go through ``@`` and ``==``.
     """
     n = datum.dim_v
     m = datum.pairing
@@ -125,31 +128,30 @@ def validate(datum: PelDatum) -> ValidationReport:
         return fail("shape", "pairing and j must be dim_v x dim_v")
     m, j = _catalog_frame(datum.algebra, m, j)
 
-    if not m.is_antisymmetric():
+    if not products_equal((Transposed(m),), (m,), -1):
         return fail("pairing_antisymmetric", "pairing is not alternating")
 
     if m.det() == 0:
         return fail("pairing_nondegenerate", "pairing is degenerate")
 
     for k, (act, star) in enumerate(datum.algebra.generators):
-        if act.transpose() @ m != m @ star:
+        if not products_equal((Transposed(act), m), (m, star)):
             return fail(
                 "star_adjoint",
                 f"generator {k} is not adjoint to its star image under the pairing",
             )
 
-    if j @ j != Matrix.scalar(n, -1):
+    if not products_equal((j, j), (), -1):
         return fail("j_square", "j does not square to -identity")
 
     for k, (act, _) in enumerate(datum.algebra.generators):
-        if j @ act != act @ j:
+        if not products_equal((j, act), (act, j)):
             return fail("j_commutes", f"j does not commute with generator {k}")
 
-    g = m @ j
-    if not g.is_symmetric():
+    try:
+        sig = signature(m, j)
+    except NotSymmetricError:
         return fail("j_pairing_skew", "<ju, v> != -<u, jv>")
-
-    sig = signature(g)
     if not sig.is_positive_definite():
         return fail(
             "polarization_positive",
@@ -213,14 +215,13 @@ def _unitary_signature(c: Matrix, j: Matrix, d: int, n: int) -> tuple:
     b = d2 / n.
     """
     dim = c.rows
-    if c @ c != Matrix.scalar(dim, d):
+    if not products_equal((c, c), (), d):
         raise NotComplexStructureError(f"centre action does not square to {d}")
-    if j @ j != Matrix.scalar(dim, -1):
+    if not products_equal((j, j), (), -1):
         raise NotComplexStructureError("j does not square to -identity on the block")
-    cj = c @ j
-    if cj != j @ c:
+    if not products_equal((c, j), (j, c)):
         raise NotCommutingError("centre action and j do not commute")
-    t = cj.trace()
+    t = trace(c, j)
     if d != -1 and t:
         raise DimensionMismatchError("centre/j pairing trace is inconsistent")
     a, ra = divmod(dim - t, 4 * n)
@@ -336,9 +337,8 @@ _KIND_RULE = {"symplectic": ("C", 1), "unitary": ("A", 1), "orthogonal": ("D", 2
 
 
 def root_datum_for(details) -> RootDatum:
-    from .characters import Factor, RootDatum  # when it runs, so that validation alone never loads it
-
-    return RootDatum(tuple(Factor(_KIND_RULE[d.kind][0], sum(d.params)) for d in details), central_rank=1)
+    factors = tuple(characters.Factor(_KIND_RULE[d.kind][0], sum(d.params)) for d in details)
+    return characters.RootDatum(factors, central_rank=1)
 
 
 def classify(datum: PelDatum) -> Classification:
@@ -349,13 +349,11 @@ def classify(datum: PelDatum) -> Classification:
 
     The caller is responsible for running validate() first; classification
     of an invalid datum raises or returns garbage."""
-    from .characters import standard_char
-
     details = factorize_details(datum)
     rd = root_datum_for(details)
     return Classification(
         factorization=_factorization(details),
         details=details,
         root_datum=rd,
-        standard_char=standard_char(rd, [_KIND_RULE[d.kind][1] * d.catalog_n for d in details]),
+        standard_char=characters.standard_char(rd, [_KIND_RULE[d.kind][1] * d.catalog_n for d in details]),
     )

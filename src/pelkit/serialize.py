@@ -24,9 +24,12 @@ from itertools import chain
 from math import lcm
 from operator import itemgetter
 
+from . import _Deferred
 from .errors import InputError, OutOfScopeError
 
-# Each reader imports the classes it builds when it runs, so a command loads only the layers it reads.
+# Each reader imports the layer it builds from on its first use, so a command loads only the layers it reads.
+_LAYERS = "admissibility", "algebras", "characters", "linalg", "peldata"
+admissibility, algebras, characters, linalg, peldata = (_Deferred(globals(), name) for name in _LAYERS)
 
 
 class SchemaError(InputError):
@@ -84,8 +87,6 @@ def _matrix_by_table(obj, path: str):
     row is a lookup in that table.  Strings only: ``true`` and ``1.0`` hash
     like ``1`` and ``false`` like ``0``, so with integers about, one table
     key could stand for an entry that must be refused."""
-    from .linalg import Matrix
-
     width = len(obj[0])
     if not width or any(len(r) != width for r in obj):
         return None
@@ -106,14 +107,12 @@ def _matrix_by_table(obj, path: str):
         rows = [(table[r[0]],) for r in obj]
     else:
         rows = [itemgetter(*r)(table) for r in obj]
-    return Matrix.from_numerators(rows, den)
+    return linalg.Matrix.from_numerators(rows, den)
 
 
 def _matrix_by_entry(obj, path: str) -> Matrix:
     """The matrix of an array of arrays, entry by entry; a SchemaError
     names the first bad entry, or the shape when every entry is good."""
-    from .linalg import Matrix
-
     values = {}  # each distinct entry string, checked and converted once
     rows = []
     for i, r in enumerate(obj):
@@ -130,7 +129,7 @@ def _matrix_by_entry(obj, path: str) -> Matrix:
             row.append(x)
         rows.append(row)
     try:
-        return Matrix(rows)
+        return linalg.Matrix(rows)
     except ValueError as exc:
         raise SchemaError(path, str(exc))
 
@@ -179,8 +178,6 @@ def algebra_to_json(alg: AlgebraPresentation):
 
 
 def algebra_from_json(obj, path: str = "algebra") -> AlgebraPresentation:
-    from .algebras import AlgebraPresentation, CatalogFactor
-
     mode = _require(obj, "mode", path, str)
     dim_v = _require(obj, "dim_v", path, int)
     if dim_v < 1:
@@ -197,7 +194,7 @@ def algebra_from_json(obj, path: str = "algebra") -> AlgebraPresentation:
             multiplicity = _require(f, "multiplicity", fpath, int)
             try:
                 catalog.append(
-                    CatalogFactor(kind, n, multiplicity, d=f.get("d", 0), a=f.get("a", 0), b=f.get("b", 0))
+                    algebras.CatalogFactor(kind, n, multiplicity, d=f.get("d", 0), a=f.get("a", 0), b=f.get("b", 0))
                 )
             except ValueError as exc:
                 raise SchemaError(fpath, str(exc))
@@ -206,7 +203,7 @@ def algebra_from_json(obj, path: str = "algebra") -> AlgebraPresentation:
             raise SchemaError(f"{path}.dim_v", f"catalog factors span dimension {span}, not {dim_v}")
         basis = matrix_from_json(obj["basis"], f"{path}.basis") if "basis" in obj else None
         try:
-            return AlgebraPresentation(dim_v, None, tuple(catalog), basis)
+            return algebras.AlgebraPresentation(dim_v, None, tuple(catalog), basis)
         except OutOfScopeError:  # a catalog past the desk scale
             raise
         except ValueError as exc:
@@ -225,7 +222,7 @@ def algebra_from_json(obj, path: str = "algebra") -> AlgebraPresentation:
                 )
             )
         try:
-            return AlgebraPresentation.raw(dim_v, pairs)
+            return algebras.AlgebraPresentation.raw(dim_v, pairs)
         except ValueError as exc:
             raise SchemaError(path, str(exc))
     raise SchemaError(f"{path}.mode", f"expected 'structured' or 'raw', got {mode!r}")
@@ -240,11 +237,9 @@ def datum_to_json(datum: PelDatum):
 
 
 def datum_from_json(obj, path: str = "") -> PelDatum:
-    from .peldata import PelDatum
-
     base = path or "datum"
     _known_keys(obj, base, {"algebra", "pairing", "j"})
-    return PelDatum(
+    return peldata.PelDatum(
         algebra=algebra_from_json(_require(obj, "algebra", base), f"{base}.algebra"),
         pairing=matrix_from_json(_require(obj, "pairing", base), f"{base}.pairing"),
         j=matrix_from_json(_require(obj, "j", base), f"{base}.j"),
@@ -259,8 +254,6 @@ def root_datum_to_json(rd: RootDatum):
 
 
 def root_datum_from_json(obj, path: str = "root_datum") -> RootDatum:
-    from .characters import Factor, RootDatum
-
     _known_keys(obj, path, {"factors", "central_rank"})
     factors = _require(obj, "factors", path, list)
     out = []
@@ -269,12 +262,12 @@ def root_datum_from_json(obj, path: str = "root_datum") -> RootDatum:
         _known_keys(f, fpath, {"series", "n"})
         series, n = _require(f, "series", fpath, str), _require(f, "n", fpath, int)
         try:
-            out.append(Factor(series, n))
+            out.append(characters.Factor(series, n))
         except ValueError as exc:
             raise SchemaError(fpath, str(exc))
     central_rank = _require(obj, "central_rank", path, int)
     try:
-        return RootDatum(tuple(out), central_rank=central_rank)
+        return characters.RootDatum(tuple(out), central_rank=central_rank)
     except ValueError as exc:
         raise SchemaError(path, str(exc))
 
@@ -284,8 +277,6 @@ def char_to_json(x: WeightChar):
 
 
 def char_from_json(obj, path: str = "char") -> WeightChar:
-    from .characters import WeightChar
-
     if not isinstance(obj, list):
         raise SchemaError(path, "expected an array of {weight, mult} entries")
     acc = {}
@@ -299,7 +290,7 @@ def char_from_json(obj, path: str = "char") -> WeightChar:
         if len(w) != len(obj[0]["weight"]):
             raise SchemaError(f"{epath}.weight", f"length {len(w)}, but the first weight has {len(obj[0]['weight'])}")
         acc[tuple(w)] = acc.get(tuple(w), 0) + m
-    return WeightChar(acc)
+    return characters.WeightChar(acc)
 
 
 def _side_to_json(side: RepSide):
@@ -315,19 +306,14 @@ def morphism_to_json(m: MorphismSpec):
 
 
 def _side_from_json(obj, path: str) -> RepSide:
-    from .admissibility import RepSide
-
     _known_keys(obj, path, {"root_datum", "standard_char"})
-    return RepSide(
+    return admissibility.RepSide(
         root_datum=root_datum_from_json(_require(obj, "root_datum", path), f"{path}.root_datum"),
         standard_char=char_from_json(_require(obj, "standard_char", path), f"{path}.standard_char"),
     )
 
 
 def morphism_from_json(obj, path: str = "morphism") -> MorphismSpec:
-    from .admissibility import MorphismSpec
-    from .characters import TorusMap
-
     _known_keys(obj, path, {"source", "target", "weight_pullback"})
     pullback = _require(obj, "weight_pullback", path, list)
     if not all(isinstance(r, list) and all(_is_int(x) for x in r) for r in pullback):
@@ -335,7 +321,7 @@ def morphism_from_json(obj, path: str = "morphism") -> MorphismSpec:
     source = _side_from_json(_require(obj, "source", path), f"{path}.source")
     target = _side_from_json(_require(obj, "target", path), f"{path}.target")
     try:
-        return MorphismSpec(source=source, target=target, torus_map=TorusMap(tuple(tuple(r) for r in pullback)))
+        return admissibility.MorphismSpec(source=source, target=target, torus_map=characters.TorusMap(tuple(tuple(r) for r in pullback)))
     except ValueError as exc:
         raise SchemaError(path, str(exc))
 

@@ -7,19 +7,44 @@ the datum's basis: A becomes basis^-1 A basis.  The isotypic block is the
 column space of the unit action, and j and the centre restricted to it come
 from ``solve``.  ``pelkit.peldata`` instead maps j back to catalog
 coordinates and slices each factor's fixed coordinate range.
+
+The unitary signature here multiplies with ``@`` and compares with ``==``,
+as ``peldata._unitary_signature`` did before it read monomial forms
+(``linalg.products_equal``), so the oracle shares no form code with it.
 """
 
 from __future__ import annotations
 
 from pelkit.algebras import MAT_DEF_QUAT, MAT_IMAG_QUAD, MAT_Q
 from pelkit.linalg import Matrix
+from pelkit.linalg import NotCommutingError, NotComplexStructureError
 from pelkit.peldata import (
     DimensionMismatchError,
     FactorGroup,
     PelDatum,
     StructuredModeRequiredError,
-    _unitary_signature,
 )
+
+
+def dense_unitary_signature(c: Matrix, j: Matrix, d: int, n: int) -> tuple:
+    """``peldata._unitary_signature`` on dense products: the same checks,
+    errors and trace rule."""
+    dim = c.rows
+    if c @ c != Matrix.scalar(dim, d):
+        raise NotComplexStructureError(f"centre action does not square to {d}")
+    if j @ j != Matrix.scalar(dim, -1):
+        raise NotComplexStructureError("j does not square to -identity on the block")
+    cj = c @ j
+    if cj != j @ c:
+        raise NotCommutingError("centre action and j do not commute")
+    t = cj.trace()
+    if d != -1 and t:
+        raise DimensionMismatchError("centre/j pairing trace is inconsistent")
+    a, ra = divmod(dim - t, 4 * n)
+    b, rb = divmod(dim + t, 4 * n)
+    if ra or rb:
+        raise DimensionMismatchError("joint eigenspace dimensions are not multiples of n")
+    return a, b
 
 
 def _catalog_actions(alg):
@@ -68,7 +93,7 @@ def oracle_factorize_details(datum: PelDatum):
             out.append(FactorGroup("symplectic", (g,), f.n))
         elif f.kind == MAT_IMAG_QUAD:
             cf = q.solve(binv @ centre @ basis @ q)
-            out.append(FactorGroup("unitary", _unitary_signature(cf, jf, f.d, f.n), f.n))
+            out.append(FactorGroup("unitary", dense_unitary_signature(cf, jf, f.d, f.n), f.n))
         elif f.kind == MAT_DEF_QUAT:
             r, rem = divmod(dim_f, 4 * f.n)
             if rem:

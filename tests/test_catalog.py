@@ -19,17 +19,19 @@ import json
 import random
 
 import pytest
-from classify_oracle import oracle_factorize_details
-from test_peldata import random_unimodular
+from classify_oracle import dense_unitary_signature, oracle_factorize_details
+from test_peldata import _unitary_blocks, random_unimodular
 from validate_oracle import oracle_validate, v_generators
 
-from pelkit import serialize
+from pelkit import linalg, serialize
 from pelkit.admissibility import MorphismSpec, decide
 from pelkit.algebras import AlgebraPresentation, CatalogTooLargeError
 from pelkit.characters import TorusMap
-from pelkit.fixtures import catalog_datum, side_of
+from pelkit.errors import InputError
+from pelkit.fixtures import catalog_datum, mutations, side_of
 from pelkit.hodge import auto_cochar, hodge_type
-from pelkit.peldata import GroupFactorization, PelDatum, classify, shimura_report, validate
+from pelkit.linalg import Matrix
+from pelkit.peldata import GroupFactorization, PelDatum, _unitary_signature, classify, shimura_report, validate
 
 D_VALUES = (-1, -2, -3)
 QUATERNION_ALGEBRAS = ((-1, -1), (-1, -3))
@@ -190,3 +192,142 @@ def test_product_past_the_bound_is_too_large():
     # refused before any pairing is built
     with pytest.raises(CatalogTooLargeError):
         catalog_datum([("sp", 10**6, 1)])
+
+
+# -- the monomial-form route against the dense route and the oracles --------------
+#
+# validate and classify read monomial forms (``linalg.products_equal``) when
+# every factor of an equation has one; refusing every form sends each check
+# through @ and ==, and the oracles compute on V.  All three must agree on
+# the verdict, failure code, message and factorization.
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the InputError it raises:
+    classify refuses many invalid data."""
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+def _dense_route(fn, *args):
+    """fn(*args) with every monomial form refused."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_product_form", lambda factors: None)
+        return _outcome(fn, *args)
+
+
+def _on_forms(fn, *args):
+    """(fn(*args), whether no check fell back to the dense route)."""
+    dense = []
+
+    def counted(factors, product=linalg._dense):
+        dense.append(factors)
+        return product(factors)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_dense", counted)
+        return _outcome(fn, *args), not dense
+
+
+def _agree(datum):
+    """validate's report, after checking it and classify against the dense
+    route and the oracles."""
+    report = validate(datum)
+    assert report == _dense_route(validate, datum) == oracle_validate(datum)
+    if datum.algebra.mode == "structured":
+        classified = _outcome(classify, datum)
+        assert classified == _dense_route(classify, datum)
+        if report.valid:
+            assert classified.details == oracle_factorize_details(datum)
+    return report
+
+
+@pytest.mark.parametrize("blocks", TABLE, ids=label)
+def test_forms_agree_with_the_dense_route_and_the_oracles(blocks):
+    # each datum, a base change of it, and their JSON twins
+    datum = catalog_datum(blocks)
+    moved = datum.conjugate(random_unimodular(random.Random("forms " + label(blocks)), datum.dim_v))
+    for twin in (datum, moved, reload(datum), reload(moved)):
+        assert _agree(twin).valid
+
+
+@pytest.mark.parametrize("name,datum,code", mutations(), ids=[name for name, _, _ in mutations()])
+def test_bundled_mutations_agree_with_the_dense_route(name, datum, code):
+    assert _agree(datum).failure_code == code
+
+
+def _one_entry(rng, x: Matrix):
+    """Monomial copies of x with one nonzero entry negated, doubled, or
+    moved to another column of its row."""
+    rows = x.tolist()
+    i = rng.choice([i for i, r in enumerate(rows) if any(r)])
+    c = next(k for k, v in enumerate(rows[i]) if v)
+    out = []
+    for k, v in ((c, -rows[i][c]), (c, 2 * rows[i][c]), (rng.choice(range(len(rows))), rows[i][c])):
+        if k != c or v != rows[i][c]:
+            mutant = [list(r) for r in rows]
+            mutant[i][c], mutant[i][k] = 0, v
+            out.append(Matrix(mutant))
+    return out
+
+
+def _signed_permutation(rng, n):
+    cols = rng.sample(range(n), n)
+    return Matrix([[rng.choice((-1, 1)) * (c == cols[r]) for c in range(n)] for r in range(n)])
+
+
+def _monomial_mutants(rng, datum: PelDatum):
+    """Mutants of a canonical datum that stay monomial: one entry of the
+    pairing, of j or of each star image changed (``_one_entry``; a changed
+    star makes the presentation raw), and j moved by a signed permutation,
+    which keeps j^2 = -1 but need not commute with the algebra or keep the
+    pairing symmetric and positive."""
+    alg, m, j = datum.algebra, datum.pairing, datum.j
+    out = [PelDatum(alg, x, j) for x in _one_entry(rng, m)] + [PelDatum(alg, m, x) for x in _one_entry(rng, j)]
+    for k, (act, star) in enumerate(alg.generators):
+        gens = list(alg.generators)
+        gens[k] = (act, rng.choice(_one_entry(rng, star)))
+        out.append(PelDatum(AlgebraPresentation.raw(datum.dim_v, gens), m, j))
+    for _ in range(2):
+        p = _signed_permutation(rng, datum.dim_v)
+        out.append(PelDatum(alg, m, p.transpose() @ j @ p))
+    return out
+
+
+def test_monomial_mutants_fail_each_equation_on_forms():
+    # every mutant agrees with the dense route and the oracles, and each
+    # equation of validate fails on some mutant that no check moved to the
+    # dense route
+    rng = random.Random("monomial mutants")
+    reached = set()
+    for blocks in TABLE:
+        for mutant in _monomial_mutants(rng, catalog_datum(blocks)):
+            report = _agree(mutant)
+            on_forms, no_dense = _on_forms(validate, mutant)
+            assert on_forms == report
+            if no_dense:
+                reached.add(report.failure_code)
+    assert reached >= {
+        "pairing_antisymmetric", "star_adjoint", "j_square", "j_commutes", "j_pairing_skew", "polarization_positive"
+    }
+
+
+def test_unitary_signature_fails_each_equation_on_forms():
+    # one-entry mutants of the centre action and of j on each unitary
+    # block, and j moved by a signed permutation: the same outcome as the
+    # dense oracle, and each of the three equations fails on forms
+    rng = random.Random("unitary mutants")
+    reached = set()
+    for blocks in TABLE:
+        for c, j, d, n in _unitary_blocks(catalog_datum(blocks)):
+            p = _signed_permutation(rng, j.rows)
+            cases = [(x, j) for x in _one_entry(rng, c)] + [(c, x) for x in _one_entry(rng, j)]
+            for cx, jx in cases + [(c, j), (c, p.transpose() @ j @ p)]:
+                outcome, no_dense = _on_forms(_unitary_signature, cx, jx, d, n)
+                assert outcome == _dense_route(_unitary_signature, cx, jx, d, n)
+                assert outcome == _outcome(dense_unitary_signature, cx, jx, d, n)
+                if no_dense and isinstance(outcome[1], str):
+                    reached.add(outcome[1].split(" to ")[0])
+    assert reached >= {"centre action does not square", "j does not square", "centre action and j do not commute"}

@@ -2,6 +2,8 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import matmul
 
 import pytest
 from gauss_oracle import GaussRat, simult_eigensplit
@@ -14,9 +16,13 @@ from pelkit.linalg import (
     NotSymmetricError,
     RankDeficientError,
     Signature,
+    Transposed,
     _bareiss_signature,
     _monomial as monomial_columns,
+    _product_form,
+    products_equal,
     signature,
+    trace,
 )
 
 J2 = Matrix([[0, -1], [1, 0]])
@@ -887,6 +893,96 @@ def test_a_transpose_carries_only_a_sound_map():
     assert d._nonzero_cols is None
     assert d.transpose()._nonzero_cols is False
     assert monomial_columns(d.transpose().numerators) == [0, 0]
+
+
+# -- monomial forms against the dense products they stand for -------------------
+
+
+def _dense(factor):
+    return factor.matrix.transpose() if isinstance(factor, Transposed) else factor
+
+
+def _has_form(factor):
+    """Whether the factor's matrix is monomial and, for a Transposed one,
+    its transpose too: only then may ``_product_form`` read it."""
+    matrices = (factor.matrix, _dense(factor)) if isinstance(factor, Transposed) else (factor,)
+    return all(monomial_columns(m.numerators) is not None for m in matrices)
+
+
+def _matrix_of(form):
+    cols, vals, den = form
+    n = len(cols)
+    return Matrix.from_numerators([[v if c == k else 0 for k in range(n)] for c, v in zip(cols, vals)], den)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_forms_agree_with_dense_products(monkeypatch):
+    # seeded chains of one to three factors from the map pool (scaled
+    # permutations with zero rows and repeated columns, scalars, the zero
+    # matrix, dense and sparse ones), each read plain or transposed: the
+    # form of the chain must be the dense product's, and exist exactly
+    # when every factor and transpose is monomial; products_equal,
+    # signature and trace must answer as @, transpose and == do, also with
+    # every form refused
+    rng = random.Random(1992_7)
+    decided = 0
+    for trial in range(60):
+        n = rng.randint(1, 8) if trial % 10 else rng.choice((16, 32))
+        pool = _map_pool(rng, n)
+        for _ in range(25):
+            chain = [x if rng.random() < 0.6 else Transposed(x) for x in rng.choices(pool, k=rng.randint(1, 3))]
+            other = [x if rng.random() < 0.6 else Transposed(x) for x in rng.choices(pool, k=rng.randint(1, 2))]
+            product, rhs = reduce(matmul, map(_dense, chain)), reduce(matmul, map(_dense, other))
+            form = _product_form(chain)
+            assert (form is not None) == all(map(_has_form, chain))
+            if form is not None:
+                assert _matrix_of(form) == product
+                decided += 1
+            scale = rng.choice((1, -1, 2, Fraction(-1, 3)))
+            cases = [
+                (chain, other, scale, product == rhs.scale(scale)),
+                (chain, [_fresh(product.scale(Fraction(1, scale)))], scale, True),
+                (chain, (), scale, product == Matrix.scalar(n, scale)),
+            ]
+            for lhs, rhs_factors, s, expected in cases:
+                assert products_equal(lhs, rhs_factors, s) is expected
+            assert trace(*chain) == product.trace()
+            x, form2 = rng.choice(pool), Matrix(_symmetric_monomial(rng, n))
+            congruent = [Transposed(x), form2, x]
+            assert signature(*congruent) == signature(_fresh(x.transpose() @ form2 @ x))
+            assert _outcome(signature, *chain) == _outcome(signature, _fresh(product))
+            with monkeypatch.context() as patch:
+                patch.setattr("pelkit.linalg._product_form", lambda factors: None)
+                assert [products_equal(*case[:3]) for case in cases] == [case[3] for case in cases]
+                assert trace(*chain) == product.trace()
+                assert signature(*congruent) == _bareiss_signature((x.transpose() @ form2 @ x).numerators)
+    assert decided > 500
+
+
+def test_forms_leave_rectangular_factors_to_the_dense_route():
+    # no form for a factor that is not square, and @'s own shape error
+    # where the chain does not multiply
+    rng = random.Random(1992_8)
+    for _ in range(40):
+        for m in _transpose_pool(rng):
+            gram = m.transpose() @ m
+            assert _product_form([Transposed(m), m]) is None or m.is_square()
+            assert products_equal((Transposed(m), m), (_fresh(gram),))
+            assert signature(Transposed(m), m) == signature(_fresh(gram))
+            assert trace(Transposed(m), m) == gram.trace()
+            if m.rows != m.cols:
+                assert not products_equal((m,), ()) and _product_form([m]) is None
+                with pytest.raises(ValueError, match="shape mismatch in @"):
+                    products_equal((m, m), (m,))
+                with pytest.raises(NotSymmetricError, match="must be square"):
+                    signature(m)
 
 
 def test_scalar_matrices():

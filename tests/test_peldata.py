@@ -9,6 +9,7 @@ from test_linalg import J2
 from test_mixed_factors import MIXED
 from validate_oracle import oracle_validate, v_generators
 
+import pelkit.linalg
 from pelkit.algebras import (
     MAT_IMAG_QUAD,
     AlgebraPresentation,
@@ -45,6 +46,7 @@ from pelkit.peldata import (
     GroupFactorization,
     PelDatum,
     StructuredModeRequiredError,
+    _catalog_frame,
     _factorization,
     _isotypic_blocks,
     _unitary_signature,
@@ -500,73 +502,75 @@ def _count_calls(monkeypatch, *names):
 
 
 def test_validate_forms_the_polarization_gram_matrix_once(monkeypatch):
-    # two products each for the pairing and j in catalog coordinates, then
-    # two per generator for star_adjoint and two for j_commutes, one for
-    # j_square and one for g = m j, which both j checks read
+    # a rational base change of M_2(H): the four products that move the
+    # pairing and j to catalog coordinates are the only ones; every axiom
+    # then reads monomial forms, and g = m j is formed once, by signature,
+    # for both j checks
     datum = catalog_datum(QUATERNION_M2).conjugate(random_rational(random.Random(5), 8))
-    gens = len(datum.algebra.generators)
+    m, j = _catalog_frame(datum.algebra, datum.pairing, datum.j)
+    grams = []
+
+    def product_form(factors, form=pelkit.linalg._product_form):
+        if len(factors) == 2 and factors[0] == m and factors[1] == j:
+            grams.append(factors)
+        return form(factors)
+
     calls = _count_calls(monkeypatch, "__matmul__", "inv")
-    assert validate(datum).valid
-    assert gens > 1 and len(calls["__matmul__"]) == 4 * gens + 6 and calls["inv"] == []
+    monkeypatch.setattr(pelkit.linalg, "_product_form", product_form)
+    assert len(datum.algebra.generators) > 1 and validate(datum).valid
+    assert len(calls["__matmul__"]) == 4 and calls["inv"] == [] and len(grams) == 1
+
+
+def _loads(blocks, count):
+    """count fresh JSON loads of catalog_datum(blocks), after one validate
+    of another load has found the maps of the shared generators."""
+    text = json.dumps(datum_to_json(catalog_datum(blocks)))
+    assert validate(datum_from_json(json.loads(text))).valid
+    return [datum_from_json(json.loads(text)) for _ in range(count)]
 
 
 def test_validate_finds_each_monomial_map_at_most_once(monkeypatch):
-    # canonical Sp_64 from JSON: det finds the pairing's map, the walk of
-    # j @ j finds j's, the shared generator keeps its map from load to load
-    # and g = m j inherits one, so no matrix is scanned twice
-    import pelkit.linalg
-
+    # canonical Sp_64 from JSON, each load validated twice: the
+    # antisymmetry check scans the pairing and j_square scans j, once each;
+    # det, every later check and the second validate read the kept maps
     scanned = []
 
     def counted(rows, monomial=pelkit.linalg._monomial):
         scanned.append(rows)
         return monomial(rows)
 
+    loads = _loads([("sp", 1, 32)], 3)  # kept alive, so ids stay distinct
     monkeypatch.setattr(pelkit.linalg, "_monomial", counted)
-    text = json.dumps(datum_to_json(catalog_datum([("sp", 1, 32)])))
-    loads = [datum_from_json(json.loads(text)) for _ in range(3)]  # kept alive, so ids stay distinct
     for datum in loads + loads:
         assert datum.dim_v == 64 and validate(datum).valid
-    assert len({id(rows) for rows in scanned}) == len(scanned) <= len(loads)
+    assert sorted(map(id, scanned)) == sorted(id(m.numerators) for d in loads for m in (d.pairing, d.j))
 
 
-def test_a_warm_validate_walks_only_j_squared(monkeypatch):
+@pytest.mark.parametrize("blocks", [[("sp", 1, 32)], [("sp", 2, 8)]], ids=["sp64", "m2q16"])
+def test_a_warm_validate_forms_no_dense_product(monkeypatch, blocks):
     # canonical Sp_64 and M_2(Q)^16 from JSON, once the shared generators
-    # know their maps: each transpose in star_adjoint carries its
-    # generator's inverse map, so the one product whose left factor has no
-    # map is j @ j, on the freshly loaded j
-    walked = []
-
-    def counted(a, b, matmul=Matrix.__matmul__):
-        if not a._nonzero_cols:
-            walked.append((a, b))
-        return matmul(a, b)
-
-    for blocks in ([("sp", 1, 32)], [("sp", 2, 8)]):
-        text = json.dumps(datum_to_json(catalog_datum(blocks)))
-        assert validate(datum_from_json(json.loads(text))).valid
-        datum = datum_from_json(json.loads(text))
-        walked.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(Matrix, "__matmul__", counted)
-            assert validate(datum).valid
-        assert len(walked) == 1 and walked[0][0] is walked[0][1] is datum.j
+    # know their maps: every equation and the Gram signature read monomial
+    # forms, so no dense product, transpose or comparison is built
+    (datum,) = _loads(blocks, 1)
+    calls = _count_calls(monkeypatch, "__matmul__", "transpose", "__eq__", "is_symmetric", "is_antisymmetric")
+    assert validate(datum).valid
+    assert all(seen == [] for seen in calls.values())
 
 
 def test_classify_reads_the_kept_basis_inverse(monkeypatch):
-    # b j b^-1 is the only product on a quaternionic block; the unitary
-    # signature adds four on each unitary block
+    # b j b^-1 is the only pair of products: the unitary signature reads
+    # monomial forms of the centre action and j on its block
     cases = (
-        (NAMED["gu11"], 4, GroupFactorization((), ((1, 1),), ()), 6),
-        (QUATERNION_M2, 8, GroupFactorization((), (), (1,)), 2),
+        (NAMED["gu11"], 4, GroupFactorization((), ((1, 1),), ())),
+        (QUATERNION_M2, 8, GroupFactorization((), (), (1,))),
     )
     calls = _count_calls(monkeypatch, "__matmul__", "inv")
-    for blocks, dim, factorization, products in cases:
+    for blocks, dim, factorization in cases:
         datum = catalog_datum(blocks).conjugate(random_rational(random.Random(4), dim))
         for seen in calls.values():
             seen.clear()
         assert classify(datum).factorization == factorization
-        assert len(calls["__matmul__"]) == products and calls["inv"] == []
+        assert len(calls["__matmul__"]) == 2 and calls["inv"] == []
 
 
 @pytest.mark.parametrize("name", ["gu11_datum", "quaternion_m2_datum"])
