@@ -13,18 +13,17 @@ Catalog data are monomial (at most one nonzero per row), so the kernels
 pay for nonzeros.  ``_monomial`` finds each row's one nonzero, or gives
 up at the first row with two.  On a monomial matrix ``det`` is a signed
 permutation product and ``signature`` counts 1 x 1 blocks and hyperbolic
-planes, with no elimination; a product row with one nonzero is the row of
-the other factor it selects, times that entry.  A matrix remembers that
-map once a kernel has found it (a product while walking its rows); a
-later product selects rows straight from it, a product of two mapped
-matrices inherits their composite, and a transpose the inverse map.
-The map and each row's one numerator, over the denominator, are the
-matrix's *monomial form* (``_product_form``), on which product, transpose
-and equality cost O(n): ``products_equal`` decides an equation between
-products of matrices, and ``signature`` and ``trace`` read a product, on
-forms when every factor has one and else through ``@`` and ``==``.
-Otherwise a sparse product row adds only the rows its nonzeros select,
-and a pivot change rescales a kept row on its nonzeros alone.
+planes, with no elimination.  A matrix finds that map only by scanning its
+own rows, when ``det`` or a monomial form first needs it, and keeps it;
+products and transposes carry none.  The map and each row's one
+numerator, over the denominator, are the matrix's *monomial form*
+(``_product_form``), on which product, transpose and equality cost O(n):
+``products_equal`` decides an equation between products of matrices, and
+``signature`` and ``trace`` read a product, on forms when every factor
+has one and else through ``@`` and ``==``.  A product row with one
+nonzero is the row of the other factor it selects, times that entry, a
+sparse one adds only the rows its nonzeros select, and a pivot change
+rescales a kept row on its nonzeros alone.
 Entries read back through ``m[i, j]``, ``row``, ``column`` and ``tolist``
 are ``Fraction``s.  Sizes are desk-scale (dimension <= 64).
 """
@@ -68,21 +67,20 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to a rational")
 
 
-def _wrap(num: tuple, den: int, nonzero_cols=False) -> "Matrix":
+def _wrap(num: tuple, den: int) -> "Matrix":
     """Matrix from numerator rows (tuples of int) already in lowest terms
-    over den > 0, with its ``_monomial`` map if known; skips ``__init__``."""
+    over den > 0; skips ``__init__``."""
     m = object.__new__(Matrix)
     m.rows = len(num)
     m.cols = len(num[0])
     m.numerators = num
     m.denominator = den
-    m._nonzero_cols = nonzero_cols
+    m._nonzero_cols = False
     return m
 
 
-def _lowest(num, den: int, nonzero_cols=False) -> "Matrix":
-    """Matrix with value num / den for integer rows num and den != 0;
-    nonzero_cols is passed on, as scaling keeps every zero."""
+def _lowest(num, den: int) -> "Matrix":
+    """Matrix with value num / den for integer rows num and den != 0."""
     if den < 0:
         num = [[-x for x in r] for r in num]
         den = -den
@@ -95,7 +93,7 @@ def _lowest(num, den: int, nonzero_cols=False) -> "Matrix":
     if g != 1:
         num = [[x // g for x in r] for r in num]
         den //= g
-    return _wrap(tuple(map(tuple, num)), den, nonzero_cols)
+    return _wrap(tuple(map(tuple, num)), den)
 
 
 def _monomial(rows):
@@ -229,11 +227,12 @@ class Matrix:
     ``numerators`` is a tuple of integer row tuples and ``denominator`` a
     positive integer sharing no factor with all of them; entry (i, j) is
     ``numerators[i][j] / denominator``.  ``_nonzero_cols`` is what
-    ``_monomial`` returns on the numerators once a kernel has found it,
-    and False before; ``==`` and hashing ignore it.
+    ``_monomial`` returns on the numerators, and False until ``_cols_of``,
+    the only code that fills it in, first needs it; ``==`` and hashing
+    ignore it.
 
     Immutability is a convention, not enforced: no caller assigns to a
-    Matrix, and the kernels only fill in ``_nonzero_cols``.  The catalog
+    Matrix, and ``_cols_of`` only fills in ``_nonzero_cols``.  The catalog
     generators, which every presentation of one catalog shares
     (``pelkit.algebras``), and the maps found on them rely on it.
     """
@@ -373,71 +372,34 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in @")
         b = other.numerators
+        inner = other.rows
         zero = (0,) * other.cols
-        cols = self._nonzero_cols
-        if cols:
-            # monomial: each row is zero or the row of other it selects, times its entry
-            out = [
-                zero if k is None
-                else b[k] if (a := ra[k]) == 1
-                else tuple(map(neg, b[k])) if a == -1
-                else tuple(map(mul, b[k], repeat(a)))
-                for k, ra in zip(cols, self.numerators)
-            ]
-        else:
-            # walk the rows, finding self's map on the way
-            inner = other.rows
-            columns = None
-            out, cols, dense = [], [], False
-            for ra in self.numerators:
-                nonzero = inner - ra.count(0)
-                if nonzero == 1:
-                    # monomial row: the one row of other it selects
-                    k = next(compress(count(), ra))
+        columns = None
+        out = []
+        for ra in self.numerators:
+            nonzero = inner - ra.count(0)
+            if nonzero == 1:
+                # monomial row: the one row of other it selects, times its entry
+                k = next(compress(count(), ra))
+                a = ra[k]
+                out.append(b[k] if a == 1 else tuple(map(neg, b[k])) if a == -1 else tuple(map(mul, b[k], repeat(a))))
+            elif 3 * nonzero > inner:
+                # dense row: one dot product per column of other
+                if columns is None:
+                    columns = tuple(zip(*b))
+                out.append([sum(map(mul, ra, col)) for col in columns])
+            else:
+                # sparse or zero row: add up the rows of other it selects
+                acc = zero
+                for k in compress(range(inner), ra):
                     a = ra[k]
-                    out.append(b[k] if a == 1 else tuple(map(neg, b[k])) if a == -1 else tuple(map(mul, b[k], repeat(a))))
-                    cols.append(k)
-                elif 3 * nonzero > inner:
-                    # dense row: one dot product per column of other
-                    if columns is None:
-                        columns = tuple(zip(*b))
-                    out.append([sum(map(mul, ra, col)) for col in columns])
-                    dense = True
-                elif nonzero:
-                    # sparse row: add up the rows of other it selects
-                    acc = zero
-                    for k in compress(range(inner), ra):
-                        a = ra[k]
-                        term = b[k] if a == 1 else tuple(map(mul, b[k], repeat(a)))
-                        acc = term if acc is zero else tuple(map(add, acc, term))
-                    out.append(acc)
-                    dense = True
-                else:
-                    out.append(zero)
-                    cols.append(None)
-            if dense:
-                self._nonzero_cols = None
-                return _lowest(out, self.denominator * other.denominator)
-            self._nonzero_cols = cols
-        b_cols = other._nonzero_cols
-        # with both maps known the product's is their composite: a selected
-        # row of other, times a nonzero entry, keeps its zeros
-        out_cols = [None if k is None else b_cols[k] for k in cols] if b_cols else False
-        return _lowest(out, self.denominator * other.denominator, out_cols)
+                    term = b[k] if a == 1 else tuple(map(mul, b[k], repeat(a)))
+                    acc = term if acc is zero else tuple(map(add, acc, term))
+                out.append(acc)
+        return _lowest(out, self.denominator * other.denominator)
 
     def transpose(self) -> "Matrix":
-        """The transpose, with the inverse of self's map when that is known
-        and has distinct columns, and else unknown: a non-monomial matrix,
-        such as [[1, 1], [0, 0]], can have a monomial transpose."""
-        cols, inverse = self._nonzero_cols, False
-        if cols:
-            inverse = [None] * self.cols
-            for i, c in enumerate(cols):
-                if c is not None:
-                    inverse[c] = i
-            if self.cols - inverse.count(None) != len(cols) - cols.count(None):
-                inverse = False  # a repeated column: the transpose is not monomial
-        return _wrap(tuple(zip(*self.numerators)), self.denominator, inverse)
+        return _wrap(tuple(zip(*self.numerators)), self.denominator)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -445,10 +407,6 @@ class Matrix:
     def is_symmetric(self) -> bool:
         m = self.numerators
         return self.is_square() and tuple(zip(*m)) == m
-
-    def is_antisymmetric(self) -> bool:
-        m = self.numerators
-        return self.is_square() and tuple(zip(*m)) == tuple(tuple(map(neg, r)) for r in m)
 
     def trace(self) -> Fraction:
         if not self.is_square():

@@ -7,6 +7,7 @@ from operator import matmul
 
 import pytest
 from gauss_oracle import GaussRat, simult_eigensplit
+from validate_oracle import is_antisymmetric
 
 from pelkit.linalg import (
     Echelon,
@@ -265,9 +266,9 @@ def test_oracle_elementwise_and_products():
         assert msq.trace() == sum((sq[i][i] for i in range(k)), Fraction(0))
         sym = [[sq[i][j] + sq[j][i] for j in range(k)] for i in range(k)]
         anti = [[sq[i][j] - sq[j][i] for j in range(k)] for i in range(k)]
-        assert Matrix(sym).is_symmetric() and Matrix(anti).is_antisymmetric()
+        assert Matrix(sym).is_symmetric() and is_antisymmetric(Matrix(anti))
         assert msq.is_symmetric() == (sq == _ref_transpose(sq))
-        assert msq.is_antisymmetric() == (sq == [[-x for x in p] for p in _ref_transpose(sq)])
+        assert is_antisymmetric(msq) == (sq == [[-x for x in p] for p in _ref_transpose(sq)])
 
 
 def test_oracle_eliminations():
@@ -473,7 +474,7 @@ def test_oracle_on_catalog_shapes():
             assert (m @ m).tolist() == _ref_mul(a, a), name
         t = _ref_transpose(a)
         assert m.is_symmetric() == (a == t), name
-        assert m.is_antisymmetric() == (a == [[-x for x in q] for q in t]), name
+        assert is_antisymmetric(m) == (a == [[-x for x in q] for q in t]), name
         reduced, pivots = _ref_rref(a)
         assert m.rank() == len(pivots), name
         assert m.column_space_basis().tolist() == [[row[c] for c in pivots] for row in a], name
@@ -809,12 +810,13 @@ def _map_pool(rng, n):
 
 def test_remembered_maps_agree_with_fresh_copies():
     # seeded runs of @, det and signature on one pool, whose products join
-    # it: chains of products inherit composite maps, and each answer must be
-    # the one a fresh copy gives by walking its rows
+    # it: each answer must be the one a fresh copy gives by walking its
+    # rows, and a map sits on exactly the pool matrices det has scanned
     rng = random.Random(1992_4)
     for trial in range(40):
         n = rng.randint(1, 8) if trial % 8 else rng.choice((16, 32))
         pool = _map_pool(rng, n)
+        scanned = set()
         for _ in range(40):
             x, y = rng.choice(pool), rng.choice(pool)
             step = rng.random()
@@ -824,34 +826,37 @@ def test_remembered_maps_agree_with_fresh_copies():
                 pool.append(z)
             elif step < 0.75:
                 assert x.det() == _fresh(x).det()
+                scanned.add(id(x))
             else:
                 form = x.transpose() @ rng.choice(pool[5:7]) @ x  # congruent to a symmetric form
                 assert signature(form) == signature(_fresh(form)) == _bareiss_signature(form.numerators)
         assert all(map(_map_is_sound, pool))
-        assert sum(m._nonzero_cols is not False for m in pool) > len(pool) // 2
+        assert {id(m) for m in pool if m._nonzero_cols is not False} == scanned
 
 
-def test_a_product_of_mapped_factors_inherits_their_composite_map():
+def test_products_and_transposes_carry_no_map_and_leave_their_factors_alone():
+    # a map is found only by scanning a matrix's own rows: each product and
+    # transpose of the pool, its factors' maps found by det or not, comes
+    # back without one, and a product writes no map onto its factors
     rng = random.Random(1992_5)
-    for _ in range(50):
-        n = rng.randint(1, 12)
-        a, b = Matrix(_scaled_permutation(rng, n)), Matrix(_scaled_permutation(rng, n))
-        assert a._nonzero_cols is False and b._nonzero_cols is False
-        a.det()
-        b.det()
-        c = a @ b
-        assert c._nonzero_cols == monomial_columns(c.numerators) is not None
-        # the walk of a fresh left factor finds its map on the way
-        fresh = _fresh(a)
-        assert fresh @ b == c and fresh._nonzero_cols == a._nonzero_cols
-        # a dense left factor is found to be one, and its product maps nothing
-        d = Matrix([[1] * n] * n)
-        if n > 1:
-            assert (d @ c)._nonzero_cols is False and d._nonzero_cols is None
+    for trial in range(20):
+        n = rng.randint(1, 8) if trial % 10 else rng.choice((16, 32))
+        pool = []
+        for m in _map_pool(rng, n):
+            mapped = _fresh(m)
+            mapped.det()
+            pool += [_fresh(m), mapped]
+        assert any(m._nonzero_cols for m in pool) and (n == 1 or any(m._nonzero_cols is None for m in pool))
+        for x in pool:
+            assert x.transpose()._nonzero_cols is False
+            for y in pool:
+                before = x._nonzero_cols, y._nonzero_cols
+                assert (x @ y)._nonzero_cols is False
+                assert (x._nonzero_cols, y._nonzero_cols) == before
 
 
 def _transpose_pool(rng):
-    """Matrices whose transposes meet every case of the carried map: scaled
+    """Matrices whose transposes meet every case of a monomial form: scaled
     permutations (some with zero rows or repeated columns), one with half
     its rows zero, a rectangular monomial one, a dense one, and [[1, 1],
     [0, 0]], which is not monomial although its transpose is."""
@@ -868,31 +873,45 @@ def _transpose_pool(rng):
     ]
 
 
-def test_a_transpose_carries_only_a_sound_map():
-    # a map is found by the walk of a product with the matrix on the left;
-    # each transpose, of a matrix with its map found or not, must equal the
-    # plain transpose and carry a map only if a fresh copy's rows give it
+def test_a_transpose_is_the_plain_transpose_and_finds_its_own_map():
+    # each transpose, of a matrix whose map det has found or not, equals the
+    # plain transpose, starts with no map, and finds the one its own rows give
     rng = random.Random(1992_6)
-    carried = 0
     for _ in range(80):
         for m in _transpose_pool(rng):
             for found in (False, True):
-                if found:
-                    m @ Matrix.identity(m.cols)
+                if found and m.is_square():
+                    m.det()
                 t = m.transpose()
                 assert t == Matrix([list(c) for c in zip(*m.tolist())])
-                cols = t._nonzero_cols
-                assert cols is False or cols == monomial_columns(_fresh(t).numerators)
-                carried += cols is not False
-                if cols is not False:  # the product selects rows, and must equal the walked one
-                    assert t @ m == _fresh(t) @ m
-    assert carried > 200
-    # a dense parent's map is None; its transpose's is unknown, never None
+                assert t._nonzero_cols is False
+                if t.is_square():
+                    assert t.det() == _fresh(m).det()
+                    assert t._nonzero_cols == monomial_columns(t.numerators)
+    # a dense matrix's map is None; its transpose scans its own rows, which are monomial
     d = Matrix([[1, 1], [0, 0]])
-    d @ d
+    d.det()
     assert d._nonzero_cols is None
-    assert d.transpose()._nonzero_cols is False
-    assert monomial_columns(d.transpose().numerators) == [0, 0]
+    t = d.transpose()
+    assert t._nonzero_cols is False and t.det() == 0 and t._nonzero_cols == [0, 0]
+
+
+def test_a_product_finds_its_own_map_when_det_first_needs_it():
+    # a product of scaled permutations is monomial: it starts with no map,
+    # and det finds the one its own rows give and multiplies as it should;
+    # so does a product with a row of ones, whatever its own rows give
+    rng = random.Random(1992_7)
+    for _ in range(50):
+        n = rng.randint(1, 12)
+        a, b = Matrix(_scaled_permutation(rng, n)), Matrix(_scaled_permutation(rng, n))
+        a.det()
+        c = a @ b
+        assert c._nonzero_cols is False
+        assert c.det() == a.det() * b.det()
+        assert c._nonzero_cols == monomial_columns(c.numerators) is not None
+        d = Matrix([[1] * n] * n) @ c
+        assert d.det() == (c.det() if n == 1 else 0)
+        assert d._nonzero_cols == monomial_columns(d.numerators)
 
 
 # -- monomial forms against the dense products they stand for -------------------
