@@ -119,8 +119,9 @@ def _catalog_generators(factors: tuple) -> tuple:
 
     They depend on the factors alone, so every presentation of one catalog
     (``from_catalog``, each JSON load, each base change) shares the same
-    matrices, and with them the ``_monomial`` maps that scans of their own
-    rows have found (``pelkit.linalg``)."""
+    matrices, and with them the monomial forms that scans of their own
+    rows have found and kept, the transposed form too from its first
+    ``Transposed`` read (``pelkit.linalg``)."""
     dim_v = sum(f.isotypic_dim for f in factors)
     zero = (0,) * dim_v  # the one row every embedding shares
     all_gens = []

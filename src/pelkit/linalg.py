@@ -13,12 +13,13 @@ Catalog data are monomial (at most one nonzero per row), so the kernels
 pay for nonzeros.  ``_monomial`` finds each row's one nonzero, or gives
 up at the first row with two.  On a monomial matrix ``det`` is a signed
 permutation product and ``signature`` counts 1 x 1 blocks and hyperbolic
-planes, with no elimination.  A matrix finds that map only by scanning its
-own rows, when ``det`` or a monomial form first needs it, and keeps it;
-products and transposes carry none.  The map and each row's one
-numerator, over the denominator, are the matrix's *monomial form*
-(``_product_form``), on which product, transpose and equality cost O(n):
-``products_equal`` decides an equation between products of matrices, and
+planes, with no elimination.  Each row's nonzero column (the map) and its
+numerator, over the denominator, are the matrix's *monomial form*.  A
+matrix finds it only by scanning its own rows, when ``det`` or a form read
+first needs it, and keeps it (``_form_of``), with its transpose's from the
+first ``Transposed`` read on; products and transposes carry none.  Kept
+forms compose in O(n) (``_product_form``), so that ``products_equal``
+decides an equation between products of matrices, and
 ``signature`` and ``trace`` read a product, on forms when every factor
 has one and else through ``@`` and ``==``.  A product row with one
 nonzero is the row of the other factor it selects, times that entry, a
@@ -35,7 +36,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress, count, repeat
 from math import gcd, lcm, prod
-from operator import add, getitem, matmul, mul, neg
+from operator import add, matmul, mul, neg
 
 from . import _Value
 from .errors import InputError
@@ -75,7 +76,7 @@ def _wrap(num: tuple, den: int) -> "Matrix":
     m.cols = len(num[0])
     m.numerators = num
     m.denominator = den
-    m._nonzero_cols = False
+    m._form = False
     return m
 
 
@@ -108,12 +109,26 @@ def _monomial(rows):
     return cols
 
 
-def _cols_of(m: "Matrix"):
-    """``_monomial`` of m's rows, found on first use and kept on m."""
-    cols = m._nonzero_cols
-    if cols is False:
-        cols = m._nonzero_cols = _monomial(m.numerators)
-    return cols
+def _form_of(m: "Matrix", transposed: bool = False):
+    """m's monomial form (cols, vals) as the slot's first two entries, row i
+    being vals[i] over m's denominator at column cols[i] (None and 0 for a
+    zero row), or with transposed the transpose's form; None for a
+    non-monomial m, or a transpose with a repeated column.  Each is found
+    on first use and kept: the first transposed read appends it to the slot."""
+    form = m._form
+    if form is False:
+        rows = m.numerators
+        cols = _monomial(rows)
+        form = m._form = None if cols is None else (cols, [0 if c is None else r[c] for r, c in zip(rows, cols)])
+    if not transposed or form is None:
+        return form
+    if len(form) == 2:  # the transpose's row c is the one row i of m with cols[i] == c
+        cols, vals = form
+        row_of = {c: i for i, c in enumerate(cols) if c is not None}
+        tcols = [row_of.get(c) for c in range(m.cols)]
+        repeated = len(row_of) < len(cols) - cols.count(None)
+        form = m._form = cols, vals, None if repeated else (tcols, [0 if i is None else vals[i] for i in tcols])
+    return form[2]
 
 
 def _permutation_sign(cols) -> int:
@@ -226,18 +241,19 @@ class Matrix:
 
     ``numerators`` is a tuple of integer row tuples and ``denominator`` a
     positive integer sharing no factor with all of them; entry (i, j) is
-    ``numerators[i][j] / denominator``.  ``_nonzero_cols`` is what
-    ``_monomial`` returns on the numerators, and False until ``_cols_of``,
-    the only code that fills it in, first needs it; ``==`` and hashing
-    ignore it.
+    ``numerators[i][j] / denominator``.  ``_form`` is the matrix's
+    monomial form, None for a matrix that has none, and False until
+    ``_form_of``, the only code that writes it, first needs it; after the
+    first ``Transposed`` read it also holds the transpose's form.  ``==``
+    and hashing ignore it.
 
     Immutability is a convention, not enforced: no caller assigns to a
-    Matrix, and ``_cols_of`` only fills in ``_nonzero_cols``.  The catalog
+    Matrix, and ``_form_of`` only fills in ``_form``.  The catalog
     generators, which every presentation of one catalog shares
-    (``pelkit.algebras``), and the maps found on them rely on it.
+    (``pelkit.algebras``), and the forms kept on them rely on it.
     """
 
-    __slots__ = ("rows", "cols", "numerators", "denominator", "_nonzero_cols")
+    __slots__ = ("rows", "cols", "numerators", "denominator", "_form")
 
     def __init__(self, data):
         rows = tuple(map(tuple, data))
@@ -258,7 +274,7 @@ class Matrix:
         self.cols = width
         self.numerators = rows
         self.denominator = den
-        self._nonzero_cols = False
+        self._form = False
 
     # -- construction helpers ------------------------------------------------
 
@@ -418,14 +434,15 @@ class Matrix:
     def det(self) -> Fraction:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        n, rows = self.rows, self.numerators
-        cols = _cols_of(self)
-        if cols is not None:  # nonzero only when the nonzeros sit on a permutation
+        n = self.rows
+        form = _form_of(self)
+        if form is not None:  # nonzero only when the nonzeros sit on a permutation
+            cols = form[0]
             if None in cols or len(set(cols)) < n:
                 return Fraction(0)
-            return Fraction(_permutation_sign(cols) * prod(map(getitem, rows, cols)), self.denominator**n)
+            return Fraction(_permutation_sign(cols) * prod(form[1]), self.denominator**n)
         ech = Echelon(n)
-        if any(ech.insert(r) is not None for r in rows):
+        if any(ech.insert(r) is not None for r in self.numerators):
             return Fraction(0)
         return Fraction(ech.sign * ech.p, self.denominator**n)
 
@@ -485,21 +502,17 @@ class Transposed:
 def _product_form(factors):
     """The monomial form of the product of factors, each a square Matrix or
     Transposed of one size: (cols, vals, den), where row i is vals[i] / den
-    at column cols[i], None and 0 for a zero row.  It reads each matrix's
-    map (``_cols_of``) and costs O(n) per factor.  None when a factor is not
+    at column cols[i], None and 0 for a zero row.  It composes the kept
+    forms (``_form_of``) in O(n) per factor and builds none, so callers only
+    read the lists, which may be a matrix's own.  None when a factor is not
     monomial, its transpose has a repeated column, or the sizes differ."""
     out = None
     for factor in factors:
-        m = factor.matrix if type(factor) is Transposed else factor
-        if m.rows != m.cols or out and len(out[0]) != m.rows or (cols := _cols_of(m)) is None:
+        t = type(factor) is Transposed
+        m = factor.matrix if t else factor
+        if m.rows != m.cols or out and len(out[0]) != m.rows or (form := _form_of(m, t)) is None:
             return None
-        vals = [0 if c is None else r[c] for r, c in zip(m.numerators, cols)]
-        if m is not factor:  # the transpose: its row c is the one row i of m with cols[i] == c
-            row_of = {c: i for i, c in enumerate(cols) if c is not None}
-            if len(row_of) < len(cols) - cols.count(None):  # a repeated column
-                return None
-            cols = [row_of.get(c) for c in range(m.rows)]
-            vals = [0 if i is None else vals[i] for i in cols]
+        cols, vals = form[0], form[1]
         if out is not None:  # row i of the product is row k = ocols[i] of this factor, times ovals[i]
             ocols, ovals, oden = out
             cols = [None if k is None else cols[k] for k in ocols]

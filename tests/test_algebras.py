@@ -524,4 +524,4 @@ def test_shared_catalog_generators_equal_a_fresh_build(case):
         star @ act
     assert alg.generators == fresh
     for m in (m for pair in alg.generators for m in pair):
-        assert m._nonzero_cols is False or m._nonzero_cols == _monomial(m.numerators)
+        assert m._form is False or (m._form and m._form[0]) == _monomial(m.numerators)

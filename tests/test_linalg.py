@@ -776,7 +776,7 @@ def test_monomial_products_against_fraction_oracle():
         assert _is_canonical(ma @ md) and _is_canonical(ma @ mb)
 
 
-# -- the remembered monomial map against fresh copies that walk their rows -------
+# -- the kept monomial forms against fresh copies that walk their rows ----------
 
 
 def _fresh(m):
@@ -784,13 +784,25 @@ def _fresh(m):
     return Matrix(m.tolist())
 
 
-def _map_is_sound(m):
-    cols = m._nonzero_cols
-    return cols is False or cols == monomial_columns(m.numerators)
+def _fresh_form(m):
+    """The monomial form (cols, vals) of m, from ``_monomial`` on the rows of
+    a fresh copy, or None."""
+    rows = _fresh(m).numerators
+    cols = monomial_columns(rows)
+    return None if cols is None else (cols, [0 if c is None else r[c] for r, c in zip(rows, cols)])
+
+
+def _form_is_sound(m):
+    """Whether m keeps no form, or the one a fresh copy gives and, after a
+    transposed read, the one a fresh copy of its transpose gives."""
+    form = m._form
+    if not form:
+        return form is False or _fresh_form(m) is None
+    return form[:2] == _fresh_form(m) and (len(form) == 2 or form[2] == _fresh_form(m.transpose()))
 
 
 def _map_pool(rng, n):
-    """Matrices of every shape the remembered map meets: scaled permutations
+    """Matrices of every shape a kept form meets: scaled permutations
     (non-unit entries, denominators, some zero rows or repeated columns), a
     partial one with half its rows zero, symmetric monomial forms, scalars
     whose products _lowest reduces (1/2 times 2, 6 times 1/3), the zero
@@ -808,36 +820,50 @@ def _map_pool(rng, n):
     )
 
 
-def test_remembered_maps_agree_with_fresh_copies():
-    # seeded runs of @, det and signature on one pool, whose products join
-    # it: each answer must be the one a fresh copy gives by walking its
-    # rows, and a map sits on exactly the pool matrices det has scanned
+def test_kept_forms_agree_with_fresh_copies():
+    # seeded runs of @, det, products_equal and signature on one pool,
+    # whose products join it: each answer must be the one fresh copies give
+    # by walking their rows; @ and transpose must come back with no form
+    # and leave their factors' slots as they were; and every kept form,
+    # plain or transposed, must be a fresh copy's, on a matrix that is ==
+    # to that copy and hashes like it.  A form sits on each matrix det has
+    # read, and only on those det or products_equal have met
     rng = random.Random(1992_4)
     for trial in range(40):
         n = rng.randint(1, 8) if trial % 8 else rng.choice((16, 32))
         pool = _map_pool(rng, n)
-        scanned = set()
+        scanned, met = set(), set()
         for _ in range(40):
             x, y = rng.choice(pool), rng.choice(pool)
             step = rng.random()
-            if step < 0.5:
-                z = x @ y
+            if step < 0.4:
+                before = x._form, y._form
+                z, t = x @ y, x.transpose()
                 assert z == _fresh(x) @ _fresh(y) and _is_canonical(z)
+                assert z._form is False and t._form is False and (x._form, y._form) == before
                 pool.append(z)
-            elif step < 0.75:
+            elif step < 0.6:
                 assert x.det() == _fresh(x).det()
                 scanned.add(id(x))
+            elif step < 0.8:
+                # the shape of validate's axioms: x^T y = s y x
+                s = rng.choice((1, -1, 2))
+                fx, fy = _fresh(x), _fresh(y)
+                assert products_equal((Transposed(x), y), (y, x), s) is (fx.transpose() @ fy == (fy @ fx).scale(s))
+                met |= {id(x), id(y)}
             else:
                 form = x.transpose() @ rng.choice(pool[5:7]) @ x  # congruent to a symmetric form
                 assert signature(form) == signature(_fresh(form)) == _bareiss_signature(form.numerators)
-        assert all(map(_map_is_sound, pool))
-        assert {id(m) for m in pool if m._nonzero_cols is not False} == scanned
+        assert all(map(_form_is_sound, pool))
+        kept = [m for m in pool if m._form is not False]
+        assert all(m == _fresh(m) and hash(m) == hash(_fresh(m)) for m in kept)
+        assert scanned <= {id(m) for m in kept} <= scanned | met
 
 
 def test_products_and_transposes_carry_no_map_and_leave_their_factors_alone():
-    # a map is found only by scanning a matrix's own rows: each product and
-    # transpose of the pool, its factors' maps found by det or not, comes
-    # back without one, and a product writes no map onto its factors
+    # a form is found only by scanning a matrix's own rows: each product and
+    # transpose of the pool, its factors' forms found by det or not, comes
+    # back without one, and a product writes no form onto its factors
     rng = random.Random(1992_5)
     for trial in range(20):
         n = rng.randint(1, 8) if trial % 10 else rng.choice((16, 32))
@@ -846,13 +872,13 @@ def test_products_and_transposes_carry_no_map_and_leave_their_factors_alone():
             mapped = _fresh(m)
             mapped.det()
             pool += [_fresh(m), mapped]
-        assert any(m._nonzero_cols for m in pool) and (n == 1 or any(m._nonzero_cols is None for m in pool))
+        assert any(m._form for m in pool) and (n == 1 or any(m._form is None for m in pool))
         for x in pool:
-            assert x.transpose()._nonzero_cols is False
+            assert x.transpose()._form is False
             for y in pool:
-                before = x._nonzero_cols, y._nonzero_cols
-                assert (x @ y)._nonzero_cols is False
-                assert (x._nonzero_cols, y._nonzero_cols) == before
+                before = x._form, y._form
+                assert (x @ y)._form is False
+                assert (x._form, y._form) == before
 
 
 def _transpose_pool(rng):
@@ -874,30 +900,32 @@ def _transpose_pool(rng):
 
 
 def test_a_transpose_is_the_plain_transpose_and_finds_its_own_map():
-    # each transpose, of a matrix whose map det has found or not, equals the
-    # plain transpose, starts with no map, and finds the one its own rows give
+    # each transpose, of a matrix whose form and transposed form det and
+    # trace have found or not, equals the plain transpose, starts with no
+    # form, and finds the one its own rows give
     rng = random.Random(1992_6)
     for _ in range(80):
         for m in _transpose_pool(rng):
             for found in (False, True):
                 if found and m.is_square():
                     m.det()
+                    trace(Transposed(m))
                 t = m.transpose()
                 assert t == Matrix([list(c) for c in zip(*m.tolist())])
-                assert t._nonzero_cols is False
+                assert t._form is False
                 if t.is_square():
                     assert t.det() == _fresh(m).det()
-                    assert t._nonzero_cols == monomial_columns(t.numerators)
-    # a dense matrix's map is None; its transpose scans its own rows, which are monomial
+                    assert t._form == _fresh_form(t)
+    # a dense matrix's form is None; its transpose scans its own rows, which are monomial
     d = Matrix([[1, 1], [0, 0]])
     d.det()
-    assert d._nonzero_cols is None
+    assert d._form is None
     t = d.transpose()
-    assert t._nonzero_cols is False and t.det() == 0 and t._nonzero_cols == [0, 0]
+    assert t._form is False and t.det() == 0 and t._form == ([0, 0], [1, 1])
 
 
 def test_a_product_finds_its_own_map_when_det_first_needs_it():
-    # a product of scaled permutations is monomial: it starts with no map,
+    # a product of scaled permutations is monomial: it starts with no form,
     # and det finds the one its own rows give and multiplies as it should;
     # so does a product with a row of ones, whatever its own rows give
     rng = random.Random(1992_7)
@@ -906,12 +934,12 @@ def test_a_product_finds_its_own_map_when_det_first_needs_it():
         a, b = Matrix(_scaled_permutation(rng, n)), Matrix(_scaled_permutation(rng, n))
         a.det()
         c = a @ b
-        assert c._nonzero_cols is False
+        assert c._form is False
         assert c.det() == a.det() * b.det()
-        assert c._nonzero_cols == monomial_columns(c.numerators) is not None
+        assert c._form == _fresh_form(c) is not None
         d = Matrix([[1] * n] * n) @ c
         assert d.det() == (c.det() if n == 1 else 0)
-        assert d._nonzero_cols == monomial_columns(d.numerators)
+        assert d._form == _fresh_form(d)
 
 
 # -- monomial forms against the dense products they stand for -------------------

@@ -546,6 +546,32 @@ def test_validate_finds_each_monomial_map_at_most_once(monkeypatch):
     assert sorted(map(id, scanned)) == sorted(id(m.numerators) for d in loads for m in (d.pairing, d.j))
 
 
+def test_validate_builds_each_monomial_form_once(monkeypatch):
+    # canonical Sp_64 from JSON, each load validated twice, once the shared
+    # generators keep their forms: each load builds the forms of its pairing
+    # and j, and the pairing's transposed form for the antisymmetry check,
+    # once each; every later read, and every read of a generator, reads a
+    # kept form
+    built = []
+
+    def counted(m, transposed=False, form_of=pelkit.linalg._form_of):
+        before = m._form
+        form = form_of(m, transposed)
+        after = m._form
+        if before is False:
+            built.append((id(m), False))
+        if after and len(after) == 3 and (before is False or len(before) == 2):
+            built.append((id(m), True))
+        return form
+
+    loads = _loads([("sp", 1, 32)], 3)  # kept alive, so ids stay distinct
+    monkeypatch.setattr(pelkit.linalg, "_form_of", counted)
+    for datum in loads + loads:
+        assert validate(datum).valid
+    expected = [(id(m), False) for d in loads for m in (d.pairing, d.j)] + [(id(d.pairing), True) for d in loads]
+    assert len(built) == 9 and sorted(built) == sorted(expected)
+
+
 @pytest.mark.parametrize("blocks", [[("sp", 1, 32)], [("sp", 2, 8)]], ids=["sp64", "m2q16"])
 def test_a_warm_validate_forms_no_dense_product(monkeypatch, blocks):
     # canonical Sp_64 and M_2(Q)^16 from JSON, once the shared generators
