@@ -61,15 +61,57 @@ class _Deferred:
 
 
 class _Value:
-    """Base of the immutable value types: each sets its ``__slots__`` in
-    ``__init__`` through ``object.__setattr__``, and ``==``, ``hash`` and
-    ``repr`` read the fields named in ``_compared``, by default every slot."""
+    """Base of the immutable value types.  A type states its fields once,
+    as its ``__slots__``, and everything else follows from them.
+
+    The constructor takes the fields in slot order, by position or by
+    name, and refuses a missing field, an extra one, an unknown name and a
+    field given twice with ``TypeError``, as a ``def`` would.  The trailing
+    fields named in the class's ``_defaults`` may be left out.  It stores
+    the fields through their slot descriptors, the one place where a value
+    is written, and then calls ``__post_init__``, where a type checks them.
+    A type that normalises or derives a field keeps a short ``__init__``
+    that delegates here; ``_Value.__init__(object.__new__(cls), ...)``
+    builds a value from fields already normal.
+
+    ``==``, ``hash`` and ``repr`` read the fields named in ``_compared``,
+    by default every slot."""
 
     __slots__ = ()
+    _defaults = {}
 
     def __init_subclass__(cls):
         cls._compared = cls.__dict__.get("_compared", cls.__slots__)
         cls._key = attrgetter(*cls._compared)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for set_field, value in zip(setters, args):
+            set_field(self, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """The fields in slot order from a call that names some of them."""
+        slots, name = cls.__slots__, cls.__name__
+        if len(args) > len(slots):
+            raise TypeError(f"{name}() takes {len(slots)} arguments but {len(args)} were given")
+        for key in kwargs:
+            if key in slots[: len(args)]:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            if key not in slots:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+        fields = {**cls._defaults, **kwargs}
+        missing = [key for key in slots[len(args) :] if key not in fields]
+        if missing:
+            raise TypeError(f"{name}() missing arguments: {', '.join(map(repr, missing))}")
+        return args + tuple(fields[key] for key in slots[len(args) :])
+
+    def __post_init__(self):
+        pass
 
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")

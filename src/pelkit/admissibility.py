@@ -17,14 +17,7 @@ from __future__ import annotations
 from math import ceil
 
 from . import _as_dict, _Value
-from .characters import (
-    NotACharacterError,
-    RootDatum,
-    TorusMap,
-    WeightChar,
-    decompose,
-    restrict,
-)
+from .characters import NotACharacterError, decompose, restrict
 from .errors import InputError
 
 
@@ -33,34 +26,22 @@ class NotGenuineError(InputError):
 
 
 class RepSide(_Value):
-    __slots__ = ("root_datum", "standard_char")
-
-    def __init__(self, root_datum: RootDatum, standard_char: WeightChar):
-        object.__setattr__(self, "root_datum", root_datum)
-        object.__setattr__(self, "standard_char", standard_char)
+    __slots__ = ("root_datum", "standard_char")  # RootDatum, WeightChar
 
 
 class MorphismSpec(_Value):
-    __slots__ = ("source", "target", "torus_map")
+    __slots__ = ("source", "target", "torus_map")  # RepSide, RepSide, TorusMap
 
-    def __init__(self, source: RepSide, target: RepSide, torus_map: TorusMap):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "torus_map", torus_map)
-        if torus_map.source_rank != source.root_datum.total_rank:
+    def __post_init__(self):
+        if self.torus_map.source_rank != self.source.root_datum.total_rank:
             raise ValueError("torus map rows do not match the source rank")
-        if torus_map.target_rank != target.root_datum.total_rank:
+        if self.torus_map.target_rank != self.target.root_datum.total_rank:
             raise ValueError("torus map columns do not match the target rank")
 
 
 class AdmissibilityVerdict(_Value):
-    __slots__ = ("admissible", "witness_n", "missing_constituents")
+    __slots__ = ("admissible", "witness_n", "missing_constituents")  # bool, int | None, tuple
     to_dict = _as_dict
-
-    def __init__(self, admissible: bool, witness_n: int | None, missing_constituents: tuple):
-        object.__setattr__(self, "admissible", admissible)
-        object.__setattr__(self, "witness_n", witness_n)
-        object.__setattr__(self, "missing_constituents", missing_constituents)
 
 
 def _genuine_constituents(rd, char, side):

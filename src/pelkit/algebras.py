@@ -48,17 +48,18 @@ def _is_squarefree(n: int) -> bool:
 
 
 class CatalogFactor(_Value):
-    """One simple factor M_n(D) together with its multiplicity in V."""
+    """One simple factor M_n(D) together with its multiplicity in V.
+
+    kind is a catalog kind (str), and n and multiplicity are ints.  The
+    int d is nonzero for an imaginary quadratic D only: squarefree,
+    -MAX_ABS_D <= d < 0.  The ints a and b are nonzero for a definite
+    quaternion D only: both < 0.
+    """
 
     __slots__ = ("kind", "n", "multiplicity", "d", "a", "b")
+    _defaults = {"d": 0, "a": 0, "b": 0}
 
-    def __init__(self, kind: str, n: int, multiplicity: int, d: int = 0, a: int = 0, b: int = 0):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "d", d)  # imaginary quadratic only: squarefree -MAX_ABS_D <= d < 0
-        object.__setattr__(self, "a", a)  # definite quaternion only: both < 0
-        object.__setattr__(self, "b", b)
+    def __post_init__(self):
         if self.kind not in (MAT_Q, MAT_IMAG_QUAD, MAT_DEF_QUAT):
             raise ValueError(f"unknown catalog kind {self.kind!r}")
         for name in ("n", "multiplicity", "d", "a", "b"):
@@ -174,12 +175,8 @@ class AlgebraPresentation(_Value):
     _compared = ("dim_v", "generators", "factors", "basis")
 
     def __init__(self, dim_v: int, generators, factors: tuple = (), basis: Matrix | None = None):
-        object.__setattr__(self, "dim_v", dim_v)
-        object.__setattr__(self, "generators", generators)  # tuple[(Matrix, Matrix), ...]
-        object.__setattr__(self, "factors", factors)  # tuple[CatalogFactor, ...]; empty means raw mode
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "basis_inv", None)
-        self.__post_init__()
+        # generators: tuple[(Matrix, Matrix), ...]; factors: tuple[CatalogFactor, ...], empty in raw mode
+        _Value.__init__(self, dim_v, generators, factors, basis, None)
 
     def __post_init__(self):
         dim_v, generators, factors, basis = self.dim_v, self.generators, self.factors, self.basis
@@ -235,9 +232,7 @@ class AlgebraPresentation(_Value):
             return AlgebraPresentation(self.dim_v, tuple((q @ a @ p, q @ s @ p) for a, s in self.generators))
         moved = object.__new__(AlgebraPresentation)
         basis, basis_inv = (p, q) if self.basis is None else (self.basis @ p, q @ self.basis_inv)
-        for name, value in zip(self.__slots__, (self.dim_v, None, self.factors, basis, basis_inv)):
-            object.__setattr__(moved, name, value)
-        moved.__post_init__()
+        _Value.__init__(moved, self.dim_v, None, self.factors, basis, basis_inv)
         return moved
 
 
@@ -253,14 +248,13 @@ def _with_star(x: Matrix, s: Matrix) -> list:
 
 
 class _Closure(_Value):
-    __slots__ = ("basis", "star_of", "echelon", "linearity_witness", "reversal_witness")
-
-    def __init__(self, basis, star_of, echelon, linearity_witness, reversal_witness):
-        object.__setattr__(self, "basis", basis)  # list[Matrix]
-        object.__setattr__(self, "star_of", star_of)  # the declared or derived star of each basis element
-        object.__setattr__(self, "echelon", echelon)  # one kept row [b | b*] per basis element b
-        object.__setattr__(self, "linearity_witness", linearity_witness)  # see _closure for both witnesses
-        object.__setattr__(self, "reversal_witness", reversal_witness)
+    __slots__ = (
+        "basis",  # list[Matrix]
+        "star_of",  # the declared or derived star of each basis element
+        "echelon",  # one kept row [b | b*] per basis element b
+        "linearity_witness",  # see _closure for both witnesses
+        "reversal_witness",
+    )
 
 
 @lru_cache(maxsize=8)
@@ -306,12 +300,8 @@ def _closure(alg: AlgebraPresentation) -> _Closure:
 
 
 class InvolutionReport(_Value):
-    __slots__ = ("ok", "reason", "witness")
-
-    def __init__(self, ok: bool, reason: str = "", witness: tuple = ()):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "witness", witness)  # offending pair of matrices, when applicable
+    __slots__ = ("ok", "reason", "witness")  # bool, str, the offending pair of matrices when applicable
+    _defaults = {"reason": "", "witness": ()}
 
     def __bool__(self):
         return self.ok

@@ -86,14 +86,12 @@ Weight = tuple  # tuple[int, ...]
 
 
 class Factor(_Value):
-    __slots__ = ("series", "n")
+    __slots__ = ("series", "n")  # "C" | "A" | "D", int
 
-    def __init__(self, series: str, n: int):
-        object.__setattr__(self, "series", series)  # "C" | "A" | "D"
-        object.__setattr__(self, "n", n)
-        if series not in ("C", "A", "D"):
-            raise UnsupportedTypeError(f"unknown series {series!r}")
-        if n < 1:
+    def __post_init__(self):
+        if self.series not in ("C", "A", "D"):
+            raise UnsupportedTypeError(f"unknown series {self.series!r}")
+        if self.n < 1:
             raise ValueError("block length must be >= 1")
 
 
@@ -101,9 +99,10 @@ class RootDatum(_Value):
     __slots__ = ("factors", "central_rank")
 
     def __init__(self, factors, central_rank: int = 1):
-        object.__setattr__(self, "factors", tuple(factors))  # tuple[Factor, ...]
-        object.__setattr__(self, "central_rank", central_rank)
-        if central_rank < 0:
+        _Value.__init__(self, tuple(factors), central_rank)  # tuple[Factor, ...], int
+
+    def __post_init__(self):
+        if self.central_rank < 0:
             raise ValueError("central_rank must be >= 0")
 
     @property
@@ -146,15 +145,13 @@ class WeightChar(_Value):
                 m[_int_tuple(w, NotACharacterError)] = c
         if len(set(map(len, m))) > 1:
             raise RankMismatchError("the weights of a character differ in length")
-        object.__setattr__(self, "_m", m)
-        object.__setattr__(self, "_hash", None)
+        _Value.__init__(self, m, None)
 
     @classmethod
     def _of(cls, m):
         """Wrap ``m`` as is: a dict of int tuples to nonzero ints."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "_m", m)
-        object.__setattr__(obj, "_hash", None)
+        _Value.__init__(obj, m, None)
         return obj
 
     def items(self):
@@ -559,10 +556,12 @@ class TorusMap(_Value):
     __slots__ = ("weight_pullback",)
 
     def __init__(self, weight_pullback):
-        rows = tuple(_int_tuple(r, ValueError) for r in weight_pullback)
+        _Value.__init__(self, tuple(_int_tuple(r, ValueError) for r in weight_pullback))
+
+    def __post_init__(self):
+        rows = self.weight_pullback
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged pullback matrix")
-        object.__setattr__(self, "weight_pullback", rows)
 
     @staticmethod
     def identity(rank: int) -> "TorusMap":

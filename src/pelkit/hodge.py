@@ -51,9 +51,9 @@ class HodgeCochar(_Value):
     to_dict = _as_dict
 
     def __init__(self, mu2, mu_bar2, kappa2):
-        object.__setattr__(self, "mu2", _int_tuple(mu2, ValueError))
-        object.__setattr__(self, "mu_bar2", _int_tuple(mu_bar2, ValueError))
-        object.__setattr__(self, "kappa2", _int_tuple(kappa2, ValueError))
+        _Value.__init__(self, *(_int_tuple(w, ValueError) for w in (mu2, mu_bar2, kappa2)))
+
+    def __post_init__(self):
         if len(self.mu2) != len(self.mu_bar2) or len(self.mu2) != len(self.kappa2):
             raise ValueError("covector lengths differ")
         if tuple(a + b for a, b in zip(self.mu2, self.mu_bar2)) != self.kappa2:
@@ -70,10 +70,7 @@ class HodgeCochar(_Value):
 
 
 class HodgeType(_Value):
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: frozenset):
-        object.__setattr__(self, "pairs", pairs)
+    __slots__ = ("pairs",)  # frozenset of (p, q) bidegrees
 
     def sorted_pairs(self):
         return sorted(self.pairs)

@@ -43,10 +43,7 @@ class LatticeObject(_Value):
     _compared = ("dim", "basis")
 
     def __init__(self, dim: int, basis: Matrix | None):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "basis", basis)  # None only for the zero-dimensional object
-        object.__setattr__(self, "basis_inv", None)
-        self.__post_init__()
+        _Value.__init__(self, dim, basis, None)  # basis is None only for the zero-dimensional object
 
     def __post_init__(self):
         if self.dim < 0:
@@ -80,10 +77,7 @@ def _with_inverse(basis: Matrix, basis_inv: Matrix) -> LatticeObject:
     """The lattice of ``basis``, whose inverse ``basis_inv`` the caller
     already knows.  It still runs ``__post_init__`` and its shape checks."""
     lat = object.__new__(LatticeObject)
-    object.__setattr__(lat, "dim", basis.rows)
-    object.__setattr__(lat, "basis", basis)
-    object.__setattr__(lat, "basis_inv", basis_inv)
-    lat.__post_init__()
+    _Value.__init__(lat, basis.rows, basis, basis_inv)
     return lat
 
 
@@ -109,14 +103,8 @@ def minimal_n(f: Matrix, src: LatticeObject, dst: LatticeObject) -> int:
 
 
 class IsoMorphism(_Value):
-    __slots__ = ("src", "dst", "raw", "n_used")
+    __slots__ = ("src", "dst", "raw", "n_used")  # LatticeObject, LatticeObject, Matrix, int
     _compared = ("src", "dst", "raw")  # n_used is minimal_n(raw, src, dst)
-
-    def __init__(self, src: LatticeObject, dst: LatticeObject, raw: Matrix, n_used: int):
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "n_used", n_used)
 
     @property
     def scale(self) -> Fraction:
@@ -134,7 +122,7 @@ def arrow(raw: Matrix, src: LatticeObject, dst: LatticeObject, n: int | None = N
     if n is not None:
         if n < 1 or n % n0:
             raise ValueError(f"n = {n} does not satisfy raw(n L) <= L' (minimal n is {n0})")
-    return IsoMorphism(src=src, dst=dst, raw=raw, n_used=n0)
+    return IsoMorphism(src, dst, raw, n0)
 
 
 def identity_arrow(obj: LatticeObject) -> IsoMorphism:

@@ -551,12 +551,7 @@ def trace(*factors) -> Fraction:
 class Signature(_Value):
     """Sylvester signature (positive, negative, zero) of a symmetric form."""
 
-    __slots__ = ("positive", "negative", "zero")
-
-    def __init__(self, positive: int, negative: int, zero: int):
-        object.__setattr__(self, "positive", positive)
-        object.__setattr__(self, "negative", negative)
-        object.__setattr__(self, "zero", zero)
+    __slots__ = ("positive", "negative", "zero")  # ints
 
     @property
     def dimension(self) -> int:

@@ -43,12 +43,7 @@ class StructuredModeRequiredError(InputError):
 
 
 class PelDatum(_Value):
-    __slots__ = ("algebra", "pairing", "j")
-
-    def __init__(self, algebra: AlgebraPresentation, pairing: Matrix, j: Matrix):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "pairing", pairing)
-        object.__setattr__(self, "j", j)
+    __slots__ = ("algebra", "pairing", "j")  # AlgebraPresentation, Matrix, Matrix
 
     @property
     def dim_v(self) -> int:
@@ -58,11 +53,7 @@ class PelDatum(_Value):
         """Base change on V by p (new basis vectors are the columns of p).
         It inverts p once, for j and the algebra both."""
         q = p.inv()
-        return PelDatum(
-            algebra=self.algebra._conjugate(p, q),
-            pairing=p.transpose() @ self.pairing @ p,
-            j=q @ self.j @ p,
-        )
+        return PelDatum(self.algebra._conjugate(p, q), p.transpose() @ self.pairing @ p, q @ self.j @ p)
 
 
 # -- validation -----------------------------------------------------------------
@@ -82,14 +73,8 @@ CHECK_ORDER = (
 
 
 class ValidationReport(_Value):
-    __slots__ = ("valid", "failure_code", "message", "passed")
+    __slots__ = ("valid", "failure_code", "message", "passed")  # bool, str | None, str, tuple of check names
     to_dict = _as_dict
-
-    def __init__(self, valid: bool, failure_code: str | None, message: str, passed: tuple):
-        object.__setattr__(self, "valid", valid)
-        object.__setattr__(self, "failure_code", failure_code)
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "passed", passed)
 
 
 def _catalog_frame(alg: AlgebraPresentation, m: Matrix | None, j: Matrix) -> tuple:
@@ -181,23 +166,18 @@ class FactorGroup(_Value):
     algebra factor and fixes the multiplicity of the standard character.
     """
 
-    __slots__ = ("kind", "params", "catalog_n")
-
-    def __init__(self, kind: str, params: tuple, catalog_n: int):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "catalog_n", catalog_n)
+    __slots__ = ("kind", "params", "catalog_n")  # str, tuple, int
 
 
 class GroupFactorization(_Value):
-    __slots__ = ("symplectic", "unitary", "orthogonal", "similitude")
+    __slots__ = (
+        "symplectic",  # tuple[int, ...]
+        "unitary",  # tuple[(a, b), ...]
+        "orthogonal",  # tuple[int, ...]
+        "similitude",  # bool
+    )
+    _defaults = {"similitude": True}
     to_dict = _as_dict
-
-    def __init__(self, symplectic: tuple, unitary: tuple, orthogonal: tuple, similitude: bool = True):
-        object.__setattr__(self, "symplectic", symplectic)  # tuple[int, ...]
-        object.__setattr__(self, "unitary", unitary)  # tuple[(a, b), ...]
-        object.__setattr__(self, "orthogonal", orthogonal)  # tuple[int, ...]
-        object.__setattr__(self, "similitude", similitude)
 
 
 def _unitary_signature(c: Matrix, j: Matrix, d: int, n: int) -> tuple:
@@ -273,9 +253,10 @@ def factorize_details(datum: PelDatum):
 
 def _factorization(details) -> GroupFactorization:
     return GroupFactorization(
-        symplectic=tuple(d.params[0] for d in details if d.kind == "symplectic"),
-        unitary=tuple(d.params for d in details if d.kind == "unitary"),
-        orthogonal=tuple(d.params[0] for d in details if d.kind == "orthogonal"),
+        tuple(d.params[0] for d in details if d.kind == "symplectic"),
+        tuple(d.params for d in details if d.kind == "unitary"),
+        tuple(d.params[0] for d in details if d.kind == "orthogonal"),
+        True,  # similitude, given so that the constructor binds no default
     )
 
 
@@ -286,13 +267,6 @@ def factorize(datum: PelDatum) -> GroupFactorization:
 class ShimuraReport(_Value):
     __slots__ = ("is_shimura_datum_for_g0", "g_connected", "center_condition", "offending_factors", "center_reasons")
     to_dict = _as_dict
-
-    def __init__(self, is_shimura_datum_for_g0, g_connected, center_condition, offending_factors, center_reasons):
-        object.__setattr__(self, "is_shimura_datum_for_g0", is_shimura_datum_for_g0)
-        object.__setattr__(self, "g_connected", g_connected)
-        object.__setattr__(self, "center_condition", center_condition)
-        object.__setattr__(self, "offending_factors", offending_factors)
-        object.__setattr__(self, "center_reasons", center_reasons)
 
 
 def shimura_report(fact: GroupFactorization) -> ShimuraReport:
@@ -309,13 +283,7 @@ def shimura_report(fact: GroupFactorization) -> ShimuraReport:
         + tuple(f"O*_{2 * r}: U(1) centre" for r in fact.orthogonal)
         + ("similitude: Q-split torus",)
     )
-    return ShimuraReport(
-        is_shimura_datum_for_g0=not offending,
-        g_connected=not fact.orthogonal,
-        center_condition=True,
-        offending_factors=offending,
-        center_reasons=reasons,
-    )
+    return ShimuraReport(not offending, not fact.orthogonal, True, offending, reasons)
 
 
 # -- bridge to the character calculus ----------------------------------------------
@@ -323,12 +291,7 @@ def shimura_report(fact: GroupFactorization) -> ShimuraReport:
 
 class Classification(_Value):
     __slots__ = ("factorization", "details", "root_datum", "standard_char")
-
-    def __init__(self, factorization, details, root_datum, standard_char):
-        object.__setattr__(self, "factorization", factorization)
-        object.__setattr__(self, "details", details)  # tuple[FactorGroup, ...]
-        object.__setattr__(self, "root_datum", root_datum)
-        object.__setattr__(self, "standard_char", standard_char)
+    # GroupFactorization, tuple[FactorGroup, ...], RootDatum, WeightChar
 
 
 # Per kind: the block series of the root datum, and the multiplicity of each
@@ -351,9 +314,5 @@ def classify(datum: PelDatum) -> Classification:
     of an invalid datum raises or returns garbage."""
     details = factorize_details(datum)
     rd = root_datum_for(details)
-    return Classification(
-        factorization=_factorization(details),
-        details=details,
-        root_datum=rd,
-        standard_char=characters.standard_char(rd, [_KIND_RULE[d.kind][1] * d.catalog_n for d in details]),
-    )
+    std = characters.standard_char(rd, [_KIND_RULE[d.kind][1] * d.catalog_n for d in details])
+    return Classification(_factorization(details), details, rd, std)

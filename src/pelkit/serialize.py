@@ -194,7 +194,7 @@ def algebra_from_json(obj, path: str = "algebra") -> AlgebraPresentation:
             multiplicity = _require(f, "multiplicity", fpath, int)
             try:
                 catalog.append(
-                    algebras.CatalogFactor(kind, n, multiplicity, d=f.get("d", 0), a=f.get("a", 0), b=f.get("b", 0))
+                    algebras.CatalogFactor(kind, n, multiplicity, f.get("d", 0), f.get("a", 0), f.get("b", 0))
                 )
             except ValueError as exc:
                 raise SchemaError(fpath, str(exc))
@@ -240,9 +240,9 @@ def datum_from_json(obj, path: str = "") -> PelDatum:
     base = path or "datum"
     _known_keys(obj, base, {"algebra", "pairing", "j"})
     return peldata.PelDatum(
-        algebra=algebra_from_json(_require(obj, "algebra", base), f"{base}.algebra"),
-        pairing=matrix_from_json(_require(obj, "pairing", base), f"{base}.pairing"),
-        j=matrix_from_json(_require(obj, "j", base), f"{base}.j"),
+        algebra_from_json(_require(obj, "algebra", base), f"{base}.algebra"),
+        matrix_from_json(_require(obj, "pairing", base), f"{base}.pairing"),
+        matrix_from_json(_require(obj, "j", base), f"{base}.j"),
     )
 
 
@@ -321,7 +321,7 @@ def morphism_from_json(obj, path: str = "morphism") -> MorphismSpec:
     source = _side_from_json(_require(obj, "source", path), f"{path}.source")
     target = _side_from_json(_require(obj, "target", path), f"{path}.target")
     try:
-        return admissibility.MorphismSpec(source=source, target=target, torus_map=characters.TorusMap(tuple(tuple(r) for r in pullback)))
+        return admissibility.MorphismSpec(source, target, characters.TorusMap(tuple(tuple(r) for r in pullback)))
     except ValueError as exc:
         raise SchemaError(path, str(exc))
 

@@ -1,9 +1,10 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -522,3 +523,106 @@ def test_rep_decompose_unknown_token_comes_before_the_bounds(capsys):
     code, out = run_cli("rep", "decompose", "--type", "C9", "--tensor", "std,sym2")
     assert code == 2 and out == ""
     assert capsys.readouterr().err == "schema error: --tensor: unknown token 'sym2'; use std or dual(std)\n"
+
+
+# -- the CLI contract under seeded mutation ---------------------------------------
+
+MUTANT_SEED, MUTANTS = 2026, 160
+# Replacement values by the JSON type they replace: valid rationals, huge
+# and zero ones among them, malformed rationals and names of kinds, series
+# and modes for a string, and other integers for an integer.  Any node may
+# also become a value of another JSON type.
+_RATIONALS = ("0", "-0", "0/5", "-7/3", "1/3", "2", "9" * 40 + "/7", "-" + "9" * 60)
+_MALFORMED = (
+    "1" + "0" * 5000, "1/" + "9" * 5000, "1/0", "0/0", "7/-3", "1//2", "1/2/3", "", "-", " 3", "1e5", "1.5",
+    "inf", "nan", "0x10", "1_0", "½", "٣",
+)
+_NAMES = ("mat_q", "mat_imag_quad", "mat_def_quat", "mat_r", "structured", "raw", "C", "A", "D", "B")
+_INTEGERS = (0, -1, 1, 2, 3, 9, 65, 10**40, -(10**40))
+_OTHER_TYPES = (None, True, False, 1.5, float("inf"), "1", 1, [], [0], [[]], {}, {"n": 1})
+
+
+def _nodes(obj, path=()):
+    """The path of every node below the root of a JSON document."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _nodes(value, path + (key,))
+
+
+def _mutant(doc, rng):
+    """doc with one or two nodes dropped, repeated or replaced."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(1 if rng.random() < 0.7 else 2):
+        paths = list(_nodes(doc))
+        if not paths:
+            break
+        *up, key = rng.choice(paths)
+        parent = doc
+        for step in up:
+            parent = parent[step]
+        value, roll = parent[key], rng.random()
+        if roll < 0.15:
+            del parent[key]
+        elif roll < 0.3 and isinstance(parent, list):
+            parent.insert(key, json.loads(json.dumps(value)))
+        elif roll < 0.8 and type(value) is str:
+            parent[key] = rng.choice(_RATIONALS if rng.random() < 0.6 else _MALFORMED + _NAMES)
+        elif roll < 0.8 and type(value) is int:
+            parent[key] = rng.choice(_INTEGERS)
+        else:
+            parent[key] = rng.choice(_OTHER_TYPES)
+    return doc
+
+
+def _mutation_sources():
+    """The datum documents of docs/examples and fixtures.NAMED, and the morphism documents."""
+    from pelkit import fixtures, serialize
+
+    data, morphisms = [], []
+    for name in sorted(os.listdir(DOCS)):
+        with open(os.path.join(DOCS, name), encoding="utf-8") as fh:
+            (morphisms if "morphism" in name else data).append(json.load(fh))
+    data += [serialize.datum_to_json(fixtures.catalog_datum(blocks)) for blocks in fixtures.NAMED.values()]
+    return data, morphisms
+
+
+def _run_mutant(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_no_mutant_breaks_the_cli_contract(tmp_path):
+    # every exit is 0, 1 or 2 and prints what the README documents for it:
+    # a report and nothing on stderr, one error line, or, past a bound, the
+    # error object too
+    rng = random.Random(MUTANT_SEED)
+    data, morphisms = _mutation_sources()
+    path = str(tmp_path / "mutant.json")
+    for i in range(MUTANTS):
+        is_morphism = rng.random() < 0.25
+        doc = _mutant(rng.choice(morphisms if is_morphism else data), rng)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        highest = json.dumps({"highest": [rng.randint(-1, 3) for _ in range(rng.randint(1, 6))]})
+        commands = (
+            [["admissible", "--morphism", path]]
+            if is_morphism
+            else [["validate", path], ["classify", path], *(["hodge", "--datum", path, "--rep", r] for r in ("std", highest))]
+        )
+        for argv in commands:
+            shown = f"mutant {i}, pel {' '.join(argv[:-1] if argv[-1] == path else argv)}: {json.dumps(doc)}"
+            try:
+                code, out, err = _run_mutant(argv)
+            except Exception as exc:
+                pytest.fail(f"{type(exc).__name__}: {exc} escaped on {shown}")
+            assert code in (0, 1, 2), shown
+            if code != 2:
+                assert isinstance(json.loads(out), dict) and err == "", shown
+            elif out:
+                error = json.loads(out)["error"]
+                assert set(error) == {"type", "message"} and err == f"error: {error['message']}\n", shown
+            else:
+                assert err.startswith(("schema error: ", "error: ")) and err.count("\n") == 1, shown

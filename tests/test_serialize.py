@@ -277,9 +277,9 @@ def test_readers_build_with_the_classes_their_modules_hold_when_they_run(monkeyp
         calls.append("algebra")
         return AlgebraPresentation(*args)
 
-    def datum(**fields):
+    def datum(*args):
         calls.append("datum")
-        return PelDatum(**fields)
+        return PelDatum(*args)
 
     monkeypatch.setattr(pelkit.algebras, "AlgebraPresentation", algebra)
     monkeypatch.setattr(pelkit.peldata, "PelDatum", datum)

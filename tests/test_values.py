@@ -4,7 +4,9 @@ Each type is a slotted class on ``pelkit._Value``.  Its fields cannot be
 assigned or deleted; ``==`` and ``hash`` read every field except the ones a
 type derives or caches (an algebra's and a lattice's inverse basis, an
 arrow's minimal n); instances of different types are never equal; and
-positional and keyword construction agree.
+positional and keyword construction agree.  A constructor binds its
+arguments as a ``def`` with one parameter per field would, and each type's
+checks raise the same exception, with the same message, on every path.
 """
 
 import itertools
@@ -13,8 +15,16 @@ import pytest
 
 import pelkit
 from pelkit.admissibility import AdmissibilityVerdict, MorphismSpec, RepSide
-from pelkit.algebras import MAT_IMAG_QUAD, MAT_Q, AlgebraPresentation, CatalogFactor, InvolutionReport, _Closure
-from pelkit.characters import Factor, RootDatum, TorusMap, WeightChar, standard_char
+from pelkit.algebras import (
+    MAT_DEF_QUAT,
+    MAT_IMAG_QUAD,
+    MAT_Q,
+    AlgebraPresentation,
+    CatalogFactor,
+    InvolutionReport,
+    _Closure,
+)
+from pelkit.characters import Factor, RootDatum, TorusMap, UnsupportedTypeError, WeightChar, standard_char
 from pelkit.fixtures import modular_curve_datum
 from pelkit.hodge import HodgeCochar, HodgeType
 from pelkit.isogeny import IsoMorphism, LatticeObject
@@ -163,6 +173,35 @@ def test_positional_and_keyword_construction_agree(cls):
         assert getattr(by_position, name) == getattr(by_keyword, name)
 
 
+@pytest.mark.parametrize("cls", TYPES, ids=IDS)
+def test_construction_binds_its_arguments_as_a_def_would(cls):
+    fields = FIELDS[cls]
+    values = list(fields.values())
+    rest = list(fields)[1:]
+    past_every_field = [None] * (len(cls.__slots__) + 1 - len(values))
+    for bad in (
+        lambda: cls(),  # every field missing
+        lambda: cls(**{name: fields[name] for name in rest}),  # the first field missing
+        lambda: cls(*values, *past_every_field),  # one positional argument more than there are fields
+        lambda: cls(**fields, no_such_field=1),  # an unknown keyword
+        lambda: cls(values[0], **fields),  # the first field by position and by name
+    ):
+        with pytest.raises(TypeError):
+            bad()
+
+
+# Each default a type declares: the type, the field left out, and the other
+# fields of a value that is valid with that default.
+DEFAULTS = (
+    (CatalogFactor, "d", {"kind": MAT_DEF_QUAT, "n": 1, "multiplicity": 2, "a": -1, "b": -3}),
+    (CatalogFactor, "a", {"kind": MAT_IMAG_QUAD, "n": 2, "multiplicity": 1, "d": -5, "b": 0}),
+    (CatalogFactor, "b", {"kind": MAT_Q, "n": 1, "multiplicity": 4, "d": 0, "a": 0}),
+    (InvolutionReport, "reason", {"ok": True, "witness": ()}),
+    (InvolutionReport, "witness", {"ok": False, "reason": "star is not an involution"}),
+    (GroupFactorization, "similitude", {"symplectic": (), "unitary": ((2, 0),), "orthogonal": (1,)}),
+)
+
+
 def test_defaults():
     assert RootDatum((Factor("C", 1),)).central_rank == 1
     assert InvolutionReport(True).reason == "" and InvolutionReport(True).witness == ()
@@ -170,6 +209,89 @@ def test_defaults():
     assert CatalogFactor(MAT_Q, 2, 1) == CatalogFactor(MAT_Q, 2, 1, d=0, a=0, b=0)
     raw = AlgebraPresentation(2, ((I2, I2),))
     assert raw.factors == () and raw.basis is None and raw.basis_inv is None and raw.mode == "raw"
+    declared = {(cls, name) for cls in pelkit._Value.__subclasses__() for name in cls._defaults}
+    assert {(cls, name) for cls, name, _ in DEFAULTS} == declared
+
+
+@pytest.mark.parametrize(("cls", "name", "others"), DEFAULTS, ids=[f"{c.__name__}.{n}" for c, n, _ in DEFAULTS])
+def test_defaults_fill_each_left_out_field(cls, name, others):
+    default = cls._defaults[name]
+    given = cls(**others, **{name: default})
+    assert cls(**others) == given and getattr(cls(**others), name) == default
+    # the default also fills in after the fields before it are given by position
+    leading = cls.__slots__[: cls.__slots__.index(name)]
+    assert cls(*(others[key] for key in leading), **{k: v for k, v in others.items() if k not in leading}) == given
+
+
+# Each check a type runs on its fields: the type, fields that fail it (in
+# order, up to the last one given), and the exception and message it raises.
+CHECKS = (
+    (CatalogFactor, {"kind": "mat_r", "n": 1, "multiplicity": 1}, ValueError, "unknown catalog kind 'mat_r'"),
+    (CatalogFactor, {"kind": MAT_Q, "n": True, "multiplicity": 1}, ValueError, "n must be an integer, got True"),
+    (CatalogFactor, {"kind": MAT_Q, "n": 1, "multiplicity": 1, "d": 0, "a": 0, "b": 1.0}, ValueError, "b must be an integer, got 1.0"),
+    (CatalogFactor, {"kind": MAT_Q, "n": 1, "multiplicity": 0}, ValueError, "n and multiplicity must be >= 1"),
+    (CatalogFactor, {"kind": MAT_Q, "n": 1, "multiplicity": 1, "d": -1}, ValueError, "mat_q takes no parameter d, got -1"),
+    (
+        CatalogFactor,
+        {"kind": MAT_IMAG_QUAD, "n": 1, "multiplicity": 1, "d": -(10**9) - 1},
+        ValueError,
+        "|d| must be at most 1000000000, got -1000000001",
+    ),
+    (
+        CatalogFactor,
+        {"kind": MAT_IMAG_QUAD, "n": 1, "multiplicity": 1, "d": -4},
+        ValueError,
+        "imaginary quadratic centre needs squarefree d < 0",
+    ),
+    (
+        CatalogFactor,
+        {"kind": MAT_DEF_QUAT, "n": 1, "multiplicity": 1, "d": 0, "a": -1, "b": 2},
+        ValueError,
+        "definite quaternion algebra needs a, b < 0",
+    ),
+    (Factor, {"series": "B", "n": 2}, UnsupportedTypeError, "unknown series 'B'"),
+    (Factor, {"series": "C", "n": 0}, ValueError, "block length must be >= 1"),
+    (RootDatum, {"factors": (), "central_rank": -1}, ValueError, "central_rank must be >= 0"),
+    (TorusMap, {"weight_pullback": ((1, 0), (1,))}, ValueError, "ragged pullback matrix"),
+    (HodgeCochar, {"mu2": (1,), "mu_bar2": (1, 1), "kappa2": (2,)}, ValueError, "covector lengths differ"),
+    (
+        HodgeCochar,
+        {"mu2": (1, 0), "mu_bar2": (1, 1), "kappa2": (2, 2)},
+        ValueError,
+        "mu + mu_bar must equal the central weight covector",
+    ),
+    (
+        MorphismSpec,
+        {"source": SIDE, "target": SIDE, "torus_map": TorusMap.identity(3)},
+        ValueError,
+        "torus map rows do not match the source rank",
+    ),
+    (
+        MorphismSpec,
+        {"source": SIDE, "target": SIDE, "torus_map": TorusMap(((1, 0, 0), (0, 1, 0)))},
+        ValueError,
+        "torus map columns do not match the target rank",
+    ),
+    (AlgebraPresentation, {"dim_v": 0, "generators": ()}, ValueError, "dim_v must be >= 1, got 0"),
+    (
+        AlgebraPresentation,
+        {"dim_v": 2, "generators": ((I2, I2),), "factors": (), "basis": I2},
+        ValueError,
+        "a raw presentation takes no basis",
+    ),
+    (LatticeObject, {"dim": -1, "basis": None}, ValueError, "dimension must be >= 0"),
+    (LatticeObject, {"dim": 2, "basis": Matrix([[1, 2], [2, 4]])}, ValueError, "basis must be invertible"),
+)
+
+
+@pytest.mark.parametrize(
+    ("cls", "fields", "error", "message"), CHECKS, ids=[f"{c.__name__}-{i}" for i, (c, *_) in enumerate(CHECKS)]
+)
+def test_checks_raise_the_same_error_by_position_and_by_keyword(cls, fields, error, message):
+    for build in (lambda: cls(**fields), lambda: cls(*fields.values())):
+        with pytest.raises(error) as caught:
+            build()
+        assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_repr_names_the_compared_fields():
