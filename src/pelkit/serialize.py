@@ -1,7 +1,10 @@
 """JSON encoding shared by the command line and the bundled examples.
 
 Rationals travel as exact strings "p" or "p/q" (never decimals); matrices
-as arrays of arrays of such strings; weights as integer arrays.  A
+as arrays of arrays of such strings, where a reader also takes a JSON
+integer but refuses ``true``, ``false`` and floats; weights as integer
+arrays.  ``matrix_from_json`` reads every matrix, converting each distinct
+entry once.  A
 structured algebra travels as it is held in memory: its catalog factors
 plus, once a base change has moved it, its basis, so every datum reloads
 as itself.  Every JSON object the readers parse refuses a key it does not
@@ -48,25 +51,26 @@ _RAT_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def _bad_rational(obj) -> str | None:
-    """Why obj is not a JSON rational, or None when it is one."""
+    """Why obj is not a JSON rational, or None when it is one: a JSON
+    integer, or a string "p" or "p/q" whose parts int() converts."""
     if isinstance(obj, bool) or not isinstance(obj, (int, str)):
         return f"expected an integer or 'p/q' string, got {obj!r}"
-    if isinstance(obj, str) and not _RAT_RE.fullmatch(obj):
-        return f"bad rational {obj!r}: expected 'p' or 'p/q' with q > 0"
+    if isinstance(obj, str):
+        if not _RAT_RE.fullmatch(obj):
+            return f"bad rational {obj!r}: expected 'p' or 'p/q' with q > 0"
+        limit = sys.get_int_max_str_digits()  # int() counts leading zeros, not the sign
+        if limit and max(map(len, obj.lstrip("-").split("/"))) > limit:
+            return f"bad rational: more than {limit} digits"
     return None
 
 
-def _rational(s: str, path: str):
-    """The value of a rational string that ``_RAT_RE`` accepts, or a
-    SchemaError at path when it has more digits than int() converts."""
-    try:
-        if "/" not in s:
-            return int(s)
-        from fractions import Fraction  # on this path alone: the import statement costs more than int()
+def _rational(x):
+    """The value of an entry that ``_bad_rational`` passes."""
+    if type(x) is int or "/" not in x:
+        return int(x)
+    from fractions import Fraction  # on this path alone: the import statement costs more than int()
 
-        return Fraction(s)
-    except ValueError:  # over the interpreter's limit on integer digits
-        raise SchemaError(path, f"bad rational: more than {sys.get_int_max_str_digits()} digits") from None
+    return Fraction(x)
 
 
 def matrix_to_json(m: Matrix):
@@ -74,32 +78,31 @@ def matrix_to_json(m: Matrix):
 
 
 def matrix_from_json(obj, path: str) -> Matrix:
+    """The matrix of an array of rows of rationals.  Each distinct entry is
+    converted once, to its numerator over one common denominator, and each
+    row is a lookup in that table.  A SchemaError names the first bad
+    entry, or the shape when every entry is good."""
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SchemaError(path, "expected a non-empty array of arrays")
-    m = _matrix_by_table(obj, path)
-    return _matrix_by_entry(obj, path) if m is None else m
-
-
-def _matrix_by_table(obj, path: str):
-    """The matrix of a well-formed array of rows of rational strings, or
-    None for any other array.  Each distinct string is checked and
-    converted once, to its numerator over one common denominator, and each
-    row is a lookup in that table.  Strings only: ``true`` and ``1.0`` hash
-    like ``1`` and ``false`` like ``0``, so with integers about, one table
-    key could stand for an entry that must be refused."""
-    width = len(obj[0])
-    if not width or any(len(r) != width for r in obj):
-        return None
     try:
         distinct = set(chain.from_iterable(obj))
-    except TypeError:  # an unhashable entry: an array or an object
-        return None
-    if not all(type(x) is str and _RAT_RE.fullmatch(x) for x in distinct):
-        return None
-    try:
-        table = {x: _rational(x, path) for x in distinct}
-    except SchemaError:  # the per-entry loop names the entry
-        return None
+        strings = all(type(x) is str and _RAT_RE.fullmatch(x) for x in distinct)
+        table = {x: _rational(x) for x in distinct} if strings else None
+    except (TypeError, ValueError):  # an unhashable entry, or a string past int()'s digit limit
+        table = None
+    if table is None:
+        # Entry by entry: ``true`` and ``1.0`` hash like ``1`` and ``false``
+        # like ``0``, so in the set one could hide behind an equal integer.
+        # The walk refuses any unhashable entry, so past it distinct is set.
+        for i, r in enumerate(obj):
+            for j, x in enumerate(r):
+                problem = _bad_rational(x)
+                if problem:
+                    raise SchemaError(f"{path}[{i}][{j}]", problem)
+        table = {x: _rational(x) for x in distinct}  # JSON integers join the strings
+    width = len(obj[0])
+    if not width or any(len(r) != width for r in obj):
+        raise SchemaError(path, "ragged or empty matrix rows")
     den = lcm(*(v.denominator for v in table.values()))
     for x, v in table.items():
         table[x] = v.numerator * (den // v.denominator)
@@ -108,30 +111,6 @@ def _matrix_by_table(obj, path: str):
     else:
         rows = [itemgetter(*r)(table) for r in obj]
     return linalg.Matrix.from_numerators(rows, den)
-
-
-def _matrix_by_entry(obj, path: str) -> Matrix:
-    """The matrix of an array of arrays, entry by entry; a SchemaError
-    names the first bad entry, or the shape when every entry is good."""
-    values = {}  # each distinct entry string, checked and converted once
-    rows = []
-    for i, r in enumerate(obj):
-        row = []
-        for j, x in enumerate(r):
-            if type(x) is not int:
-                v = values.get(x) if type(x) is str else None
-                if v is None:
-                    problem = _bad_rational(x)
-                    if problem:
-                        raise SchemaError(f"{path}[{i}][{j}]", problem)
-                    v = values[x] = _rational(x, f"{path}[{i}][{j}]")
-                x = v
-            row.append(x)
-        rows.append(row)
-    try:
-        return linalg.Matrix(rows)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc))
 
 
 def _is_int(val) -> bool:

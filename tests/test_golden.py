@@ -25,6 +25,7 @@ DATA = (
     "balanced_sqrt_minus_2",
     "gsp8_tensor",
     "gu11",
+    "gu11_raw",
     "modular_curve",
     "modular_curve_m2",
     "quaternion",

@@ -173,7 +173,7 @@ def test_dumps_behaves_as_json_dumps_on_other_values(obj):
 
 def test_dumps_matches_json_dumps_on_every_payload_the_cli_prints(monkeypatch, capsys):
     # every pinned command, plus one that prints a JSON error object
-    from test_golden import COMMANDS, EXAMPLES, ROOT
+    from test_golden import COMMANDS, EXAMPLES, GOLDEN, ROOT
 
     from pelkit.cli import main
 
@@ -184,7 +184,9 @@ def test_dumps_matches_json_dumps_on_every_payload_the_cli_prints(monkeypatch, c
     for _, argv in COMMANDS + [("error", error)]:
         main(argv)
     capsys.readouterr()
-    assert len(printed) == len(COMMANDS) + 1 and "error" in printed[-1]
+    # a command whose pin is empty printed only an error line, to stderr
+    silent = sum(not (GOLDEN / f"{name}.out").read_text(encoding="utf-8") for name, _ in COMMANDS)
+    assert len(printed) == len(COMMANDS) - silent + 1 and "error" in printed[-1]
     for obj in printed:
         assert dumps(obj) == _json_dumps(obj)
 
@@ -223,6 +225,7 @@ def test_docs_examples_load_and_validate():
         "quaternion",
         "balanced_sqrt_minus_2",
         "gu11_base_changed",
+        "gu11_raw",
     ]
     for name in names:
         with open(os.path.join(DOCS, f"{name}.json"), "r", encoding="utf-8") as fh:
@@ -554,6 +557,19 @@ def test_rational_strings_over_the_digit_limit_are_schema_errors():
     )
 
 
+@needs_digit_limit
+@pytest.mark.parametrize("first", ["0", 0])  # all strings, and a JSON integer beside them
+def test_digit_limit_counts_leading_zeros_but_not_the_sign(first):
+    # the reader's own count of digits agrees with what int() converts
+    zeros = "0" * DIGIT_LIMIT
+    for text in (f"{zeros}1", f"-{zeros}1", f"1/1{zeros}"):
+        with pytest.raises(serialize.SchemaError) as err:
+            serialize.matrix_from_json([[first, text]], "m")
+        assert str(err.value) == f"m[0][1]: bad rational: more than {DIGIT_LIMIT} digits"
+    for text in (f"-{'7' * DIGIT_LIMIT}", zeros, f"-{zeros}/1{zeros[1:]}"):
+        assert serialize.matrix_from_json([[first, text]], "m") == Matrix([[0, Fraction(text)]])
+
+
 # -- the table reader against the per-entry reader ------------------------------
 
 _GOOD_STRINGS = ("0", "1", "-1", "-0", "2", "2/4", "-7/6", "3/9", "12")
@@ -584,22 +600,31 @@ def _random_matrix_json(rng):
     return obj
 
 
+def _per_entry_reference(obj, path):
+    """matrix_from_json for an array of arrays, entry by entry."""
+    for i, r in enumerate(obj):
+        for j, x in enumerate(r):
+            problem = serialize._bad_rational(x)
+            if problem:
+                raise serialize.SchemaError(f"{path}[{i}][{j}]", problem)
+    try:
+        return Matrix([[Fraction(x) for x in r] for r in obj])
+    except ValueError as exc:
+        raise serialize.SchemaError(path, str(exc))
+
+
 def test_table_reader_against_the_per_entry_reader():
     rng = random.Random(4300)
-    fast = 0
-    for _ in range(600):
-        obj = _random_matrix_json(rng)
-        expected = _outcome(serialize._matrix_by_entry, obj)
-        assert _outcome(serialize.matrix_from_json, obj) == expected, obj
+    strings_only = 0
+    cases = [_random_matrix_json(rng) for _ in range(600)] + [[[1, "1"], ["2/4", -3]]]
+    for obj in cases:
+        expected = _outcome(_per_entry_reference, obj)
+        got = _outcome(serialize.matrix_from_json, obj)
+        assert got == expected, obj
         if not isinstance(expected, tuple):
-            assert expected.tolist() == [[Fraction(x) for x in r] for r in obj], obj
-            table = serialize._matrix_by_table(obj, "m")
-            if all(type(x) is str for r in obj for x in r):
-                assert table == expected and table.numerators == expected.numerators, obj
-                fast += 1
-            else:
-                assert table is None, obj
-    assert fast > 200
+            assert got.numerators == expected.numerators and got.denominator == expected.denominator, obj
+            strings_only += all(type(x) is str for r in obj for x in r)
+    assert strings_only > 200
 
 
 @pytest.mark.parametrize(
