@@ -132,10 +132,11 @@ class WeightChar(_Value):
 
     Multiplicities may be negative (virtual characters); zero entries are
     never stored.  All weights have one length, the rank of the torus.
-    Instances are immutable and hashable.
+    Instances are immutable and hashable; ``==`` and ``hash`` ignore the
+    derived ``_hash`` and ``_hodge`` (kept by ``hodge.hodge_type``).
     """
 
-    __slots__ = ("_m", "_hash")
+    __slots__ = ("_m", "_hash", "_hodge")
 
     def __init__(self, mapping):
         m = {}
@@ -145,13 +146,13 @@ class WeightChar(_Value):
                 m[_int_tuple(w, NotACharacterError)] = c
         if len(set(map(len, m))) > 1:
             raise RankMismatchError("the weights of a character differ in length")
-        _Value.__init__(self, m, None)
+        _Value.__init__(self, m, None, None)
 
     @classmethod
     def _of(cls, m):
         """Wrap ``m`` as is: a dict of int tuples to nonzero ints."""
         obj = object.__new__(cls)
-        _Value.__init__(obj, m, None)
+        _Value.__init__(obj, m, None, None)
         return obj
 
     def items(self):

@@ -94,12 +94,18 @@ def _bidegrees(weights, hc: HodgeCochar) -> set:
 
 
 def hodge_type(x: WeightChar, hc: HodgeCochar) -> HodgeType:
-    """Set of bidegrees realised by the support of x."""
+    """Set of bidegrees realised by the support of x.  It is kept on x for
+    this hc object (``is``, not ``==``), so after ``auto_cochar`` the
+    standard character's needs no second pass; a raise keeps nothing."""
+    kept = x._hodge
+    if kept is not None and kept[0] is hc:
+        return kept[1]
     if x.is_zero():
         raise ValueError("the zero character has no Hodge type")
     if x.rank() != hc.rank:  # every weight of x has this length
         raise ValueError("weight length does not match the cocharacter")
-    return HodgeType(frozenset(_bidegrees(x.support(), hc)))
+    object.__setattr__(x, "_hodge", (hc, HodgeType(frozenset(_bidegrees(x.support(), hc)))))
+    return x._hodge[1]
 
 
 def is_av_type(x: WeightChar, hc: HodgeCochar) -> bool:
@@ -127,7 +133,7 @@ def auto_cochar(classification: Classification) -> HodgeCochar:
     the remaining ``sum(params[1:])``.  That is the half-sum direction on
     symplectic and orthogonal blocks and "agreement first" on U(a, b).  The
     central entry makes the standard character land exactly on
-    {(-1,0), (0,-1)}, which is checked on construction.
+    {(-1,0), (0,-1)}, which is checked (and kept) on construction.
     """
     mu2 = []
     for d in classification.details:

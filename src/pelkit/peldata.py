@@ -214,12 +214,18 @@ def _unitary_signature(c: Matrix, j: Matrix, d: int, n: int) -> tuple:
 def _isotypic_blocks(datum: PelDatum):
     """Each catalog factor with j on its isotypic block.  In catalog
     coordinates (``_catalog_frame``) factor k acts on a fixed range, and j
-    preserves its block when no entry links that range to the rest of V."""
+    preserves its block when no entry links that range to the rest of V.
+    A lone factor's block is all of V: j is moved only for a unitary one,
+    whose signature reads it, and is None for any other."""
     alg = datum.algebra
     if alg.mode != "structured":
         raise StructuredModeRequiredError("classification requires a structured presentation")
     if datum.j.rows != alg.dim_v or datum.j.cols != alg.dim_v:
         raise DimensionMismatchError("j does not preserve an isotypic block")
+    if len(alg.factors) == 1:
+        (f,) = alg.factors
+        yield f, _catalog_frame(alg, None, datum.j)[1] if f.kind == MAT_IMAG_QUAD else None
+        return
     _, j = _catalog_frame(alg, None, datum.j)
     rows = j.numerators
     lo = 0
@@ -309,6 +315,7 @@ def classify(datum: PelDatum) -> Classification:
     whose weights sit at central coordinate 1 (the centre acts on V by
     scalars) and are +-e_i on each block, with multiplicity n for
     symplectic and unitary factors and 2n for quaternionic-orthogonal ones.
+    Only a unitary or multi-factor datum moves j (``_isotypic_blocks``).
 
     The caller is responsible for running validate() first; classification
     of an invalid datum raises or returns garbage."""

@@ -93,10 +93,11 @@ def matrix_from_json(obj, path: str) -> Matrix:
     if table is None:
         # Entry by entry: ``true`` and ``1.0`` hash like ``1`` and ``false``
         # like ``0``, so in the set one could hide behind an equal integer.
-        # The walk refuses any unhashable entry, so past it distinct is set.
+        # The walk refuses any unhashable entry, so past it distinct is set;
+        # it skips the JSON integers, which ``_bad_rational`` passes.
         for i, r in enumerate(obj):
             for j, x in enumerate(r):
-                problem = _bad_rational(x)
+                problem = type(x) is not int and _bad_rational(x)
                 if problem:
                     raise SchemaError(f"{path}[{i}][{j}]", problem)
         table = {x: _rational(x) for x in distinct}  # JSON integers join the strings

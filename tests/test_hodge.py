@@ -9,6 +9,10 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_catalog import TABLE
+from test_peldata import random_unimodular
+
+from pelkit import characters, hodge
 
 from pelkit.characters import (
     BoundExceededError,
@@ -22,17 +26,18 @@ from pelkit.characters import (
     tensor,
 )
 from pelkit.errors import InternalCheckError
-from pelkit.fixtures import gu11_datum, modular_curve_datum, quaternion_datum
+from pelkit.fixtures import NAMED, catalog_datum, gu11_datum, modular_curve_datum, quaternion_datum
 from pelkit.hodge import (
     AV_TYPES,
     HodgeCochar,
+    HodgeType,
     NonIntegralPairingError,
     auto_cochar,
     enumerate_av_irreducibles,
     hodge_type,
     is_av_type,
 )
-from pelkit.peldata import Classification, classify
+from pelkit.peldata import Classification, classify, validate
 
 
 def gsp_cochar(g: int) -> HodgeCochar:
@@ -354,6 +359,12 @@ def _result(f, *args):
         return type(exc), str(exc)
 
 
+def _random_cochar(rng, rank):
+    mu2 = [rng.randint(-3, 3) for _ in range(rank)]
+    kappa2 = [rng.choice((0, 0, 2, 1, -2)) for _ in range(rank)]
+    return HodgeCochar(mu2, [k - m for k, m in zip(kappa2, mu2)], kappa2)
+
+
 def test_one_pass_hodge_type_against_the_per_weight_oracle():
     # seeded cocharacters with odd entries, so that many weights pair
     # half-integrally in one or both pairings, and one character in eight
@@ -362,9 +373,7 @@ def test_one_pass_hodge_type_against_the_per_weight_oracle():
     outcomes = set()
     for trial in range(400):
         rank = rng.randint(1, 6)
-        mu2 = [rng.randint(-3, 3) for _ in range(rank)]
-        kappa2 = [rng.choice((0, 0, 2, 1, -2)) for _ in range(rank)]
-        hc = HodgeCochar(mu2, [k - m for k, m in zip(kappa2, mu2)], kappa2)
+        hc = _random_cochar(rng, rank)
         length = rank + rng.choice((-1, 1)) if trial % 8 == 0 and rank > 1 else rank
         x = WeightChar({tuple(rng.randint(-2, 2) for _ in range(length)): rng.choice((1, 2, -1))
                         for _ in range(rng.randint(0, 6))})
@@ -377,3 +386,84 @@ def test_one_pass_hodge_type_against_the_per_weight_oracle():
         for w in x.support():
             assert _result(hc.bidegree, w) == _result(_oracle_bidegree, hc, w)
     assert outcomes == {"ok", ValueError, NonIntegralPairingError}
+
+
+# -- one Hodge pass per classified datum: the kept result ------------------------
+
+
+def _count_passes(monkeypatch):
+    """The cocharacter of each ``_bidegrees`` call, in a list."""
+    calls, real = [], hodge._bidegrees
+
+    def counted(weights, hc):
+        calls.append(hc)
+        return real(weights, hc)
+
+    monkeypatch.setattr(hodge, "_bidegrees", counted)
+    return calls
+
+
+def test_a_classified_datum_makes_one_hodge_pass(monkeypatch):
+    # validate -> classify -> auto_cochar -> hodge_type(std): the fixture
+    # check's pass is the caller's, on every named datum and a seeded sample
+    # of the catalog table, canonical and base-changed
+    rng = random.Random("one hodge pass")
+    data = [catalog_datum(blocks) for blocks in [*NAMED.values(), *rng.sample(TABLE, 24)]]
+    data += [d.conjugate(random_unimodular(rng, d.dim_v)) for d in rng.sample(data, 12)]
+    calls = _count_passes(monkeypatch)
+    for datum in data:
+        calls.clear()
+        assert validate(datum).valid
+        cl = classify(datum)
+        hc = auto_cochar(cl)
+        assert hodge_type(cl.standard_char, hc).pairs == AV_TYPES
+        assert calls == [hc]
+
+
+def test_kept_hodge_type_against_a_fresh_pass(monkeypatch):
+    # seeded characters and cocharacters with odd entries, so that about
+    # half the passes raise NonIntegralPairingError
+    rng = random.Random(2018_8)
+    fresh_pass = hodge._bidegrees
+    calls = _count_passes(monkeypatch)
+    outcomes = set()
+    for _ in range(300):
+        rank = rng.randint(1, 5)
+        hc, other = _random_cochar(rng, rank), _random_cochar(rng, rank)
+        twin = HodgeCochar(hc.mu2, hc.mu_bar2, hc.kappa2)  # equal, not the same object
+        x = WeightChar({tuple(rng.randint(-2, 2) for _ in range(rank)): rng.choice((1, 2, -1))
+                        for _ in range(rng.randint(1, 6))})
+        h = hash(x)
+        fresh = _result(lambda: HodgeType(frozenset(fresh_pass(x.support(), hc))))
+        calls.clear()
+        assert _result(hodge_type, x, hc) == fresh
+        assert _result(hodge_type, x, hc) == fresh
+        if fresh[0] == "ok":
+            assert calls == [hc] and x._hodge == (hc, fresh[1]) and x._hodge[0] is hc
+        else:  # nothing kept, and the second call raises again
+            assert calls == [hc, hc] and x._hodge is None
+        assert _result(hodge_type, x, twin) == fresh and calls[-1] is twin
+        calls.clear()
+        assert _result(hodge_type, x, other) == _result(lambda: HodgeType(frozenset(fresh_pass(x.support(), other))))
+        assert calls == [other]
+        assert x == WeightChar(dict(x.items())) and hash(x) == h == hash(WeightChar(dict(x.items())))
+        outcomes.add(fresh[0])
+    assert outcomes == {"ok", NonIntegralPairingError}
+
+
+@pytest.mark.parametrize("extra", [2, 1], ids=["bidegree-(-1,-1)", "half-integral"])
+def test_auto_cochar_refuses_a_patched_non_av_standard_char(monkeypatch, extra):
+    # one more weight, central only, on every standard character: (0, .., 2)
+    # has bidegree (-1, -1) and (0, .., 1) pairs half-integrally
+    real = characters.standard_char
+
+    def patched(rd, mults):
+        std = real(rd, mults)
+        return characters.add_chars(std, WeightChar({(0,) * (std.rank() - 1) + (extra,): 1}))
+
+    monkeypatch.setattr(characters, "standard_char", patched)
+    for datum in (modular_curve_datum(), gu11_datum(), quaternion_datum()):
+        cl = classify(datum)
+        with pytest.raises(InternalCheckError):
+            auto_cochar(cl)
+        assert (cl.standard_char._hodge is None) == (extra == 1)

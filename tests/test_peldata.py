@@ -274,8 +274,8 @@ def test_trace_split_matches_eigenspace_oracle(a, b, n):
     assert factorize(base) == GroupFactorization((), ((a, b),), ())
     for p in (Matrix.identity(base.dim_v), random_unimodular(rng, base.dim_v)):
         moved = base.conjugate(p)
-        for c, j, d, k in _unitary_blocks(moved):
-            assert _unitary_signature(c, j, d, k) == oracle_unitary_signature(c, j, d, k) == (a, b)
+        ((c, j, d, k),) = _unitary_blocks(moved)  # the oracle runs on the one unitary block
+        assert _unitary_signature(c, j, d, k) == oracle_unitary_signature(c, j, d, k) == (a, b)
         assert factorize(moved) == GroupFactorization((), ((a, b),), ())
 
 
@@ -301,6 +301,26 @@ def test_trace_split_on_fixtures_and_base_changes(blocks, expected):
         ((c, j, d, n),) = _unitary_blocks(moved)
         assert _unitary_signature(c, j, d, n) == oracle_unitary_signature(c, j, d, n) == expected
         assert (c @ j).trace() == (0 if d != -1 else 2 * n * (expected[1] - expected[0]))
+
+
+def test_isotypic_blocks_move_j_only_for_a_factor_that_reads_it():
+    # A lone factor's block is all of V: a unitary factor gets the catalog
+    # j itself, by identity on canonical data, and any other factor None.
+    # With two factors each block is the slice of the catalog j.
+    rng = random.Random("blocks")
+    for blocks in [*NAMED.values(), U20, QUATERNION_M2, MIXED, MIXED[::-1], NAMED["quaternion"] + NAMED["gu11"]]:
+        base = catalog_datum(blocks)
+        factors, rows, lo, want = base.algebra.factors, base.j.tolist(), 0, []
+        for f in factors:
+            hi = lo + f.isotypic_dim
+            reads = f.kind == MAT_IMAG_QUAD or len(factors) > 1
+            want.append((f, Matrix([r[lo:hi] for r in rows[lo:hi]]) if reads else None))
+            lo = hi
+        for p in (Matrix.identity(base.dim_v), random_rational(rng, base.dim_v)):
+            assert list(_isotypic_blocks(base.conjugate(p))) == want
+        if len(factors) == 1:
+            ((f, jf),) = _isotypic_blocks(base)
+            assert jf is (base.j if f.kind == MAT_IMAG_QUAD else None)
 
 
 def test_trace_split_rejects_bad_blocks():
@@ -584,19 +604,22 @@ def test_a_warm_validate_forms_no_dense_product(monkeypatch, blocks):
 
 
 def test_classify_reads_the_kept_basis_inverse(monkeypatch):
-    # b j b^-1 is the only pair of products: the unitary signature reads
-    # monomial forms of the centre action and j on its block
+    # b j b^-1 is the only pair of products, made only where a factor reads
+    # j: a unitary factor's signature (which reads monomial forms of the
+    # centre action and j on its block) or the block check of two factors
     cases = (
-        (NAMED["gu11"], 4, GroupFactorization((), ((1, 1),), ())),
-        (QUATERNION_M2, 8, GroupFactorization((), (), (1,))),
+        (NAMED["gu11"], 4, GroupFactorization((), ((1, 1),), ()), 2),
+        (QUATERNION_M2, 8, GroupFactorization((), (), (1,)), 0),
+        ([("sp", 2, 2)], 8, GroupFactorization((2,), (), ()), 0),
+        ([("sp", 1, 1), ("quaternion", 1, 1, -1, -1)], 6, GroupFactorization((1,), (), (1,)), 2),
     )
     calls = _count_calls(monkeypatch, "__matmul__", "inv")
-    for blocks, dim, factorization in cases:
+    for blocks, dim, factorization, products in cases:
         datum = catalog_datum(blocks).conjugate(random_rational(random.Random(4), dim))
         for seen in calls.values():
             seen.clear()
         assert classify(datum).factorization == factorization
-        assert len(calls["__matmul__"]) == 2 and calls["inv"] == []
+        assert len(calls["__matmul__"]) == products and calls["inv"] == []
 
 
 @pytest.mark.parametrize("name", ["gu11_datum", "quaternion_m2_datum"])

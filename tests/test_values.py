@@ -110,7 +110,7 @@ def test_every_value_type_is_covered():
 def test_weight_char_fields_cannot_be_assigned_or_deleted():
     x = WeightChar({(1, 0): 2})
     hash(x)  # fills the cached hash
-    for name in ("_m", "_hash"):
+    for name in ("_m", "_hash", "_hodge"):
         with pytest.raises(AttributeError):
             setattr(x, name, None)
         with pytest.raises(AttributeError):
