@@ -24,11 +24,12 @@ are cross-checked against the Weyl dimension formula on every call.  Only
 ``irr_char`` expands the orbits into full weight tables.
 
 The Weyl group is described once: every weight is W-conjugate to exactly
-one dominant weight, ``_dominant_rep``, and ``_orbit_size`` counts its
-orbit.  ``decompose`` groups a character's weights by that representative:
-it is W-invariant exactly when each group has one multiplicity and fills
-its orbit, and is then fixed by its dominant weights, so the peeling
-subtracts only the dominant part of each irreducible.
+one dominant weight, ``_dominant_rep``, whose orbit ``_orbit`` lists (in an
+LRU cache) and ``_orbit_size`` counts.  ``decompose`` finds a character's
+dominant weights by column compares: it is W-invariant exactly when each
+one's orbit has one multiplicity and the orbits cover its support, and is
+then fixed by its dominant weights, so the peeling subtracts only the
+dominant part of each irreducible.
 
 ``tensor`` builds the product weights in C from the larger factor's
 coordinate columns, shifted once per weight of the other factor, and
@@ -287,6 +288,7 @@ def _is_dominant_block(series: str, v) -> bool:
     return _dominant_rep(series, v) == tuple(v)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _orbit_size(series: str, mu) -> int:
     """|W mu|: orderings of the coordinates (of their absolute values for C
     and D) times the sign patterns on the nonzero ones, half of them for D
@@ -312,10 +314,11 @@ def _orderings(vals):
     ]
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _orbit(series: str, mu):
-    """The block Weyl orbit of the dominant weight mu, each weight once."""
+    """The block Weyl orbit of the dominant weight mu as a tuple, each weight once."""
     if series == "A":
-        return _orderings(mu)
+        return tuple(_orderings(mu))
     out = [
         w
         for p in _orderings(tuple(map(abs, mu)))
@@ -324,7 +327,7 @@ def _orbit(series: str, mu):
     if series == "D" and all(mu):
         odd = mu[-1] < 0
         out = [w for w in out if (sum(x < 0 for x in w) % 2) == odd]
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -500,33 +503,45 @@ def dual(x: WeightChar) -> WeightChar:
 def decompose(rd: RootDatum, x: WeightChar, genuine: bool = True):
     """Peel a Weyl-symmetric character into irreducible constituents.
 
-    One pass keys each weight by the dominant representatives of its block
-    parts, then its central part.  Zero multiplicities are never stored, so
-    x is W-invariant exactly when each key is seen with one multiplicity
-    and as often as its orbit is large, else ``NotACharacterError``.  The
-    peeling runs on the keys, the dominant weights: it repeatedly removes
-    the lexicographically largest remaining one with the dominant part of
-    its irreducible.  With ``genuine=True`` a negative peeled multiplicity
-    raises; with ``genuine=False`` signed constituent lists are returned.
+    x is W-invariant exactly when each dominant weight of its support,
+    found by column compares, has its multiplicity on its whole W-orbit and
+    the orbits cover the support; else ``NotACharacterError`` names a weight
+    on whose orbit x is not constant.  The peeling then repeatedly removes
+    the lexicographically largest remaining dominant weight with the
+    dominant part of its irreducible.  With ``genuine=True`` a negative
+    peeled multiplicity raises; with ``genuine=False`` signed constituent
+    lists are returned.
     """
-    rank = rd.total_rank
-    if not x.is_zero() and x.rank() != rank:
+    if x.is_zero():
+        return ()
+    if x.rank() != rd.total_rank:
         raise RankMismatchError("character rank does not match the root datum")
-    # block slices are computed once, not once per weight
+    mults = x._m
+    cols, ge, repeat = tuple(zip(*mults)), operator.ge, itertools.repeat
+    tests = [repeat(True)]  # so that zip runs over mults when no block has an inequality
     slices = [(f.series, a, b) for f, a, b in rd.block_slices()]
-    centre = rank - rd.central_rank
-    work, seen = {}, {}
-    for w, m in x.items():
-        key = ()
-        for series, a, b in slices:
-            key += _dominant_rep(series, w[a:b])
-        key += w[centre:]
-        if work.setdefault(key, m) != m:
+    for series, a, b in slices:
+        tests += [map(ge, cols[i], cols[i + 1]) for i in range(a, b - 1)]
+        if series == "C":
+            tests.append(map(ge, cols[b - 1], repeat(0)))
+        elif series == "D" and b - a > 1:
+            tests.append(map(ge, cols[b - 2], map(operator.neg, cols[b - 1])))
+    work = {w: mults[w] for w in itertools.compress(mults, map(all, zip(*tests)))}
+    centre, covered = rd.total_rank - rd.central_rank, 0
+    for w, k in work.items():
+        blocks = [(series, w[a:b]) for series, a, b in slices]
+        covered += math.prod(itertools.starmap(_orbit_size, blocks))
+        if covered > len(mults):  # w's orbit does not fit in the support, so it is not built
             raise NotACharacterError(f"support is not Weyl-symmetric at {w}")
-        seen[key] = seen.get(key, 0) + 1
-    for key, k in seen.items():
-        if k != math.prod(_orbit_size(series, key[a:b]) for series, a, b in slices):
-            raise NotACharacterError(f"support is not Weyl-symmetric at {key}")
+        orbit = [w[centre:]]
+        for block in reversed(blocks):
+            orbit = [u + v for u in _orbit(*block) for v in orbit]
+        if any(map(k.__ne__, map(mults.get, orbit, repeat(0)))):
+            raise NotACharacterError(f"support is not Weyl-symmetric at {w}")
+    if covered < len(mults):  # some weight's dominant weight is not in the support
+        w = next(v for v in mults
+                 if sum((_dominant_rep(s, v[a:b]) for s, a, b in slices), ()) + v[centre:] not in mults)
+        raise NotACharacterError(f"support is not Weyl-symmetric at {w}")
     out = []
     while work:
         best = max(work)

@@ -94,12 +94,17 @@ def matrix_from_json(obj, path: str) -> Matrix:
         # Entry by entry: ``true`` and ``1.0`` hash like ``1`` and ``false``
         # like ``0``, so in the set one could hide behind an equal integer.
         # The walk refuses any unhashable entry, so past it distinct is set;
-        # it skips the JSON integers, which ``_bad_rational`` passes.
+        # it skips the JSON integers, which ``_bad_rational`` passes, and
+        # the strings it has passed, which equal no other JSON value.
+        passed = set()
         for i, r in enumerate(obj):
             for j, x in enumerate(r):
-                problem = type(x) is not int and _bad_rational(x)
+                if type(x) is int or type(x) is str and x in passed:
+                    continue
+                problem = _bad_rational(x)
                 if problem:
                     raise SchemaError(f"{path}[{i}][{j}]", problem)
+                passed.add(x)
         table = {x: _rational(x) for x in distinct}  # JSON integers join the strings
     width = len(obj[0])
     if not width or any(len(r) != width for r in obj):

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -22,6 +23,8 @@ from pelkit.characters import (
     _block_irr,
     _block_weights,
     _block_weyl_dim,
+    _dominant_irr,
+    _dominant_rep,
     _is_dominant_block,
     _orbit,
     _orbit_size,
@@ -538,6 +541,8 @@ def test_character_caches_are_bounded():
 
     assert characters._block_irr.cache_info().maxsize == CACHE_SIZE
     assert characters._block_weights.cache_info().maxsize == CACHE_SIZE
+    assert characters._orbit.cache_info().maxsize == CACHE_SIZE
+    assert characters._orbit_size.cache_info().maxsize == CACHE_SIZE
     assert characters._dominant_irr.cache_info().maxsize == CACHE_SIZE
     assert characters._constituent.cache_info().maxsize == CACHE_SIZE
 
@@ -916,3 +921,199 @@ def test_non_integral_entries_are_rejected():
     assert WeightChar({(Fraction(2), True): Fraction(4, 2)}) == WeightChar({(2, 1): 2})
     assert irr_char(C2, (Fraction(2), True, 1)) == irr_char(C2, (2, 1, 1))
     assert weyl_dim(C2, (Fraction(2), True, 1.0)) == weyl_dim(C2, (2, 1, 1))
+
+
+# -- the cached-orbit W-invariance check against the keyed loop it replaced -----
+
+
+def keyed_decompose(rd, x, genuine=True):
+    """``decompose`` as it was before it read cached orbits.  One pass keys
+    each weight by the dominant representatives of its block parts, then
+    its central part: x is W-invariant exactly when each key is seen with
+    one multiplicity and as often as its orbit is large.  The peeling is
+    the same."""
+    rank = rd.total_rank
+    if not x.is_zero() and x.rank() != rank:
+        raise RankMismatchError("character rank does not match the root datum")
+    slices = [(f.series, a, b) for f, a, b in rd.block_slices()]
+    centre = rank - rd.central_rank
+    work, seen = {}, {}
+    for w, m in x.items():
+        key = ()
+        for series, a, b in slices:
+            key += _dominant_rep(series, w[a:b])
+        key += w[centre:]
+        if work.setdefault(key, m) != m:
+            raise NotACharacterError(f"support is not Weyl-symmetric at {w}")
+        seen[key] = seen.get(key, 0) + 1
+    for key, k in seen.items():
+        if k != math.prod(_orbit_size(series, key[a:b]) for series, a, b in slices):
+            raise NotACharacterError(f"support is not Weyl-symmetric at {key}")
+    out = []
+    while work:
+        best = max(work)
+        m = work[best]
+        if genuine and m < 0:
+            raise NotACharacterError(f"multiplicity {m} at {best} went negative during peeling")
+        highest, dom = _dominant_irr(rd, best)
+        out.append((highest, m))
+        for w, c in dom:
+            nv = work.get(w, 0) - m * c
+            if nv:
+                work[w] = nv
+            else:
+                del work[w]
+    return tuple(out)
+
+
+# A with negative entries, C1, C3, D1, D3, D4 and C2 x A2, at central ranks 0, 1 and 2
+KEYED_SHAPES = [
+    RootDatum((Factor("A", 3),), 1),
+    RootDatum((Factor("A", 2),), 0),
+    RootDatum((Factor("C", 1),), 1),
+    RootDatum((Factor("C", 3),), 0),
+    RootDatum((Factor("D", 1),), 1),
+    RootDatum((Factor("D", 3),), 1),
+    RootDatum((Factor("D", 4),), 2),
+    RootDatum((Factor("D", 4),), 0),
+    RootDatum((Factor("C", 2), Factor("A", 2)), 1),
+]
+# D4 weights with a zero coordinate and with an odd number of negative signs
+D4_WEIGHTS = [(1, 1, 0, 0), (1, 0, 0, 0), (1, 1, 1, -1), (2, 1, 1, -1), (1, 1, 1, 1), (2, 1, 0, 0)]
+WITNESS = "support is not Weyl-symmetric at "
+
+
+def _random_weight(rng, rd, budget):
+    """A weight of ``rd`` whose block part has |.|_1 <= budget."""
+    block = [rng.randint(-2, 2) for _ in range(rd.total_rank - rd.central_rank)]
+    if rd.factors[0] == Factor("D", 4) and rng.random() < 0.3:
+        block = [rng.choice((1, -1)) * c for c in rng.choice(D4_WEIGHTS)]
+    return tuple(_cap_norm(block, budget)) + tuple(rng.randint(-1, 1) for _ in range(rd.central_rank))
+
+
+def _random_invariant(rng, rd, genuine):
+    """A W-invariant character: a sum of irreducibles, a tensor product of
+    small irreducibles, a sum of whole W-orbits, or zero."""
+    kind = rng.randrange(7)
+    def irr(budget):
+        return irr_char(rd, dominantize(rd, _random_weight(rng, rd, budget)))
+    def mult():
+        return rng.randint(1, 2) if genuine else rng.choice((-2, -1, 1, 2))
+    if kind == 0:
+        return WeightChar({})
+    if kind <= 3:
+        return add_chars(*(irr(3).scale(mult()) for _ in range(rng.randint(1, 3))))
+    if kind <= 5:
+        out = irr(2)
+        for _ in range(rng.randint(1, 2)):
+            out = tensor(out, irr(1))
+        return out
+    return add_chars(*(WeightChar({v: mult() for v in weyl_orbit(rd, _random_weight(rng, rd, 3))})
+                       for _ in range(rng.randint(1, 2))))
+
+
+def _perturb(rng, rd, x):
+    """x with one weight dropped, one multiplicity changed, or one weight
+    added that is not dominant and whose dominant weight is not in x."""
+    m = dict(x.items())
+    kind = rng.randrange(3)
+    if kind < 2 and m:
+        w = rng.choice(sorted(m))
+        if kind == 0:
+            del m[w]
+        else:
+            m[w] += rng.choice((-2, -1, 1, 2))
+        return WeightChar(m)
+    for _ in range(50):
+        v = _random_weight(rng, rd, 4)
+        if not is_dominant(rd, v) and dominantize(rd, v) not in m:
+            m[v] = rng.choice((-1, 1, 2))
+            break
+    return WeightChar(m)
+
+
+def _decompose_outcome(fn, rd, x, genuine):
+    try:
+        return fn(rd, x, genuine=genuine)
+    except NotACharacterError as exc:
+        return str(exc)
+
+
+def test_orbit_check_matches_the_keyed_loop_and_the_generator_maps():
+    rng = random.Random(20261021)
+    asymmetric = symmetric = uncovered = 0
+    for i in range(500):
+        rd = KEYED_SHAPES[i % len(KEYED_SHAPES)]
+        genuine = bool(i % 2)
+        x = _random_invariant(rng, rd, genuine)
+        if rng.random() < 0.5:
+            x = _perturb(rng, rd, x)
+        want_symmetric = _check_outcome(oracle_check_weyl_symmetric, rd, x) is None
+        for g in (genuine, not genuine):
+            got, want = _decompose_outcome(decompose, rd, x, g), _decompose_outcome(keyed_decompose, rd, x, g)
+            assert type(got) is type(want), (rd, x, g, got, want)
+            if isinstance(want, tuple) or not want.startswith(WITNESS):
+                assert got == want  # the constituents, or the peeling's own error
+                assert want_symmetric
+            else:
+                assert not want_symmetric
+                assert got.startswith(WITNESS)
+                _assert_asymmetric_witness(rd, x, got)
+                uncovered += not is_dominant(rd, ast.literal_eval(got[len(WITNESS):]))
+        symmetric += want_symmetric
+        asymmetric += not want_symmetric
+    # both outcomes, and the witness of a weight whose dominant weight is absent
+    assert symmetric > 150 and asymmetric > 100 and uncovered > 20, (symmetric, asymmetric, uncovered)
+
+
+def test_orbit_check_refuses_an_orbit_larger_than_the_support_unbuilt():
+    """A weight whose orbit cannot fit in the support is refused from the
+    orbit sizes alone: a lone C8 or D20 weight with distinct coordinates
+    has 8! * 2^8 or 20! * 2^19 orbit weights, and no orbit is cached."""
+    from pelkit import characters
+
+    for rd, w in (
+        (RootDatum((Factor("C", 5),), 1), (5, 4, 3, 2, 1, 1)),
+        (RootDatum((Factor("C", 8),), 1), (8, 7, 6, 5, 4, 3, 2, 1, 1)),
+        (RootDatum((Factor("D", 20),), 0), tuple(range(20, 0, -1))),
+        (RootDatum((Factor("C", 8), Factor("A", 3)), 0), (1,) * 8 + (2, 1, 0)),
+    ):
+        before = characters._orbit.cache_info().currsize
+        with pytest.raises(NotACharacterError, match="not Weyl-symmetric") as exc:
+            decompose(rd, WeightChar({w: 1}))
+        assert str(exc.value) == f"{WITNESS}{w}"
+        assert characters._orbit.cache_info().currsize == before
+        with pytest.raises(NotACharacterError, match="not Weyl-symmetric"):
+            keyed_decompose(rd, WeightChar({w: 1}))
+
+
+def test_cold_orbit_cache_gives_the_warm_results():
+    from pelkit import characters
+
+    cases = [(rd, dominantize(rd, w)) for rd, w in (
+        (C2, (2, 1, 1)),
+        (RootDatum((Factor("A", 3),), 1), (2, 0, -1, 3)),
+        (RootDatum((Factor("D", 4),), 2), (1, 1, 1, -1, 0, 1)),
+        (RootDatum((Factor("C", 2), Factor("A", 2)), 1), (1, 1, 1, -1, 1)),
+    )]
+    def results():
+        out = []
+        for rd, lam in cases:
+            x = irr_char(rd, lam)
+            out.append((list(x.items()), decompose(rd, tensor(x, x)), decompose(rd, x.scale(-1), genuine=False)))
+        return out
+    warm = results()
+    characters._orbit.cache_clear()
+    characters._orbit_size.cache_clear()
+    characters._block_weights.cache_clear()
+    assert results() == warm
+    assert characters._orbit.cache_info().currsize > 0
+
+
+def test_orbits_are_tuples_shared_between_callers():
+    for series, mu in (("A", (2, 0, 0, -1)), ("C", (2, 1, 0)), ("D", (1, 1, -1)), ("D", (2, 0, 0))):
+        orbit = _orbit(series, mu)
+        assert type(orbit) is tuple and all(type(w) is tuple for w in orbit)
+        assert _orbit(series, mu) is orbit  # one cached value, which no caller can change
+        with pytest.raises(TypeError):
+            orbit[0] = mu

@@ -627,6 +627,31 @@ def test_table_reader_against_the_per_entry_reader():
     assert strings_only > 200
 
 
+def test_mixed_matrix_checks_each_distinct_string_once(monkeypatch):
+    rng = random.Random(64)
+    entries = (0, 1, -1, "1/2", "-3/4", "0", "7", "-2/6")
+    obj = [[rng.choice(entries) for _ in range(64)] for _ in range(64)]
+    strings = {x for r in obj for x in r if type(x) is str}
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return bad_rational(x)
+
+    bad_rational = serialize._bad_rational
+    monkeypatch.setattr(serialize, "_bad_rational", counted)
+    got = serialize.matrix_from_json(obj, "m")
+    assert len(calls) == len(set(calls)) == len(strings) == 5
+    monkeypatch.undo()
+    assert got == _per_entry_reference(obj, "m")
+    # a bad string is never passed, so its first place is named however often it repeats
+    for bad, at in (([[1, "x"], ["x", "1"]], "[0][1]"), ([["1/2", "1/0", 0], ["1/0", "1/2", "1/0"]], "[0][1]")):
+        assert _outcome(serialize.matrix_from_json, bad) == _outcome(_per_entry_reference, bad)
+        with pytest.raises(serialize.SchemaError) as err:
+            serialize.matrix_from_json(bad, "m")
+        assert err.value.path == f"m{at}"
+
+
 @pytest.mark.parametrize(
     "obj, at",
     [
