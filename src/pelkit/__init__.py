@@ -18,7 +18,7 @@ from operator import attrgetter
 _EXPORTS = {
     ".linalg": "Matrix Signature signature",
     ".algebras": "AlgebraPresentation CatalogFactor check_anti_involution check_positive",
-    ".peldata": "Classification GroupFactorization PelDatum ShimuraReport classify factorize shimura_report validate",
+    ".peldata": "Classification GroupFactorization PelDatum ShimuraReport classify shimura_report validate",
     ".characters": "Factor RootDatum TorusMap WeightChar decompose dual irr_char restrict tensor weyl_dim",
     ".hodge": "HodgeCochar HodgeType auto_cochar enumerate_av_irreducibles hodge_type is_av_type",
     ".admissibility": "AdmissibilityVerdict MorphismSpec RepSide decide",

@@ -46,7 +46,7 @@ class AdmissibilityVerdict(_Value):
 
 def _genuine_constituents(rd, char, side):
     try:
-        return decompose(rd, char, genuine=True)
+        return decompose(rd, char)
     except NotACharacterError as exc:
         raise NotGenuineError(f"{side} standard character is not genuine: {exc}") from exc
 
@@ -57,7 +57,7 @@ def decide(m: MorphismSpec) -> AdmissibilityVerdict:
     source_parts = dict(_genuine_constituents(m.source.root_datum, m.source.standard_char, "source"))
     _genuine_constituents(m.target.root_datum, m.target.standard_char, "target")
     pulled = restrict(m.target.standard_char, m.torus_map)
-    pulled_parts = decompose(m.source.root_datum, pulled, genuine=True)
+    pulled_parts = decompose(m.source.root_datum, pulled)
     missing = []
     witness = 0
     for lam, mult in pulled_parts:

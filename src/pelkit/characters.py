@@ -500,7 +500,7 @@ def dual(x: WeightChar) -> WeightChar:
     return WeightChar({tuple(-c for c in w): m for w, m in x.items()})
 
 
-def decompose(rd: RootDatum, x: WeightChar, genuine: bool = True):
+def decompose(rd: RootDatum, x: WeightChar):
     """Peel a Weyl-symmetric character into irreducible constituents.
 
     x is W-invariant exactly when each dominant weight of its support,
@@ -508,9 +508,8 @@ def decompose(rd: RootDatum, x: WeightChar, genuine: bool = True):
     the orbits cover the support; else ``NotACharacterError`` names a weight
     on whose orbit x is not constant.  The peeling then repeatedly removes
     the lexicographically largest remaining dominant weight with the
-    dominant part of its irreducible.  With ``genuine=True`` a negative
-    peeled multiplicity raises; with ``genuine=False`` signed constituent
-    lists are returned.
+    dominant part of its irreducible.  A negative peeled multiplicity
+    raises ``NotACharacterError``: x is a virtual, not a genuine, character.
     """
     if x.is_zero():
         return ()
@@ -546,7 +545,7 @@ def decompose(rd: RootDatum, x: WeightChar, genuine: bool = True):
     while work:
         best = max(work)
         m = work[best]
-        if genuine and m < 0:
+        if m < 0:
             raise NotACharacterError(
                 f"multiplicity {m} at {best} went negative during peeling"
             )
@@ -595,13 +594,6 @@ class TorusMap(_Value):
         if len(w) != self.target_rank:
             raise RankMismatchError("weight length does not match the torus map")
         return tuple(_dot(row, w) for row in self.weight_pullback)
-
-    def compose(self, inner: "TorusMap") -> "TorusMap":
-        """Pullback along (self after inner) on groups: inner pulls what self produced."""
-        if inner.target_rank != self.source_rank:
-            raise RankMismatchError("torus maps are not composable")
-        cols = tuple(zip(*self.weight_pullback))
-        return TorusMap(tuple(tuple(_dot(row, col) for col in cols) for row in inner.weight_pullback))
 
 
 def restrict(x: WeightChar, f: TorusMap) -> WeightChar:

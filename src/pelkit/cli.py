@@ -175,7 +175,7 @@ def _cmd_rep_decompose(args) -> int:
     acc = chars[tokens[0]](std)
     for token in tokens[1:]:
         acc = tensor(acc, chars[token](std))
-    parts = decompose(rd, acc, genuine=True)
+    parts = decompose(rd, acc)
     _emit(
         args,
         {

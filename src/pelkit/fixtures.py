@@ -13,8 +13,9 @@ family, n, the group's parameters, then the coefficient algebra's.
   definite quaternion algebra D = (a, b) with a = -1 or b = -1.
 
 ``NAMED`` holds the blocks of the worked examples the package is pinned
-against.  The 8-dimensional symplectic datum receiving the
-determinant-twisted map is built by hand as the Kronecker image of gu11.
+against, and ``catalog_datum(NAMED[name])`` builds one.  The 8-dimensional
+symplectic datum receiving the determinant-twisted map is built by hand as
+the Kronecker image of gu11 (``gsp8_tensor_datum``).
 """
 
 from __future__ import annotations
@@ -111,36 +112,16 @@ def expected_factors(blocks) -> dict:
     return out
 
 
-def modular_curve_datum() -> PelDatum:
-    return catalog_datum(NAMED["modular_curve"])
-
-
-def modular_curve_m2_datum() -> PelDatum:
-    return catalog_datum(NAMED["modular_curve_m2"])
-
-
-def gu11_datum() -> PelDatum:
-    return catalog_datum(NAMED["gu11"])
-
-
 def gsp8_tensor_datum() -> PelDatum:
     """B = Q on the 8-dimensional space V' (x) Q(i) built from the unitary
     datum: pairing and complex structure are the Kronecker products of the
     unitary ones with the trace form (resp. identity) of Q(i)."""
-    gu = gu11_datum()
+    gu = catalog_datum(NAMED["gu11"])
     return PelDatum(
         algebra=AlgebraPresentation.from_catalog([CatalogFactor(MAT_Q, 1, 8)]),
         pairing=gu.pairing.kron(Matrix([[2, 0], [0, 2]])),
         j=gu.j.kron(Matrix.identity(2)),
     )
-
-
-def quaternion_datum() -> PelDatum:
-    return catalog_datum(NAMED["quaternion"])
-
-
-def balanced_imag_quad_datum() -> PelDatum:
-    return catalog_datum(NAMED["balanced_sqrt_minus_2"])
 
 
 # -- mutations -------------------------------------------------------------------
@@ -157,7 +138,7 @@ def _break_star(datum: PelDatum) -> PelDatum:
 def mutations():
     """Six single-axiom mutations of the bundled data, each with the
     diagnostic code validate() must fail with."""
-    m1, m2, gu = modular_curve_datum(), modular_curve_m2_datum(), gu11_datum()
+    m1, m2, gu = (catalog_datum(NAMED[name]) for name in ("modular_curve", "modular_curve_m2", "gu11"))
     return (
         ("modular_curve/negated_pairing", PelDatum(m1.algebra, -m1.pairing, m1.j), "polarization_positive"),
         ("modular_curve/negated_j", PelDatum(m1.algebra, m1.pairing, -m1.j), "polarization_positive"),
@@ -178,8 +159,8 @@ def side_of(classification: Classification) -> RepSide:
 def identity_morphisms():
     """The identity of the modular-curve group presented against each
     choice of datum on source and target (both directions)."""
-    c1 = classify(modular_curve_datum())
-    c2 = classify(modular_curve_m2_datum())
+    c1 = classify(catalog_datum(NAMED["modular_curve"]))
+    c2 = classify(catalog_datum(NAMED["modular_curve_m2"]))
     ident = TorusMap.identity(2)
     return (
         ("q2_to_m2", MorphismSpec(side_of(c1), side_of(c2), ident)),
@@ -191,7 +172,7 @@ def det_twist_morphism() -> MorphismSpec:
     """The unitary-to-symplectic map whose pullback of the standard
     representation is the standard representation twisted by the
     determinant character; it is not admissible."""
-    src = classify(gu11_datum())
+    src = classify(catalog_datum(NAMED["gu11"]))
     dst = classify(gsp8_tensor_datum())
     pullback = TorusMap(((3, 2, 1, 2, 0), (2, 3, 2, 1, 0), (0, 0, 0, 0, 1)))
     return MorphismSpec(side_of(src), side_of(dst), pullback)

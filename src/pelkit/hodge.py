@@ -63,20 +63,12 @@ class HodgeCochar(_Value):
     def rank(self) -> int:
         return len(self.mu2)
 
-    def bidegree(self, w):
-        if len(w) != self.rank:
-            raise ValueError("weight length does not match the cocharacter")
-        return _bidegrees((w,), self).pop()
-
 
 class HodgeType(_Value):
     __slots__ = ("pairs",)  # frozenset of (p, q) bidegrees
 
     def sorted_pairs(self):
         return sorted(self.pairs)
-
-    def __contains__(self, pq):
-        return pq in self.pairs
 
 
 def _bidegrees(weights, hc: HodgeCochar) -> set:

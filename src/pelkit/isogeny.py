@@ -61,14 +61,6 @@ class LatticeObject(_Value):
         except ValueError:  # a square inv fails only on a singular matrix
             raise ValueError("basis must be invertible") from None
 
-    @staticmethod
-    def standard(dim: int) -> "LatticeObject":
-        return LatticeObject(dim, Matrix.identity(dim))
-
-    @staticmethod
-    def scaled(dim: int, c) -> "LatticeObject":
-        return LatticeObject(dim, Matrix.scalar(dim, c))
-
 
 ZERO_LATTICE = LatticeObject(0, None)
 

@@ -553,10 +553,6 @@ class Signature(_Value):
 
     __slots__ = ("positive", "negative", "zero")  # ints
 
-    @property
-    def dimension(self) -> int:
-        return self.positive + self.negative + self.zero
-
     def is_positive_definite(self) -> bool:
         return self.negative == 0 and self.zero == 0
 

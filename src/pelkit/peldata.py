@@ -266,10 +266,6 @@ def _factorization(details) -> GroupFactorization:
     )
 
 
-def factorize(datum: PelDatum) -> GroupFactorization:
-    return _factorization(factorize_details(datum))
-
-
 class ShimuraReport(_Value):
     __slots__ = ("is_shimura_datum_for_g0", "g_connected", "center_condition", "offending_factors", "center_reasons")
     to_dict = _as_dict

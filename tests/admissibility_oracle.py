@@ -23,7 +23,7 @@ def summand_search(rd: RootDatum, pulled: WeightChar, source_std: WeightChar, ma
             }
         )
         try:
-            decompose(rd, diff, genuine=True)
+            decompose(rd, diff)
         except NotACharacterError:
             continue
         return n

@@ -22,17 +22,10 @@ from pelkit.characters import (
     tensor,
 )
 from pelkit.cli import main as cli_main
-from pelkit.fixtures import (
-    det_twist_morphism,
-    gu11_datum,
-    identity_morphisms,
-    modular_curve_datum,
-    modular_curve_m2_datum,
-    mutations,
-)
+from pelkit.fixtures import NAMED, catalog_datum, det_twist_morphism, identity_morphisms, mutations
 from pelkit.hodge import HodgeCochar, enumerate_av_irreducibles
 from pelkit.isogeny import run_law_suite
-from pelkit.peldata import GroupFactorization, factorize, validate
+from pelkit.peldata import GroupFactorization, classify, validate
 
 
 class Timer:
@@ -52,13 +45,13 @@ def report(criterion, detail, timer, limit):
 
 def test_criterion_1_classification_fixtures():
     elapsed = []
-    for build, expected in (
-        (modular_curve_datum, GroupFactorization((1,), (), ())),
-        (modular_curve_m2_datum, GroupFactorization((1,), (), ())),
-        (gu11_datum, GroupFactorization((), ((1, 1),), ())),
+    for name, expected in (
+        ("modular_curve", GroupFactorization((1,), (), ())),
+        ("modular_curve_m2", GroupFactorization((1,), (), ())),
+        ("gu11", GroupFactorization((), ((1, 1),), ())),
     ):
         with Timer() as t:
-            assert factorize(build()) == expected
+            assert classify(catalog_datum(NAMED[name])).factorization == expected
         assert t.elapsed < 1.0
         elapsed.append(t.elapsed)
     print(
@@ -69,8 +62,8 @@ def test_criterion_1_classification_fixtures():
 
 def test_criterion_2_validation_and_mutations():
     with Timer() as t:
-        for build in (modular_curve_datum, modular_curve_m2_datum, gu11_datum):
-            assert validate(build()).valid
+        for name in ("modular_curve", "modular_curve_m2", "gu11"):
+            assert validate(catalog_datum(NAMED[name])).valid
         muts = mutations()
         assert len(muts) == 6
         for name, datum, code in muts:

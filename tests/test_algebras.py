@@ -19,7 +19,7 @@ from pelkit.algebras import (
     check_anti_involution,
     check_positive,
 )
-from pelkit.fixtures import gu11_datum, quaternion_datum
+from pelkit.fixtures import NAMED, catalog_datum
 from pelkit.linalg import Matrix, Signature, _monomial, signature
 from pelkit.serialize import datum_from_json, datum_to_json
 
@@ -389,7 +389,7 @@ def _shear(n):
 
 
 def test_structured_presentation_rejects_foreign_generators():
-    gu = gu11_datum().algebra
+    gu = catalog_datum(NAMED["gu11"]).algebra
     with pytest.raises(ValueError, match="catalog's"):
         AlgebraPresentation(4, (), gu.factors)
     gens = list(gu.generators)
@@ -407,7 +407,7 @@ def test_structured_presentation_rejects_foreign_generators():
 
 
 def test_structured_presentation_rejects_singular_basis():
-    gu = gu11_datum().algebra
+    gu = catalog_datum(NAMED["gu11"]).algebra
     singular = Matrix([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     with pytest.raises(ValueError, match="singular"):
         AlgebraPresentation(4, None, gu.factors, singular)
@@ -418,7 +418,7 @@ def test_structured_presentation_rejects_singular_basis():
 
 
 def test_raw_presentation_accepts_any_generators():
-    gu = gu11_datum().algebra
+    gu = catalog_datum(NAMED["gu11"]).algebra
     gens = tuple((a, a) for a, _ in gu.generators)
     for alg in (AlgebraPresentation(4, gens), AlgebraPresentation.raw(4, gens), AlgebraPresentation(4, ())):
         assert alg.mode == "raw" and alg.basis is None and alg.basis_inv is None
@@ -442,7 +442,7 @@ def test_catalog_past_the_desk_scale_is_refused_before_its_generators():
 
 def test_structured_presentation_keeps_its_basis_inverse():
     rng = random.Random(5)
-    gu = gu11_datum().algebra
+    gu = catalog_datum(NAMED["gu11"]).algebra
     p, q = _unimodular(rng, 4), _rational_shear(rng, 4)
     assert gu.basis_inv is None
     moved = gu.conjugate(p).conjugate(q)
@@ -491,7 +491,7 @@ def test_catalog_generators_are_built_once_per_catalog():
     # from_catalog, a JSON load and a base change of the datum, and of a
     # base-changed one, all read one build per distinct factor tuple
     _catalog_generators.cache_clear()
-    data = (gu11_datum(), quaternion_datum(), gu11_datum())
+    data = (catalog_datum(NAMED["gu11"]), catalog_datum(NAMED["quaternion"]), catalog_datum(NAMED["gu11"]))
     shared = {}
     for datum in data:
         factors = datum.algebra.factors

@@ -22,7 +22,7 @@ DOCS = os.path.join(os.path.dirname(__file__), "..", "docs", "examples")
 EXPORTS = {
     "linalg": "Matrix Signature signature",
     "algebras": "AlgebraPresentation CatalogFactor check_anti_involution check_positive",
-    "peldata": "Classification GroupFactorization PelDatum ShimuraReport classify factorize shimura_report validate",
+    "peldata": "Classification GroupFactorization PelDatum ShimuraReport classify shimura_report validate",
     "characters": "Factor RootDatum TorusMap WeightChar decompose dual irr_char restrict tensor weyl_dim",
     "hodge": "HodgeCochar HodgeType auto_cochar enumerate_av_irreducibles hodge_type is_av_type",
     "admissibility": "AdmissibilityVerdict MorphismSpec RepSide decide",
@@ -98,7 +98,7 @@ def test_star_import_binds_every_export():
     namespace = {}
     exec("from pelkit import *", namespace)
     namespace.pop("__builtins__")
-    assert len(NAMES) == 45
+    assert len(NAMES) == 44
     assert set(namespace) == set(NAMES) == set(pelkit.__all__)
     for name, module in NAMES.items():
         assert namespace[name] is getattr(importlib.import_module(f"pelkit.{module}"), name)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -21,12 +23,12 @@ from pelkit.isogeny import (
 )
 from pelkit.linalg import Matrix
 
-Z1 = LatticeObject.standard(1)
-Z2 = LatticeObject.standard(2)
+Z1 = LatticeObject(1, Matrix.identity(1))
+Z2 = LatticeObject(2, Matrix.identity(2))
 
 
 def test_minimal_n_identity_into_scaled():
-    assert minimal_n(Matrix.identity(2), Z2, LatticeObject.scaled(2, 3)) == 3
+    assert minimal_n(Matrix.identity(2), Z2, LatticeObject(2, Matrix.scalar(2, 3))) == 3
 
 
 def test_minimal_n_already_integral():
@@ -55,7 +57,7 @@ def test_compose_unit_law():
 
 
 def test_compose_chain_of_scaled_lattices():
-    l1, l2, l3 = Z1, LatticeObject.scaled(1, 2), LatticeObject.scaled(1, 6)
+    l1, l2, l3 = Z1, LatticeObject(1, Matrix.scalar(1, 2)), LatticeObject(1, Matrix.scalar(1, 6))
     f12 = arrow(Matrix.identity(1), l1, l2)
     f23 = arrow(Matrix.identity(1), l2, l3)
     assert f12.n_used == 2 and f23.n_used == 3
@@ -66,13 +68,13 @@ def test_compose_chain_of_scaled_lattices():
 
 def test_compose_shape_mismatch():
     f = arrow(Matrix.identity(1), Z1, Z1)
-    g = arrow(Matrix.identity(1), LatticeObject.scaled(1, 2), Z1)
+    g = arrow(Matrix.identity(1), LatticeObject(1, Matrix.scalar(1, 2)), Z1)
     with pytest.raises(ShapeMismatchError):
         compose(g, f)
 
 
 def test_lattice_change_iso():
-    a, b = Z1, LatticeObject.scaled(1, 5)
+    a, b = Z1, LatticeObject(1, Matrix.scalar(1, 5))
     psi, psi_inv = lattice_change_iso(a, b)
     assert psi.n_used == 5
     assert psi_inv.n_used == 1
@@ -96,7 +98,7 @@ def test_direct_sum_objects():
 
 def test_direct_sum_arrow_normalisation():
     f = identity_arrow(Z1)
-    g = arrow(Matrix.identity(1), Z1, LatticeObject.scaled(1, 3))
+    g = arrow(Matrix.identity(1), Z1, LatticeObject(1, Matrix.scalar(1, 3)))
     summed = direct_sum_arrows(f, g)
     assert summed.n_used == 3
     assert summed.src == Z2
@@ -154,7 +156,7 @@ def test_zero_lattice_has_no_inverse():
 
 
 def test_scale_is_one_over_n_used():
-    f = arrow(Matrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]), Z2, LatticeObject.scaled(2, 5))
+    f = arrow(Matrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]), Z2, LatticeObject(2, Matrix.scalar(2, 5)))
     assert f.n_used == 30 and f.scale == Fraction(1, 30)
     assert "scale" not in isogeny.IsoMorphism.__slots__
 
@@ -297,6 +299,19 @@ def test_minimal_n_stopping_at_gcd_1_agrees_with_the_full_product():
     assert first > 100 and never > 100, (first, never)
 
 
+def test_law_suite_ledger_survives_deepcopy_and_pickle():
+    ledger = run_law_suite(trials=5, seed=3)
+    for again in (copy.deepcopy(ledger), pickle.loads(pickle.dumps(ledger))):
+        assert again == ledger
+        for law, entry in again.items():
+            assert type(entry) is type(ledger[law])
+            with pytest.raises(TypeError, match="read-only"):
+                entry["pass"] = False
+            with pytest.raises(TypeError, match="read-only"):
+                entry.update(trials=0)
+        assert again == ledger
+
+
 @pytest.mark.parametrize("seed", [0, 5, 7, 2024, 31337])
 def test_law_suite_ledger_unchanged_on_fraction_inputs(seed, monkeypatch):
     new = run_law_suite(trials=40, seed=seed)
@@ -309,6 +324,6 @@ def test_arrow_equality_and_hash_ignore_the_stored_n():
     f = IsoMorphism(Z2, Z2, Matrix([[1, 0], [0, 2]]), 1)
     g = IsoMorphism(Z2, Z2, Matrix([[1, 0], [0, 2]]), 4)
     assert f == g and hash(f) == hash(g) and len({f, g}) == 1
-    assert f != IsoMorphism(Z2, LatticeObject.scaled(2, 2), f.raw, 1)
+    assert f != IsoMorphism(Z2, LatticeObject(2, Matrix.scalar(2, 2)), f.raw, 1)
     assert f != IsoMorphism(Z2, Z2, Matrix.identity(2), 1)
     assert f != (Z2, Z2, f.raw)

@@ -2,9 +2,9 @@
 
 from pelkit.admissibility import MorphismSpec, RepSide, decide
 from pelkit.characters import Factor, RootDatum, TorusMap
-from pelkit.fixtures import NAMED, catalog_datum, gu11_datum, quaternion_datum
+from pelkit.fixtures import NAMED, catalog_datum
 from pelkit.hodge import auto_cochar, is_av_type
-from pelkit.peldata import GroupFactorization, classify, factorize, shimura_report, validate
+from pelkit.peldata import GroupFactorization, classify, shimura_report, validate
 
 MIXED = NAMED["modular_curve"] + NAMED["gu11"]  # Q on Q^2 plus Q(i) on Q(i)^2
 
@@ -12,8 +12,8 @@ MIXED = NAMED["modular_curve"] + NAMED["gu11"]  # Q on Q^2 plus Q(i) on Q(i)^2
 def test_mixed_datum_classifies():
     datum = catalog_datum(MIXED)
     assert validate(datum).valid
-    assert factorize(datum) == GroupFactorization((1,), ((1, 1),), ())
-    report = shimura_report(factorize(datum))
+    assert classify(datum).factorization == GroupFactorization((1,), ((1, 1),), ())
+    report = shimura_report(classify(datum).factorization)
     assert report.is_shimura_datum_for_g0 and report.g_connected
 
 
@@ -38,7 +38,7 @@ def test_mixed_missing_constituents_detected():
     # of the mixed standard character pulls back to central-only weights,
     # which are not constituents of the unitary standard character
     mixed = classify(catalog_datum(MIXED))
-    gu = classify(gu11_datum())
+    gu = classify(catalog_datum(NAMED["gu11"]))
     pullback = TorusMap(
         (
             (0, 1, 0, 0),
@@ -60,10 +60,10 @@ def test_quaternionic_morita_pair():
     # the same rank-1 quaternionic-orthogonal group presented over M_1(H)
     # acting on H and over M_2(H) acting on H^2; the identity morphism is
     # admissible for either assignment of the two data
-    small = quaternion_datum()
+    small = catalog_datum(NAMED["quaternion"])
     big = catalog_datum([("quaternion", 2, 1, -1, -1)])
     assert validate(big).valid
-    assert factorize(big) == factorize(small) == GroupFactorization((), (), (1,))
+    assert classify(big).factorization == classify(small).factorization == GroupFactorization((), (), (1,))
     cs, cb = classify(small), classify(big)
     assert cs.standard_char.dim() == 4 and cb.standard_char.dim() == 8
     ident = TorusMap.identity(2)

@@ -19,18 +19,7 @@ from pelkit.algebras import (
     _coeff_generators,
 )
 from pelkit.characters import Factor, RootDatum, standard_char
-from pelkit.fixtures import (
-    NAMED,
-    _break_star,
-    balanced_imag_quad_datum,
-    catalog_datum,
-    gsp8_tensor_datum,
-    gu11_datum,
-    modular_curve_datum,
-    modular_curve_m2_datum,
-    mutations,
-    quaternion_datum,
-)
+from pelkit.fixtures import NAMED, _break_star, catalog_datum, gsp8_tensor_datum, mutations
 from pelkit.hodge import auto_cochar, cochar_from_mu2
 from pelkit.linalg import (
     Matrix,
@@ -51,7 +40,6 @@ from pelkit.peldata import (
     _isotypic_blocks,
     _unitary_signature,
     classify,
-    factorize,
     factorize_details,
     root_datum_for,
     shimura_report,
@@ -62,16 +50,14 @@ from pelkit.serialize import datum_from_json, datum_to_json
 U20 = [("unitary", 1, 2, 0)]  # definite: both copies of Q(i) carry i
 QUATERNION_M2 = [("quaternion", 2, 1, -1, -1)]  # M_2(H) on H^2, the Morita double of the quaternion fixture
 ALL_DATA = {
-    build.__name__: build
-    for build in (
-        modular_curve_datum,
-        modular_curve_m2_datum,
-        gu11_datum,
-        gsp8_tensor_datum,
-        quaternion_datum,
-        balanced_imag_quad_datum,
-    )
-} | {"u20_datum": lambda: catalog_datum(U20)}
+    "modular_curve_datum": lambda: catalog_datum(NAMED["modular_curve"]),
+    "modular_curve_m2_datum": lambda: catalog_datum(NAMED["modular_curve_m2"]),
+    "gu11_datum": lambda: catalog_datum(NAMED["gu11"]),
+    "gsp8_tensor_datum": gsp8_tensor_datum,
+    "quaternion_datum": lambda: catalog_datum(NAMED["quaternion"]),
+    "balanced_imag_quad_datum": lambda: catalog_datum(NAMED["balanced_sqrt_minus_2"]),
+    "u20_datum": lambda: catalog_datum(U20),
+}
 
 
 @pytest.mark.parametrize("name", ALL_DATA)
@@ -81,7 +67,7 @@ def test_fixture_data_validate(name):
 
 
 def test_negated_pairing_fails_at_positivity():
-    d = modular_curve_datum()
+    d = catalog_datum(NAMED["modular_curve"])
     # oracle: the polarization Gram flips to negative definite
     assert signature(-(d.pairing @ d.j)) == Signature(0, 2, 0)
     report = validate(PelDatum(d.algebra, -d.pairing, d.j))
@@ -89,7 +75,7 @@ def test_negated_pairing_fails_at_positivity():
 
 
 def test_negated_j_fails_at_positivity():
-    d = modular_curve_datum()
+    d = catalog_datum(NAMED["modular_curve"])
     assert signature(d.pairing @ -d.j) == Signature(0, 2, 0)
     report = validate(PelDatum(d.algebra, d.pairing, -d.j))
     assert not report.valid and report.failure_code == "polarization_positive"
@@ -103,7 +89,7 @@ def test_mutation_diagnostics(name, datum, code):
 
 
 def test_validate_shape_and_degenerate_checks():
-    d = modular_curve_datum()
+    d = catalog_datum(NAMED["modular_curve"])
     bad = PelDatum(d.algebra, Matrix.identity(3), d.j)
     assert validate(bad).failure_code == "shape"
     sym = PelDatum(d.algebra, Matrix.identity(2), d.j)
@@ -115,30 +101,33 @@ def test_validate_shape_and_degenerate_checks():
 
 
 def test_factorize_fixture_groups():
-    assert factorize(modular_curve_datum()) == GroupFactorization((1,), (), ())
-    assert factorize(modular_curve_m2_datum()) == GroupFactorization((1,), (), ())
-    assert factorize(gu11_datum()) == GroupFactorization((), ((1, 1),), ())
-    assert factorize(gsp8_tensor_datum()) == GroupFactorization((4,), (), ())
-    assert factorize(quaternion_datum()) == GroupFactorization((), (), (1,))
-    assert factorize(balanced_imag_quad_datum()) == GroupFactorization((), ((1, 1),), ())
-    assert factorize(catalog_datum(U20)) == GroupFactorization((), ((2, 0),), ())
+    for name, expected in (
+        ("modular_curve_datum", GroupFactorization((1,), (), ())),
+        ("modular_curve_m2_datum", GroupFactorization((1,), (), ())),
+        ("gu11_datum", GroupFactorization((), ((1, 1),), ())),
+        ("gsp8_tensor_datum", GroupFactorization((4,), (), ())),
+        ("quaternion_datum", GroupFactorization((), (), (1,))),
+        ("balanced_imag_quad_datum", GroupFactorization((), ((1, 1),), ())),
+        ("u20_datum", GroupFactorization((), ((2, 0),), ())),
+    ):
+        assert classify(ALL_DATA[name]()).factorization == expected, name
 
 
 def test_factorize_requires_structured_mode():
-    d = modular_curve_datum()
+    d = catalog_datum(NAMED["modular_curve"])
     raw = PelDatum(
         AlgebraPresentation.raw(2, d.algebra.generators), d.pairing, d.j
     )
     assert validate(raw).valid
     with pytest.raises(StructuredModeRequiredError):
-        factorize(raw)
+        classify(raw)
 
 
-@pytest.mark.parametrize("build", [modular_curve_m2_datum, gu11_datum, quaternion_datum])
-def test_factorize_basis_invariant(build):
+@pytest.mark.parametrize("name", ["modular_curve_m2_datum", "gu11_datum", "quaternion_datum"])
+def test_factorize_basis_invariant(name):
     rng = random.Random(17)
-    base = build()
-    expected = factorize(base)
+    base = ALL_DATA[name]()
+    expected = classify(base).factorization
     n = base.dim_v
     for _ in range(4):
         while True:
@@ -147,20 +136,20 @@ def test_factorize_basis_invariant(build):
                 break
         moved = base.conjugate(p)
         assert validate(moved).valid
-        assert factorize(moved) == expected
+        assert classify(moved).factorization == expected
 
 
 def test_negating_j_swaps_unitary_signature():
     d = catalog_datum(U20)
     flipped = PelDatum(d.algebra, -d.pairing, -d.j)
     assert validate(flipped).valid
-    assert factorize(flipped) == GroupFactorization((), ((0, 2),), ())
+    assert classify(flipped).factorization == GroupFactorization((), ((0, 2),), ())
 
 
 def test_isotypic_dimensions_fill_v():
     datum = catalog_datum(MIXED)
     assert validate(datum).valid
-    fact = factorize(datum)
+    fact = classify(datum).factorization
     assert fact == GroupFactorization((1,), ((1, 1),), ())
     details = factorize_details(datum)
     assert sum(f.isotypic_dim for f in datum.algebra.factors) == datum.dim_v
@@ -169,15 +158,15 @@ def test_isotypic_dimensions_fill_v():
 
 
 def test_shimura_report_flags():
-    ok = shimura_report(factorize(modular_curve_datum()))
+    ok = shimura_report(classify(catalog_datum(NAMED["modular_curve"])).factorization)
     assert ok.is_shimura_datum_for_g0 and ok.g_connected and ok.center_condition
 
-    definite = shimura_report(factorize(catalog_datum(U20)))
+    definite = shimura_report(classify(catalog_datum(U20)).factorization)
     assert not definite.is_shimura_datum_for_g0
     assert definite.offending_factors == ("U(2,0)",)
     assert definite.g_connected
 
-    quat = shimura_report(factorize(quaternion_datum()))
+    quat = shimura_report(classify(catalog_datum(NAMED["quaternion"])).factorization)
     assert quat.is_shimura_datum_for_g0
     assert not quat.g_connected
 
@@ -187,15 +176,15 @@ def test_shimura_report_flags():
 
 
 def test_classification_bundle():
-    cl = classify(gu11_datum())
+    cl = classify(catalog_datum(NAMED["gu11"]))
     assert cl.root_datum == RootDatum((Factor("A", 2),), 1)
     assert cl.standard_char.dim() == 4
     assert cl.standard_char.mult((1, 0, 1)) == 1
-    cl2 = classify(modular_curve_m2_datum())
+    cl2 = classify(catalog_datum(NAMED["modular_curve_m2"]))
     assert cl2.root_datum == RootDatum((Factor("C", 1),), 1)
     assert cl2.standard_char.mult((1, 1)) == 2
 
-    clq = classify(quaternion_datum())
+    clq = classify(catalog_datum(NAMED["quaternion"]))
     assert clq.root_datum == RootDatum((Factor("D", 1),), 1)
     assert clq.standard_char.dim() == 4
     assert clq.standard_char.mult((1, 1)) == 2
@@ -204,14 +193,14 @@ def test_classification_bundle():
 def test_dimension_mismatch_detected():
     # a pairing j that fails to preserve the isotypic block only arises for
     # inconsistent hand-built data; simulate with a j commuting with nothing
-    d = gu11_datum()
+    d = catalog_datum(NAMED["gu11"])
     j = Matrix([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
     broken = PelDatum(d.algebra, d.pairing, j)
     report = validate(broken)
     assert not report.valid and report.failure_code == "j_pairing_skew"
     with pytest.raises((DimensionMismatchError, ValueError)):
         # the balanced branch needs even multiplicity
-        factorize(
+        classify(
             PelDatum(
                 AlgebraPresentation.from_catalog(
                     [CatalogFactor(MAT_IMAG_QUAD, 1, 1, d=-2)]
@@ -271,12 +260,12 @@ def test_trace_split_matches_eigenspace_oracle(a, b, n):
     rng = random.Random(1000 * a + 100 * b + n)
     base = catalog_datum([("unitary", n, a, b)])
     assert validate(base).valid
-    assert factorize(base) == GroupFactorization((), ((a, b),), ())
+    assert classify(base).factorization == GroupFactorization((), ((a, b),), ())
     for p in (Matrix.identity(base.dim_v), random_unimodular(rng, base.dim_v)):
         moved = base.conjugate(p)
         ((c, j, d, k),) = _unitary_blocks(moved)  # the oracle runs on the one unitary block
         assert _unitary_signature(c, j, d, k) == oracle_unitary_signature(c, j, d, k) == (a, b)
-        assert factorize(moved) == GroupFactorization((), ((a, b),), ())
+        assert classify(moved).factorization == GroupFactorization((), ((a, b),), ())
 
 
 @pytest.mark.parametrize(
@@ -355,7 +344,7 @@ ORACLE_DATA = ALL_DATA | {
     "imag_quad-n1": lambda: catalog_datum([("unitary", 1, 2, 1)]),
     "imag_quad-n2": lambda: catalog_datum([("unitary", 2, 1, 1)]),
     "imag_quad-d-5": lambda: catalog_datum([("balanced", 1, 1, -5)]),
-    "def_quat-n1": quaternion_datum,
+    "def_quat-n1": ALL_DATA["quaternion_datum"],
     "def_quat-n2": lambda: catalog_datum(QUATERNION_M2),
 }
 BASE_CHANGES = [(), ("u",), ("r",), ("u", "r"), ("r", "u"), ("r", "r")]
@@ -389,7 +378,7 @@ def test_composed_base_changes_match_one_base_change(name):
 
 
 def test_raw_presentation_keeps_no_basis():
-    d = modular_curve_datum()
+    d = catalog_datum(NAMED["modular_curve"])
     raw = AlgebraPresentation.raw(2, d.algebra.generators)
     assert raw.conjugate(Matrix([[1, 1], [0, 1]])).basis is None
 
@@ -398,10 +387,10 @@ BLOCK_ERROR = "j does not preserve an isotypic block"
 
 
 def test_j_of_wrong_shape_is_a_dimension_mismatch():
-    gu = gu11_datum()
+    gu = catalog_datum(NAMED["gu11"])
     for j in (J2, Matrix([[0] * 5 for _ in range(4)])):
         with pytest.raises(DimensionMismatchError, match=BLOCK_ERROR):
-            factorize(PelDatum(gu.algebra, gu.pairing, j))
+            classify(PelDatum(gu.algebra, gu.pairing, j))
         with pytest.raises(DimensionMismatchError, match=BLOCK_ERROR):
             oracle_factorize_details(PelDatum(gu.algebra, gu.pairing, j))
 
@@ -415,7 +404,7 @@ def test_j_linking_two_isotypic_blocks_is_a_dimension_mismatch(entry):
     rng = random.Random(entry[0] * 10 + entry[1])
     for datum in (linked, linked.conjugate(random_rational(rng, linked.dim_v))):
         with pytest.raises(DimensionMismatchError, match=BLOCK_ERROR):
-            factorize(datum)
+            classify(datum)
         with pytest.raises(DimensionMismatchError, match=BLOCK_ERROR):
             oracle_factorize_details(datum)
 
@@ -427,7 +416,7 @@ def leaky_star_datum() -> PelDatum:
     """Raw: E_12 on two copies of the modular-curve datum, with its adjoint
     E_21 as star.  Every axiom up to the polarization holds, but E_21 lies
     outside the algebra span{1, E_12}."""
-    m1 = modular_curve_datum()
+    m1 = catalog_datum(NAMED["modular_curve"])
     e12 = Matrix([[0, 1], [0, 0]]).kron(Matrix.identity(2))
     return PelDatum(
         AlgebraPresentation.raw(4, [(e12, e12.transpose())]),

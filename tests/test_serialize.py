@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -11,15 +12,7 @@ from validate_oracle import v_generators
 from pelkit import serialize
 from pelkit.algebras import AlgebraPresentation, CatalogFactor
 from pelkit.characters import WeightChar
-from pelkit.fixtures import (
-    balanced_imag_quad_datum,
-    det_twist_morphism,
-    gsp8_tensor_datum,
-    gu11_datum,
-    modular_curve_datum,
-    modular_curve_m2_datum,
-    quaternion_datum,
-)
+from pelkit.fixtures import NAMED, catalog_datum, det_twist_morphism, gsp8_tensor_datum
 from pelkit.linalg import Matrix
 from pelkit.peldata import PelDatum, classify, validate
 
@@ -48,8 +41,8 @@ def test_matrix_round_trip():
 
 
 def test_datum_round_trip():
-    for build in (modular_curve_datum, gu11_datum):
-        datum = build()
+    for name in ("modular_curve", "gu11"):
+        datum = catalog_datum(NAMED[name])
         again = serialize.datum_from_json(serialize.datum_to_json(datum))
         assert again.pairing == datum.pairing
         assert again.j == datum.j
@@ -62,7 +55,7 @@ def _reload(datum):
 
 
 def test_base_changed_structured_datum_round_trips():
-    datum = gu11_datum()
+    datum = catalog_datum(NAMED["gu11"])
     shear = Matrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     moved = datum.conjugate(shear)
     assert serialize.datum_to_json(moved)["algebra"]["basis"] == serialize.matrix_to_json(shear)
@@ -151,24 +144,45 @@ def _circular():
 
 
 @pytest.mark.parametrize(
-    "obj",
+    "obj,error",
     [
-        1.5,
-        float("nan"),
-        {"a": [1, 2.5]},
-        {1: "x"},
-        {"a": {2: 1, True: None}},
-        {"a": 1, None: 2},
-        {"a": object()},
-        [_Label("label"), {_Label("k"): 1}],
-        10**5000,
-        _circular(),
+        (1.5, "dumps cannot write a value of type float"),
+        (float("nan"), "dumps cannot write a value of type float"),
+        ({"a": [1, 2.5]}, "dumps cannot write a value of type float"),
+        ({1: "x"}, "dumps writes only str keys"),
+        ({"a": {2: 1, True: None}}, "dumps writes only str keys"),
+        ({"a": 1, None: 2}, "dumps writes only str keys"),
+        ({"a": object()}, "dumps cannot write a value of type object"),
+        ([_Label("label"), {_Label("k"): 1}], "dumps cannot write a value of type _Label"),
     ],
-    ids=["float", "nan", "nested float", "int key", "int and bool keys", "mixed keys", "object", "str subclass",
-         "over the digit limit", "circular"],
+    ids=["float", "nan", "nested float", "int key", "int and bool keys", "mixed keys", "object", "str subclass"],
 )
-def test_dumps_behaves_as_json_dumps_on_other_values(obj):
-    assert _dumped(serialize.dumps, obj) == _dumped(_json_dumps, obj)
+def test_dumps_refuses_a_value_no_report_holds(obj, error):
+    # json.dumps writes most of these; the emitter writes only what a report holds
+    with pytest.raises(TypeError, match=f"^{re.escape(error)}$"):
+        serialize.dumps(obj)
+
+
+def test_dumps_raises_on_an_int_past_the_digit_limit_and_on_a_circular_value():
+    assert _dumped(serialize.dumps, 10**5000) == _dumped(_json_dumps, 10**5000)
+    with pytest.raises(RecursionError):
+        serialize.dumps(_circular())
+
+
+def test_every_pinned_report_is_written_without_json_dumps(monkeypatch, capsys):
+    # the law-suite ledger's lines are a dict subclass, which the emitter writes too
+    from test_golden import COMMANDS, GOLDEN, ROOT
+
+    from pelkit.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(serialize.json, "dumps", refuse)
+    monkeypatch.chdir(ROOT)
+    for name, argv in COMMANDS:
+        main(argv)
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8"), name
 
 
 def test_dumps_matches_json_dumps_on_every_payload_the_cli_prints(monkeypatch, capsys):
@@ -192,7 +206,7 @@ def test_dumps_matches_json_dumps_on_every_payload_the_cli_prints(monkeypatch, c
 
 
 def test_raw_algebra_round_trip():
-    datum = modular_curve_datum()
+    datum = catalog_datum(NAMED["modular_curve"])
     raw = {
         "mode": "raw",
         "dim_v": 2,
@@ -271,7 +285,7 @@ def test_readers_build_with_the_classes_their_modules_hold_when_they_run(monkeyp
     import pelkit.algebras
     import pelkit.peldata
 
-    expected = modular_curve_datum()
+    expected = catalog_datum(NAMED["modular_curve"])
     obj = serialize.datum_to_json(expected)
     assert serialize.datum_from_json(obj) == expected
     calls = []
@@ -339,7 +353,7 @@ def _doc(name):
 
 
 def _raw_gu11():
-    gu11 = gu11_datum()
+    gu11 = catalog_datum(NAMED["gu11"])
     raw = PelDatum(AlgebraPresentation.raw(4, gu11.algebra.generators), gu11.pairing, gu11.j)
     return serialize.datum_to_json(raw)
 
@@ -495,13 +509,13 @@ GU11_RATIONAL = Matrix(
 
 def test_docs_examples_are_written_by_datum_to_json():
     written = {
-        "modular_curve": modular_curve_datum(),
-        "modular_curve_m2": modular_curve_m2_datum(),
-        "gu11": gu11_datum(),
+        "modular_curve": catalog_datum(NAMED["modular_curve"]),
+        "modular_curve_m2": catalog_datum(NAMED["modular_curve_m2"]),
+        "gu11": catalog_datum(NAMED["gu11"]),
         "gsp8_tensor": gsp8_tensor_datum(),
-        "quaternion": quaternion_datum(),
-        "balanced_sqrt_minus_2": balanced_imag_quad_datum(),
-        "gu11_base_changed": gu11_datum().conjugate(GU11_UNIMODULAR).conjugate(GU11_RATIONAL),
+        "quaternion": catalog_datum(NAMED["quaternion"]),
+        "balanced_sqrt_minus_2": catalog_datum(NAMED["balanced_sqrt_minus_2"]),
+        "gu11_base_changed": catalog_datum(NAMED["gu11"]).conjugate(GU11_UNIMODULAR).conjugate(GU11_RATIONAL),
     }
     for name, datum in written.items():
         with open(os.path.join(DOCS, f"{name}.json"), "r", encoding="utf-8") as fh:

@@ -25,7 +25,7 @@ from pelkit.algebras import (
     _Closure,
 )
 from pelkit.characters import Factor, RootDatum, TorusMap, UnsupportedTypeError, WeightChar, standard_char
-from pelkit.fixtures import modular_curve_datum
+from pelkit.fixtures import NAMED, catalog_datum
 from pelkit.hodge import HodgeCochar, HodgeType
 from pelkit.isogeny import IsoMorphism, LatticeObject
 from pelkit.linalg import Echelon, Matrix, Signature
@@ -42,9 +42,9 @@ from pelkit.peldata import (
 I2 = Matrix.identity(2)
 RD = RootDatum((Factor("C", 1),))
 SIDE = RepSide(RD, standard_char(RD, [1]))
-DATUM = modular_curve_datum()
+DATUM = catalog_datum(NAMED["modular_curve"])
 CL = classify(DATUM)
-Z2 = LatticeObject.standard(2)
+Z2 = LatticeObject(2, Matrix.identity(2))
 
 # Each type with the fields of one instance, in the order of its constructor.
 FIELDS = {
@@ -85,7 +85,7 @@ FIELDS = {
     MorphismSpec: {"source": SIDE, "target": SIDE, "torus_map": TorusMap.identity(2)},
     AdmissibilityVerdict: {"admissible": True, "witness_n": 1, "missing_constituents": ()},
     LatticeObject: {"dim": 2, "basis": Matrix([[1, 1], [0, 2]])},
-    IsoMorphism: {"src": Z2, "dst": LatticeObject.scaled(2, 3), "raw": I2, "n_used": 3},
+    IsoMorphism: {"src": Z2, "dst": LatticeObject(2, Matrix.scalar(2, 3)), "raw": I2, "n_used": 3},
 }
 # The fields that == and hash ignore: each is derived from the others.
 NOT_COMPARED = {
@@ -297,4 +297,4 @@ def test_checks_raise_the_same_error_by_position_and_by_keyword(cls, fields, err
 def test_repr_names_the_compared_fields():
     assert repr(Factor("C", 2)) == "Factor(series='C', n=2)"
     assert repr(Signature(1, 0, 2)) == "Signature(positive=1, negative=0, zero=2)"
-    assert repr(LatticeObject.standard(1)) == f"LatticeObject(dim=1, basis={Matrix.identity(1)!r})"
+    assert repr(LatticeObject(1, Matrix.identity(1))) == f"LatticeObject(dim=1, basis={Matrix.identity(1)!r})"
