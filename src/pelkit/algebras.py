@@ -11,7 +11,7 @@ catalog coordinates.  Its generators are the catalog's, whatever the basis,
 so its involution axioms hold by construction (Mumford, Abelian Varieties,
 section 21; Kottwitz, JAMS 5, 1992, section 1) and validation runs the
 closure for raw ones only.  The catalog spans at most ``MAX_DIM_V``
-dimensions, the desk scale of ``pelkit.linalg``.
+dimensions, the desk scale of ``pelkit.linalg``, and so does a raw ``dim_v``.
 The catalog covers exactly the simple real types that admit a positive
 involution; centres are restricted to Q and imaginary quadratic fields,
 quaternion algebras to definite ones (a, b < 0).
@@ -34,6 +34,10 @@ MAX_DIM_V = 64  # building the catalog generators costs about dim_v^3
 
 
 class CatalogTooLargeError(OutOfScopeError):
+    pass
+
+
+class RawTooLargeError(OutOfScopeError):
     pass
 
 
@@ -197,6 +201,8 @@ class AlgebraPresentation(_Value):
                     object.__setattr__(self, "basis_inv", basis.inv())
         elif basis is not None:
             raise ValueError("a raw presentation takes no basis")
+        elif dim_v > MAX_DIM_V:  # its closure on a dense basis would run for minutes
+            raise RawTooLargeError(f"raw presentation of dimension {dim_v}, past the bound {MAX_DIM_V}")
         for act, star in self.generators:
             if act.rows != dim_v or act.cols != dim_v:
                 raise ValueError("generator action has wrong shape")

@@ -24,9 +24,9 @@ decides an equation between products of matrices, and
 has one and else through ``@`` and ``==``.  A product row with one
 nonzero is the row of the other factor it selects, times that entry, a
 sparse one adds only the rows its nonzeros select, and a pivot change
-rescales a kept row on its nonzeros alone.
-Entries read back through ``m[i, j]``, ``row``, ``column`` and ``tolist``
-are ``Fraction``s.  Sizes are desk-scale (dimension <= 64).
+rescales a kept row on its nonzeros alone.  Entries read back through
+``m[i, j]``, ``row``, ``column`` and ``tolist`` are ``Fraction``s, and
+``_entry_texts`` writes them without one.  Sizes are desk-scale (dimension <= 64).
 """
 
 from __future__ import annotations
@@ -61,9 +61,7 @@ class NotCommutingError(InputError):
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot coerce {x!r} to a rational")
 
@@ -356,7 +354,15 @@ class Matrix:
         return hash((self.numerators, self.denominator))
 
     def __repr__(self):
-        return f"Matrix({[[str(x) for x in r] for r in self.tolist()]})"
+        return f"Matrix({self._entry_texts()})"
+
+    def _entry_texts(self) -> list:
+        """The entries' texts "p" or "p/q" (lowest terms, q > 0), row by row, each distinct numerator written once."""
+        den, text = self.denominator, {}
+        for x in set(chain.from_iterable(self.numerators)):
+            g = gcd(x, den)
+            text[x] = str(x // g) if g == den else f"{x // g}/{den // g}"
+        return [list(map(text.__getitem__, r)) for r in self.numerators]
 
     def _sum(self, other: "Matrix", sign: int) -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -1,16 +1,16 @@
 """JSON encoding shared by the command line and the bundled examples.
 
-Rationals travel as exact strings "p" or "p/q" (never decimals); matrices
-as arrays of arrays of such strings, where a reader also takes a JSON
-integer but refuses ``true``, ``false`` and floats; weights as integer
-arrays.  ``matrix_from_json`` reads every matrix, converting each distinct
-entry once.  A
-structured algebra travels as it is held in memory: its catalog factors
-plus, once a base change has moved it, its basis, so every datum reloads
-as itself.  Every JSON object the readers parse refuses a key it does not
-know, so a misspelt key is reported rather than dropped.  Schema
-violations raise SchemaError with a JSON-pointer-ish path so the CLI can
-print a usable diagnostic and exit with code 2.
+Rationals travel as exact strings "p" or "p/q" (never decimals); matrices as
+arrays of arrays of such strings, where a reader also takes a JSON integer
+but refuses ``true``, ``false`` and floats; weights as integer arrays.
+``matrix_from_json`` reads every matrix, converting each distinct entry
+once, and ``matrix_to_json`` writes one, each distinct numerator once
+(``Matrix._entry_texts``).  A structured algebra travels as it is held in
+memory: its catalog factors plus, once a base change has moved it, its
+basis, so every datum reloads as itself.  Every JSON object the readers
+parse refuses a key it does not know, so a misspelt key is reported rather
+than dropped.  Schema violations raise SchemaError with a JSON-pointer-ish
+path so the CLI can print a usable diagnostic and exit with code 2.
 
 ``dumps`` writes every report through a small recursive emitter, ``_text``:
 the exact text of ``json.dumps(indent=2, sort_keys=True)``, which ``indent``
@@ -42,10 +42,6 @@ class SchemaError(InputError):
         super().__init__(f"{path}: {message}")
 
 
-def frac_to_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 # ASCII digits only, matched whole: "\d" takes any Unicode digit and "$"
 # a trailing newline, both of which int() would then read
 _RAT_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
@@ -75,7 +71,7 @@ def _rational(x):
 
 
 def matrix_to_json(m: Matrix):
-    return [[frac_to_str(x) for x in row] for row in m.tolist()]
+    return m._entry_texts()
 
 
 def matrix_from_json(obj, path: str) -> Matrix:
@@ -209,6 +205,8 @@ def algebra_from_json(obj, path: str = "algebra") -> AlgebraPresentation:
             )
         try:
             return algebras.AlgebraPresentation.raw(dim_v, pairs)
+        except OutOfScopeError:  # a dim_v past the desk scale
+            raise
         except ValueError as exc:
             raise SchemaError(path, str(exc))
     raise SchemaError(f"{path}.mode", f"expected 'structured' or 'raw', got {mode!r}")

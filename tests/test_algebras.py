@@ -12,6 +12,7 @@ from pelkit.algebras import (
     AlgebraPresentation,
     CatalogFactor,
     CatalogTooLargeError,
+    RawTooLargeError,
     _catalog_generators,
     _closure,
     _trace_gram,
@@ -21,7 +22,7 @@ from pelkit.algebras import (
 )
 from pelkit.fixtures import NAMED, catalog_datum
 from pelkit.linalg import Matrix, Signature, _monomial, signature
-from pelkit.serialize import datum_from_json, datum_to_json
+from pelkit.serialize import algebra_from_json, datum_from_json, datum_to_json, matrix_to_json
 
 from closure_oracle import oracle_check_anti_involution, oracle_check_positive, oracle_closure
 from test_peldata import ALL_DATA
@@ -438,6 +439,20 @@ def test_catalog_past_the_desk_scale_is_refused_before_its_generators():
         with pytest.raises(CatalogTooLargeError, match=f"span dimension {MAX_DIM_V + 1}, past the bound"):
             AlgebraPresentation.from_catalog(factors)
     assert AlgebraPresentation.from_catalog([CatalogFactor(MAT_Q, 1, MAX_DIM_V)]).dim_v == MAX_DIM_V
+
+
+def test_raw_presentation_past_the_desk_scale_is_refused_before_its_shapes():
+    # the bound comes before the shape checks, so even a generator of the
+    # wrong shape is refused as out of scope
+    for gens in ((), ((Matrix.identity(2), Matrix.identity(2)),)):
+        with pytest.raises(RawTooLargeError, match=f"of dimension {MAX_DIM_V + 1}, past the bound {MAX_DIM_V}$"):
+            AlgebraPresentation.raw(MAX_DIM_V + 1, gens)
+    ident = Matrix.identity(MAX_DIM_V)
+    assert AlgebraPresentation.raw(MAX_DIM_V, [(ident, ident)]).dim_v == MAX_DIM_V
+    big = Matrix.identity(MAX_DIM_V + 1)
+    obj = {"mode": "raw", "dim_v": MAX_DIM_V + 1, "generators": [{"action": matrix_to_json(big), "star": matrix_to_json(big)}]}
+    with pytest.raises(RawTooLargeError):  # passed through, not wrapped as a SchemaError
+        algebra_from_json(obj)
 
 
 def test_structured_presentation_keeps_its_basis_inverse():

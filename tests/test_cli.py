@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -350,6 +351,7 @@ def test_every_value_error_in_pelkit_is_an_input_error():
         "OutOfScopeError",
         "BoundExceededError",
         "CatalogTooLargeError",
+        "RawTooLargeError",
         "NonIntegralPairingError",
         "NotDominantError",
         "RankMismatchError",
@@ -442,6 +444,25 @@ def test_catalog_past_the_desk_scale_exits_2_with_json_error(tmp_path, monkeypat
     code, out = run_cli(command, str(path))
     assert code == 2
     assert json.loads(out) == {"error": {"message": message, "type": "CatalogTooLargeError"}}
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "classify"])
+def test_raw_datum_past_the_desk_scale_exits_2_with_json_error(tmp_path, capsys, command):
+    # one dimension past the bound, with a dense generator: refused as the
+    # algebra is read, before any axiom of the datum is checked
+    rng = random.Random(65)
+    action = [[str(rng.randint(-2, 2)) for _ in range(65)] for _ in range(65)]
+    algebra = {"mode": "raw", "dim_v": 65, "generators": [{"action": action, "star": [list(c) for c in zip(*action)]}]}
+    zero = [["0"] * 65 for _ in range(65)]
+    path = tmp_path / "large_raw.json"
+    path.write_text(json.dumps({"algebra": algebra, "pairing": zero, "j": zero}))
+    message = "raw presentation of dimension 65, past the bound 64"
+    start = time.perf_counter()
+    code, out = run_cli(command, str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(out) == {"error": {"message": message, "type": "RawTooLargeError"}}
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

@@ -28,6 +28,7 @@ DATA = (
     "gu11_raw",
     "modular_curve",
     "modular_curve_m2",
+    "modular_curve_plus_gu11",
     "quaternion",
 )
 MORPHISMS = ("det_twist_morphism",)

@@ -19,9 +19,20 @@ from pelkit.peldata import PelDatum, classify, validate
 DOCS = os.path.join(os.path.dirname(__file__), "..", "docs", "examples")
 
 
+def frac_to_str(x: Fraction) -> str:
+    """The text of one entry as the writer once made it, from a Fraction:
+    the oracle of ``matrix_to_json``."""
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _fraction_writer(m):
+    return [[frac_to_str(x) for x in r] for r in m.tolist()]
+
+
 def test_fraction_strings():
-    assert serialize.frac_to_str(Fraction(3)) == "3"
-    assert serialize.frac_to_str(Fraction(-1, 2)) == "-1/2"
+    assert frac_to_str(Fraction(3)) == "3"
+    assert frac_to_str(Fraction(-1, 2)) == "-1/2"
+    assert serialize.matrix_to_json(Matrix([[3, Fraction(-1, 2)]])) == [["3", "-1/2"]]
     assert serialize.matrix_from_json([["7/3"]], "x") == Matrix([[Fraction(7, 3)]])
     assert serialize.matrix_from_json([[4]], "x") == Matrix([[4]])
     with pytest.raises(serialize.SchemaError):
@@ -240,6 +251,7 @@ def test_docs_examples_load_and_validate():
         "balanced_sqrt_minus_2",
         "gu11_base_changed",
         "gu11_raw",
+        "modular_curve_plus_gu11",
     ]
     for name in names:
         with open(os.path.join(DOCS, f"{name}.json"), "r", encoding="utf-8") as fh:
@@ -516,6 +528,7 @@ def test_docs_examples_are_written_by_datum_to_json():
         "quaternion": catalog_datum(NAMED["quaternion"]),
         "balanced_sqrt_minus_2": catalog_datum(NAMED["balanced_sqrt_minus_2"]),
         "gu11_base_changed": catalog_datum(NAMED["gu11"]).conjugate(GU11_UNIMODULAR).conjugate(GU11_RATIONAL),
+        "modular_curve_plus_gu11": catalog_datum(NAMED["modular_curve"] + NAMED["gu11"]),
     }
     for name, datum in written.items():
         with open(os.path.join(DOCS, f"{name}.json"), "r", encoding="utf-8") as fh:
@@ -693,3 +706,66 @@ def test_table_reader_shapes():
         with pytest.raises(serialize.SchemaError) as err:
             serialize.matrix_from_json(obj, "m")
         assert str(err.value) == f"m: {message}"
+
+
+# -- the integer writer against the Fraction writer -------------------------------
+
+
+def _random_matrix(rng):
+    """A matrix for the writer: 1 x 1 or 64 x 64 now and then, integer or
+    fractional, with negative entries, numerators past 2^64 and zero rows."""
+    rows = rng.choice((1, 1, 2, 3, 5, 8, 64))
+    cols = rows if rng.random() < 0.7 else rng.choice((1, 2, 4, 64))
+    dens = (1,) if rng.random() < 0.4 else (1, 1, 2, 3, 6, 7, 2**65 + 1)
+    big = rng.random() < 0.3
+
+    def entry():
+        if rng.random() < 0.5:
+            return 0
+        p = rng.randint(-(2**70), 2**70) if big and rng.random() < 0.3 else rng.randint(-9, 9)
+        return Fraction(p, rng.choice(dens))
+
+    out = [[entry() for _ in range(cols)] for _ in range(rows)]
+    for _ in range(rng.randint(0, 2)):
+        out[rng.randrange(rows)] = [0] * cols
+    return Matrix(out)
+
+
+_WRITER_KINDS = {
+    "1 x 1": lambda m: m.rows == m.cols == 1,
+    "64 x 64 integer": lambda m: m.rows == m.cols == 64 and m.denominator == 1,
+    "64 x 64 fractional": lambda m: m.rows == m.cols == 64 and m.denominator > 1,
+    "fractional": lambda m: m.denominator > 1,
+    "negative": lambda m: any(x < 0 for r in m.numerators for x in r),
+    "past 2^64": lambda m: any(abs(x) > 2**64 for r in m.numerators for x in r),
+    "zero row": lambda m: any(not any(r) for r in m.numerators),
+}
+
+
+def test_writer_against_the_fraction_writer():
+    rng = random.Random(3600)
+    cases = [_random_matrix(rng) for _ in range(300)]
+    cases += [Matrix([[0]]), Matrix([[-(2**64) - 1]]), Matrix([[Fraction(2**64 + 1, 3)]]), Matrix.identity(64)]
+    cases.append(Matrix.from_numerators([[2, 3, 4, 0], [0, 0, 0, 0], [-6, 12, -9, 1]], 6))
+    covered = dict.fromkeys(_WRITER_KINDS, 0)
+    for m in cases:
+        texts = serialize.matrix_to_json(m)
+        assert texts == _fraction_writer(m), m.numerators
+        assert serialize.matrix_from_json(texts, "m") == m
+        assert repr(m) == f"Matrix({[[str(x) for x in r] for r in m.tolist()]})"
+        for kind, holds in _WRITER_KINDS.items():
+            covered[kind] += holds(m)
+    assert min(covered.values()) >= 3, covered
+
+
+def test_the_writer_builds_no_fraction(monkeypatch):
+    import pelkit.linalg
+
+    def refuse(*args):
+        raise AssertionError("the writer built a Fraction")
+
+    datum = catalog_datum(NAMED["gu11"]).conjugate(GU11_RATIONAL)
+    expected = serialize.dumps(serialize.datum_to_json(datum))
+    monkeypatch.setattr(pelkit.linalg, "Fraction", refuse)
+    assert serialize.dumps(serialize.datum_to_json(datum)) == expected
+    assert repr(datum.algebra.basis) == "Matrix([['1/2', '0', '0', '0'], ['0', '1', '0', '1/3'], ['0', '0', '2', '0'], ['1', '0', '0', '1']])"
